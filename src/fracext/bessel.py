@@ -25,8 +25,6 @@ __all__ = [
     "ode_cross_solve",
 ]
 
-_DEFAULT_QUAD = QuadratureSpec("tanh_sinh_adaptive", 64, 0.0, 1e-12)
-
 
 @dataclass(frozen=True)
 class BesselParams:
@@ -172,7 +170,7 @@ def phi_particular(y, mat, a, g, p: BesselParams, quad=None):
         raise ValueError(f"variation of parameters needs -1 < a < 1, got {a}")
     if y <= 0:
         raise ValueError(f"upper limit must be positive, got {y}")
-    quad = quad or _DEFAULT_QUAD
+    quad = quad or QuadratureSpec(nodes=64)
     mat = np.asarray(mat, dtype=complex)
 
     def integrand(xs):
@@ -225,7 +223,7 @@ def ode_cross_solve(gen: Generator, a, u0, v0, y, p: BesselParams = None):
         raise ValueError(f"params carry a={p.a} but a={a} was requested")
     u0 = gen._check_vector(u0)
     v0 = gen._check_vector(v0)
-    budget = float(np.linalg.norm(gen.matrix, 2)) * y * y
+    budget = gen.norm2 * y * y
     if budget > 100.0:
         raise ValueError(f"||L|| y^2 = {budget:.1f} exceeds the series budget 100")
     mat = -gen.matrix

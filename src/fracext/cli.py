@@ -54,7 +54,6 @@ configuration keys (key = value, '#' comments):
   ygrid_start   head of the geometric y-schedule        [default 0.4]
   ygrid_factor  schedule ratio, in (0, 1)               [default 0.5]
   ygrid_count   number of schedule points               [default 11]
-  scheme        'tanh_sinh_adaptive' (default) or 'gauss_laguerre_generalized'
   nodes         first-level node budget                 [default 128]
   tol           quadrature refinement tolerance         [default 1e-12]
   out           output CSV path (the --out flag overrides this)
@@ -66,7 +65,7 @@ output CSV layout:
                            per component, diff_norm; the final estimate is the
                            last row of the deepest level
   extend                   profile: y, re_U1, im_U1, ..., re_dU1, ... with a
-                           first line naming s, dim, scheme
+                           first line naming s and dim
 """
 
 
@@ -87,7 +86,6 @@ class RunConfig:
     ygrid_start: float = 0.4
     ygrid_factor: float = 0.5
     ygrid_count: int = 11
-    scheme: str = "tanh_sinh_adaptive"
     nodes: int = 128
     tol: float = 1e-12
     output_path: str = None
@@ -96,7 +94,7 @@ class RunConfig:
     config_path: str = field(default="<config>", repr=False)
 
     def quadrature(self):
-        return QuadratureSpec(self.scheme, self.nodes, 0.0, self.tol)
+        return QuadratureSpec(nodes=self.nodes, tol=self.tol)
 
     def ysched(self):
         return default_ysched(self.ygrid_start, self.ygrid_factor, self.ygrid_count)
@@ -110,7 +108,6 @@ _CASTS = {
     "ygrid_start": ("ygrid_start", float),
     "ygrid_factor": ("ygrid_factor", float),
     "ygrid_count": ("ygrid_count", int),
-    "scheme": ("scheme", str),
     "nodes": ("nodes", int),
     "tol": ("tol", float),
     "out": ("output_path", str),

@@ -11,12 +11,12 @@ integral sign), the explicit representation through ``f = (-L)^s u``, the
 radial powers ``(2/y d/dy)^m U``, and the ODE residuals used to validate
 everything.
 
-Default quadrature is a trapezoid rule on the log axis: after ``r = e^v`` the
-integrand decays double-exponentially on the left (through the semigroup
+Every integral here is a trapezoid rule on the log axis: after ``r = e^v``
+the integrand decays double-exponentially on the left (through the semigroup
 factor ``e^{-c/r}``) and at least exponentially on the right, so a ~60-node
-rule already reaches machine precision.  A generalized Gauss-Laguerre path is
-kept for comparison but converges poorly here: the factor ``e^{-c/r}`` is not
-polynomial-like near ``r = 0``.
+rule already reaches machine precision.  (A Gauss-Laguerre rule with weight
+``r^{s-1} e^-r`` would converge poorly: the factor ``e^{-c/r}`` is not
+polynomial-like near ``r = 0``.)
 
 Two symbolic calculi drive the derivative machinery:
 
@@ -44,12 +44,7 @@ from scipy.special import gamma
 
 from .fracpow import FracOrder, as_order
 from .operators import Generator
-from .quadrature import (
-    ConvergenceError,
-    QuadratureSpec,
-    gauss_laguerre_rule,
-    trapezoid_refine,
-)
+from .quadrature import QuadratureSpec, trapezoid_refine
 
 __all__ = [
     "exp_tail",
@@ -68,10 +63,9 @@ __all__ = [
     "build_profile",
 ]
 
-_DEFAULT_QUAD = QuadratureSpec("tanh_sinh_adaptive", 128, 0.0, 1e-12)
-
 _TAIL_SWITCH = 0.5
 _TAIL_TERMS = 25
+_KERNEL_DECAY = 55.0  # windows end where the semigroup factor is below e^-55 ~ 1e-24
 
 
 # -- scalar helpers --------------------------------------------------------------
@@ -151,13 +145,21 @@ def _upper_cutoff(power):
     return float(r_hi)
 
 
-def _moment_window(order, powers, c_min):
+def _kernel_depth(gen, y):
+    """Depth ``d >= 1`` with ``e^{-c_min/r} <= e^-_KERNEL_DECAY`` for every ``r <= e^-d``.
+
+    ``c_min = y^2 min Re(-lam) / 4`` bounds the semigroup's decay rate at
+    ``t = y^2/(4r)``; when it is zero (``y^2`` underflows) nothing cuts the
+    window and the depth is infinite.
+    """
+    c_min = y * y * float((-gen.eigenvalues).real.min()) / 4.0
+    return max(np.log(_KERNEL_DECAY / c_min), 1.0) if c_min > 0 else np.inf
+
+
+def _moment_window(gen, order, powers, y):
     """Log-axis window outside which every moment integrand is below ~1e-22."""
     hi = np.log(_upper_cutoff(order.s + max(powers)))
-    lo_rate = order.s + min(powers)
-    lo = 55.0 / lo_rate
-    if c_min > 0:
-        lo = min(lo, max(np.log(55.0 / c_min), 1.0))
+    lo = min(55.0 / (order.s + min(powers)), _kernel_depth(gen, y))
     return -float(lo), float(hi)
 
 
@@ -169,9 +171,7 @@ def _semigroup_moments(gen, order, u, y, quad, powers):
     moments are stable to ``quad.tol``.
     """
     powers = sorted(set(int(b) for b in powers))
-    a_min = float((-gen.eigenvalues).real.min())
-    c_min = y * y * a_min / 4.0
-    lo, hi = _moment_window(order, powers, c_min)
+    lo, hi = _moment_window(gen, order, powers, y)
     exps = np.array([order.s + b for b in powers])
 
     def g(x):
@@ -186,38 +186,17 @@ def _semigroup_moments(gen, order, u, y, quad, powers):
 
 
 def extend_subordination(gen: Generator, s, u, y, quad=None):
-    """Evaluate ``U(y)`` by subordination quadrature.
+    """Evaluate ``U(y)`` by subordination quadrature on the log axis.
 
-    ``y = 0`` returns ``u`` (the continuous boundary value).  The scheme field
-    of ``quad`` selects the log-axis rule (default) or the generalized
-    Gauss-Laguerre rule with weight ``r^{s-1} e^-r``.
+    ``y = 0`` returns ``u`` (the continuous boundary value).
     """
     order = as_order(s)
-    quad = quad or _DEFAULT_QUAD
+    quad = quad or QuadratureSpec()
     u = gen._check_vector(u)
     if y < 0:
         raise ValueError(f"extension variable must be nonnegative, got {y}")
     if y == 0:
         return u.copy()
-    if quad.scheme == "gauss_laguerre_generalized":
-        previous, achieved, n = None, np.inf, quad.nodes
-        for _ in range(4):
-            try:
-                r, w = gauss_laguerre_rule(n, order.s - 1.0)
-            except ValueError:
-                break
-            states = gen.semigroup_batch(y * y / (4.0 * r), u)
-            current = (w[:, None] * states).sum(axis=0) / gamma(order.s)
-            if previous is not None:
-                achieved = float(np.linalg.norm(current - previous))
-                if achieved <= quad.tol * max(1.0, float(np.linalg.norm(current))):
-                    return current
-            previous = current
-            n *= 2
-        raise ConvergenceError(
-            "subordination (Laguerre): node doubling cap reached",
-            achieved=achieved, required=quad.tol,
-        )
     moments = _semigroup_moments(gen, order, u, y, quad, powers=[0])
     return moments[0] / gamma(order.s)
 
@@ -269,7 +248,7 @@ class KernelDerivative:
 def y_derivatives_upto(gen: Generator, s, u, mmax, y, quad=None):
     """All derivatives ``d^m U/dy^m`` for ``m = 0..mmax`` on one shared rule."""
     order = as_order(s)
-    quad = quad or _DEFAULT_QUAD
+    quad = quad or QuadratureSpec()
     cap = 2 * (order.n + 2)
     if mmax > cap:
         raise ValueError(f"derivative order {mmax} above cap {cap} for s={order.s}")
@@ -432,10 +411,8 @@ def _chain_eval(gen, order, u, chain, y, quad):
     for _ in range(max_pow):
         lpowers.append(gen.matrix @ lpowers[-1])
     c_val = y * y / 4.0
-    a_min = float((-gen.eigenvalues).real.min())
-    c_min = c_val * a_min
     hi = np.log(_upper_cutoff(s_val))
-    lo_short = -max(np.log(55.0 / c_min), 1.0)
+    lo_short = -_kernel_depth(gen, y)
     # Window for the Taylor-remainder terms: deep enough that the e^{sigma x}
     # envelope (times the polynomial prefactors) is below ~1e-24, but capped
     # so t^n = (c e^{-x})^n stays representable in double precision.
@@ -473,8 +450,6 @@ def _explicit_radial(gen, order, u, m, y, quad):
     sig = order.sigma
     f = gen.frac_power(s, u)
     poly = explicit_poly_part(gen, order, u, m, n, y * y / 4.0)
-    a_min = float((-gen.eigenvalues).real.min())
-    c_min = y * y * a_min / 4.0
     tail_index = n - m
 
     def g(x):
@@ -487,8 +462,7 @@ def _explicit_radial(gen, order, u, m, y, quad):
         hi = 52.0 / sig
     else:
         hi = float(np.log(60.0))
-    lo_from_kernel = max(np.log(55.0 / c_min), 1.0) if c_min > 0 else np.inf
-    lo = -min(52.0 / (1.0 - sig), lo_from_kernel)
+    lo = -min(52.0 / (1.0 - sig), _kernel_depth(gen, y))
     h0 = min(0.5, max(hi - lo, 1.0) / max(quad.nodes, 16))
     integral = trapezoid_refine(g, lo, hi, quad.tol, h0=h0, name="explicit radial tail")
     sign = (-1.0) ** m
@@ -505,7 +479,7 @@ def radial_power(gen: Generator, s, u, m, y, quad=None, mode="from_u"):
     integral).  The two must agree.
     """
     order = as_order(s)
-    quad = quad or _DEFAULT_QUAD
+    quad = quad or QuadratureSpec()
     u = gen._check_vector(u)
     if not 0 <= m <= order.n + 1:
         raise ValueError(f"radial power {m} outside 0..{order.n + 1} for s={order.s}")
@@ -530,7 +504,7 @@ def weighted_extension_derivative(gen: Generator, s, u, m, y, quad=None, form="r
     for ``m < [s]`` and the fractional-power trace at ``m = [s]``.
     """
     order = as_order(s)
-    quad = quad or _DEFAULT_QUAD
+    quad = quad or QuadratureSpec()
     u = gen._check_vector(u)
     if not 0 <= m <= order.n:
         raise ValueError(f"weighted derivative index {m} outside 0..{order.n}")
@@ -567,7 +541,7 @@ def extension_operator_power(gen: Generator, s, u, m, y, quad=None, a=None):
     Taylor-remainder chain.
     """
     order = as_order(s)
-    quad = quad or _DEFAULT_QUAD
+    quad = quad or QuadratureSpec()
     u = gen._check_vector(u)
     if m < 0:
         raise ValueError(f"operator power must be nonnegative, got {m}")
@@ -596,7 +570,7 @@ def extend_explicit(gen: Generator, s, u, y, quad=None, form="r"):
     every other term carries a positive power of ``y``.
     """
     order = as_order(s)
-    quad = quad or _DEFAULT_QUAD
+    quad = quad or QuadratureSpec()
     u = gen._check_vector(u)
     if y < 0:
         raise ValueError(f"extension variable must be nonnegative, got {y}")
@@ -637,7 +611,7 @@ def normalization_check(s, y, quad=None):
     ``(s, y)``.
     """
     order = as_order(s)
-    quad = quad or _DEFAULT_QUAD
+    quad = quad or QuadratureSpec()
     if y <= 0:
         raise ValueError(f"normalization check needs y > 0, got {y}")
     s_val = order.s
@@ -661,7 +635,7 @@ def pde_residual(gen: Generator, s, u, y, quad=None, kind="second"):
     coefficient ``(1-2(s-[s]))/y`` applied to ``U``, relative to ``||u||``.
     """
     order = as_order(s)
-    quad = quad or _DEFAULT_QUAD
+    quad = quad or QuadratureSpec()
     u = gen._check_vector(u)
     scale = float(np.linalg.norm(u))
     if scale == 0.0:
@@ -689,12 +663,11 @@ class ExtensionProfile:
     derivs: list
     order: FracOrder
     source_u: np.ndarray
-    scheme: str
 
     def to_csv(self, target):
         """Write ``y, re(U_1), im(U_1), ..., re(dU_1), im(dU_1), ...`` rows.
 
-        The first line names the order, dimension and scheme.  Derivative
+        The first line names the order and dimension.  Derivative
         columns are ``re_U{i}`` for order 0, ``re_dU{i}`` for order 1 and
         ``re_d{m}U{i}`` beyond.
         """
@@ -703,7 +676,7 @@ class ExtensionProfile:
         try:
             dim = self.source_u.size
             nder = len(self.derivs[0]) if self.derivs else 1
-            handle.write(f"# s={self.order.s}, dim={dim}, scheme={self.scheme}\n")
+            handle.write(f"# s={self.order.s}, dim={dim}\n")
             writer = csv.writer(handle)
             header = ["y"]
             for m in range(nder):
@@ -742,7 +715,7 @@ def build_profile(gen: Generator, s, u, ygrid, quad=None, max_deriv=None, worker
     count; ``FRACEXT_THREADS`` caps the pool when ``workers`` is not given.
     """
     order = as_order(s)
-    quad = quad or _DEFAULT_QUAD
+    quad = quad or QuadratureSpec()
     u = gen._check_vector(u)
     ygrid = np.asarray(ygrid, dtype=float)
     if ygrid.ndim != 1 or ygrid.size == 0:
@@ -763,6 +736,5 @@ def build_profile(gen: Generator, s, u, ygrid, quad=None, max_deriv=None, worker
             all_derivs = list(pool.map(at, ygrid))
     values = [d[0] for d in all_derivs]
     return ExtensionProfile(
-        ygrid=ygrid, values=values, derivs=all_derivs, order=order,
-        source_u=u, scheme=quad.scheme,
+        ygrid=ygrid, values=values, derivs=all_derivs, order=order, source_u=u
     )

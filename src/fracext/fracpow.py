@@ -25,6 +25,7 @@ from .quadrature import (
     gauss_laguerre_rule,
     gauss_legendre_rule,
     integrate_unit,
+    refine,
     richardson_table,
     trapezoid_refine,
 )
@@ -68,10 +69,6 @@ def as_order(s):
     return s if isinstance(s, FracOrder) else FracOrder(float(s))
 
 
-_DEFAULT_LAGUERRE = QuadratureSpec("gauss_laguerre_generalized", 128, 0.0, 1e-12)
-_DEFAULT_TANH_SINH = QuadratureSpec("tanh_sinh_adaptive", 128, 0.0, 1e-12)
-
-
 # -- inverse fractional powers ---------------------------------------------------
 
 
@@ -82,10 +79,12 @@ def resolvent_frac_power(gen: Generator, eps, alpha, u, quad=None):
     on a generalized Gauss-Laguerre rule after rescaling ``t = x / c`` with
     ``c = eps + min Re(-lam)``, which keeps every mode's effective exponent
     nonpositive.  The per-mode exponentials are fused before exponentiation so
-    no intermediate factor overflows.  Nodes are doubled until the value is
-    stable to ``quad.tol``.
+    no intermediate factor overflows.  Nodes are doubled from ``quad.nodes``
+    until the value is stable to ``quad.tol`` (or to the roundoff floor of the
+    eigencoordinate sum); the doubling ends at the first numerically
+    degenerate rule.
     """
-    quad = quad or _DEFAULT_LAGUERRE
+    quad = quad or QuadratureSpec()
     if eps < 0:
         raise ValueError(f"shift must be nonnegative, got {eps}")
     if alpha <= 0:
@@ -95,27 +94,21 @@ def resolvent_frac_power(gen: Generator, eps, alpha, u, quad=None):
     c = eps + float(a.real.min())
     z = 1.0 - (eps + a) / c
     coords = gen.eigvecs_inv @ u
-    previous = None
-    achieved = np.inf
-    n = quad.nodes
-    for _ in range(4):
-        try:
-            x, w = gauss_laguerre_rule(n, alpha - 1.0)
-        except ValueError:
-            break
-        weighted = (w[:, None] * np.exp(np.multiply.outer(x, z))).sum(axis=0)
-        current = gen.eigvecs @ (weighted * coords) * c ** (-alpha) / gamma(alpha)
-        if previous is not None:
-            achieved = float(np.linalg.norm(current - previous))
-            if achieved <= quad.tol * max(1.0, float(np.linalg.norm(current))):
-                return current
-        previous = current
-        n *= 2
-    raise ConvergenceError(
-        "inverse fractional power: node doubling cap reached",
-        achieved=achieved,
-        required=quad.tol,
-    )
+
+    def levels():
+        n = quad.nodes
+        while True:
+            try:
+                x, w = gauss_laguerre_rule(n, alpha - 1.0)
+            except ValueError:
+                return
+            kernel = w[:, None] * np.exp(np.multiply.outer(x, z))
+            current = gen.eigvecs @ (kernel.sum(axis=0) * coords) * c ** (-alpha) / gamma(alpha)
+            mass = float(np.abs(kernel).sum(axis=0) @ np.abs(coords))
+            yield current, mass * c ** (-alpha) / gamma(alpha)
+            n *= 2
+
+    return refine(levels(), quad.tol, "inverse fractional power: Laguerre")
 
 
 # -- Balakrishnan integrals ------------------------------------------------------
@@ -141,7 +134,7 @@ def balakrishnan(gen: Generator, s, u, quad=None):
     order = as_order(s)
     if order.n != 0:
         raise ValueError(f"plain Balakrishnan integral needs 0 < s < 1, got s={order.s}")
-    quad = quad or _DEFAULT_TANH_SINH
+    quad = quad or QuadratureSpec()
     u = gen._check_vector(u)
     a_mat = -gen.matrix
     au = a_mat @ u
@@ -168,10 +161,7 @@ def balakrishnan(gen: Generator, s, u, quad=None):
 def balakrishnan_general(gen: Generator, s, u, quad=None):
     """``(-L)^s u`` for any noninteger ``s > 0`` as the order ``s - [s]`` integral of ``A^[s] u``."""
     order = as_order(s)
-    w = gen._check_vector(u).copy()
-    for _ in range(order.n):
-        w = -(gen.matrix @ w)
-    return balakrishnan(gen, FracOrder(order.sigma), w, quad)
+    return balakrishnan(gen, FracOrder(order.sigma), gen.apply_minus_power(order.n, u), quad)
 
 
 def balakrishnan_second_kind(gen: Generator, s, u, quad=None):
@@ -185,7 +175,7 @@ def balakrishnan_second_kind(gen: Generator, s, u, quad=None):
     order = as_order(s)
     if not 0.0 < order.s < 2.0:
         raise ValueError(f"second-kind formula needs 0 < s < 2, got s={order.s}")
-    quad = quad or _DEFAULT_TANH_SINH
+    quad = quad or QuadratureSpec()
     u = gen._check_vector(u)
     s_val = order.s
     a_mat = -gen.matrix
@@ -233,7 +223,7 @@ def c_constant_direct(s, k, quad=None):
     """
     order = as_order(s)
     k = _check_bbw_exponent(order, k)
-    quad = quad or _DEFAULT_TANH_SINH
+    quad = quad or QuadratureSpec()
     s_val = order.s
 
     def inner(t):
@@ -267,7 +257,7 @@ def c_constant_expsum(s, k, quad=None):
 
     order = as_order(s)
     k = _check_bbw_exponent(order, k)
-    quad = quad or _DEFAULT_TANH_SINH
+    quad = quad or QuadratureSpec()
     s_val, n = order.s, order.n
     sig = order.sigma
 
@@ -288,7 +278,7 @@ def c_constant(s, k, quad=None):
     exponential-sum evaluation agrees with it; disagreement is reported as a
     convergence failure.
     """
-    quad = quad or _DEFAULT_TANH_SINH
+    quad = quad or QuadratureSpec()
     direct = c_constant_direct(s, k, quad)
     expsum = c_constant_expsum(s, k, quad)
     gap = abs(direct - expsum)
@@ -319,7 +309,7 @@ def bbw_frac_power(gen: Generator, s, k, u, quad=None, eps0=0.1, levels=13,
     """
     order = as_order(s)
     k = _check_bbw_exponent(order, k)
-    quad = quad or _DEFAULT_TANH_SINH
+    quad = quad or QuadratureSpec()
     u = gen._check_vector(u)
     s_val = order.s
     lam = gen.eigenvalues

@@ -3,17 +3,19 @@
 Three rule families cover every integral in the package:
 
 * generalized Gauss-Laguerre rules (``scipy.special.roots_genlaguerre``) for
-  integrands of the form ``t^{alpha-1} e^{-c t} * smooth``;
+  integrands of the form ``t^{alpha-1} e^{-c t} * smooth`` (the inverse
+  fractional powers);
 * tanh-sinh rules on ``(0, 1)`` combined with exact power substitutions, for
   integrands with an algebraic endpoint singularity ``x^p * smooth``;
 * trapezoid rules on the log axis, whose transformed integrands decay
   exponentially (or double-exponentially) in both directions.
 
-All adaptive drivers refine by halving the step and comparing successive
-values; summation order over nodes is fixed, so results are deterministic for
-a fixed :class:`QuadratureSpec`.  Failure to meet the tolerance within the
-halving budget raises :class:`ConvergenceError` carrying the achieved
-residual.
+Every adaptive rule feeds one driver, :func:`refine`, which compares
+successive levels and stops at the requested tolerance or at the roundoff
+floor set by the integrand's L1 mass.  Summation order over nodes is fixed,
+so results are deterministic for a fixed :class:`QuadratureSpec`.  Failure
+to meet the tolerance within the level budget raises
+:class:`ConvergenceError` carrying the achieved residual.
 """
 
 from dataclasses import dataclass
@@ -29,12 +31,11 @@ __all__ = [
     "gauss_legendre_rule",
     "tanh_sinh_rule",
     "integrate_unit",
+    "refine",
     "trapezoid_refine",
     "richardson_table",
     "richardson",
 ]
-
-SCHEMES = ("gauss_laguerre_generalized", "tanh_sinh_adaptive")
 
 
 class ConvergenceError(RuntimeError):
@@ -50,33 +51,14 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Node/weight scheme selection for the semigroup-subordination integrals.
+    """First-level node budget and refinement tolerance of the adaptive rules."""
 
-    ``scheme`` picks the rule family: ``gauss_laguerre_generalized`` for
-    Laguerre-weighted integrands, ``tanh_sinh_adaptive`` for the
-    double-exponential family (tanh-sinh on finite intervals, log-axis
-    trapezoid on semi-infinite ones).  ``nodes`` sets the first-level node
-    budget, ``alpha`` the Laguerre weight exponent, ``tol`` the refinement
-    target.
-
-    The Laguerre scheme is honored by the plain extension evaluator and the
-    inverse fractional powers, where the weight matches the integrand; the
-    derivative and boundary-trace machinery always integrates on the log
-    axis, where the subordination kernel's essential singularity is benign.
-    """
-
-    scheme: str = "tanh_sinh_adaptive"
     nodes: int = 128
-    alpha: float = 0.0
     tol: float = 1e-12
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
         if self.nodes < 8:
             raise ValueError(f"need at least 8 nodes, got {self.nodes}")
-        if self.alpha <= -1.0:
-            raise ValueError(f"Laguerre weight exponent must exceed -1, got {self.alpha}")
         if self.tol <= 0.0:
             raise ValueError(f"tolerance must be positive, got {self.tol}")
 
@@ -148,69 +130,82 @@ def _refine_target(tol, current, mass):
     return max(tol * max(1.0, _norm(current)), 32.0 * _EPS * mass)
 
 
-def integrate_unit(f, tol, singular_power=0.0, nodes0=64, max_halvings=5, name="integral"):
+def refine(levels, tol, name):
+    """Consume successive ``(value, mass)`` estimates until two agree.
+
+    ``levels`` yields one estimate per refinement level, coarsest first; the
+    first value whose change from its predecessor meets :func:`_refine_target`
+    is returned.  Running out of levels raises :class:`ConvergenceError` with
+    the last change (``inf`` when fewer than two levels were produced).
+    """
+    previous = None
+    achieved = np.inf
+    for current, mass in levels:
+        if previous is not None:
+            achieved = _norm(current - previous)
+            if achieved <= _refine_target(tol, current, mass):
+                return current
+        previous = current
+    raise ConvergenceError(f"{name} refinement stalled", achieved=achieved, required=tol)
+
+
+def _weighted_sum(weights, vals):
+    """Rule value and L1 mass of ``vals``, reducing the leading (node) axis."""
+    shaped = weights.reshape((-1,) + (1,) * (vals.ndim - 1))
+    return np.sum(shaped * vals, axis=0), float(np.sum(shaped * np.abs(vals)))
+
+
+_UNIT_LEVELS = 6
+_TRAPEZOID_LEVELS = 7
+
+
+def integrate_unit(f, tol, singular_power=0.0, nodes0=64, name="integral"):
     """Adaptive ``int_0^1 x^p f(x) dx`` with ``p = singular_power > -1``.
 
     The power substitution ``x = w^{1/(1+p)}`` removes the endpoint
     singularity exactly, after which tanh-sinh handles the remaining
     (derivative-level) endpoint behavior.  ``f`` must be vectorized, bounded
     on ``(0, 1]``, and may return arrays of shape ``(len(x), ...)``; the node
-    axis is reduced.
+    axis is reduced.  The step halves over at most ``_UNIT_LEVELS`` levels.
     """
     if singular_power <= -1.0:
         raise ValueError(f"endpoint power must exceed -1, got {singular_power}")
     q = 1.0 / (1.0 + singular_power)
-    h = min(0.5, 8.0 / max(nodes0, 16))
-    previous = None
-    achieved = np.inf
-    for _ in range(max_halvings + 1):
-        w_nodes, weights = tanh_sinh_rule(h)
-        x = w_nodes**q if q != 1.0 else w_nodes
-        vals = np.asarray(f(x))
-        shaped = weights.reshape((-1,) + (1,) * (vals.ndim - 1))
-        current = q * np.sum(shaped * vals, axis=0)
-        mass = q * float(np.sum(shaped * np.abs(vals)))
-        if previous is not None:
-            achieved = _norm(current - previous)
-            if achieved <= _refine_target(tol, current, mass):
-                return current
-        previous = current
-        h *= 0.5
-    raise ConvergenceError(
-        f"{name}: tanh-sinh refinement stalled", achieved=achieved, required=tol
-    )
+
+    def levels():
+        h = min(0.5, 8.0 / max(nodes0, 16))
+        for _ in range(_UNIT_LEVELS):
+            w_nodes, weights = tanh_sinh_rule(h)
+            x = w_nodes**q if q != 1.0 else w_nodes
+            value, mass = _weighted_sum(weights, np.asarray(f(x)))
+            yield q * value, q * mass
+            h *= 0.5
+
+    return refine(levels(), tol, f"{name}: tanh-sinh")
 
 
-def trapezoid_refine(g, lo, hi, tol, h0=0.25, max_halvings=6, name="integral"):
+def trapezoid_refine(g, lo, hi, tol, h0=0.25, name="integral"):
     """Adaptive composite trapezoid of a vectorized ``g`` on ``[lo, hi]``.
 
     Intended for integrands that decay (near) to zero at both window edges,
     where the trapezoid rule on an exponentially decaying smooth function
-    converges geometrically in ``1/h``.
+    converges geometrically in ``1/h``.  The step halves from ``h0`` over at
+    most ``_TRAPEZOID_LEVELS`` levels.
     """
     if hi <= lo:
         raise ValueError(f"empty integration window [{lo}, {hi}]")
-    h = h0
-    previous = None
-    achieved = np.inf
-    for _ in range(max_halvings + 1):
-        x = np.arange(lo, hi + 0.5 * h, h)
-        vals = np.asarray(g(x))
-        weights = np.full(x.shape, h)
-        weights[0] *= 0.5
-        weights[-1] *= 0.5
-        shaped = weights.reshape((-1,) + (1,) * (vals.ndim - 1))
-        current = np.sum(shaped * vals, axis=0)
-        mass = float(np.sum(shaped * np.abs(vals)))
-        if previous is not None:
-            achieved = _norm(current - previous)
-            if achieved <= _refine_target(tol, current, mass):
-                return current
-        previous = current
-        h *= 0.5
-    raise ConvergenceError(
-        f"{name}: trapezoid refinement stalled", achieved=achieved, required=tol
-    )
+
+    def levels():
+        h = h0
+        for _ in range(_TRAPEZOID_LEVELS):
+            x = np.arange(lo, hi + 0.5 * h, h)
+            weights = np.full(x.shape, h)
+            weights[0] *= 0.5
+            weights[-1] *= 0.5
+            yield _weighted_sum(weights, np.asarray(g(x)))
+            h *= 0.5
+
+    return refine(levels(), tol, f"{name}: trapezoid")
 
 
 # -- Richardson extrapolation ----------------------------------------------------

@@ -22,6 +22,7 @@ import numpy as np
 from scipy.special import gamma
 
 from .extension import (
+    _gamma_ratio,
     extend_subordination,
     extension_operator_power,
     radial_power,
@@ -46,7 +47,6 @@ __all__ = [
     "bbw_estimate",
 ]
 
-_DEFAULT_QUAD = QuadratureSpec("tanh_sinh_adaptive", 128, 0.0, 1e-12)
 _TINY = 1e-300
 
 
@@ -195,7 +195,7 @@ def trace_neumann(gen: Generator, s, u, quad=None, ysched=None, form="radial",
     schedule, extrapolates, and divides by the trace constant.
     """
     order = as_order(s)
-    quad = quad or _DEFAULT_QUAD
+    quad = quad or QuadratureSpec()
     u = gen._check_vector(u)
     ysched, ratio = _check_sched(ysched if ysched is not None else default_ysched())
     raws = [
@@ -222,7 +222,7 @@ def trace_incremental(gen: Generator, s, u, quad=None, ysched=None,
     cancellation, so its default schedule stops at 8 levels.
     """
     order = as_order(s)
-    quad = quad or _DEFAULT_QUAD
+    quad = quad or QuadratureSpec()
     u = gen._check_vector(u)
     s_val = order.s
     oracle = gen.frac_power(s_val, u)
@@ -295,25 +295,19 @@ def initial_condition_suite(gen: Generator, s, u, quad=None, ysched=None,
     against the stated tolerance.
     """
     order = as_order(s)
-    quad = quad or _DEFAULT_QUAD
+    quad = quad or QuadratureSpec()
     u = gen._check_vector(u)
     ysched, ratio = _check_sched(ysched if ysched is not None else default_ysched())
     n, sig, s_val = order.n, order.sigma, order.s
     count = len(ysched) - 1
     report = ICReport(s=s_val, tol=tol)
 
-    def gamma_ratio(m):
-        out = 1.0
-        for i in range(1, m + 1):
-            out /= s_val - i
-        return out
-
     lpow = [u]
     for _ in range(n):
         lpow.append(gen.matrix @ lpow[-1])
 
     for m in range(n + 1):
-        expected = gamma_ratio(m) * lpow[m]
+        expected = _gamma_ratio(s_val, m) * lpow[m]
         scale = max(np.linalg.norm(expected), _TINY)
         ladder = _merged_ladder([2.0, 2.0 * (s_val - m)], count)
         raws = [radial_power(gen, order, u, m, float(y), quad) for y in ysched]

@@ -35,7 +35,6 @@ from .fracpow import (
     resolvent_frac_power,
 )
 from .operators import Generator, random_generator
-from .quadrature import QuadratureSpec
 from .traces import (
     default_ysched,
     domain_membership,
@@ -45,7 +44,6 @@ from .traces import (
     trace_neumann,
 )
 
-_QUAD = QuadratureSpec("tanh_sinh_adaptive", 128, 0.0, 1e-12)
 _TINY = 1e-300
 
 
@@ -89,7 +87,7 @@ def check_scalar_closed_form():
     one = np.ones(1, dtype=complex)
     worst = 0.0
     for y in np.arange(0.1, 2.0001, 0.1):
-        val = extend_subordination(gen, 0.5, one, float(y), _QUAD)
+        val = extend_subordination(gen, 0.5, one, float(y))
         worst = max(worst, abs(val[0] - np.exp(-y)))
     return CheckResult(
         "criterion 01: scalar closed form U(y)=e^-y",
@@ -103,7 +101,7 @@ def check_normalization():
     worst = 0.0
     for s in (0.3, 0.5, 1.5, 2.7):
         for y in (0.1, 1.0, 10.0):
-            worst = max(worst, abs(normalization_check(s, y, _QUAD) - 1.0))
+            worst = max(worst, abs(normalization_check(s, y) - 1.0))
     return CheckResult(
         "criterion 02: kernel normalization = 1",
         worst <= 1e-10,
@@ -122,17 +120,17 @@ def check_oracle_reconciliation(seeds=20):
             order = FracOrder(s)
             oracle = gen.frac_power(s, u)
             worst["balakrishnan"] = max(
-                worst["balakrishnan"], _rel(balakrishnan_general(gen, order, u, _QUAD), oracle)
+                worst["balakrishnan"], _rel(balakrishnan_general(gen, order, u), oracle)
             )
             worst["bbw"] = max(
-                worst["bbw"], _rel(bbw_frac_power(gen, order, order.n + 1, u, _QUAD), oracle)
+                worst["bbw"], _rel(bbw_frac_power(gen, order, order.n + 1, u), oracle)
             )
             worst["neumann"] = max(
-                worst["neumann"], trace_neumann(gen, order, u, _QUAD).oracle_err
+                worst["neumann"], trace_neumann(gen, order, u).oracle_err
             )
             if order.n <= 1:
                 worst["incremental"] = max(
-                    worst["incremental"], trace_incremental(gen, order, u, _QUAD).oracle_err
+                    worst["incremental"], trace_incremental(gen, order, u).oracle_err
                 )
     passed = all(worst[key] <= tols[key] for key in tols)
     detail = ", ".join(f"{key} {worst[key]:.2e}/{tols[key]:.0e}" for key in tols)
@@ -158,8 +156,8 @@ def check_constants():
         closed = max(closed, abs(c_gen - c_ref) / max(1.0, abs(c_ref)))
     gen = Generator(np.diag([-1.0, -4.0]))
     u = np.array([1.0, 1.0], dtype=complex)
-    radial = trace_neumann(gen, 2.5, u, _QUAD, form="radial")
-    operator = trace_neumann(gen, 2.5, u, _QUAD, form="operator")
+    radial = trace_neumann(gen, 2.5, u, form="radial")
+    operator = trace_neumann(gen, 2.5, u, form="operator")
     factor_err = _rel(operator.raw_limit, 2.0 * radial.raw_limit)
     passed = special <= 1e-14 and closed <= 1e-12 and factor_err <= 1e-5
     return CheckResult(
@@ -174,7 +172,7 @@ def check_initial_conditions():
     """Initial-condition table at s=2.5 on diag(-1,-4); tolerance 1e-4."""
     gen = Generator(np.diag([-1.0, -4.0]))
     u = np.array([1.0, 1.0], dtype=complex)
-    report = initial_condition_suite(gen, 2.5, u, _QUAD, tol=1e-4)
+    report = initial_condition_suite(gen, 2.5, u, tol=1e-4)
     value_err = max(l.error for l in report.lines if l.kind == "radial_value")
     zero_err = max(l.error for l in report.lines if l.kind == "weighted_derivative_zero")
     passed = value_err <= 1e-4 and zero_err <= 1e-4
@@ -193,9 +191,9 @@ def check_pde_residuals(seeds=(3, 11, 19)):
         u = np.random.default_rng(2000 + seed).standard_normal(8) + 0j
         for s in (0.3, 1.5, 2.7):
             for y in (0.1, 1.0, 5.0):
-                worst_second = max(worst_second, pde_residual(gen, s, u, y, _QUAD))
+                worst_second = max(worst_second, pde_residual(gen, s, u, y))
                 worst_higher = max(
-                    worst_higher, pde_residual(gen, s, u, y, _QUAD, kind="higher")
+                    worst_higher, pde_residual(gen, s, u, y, kind="higher")
                 )
     passed = worst_second <= 1e-8 and worst_higher <= 1e-7
     return CheckResult(
@@ -219,7 +217,7 @@ def check_uniqueness_cross():
             params = BesselParams(a=a)
             for y in np.linspace(0.05, 1.5, 12):
                 rebuilt = ode_cross_solve(gen, a, u, data, float(y), params)
-                direct = extend_subordination(gen, order, u, float(y), _QUAD)
+                direct = extend_subordination(gen, order, u, float(y))
                 worst = max(worst, _rel(rebuilt, direct))
     table_ok = (
         ivp_classify(0.5, 0.5) == "unique"
@@ -238,12 +236,12 @@ def check_uniqueness_cross():
 
 def check_bbw_constant():
     """c(1/2,1) = -2 sqrt(pi); the two quadrature strategies agree to 1e-8."""
-    direct = c_constant_direct(0.5, 1, _QUAD)
-    expsum = c_constant_expsum(0.5, 1, _QUAD)
+    direct = c_constant_direct(0.5, 1)
+    expsum = c_constant_expsum(0.5, 1)
     anchor = max(abs(direct + 2.0 * np.sqrt(np.pi)), abs(expsum + 2.0 * np.sqrt(np.pi)))
     agree = 0.0
     for s, k in ((0.3, 1), (0.5, 1), (1.5, 2), (2.7, 3)):
-        agree = max(agree, abs(c_constant_direct(s, k, _QUAD) - c_constant_expsum(s, k, _QUAD)))
+        agree = max(agree, abs(c_constant_direct(s, k) - c_constant_expsum(s, k)))
     passed = anchor <= 1e-8 and agree <= 1e-8
     return CheckResult(
         "criterion 08: normalization constant c(s,k)",
@@ -260,7 +258,7 @@ def check_cross_representation():
     for y in (0.1, 1.0, 3.0):
         worst_u = max(
             worst_u,
-            _rel(extend_explicit(gen, 2.5, u, y, _QUAD), extend_subordination(gen, 2.5, u, y, _QUAD)),
+            _rel(extend_explicit(gen, 2.5, u, y), extend_subordination(gen, 2.5, u, y)),
         )
     gen2 = Generator(np.diag([-1.0, -4.0]))
     u2 = np.array([1.0, 1.0], dtype=complex)
@@ -269,8 +267,8 @@ def check_cross_representation():
         worst_m = max(
             worst_m,
             _rel(
-                radial_power(gen2, 2.5, u2, m, 0.5, _QUAD, mode="from_u"),
-                radial_power(gen2, 2.5, u2, m, 0.5, _QUAD, mode="from_f"),
+                radial_power(gen2, 2.5, u2, m, 0.5, mode="from_u"),
+                radial_power(gen2, 2.5, u2, m, 0.5, mode="from_f"),
             ),
         )
     passed = worst_u <= 1e-8 and worst_m <= 1e-7
@@ -417,19 +415,19 @@ def invariant_extension_bounds():
     s = 0.7
     norm_u = float(np.linalg.norm(u))
     bounded = all(
-        float(np.linalg.norm(extend_subordination(gen, s, u, float(y), _QUAD)))
+        float(np.linalg.norm(extend_subordination(gen, s, u, float(y))))
         <= gen.bound_M * norm_u * (1.0 + 1e-12)
         for y in (0.1, 0.5, 1.0, 3.0, 10.0)
     )
     gaps = [
-        float(np.linalg.norm(extend_subordination(gen, s, u, 2.0**-j, _QUAD) - u))
+        float(np.linalg.norm(extend_subordination(gen, s, u, 2.0**-j) - u))
         for j in range(11)
     ]
     monotone = all(gaps[i + 1] < gaps[i] for i in range(10))
     commute = 0.0
     for y in (0.3, 1.0):
-        left = extend_subordination(gen, s, gen.frac_power(-s, u), y, _QUAD)
-        right = gen.frac_power(-s, extend_subordination(gen, s, u, y, _QUAD))
+        left = extend_subordination(gen, s, gen.frac_power(-s, u), y)
+        right = gen.frac_power(-s, extend_subordination(gen, s, u, y))
         commute = max(commute, _rel(left, right))
     passed = bounded and monotone and commute <= 1e-9
     return CheckResult(
@@ -528,7 +526,7 @@ def invariant_second_kind():
     for s in (0.3, 0.7, 1.5, 1.9):
         worst = max(
             worst,
-            _rel(balakrishnan_second_kind(gen, s, u, _QUAD), gen.frac_power(s, u)),
+            _rel(balakrishnan_second_kind(gen, s, u), gen.frac_power(s, u)),
         )
     return CheckResult(
         "invariant: alternative Balakrishnan branch",
@@ -541,8 +539,8 @@ def invariant_membership_stability():
     """Membership verdicts are stable under schedule refinement."""
     gen = random_generator(6, 31)
     u = np.random.default_rng(33).standard_normal(6) + 0j
-    flag8, est8 = domain_membership(gen, 1.5, u, _QUAD, ysched=default_ysched(count=8))
-    flag12, est12 = domain_membership(gen, 1.5, u, _QUAD, ysched=default_ysched(count=12))
+    flag8, est8 = domain_membership(gen, 1.5, u, ysched=default_ysched(count=8))
+    flag12, est12 = domain_membership(gen, 1.5, u, ysched=default_ysched(count=12))
     gap = _rel(est8.value, est12.value)
     passed = flag8 and flag12 and gap <= 1e-4
     return CheckResult(

@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from fracext import Generator
+from fracext import ConvergenceError, Generator
 from fracext.cli import (
     ConfigError,
     builtin_matrix,
@@ -196,12 +196,14 @@ def test_laplacian_trace_matches_sine_oracle(tmp_path):
     assert relerr(got, oracle) <= 1e-6
 
 
-def test_nonconvergent_quadrature_exits_3(tmp_path, capsys):
-    # the Laguerre scheme cannot resolve the subordination kernel at 1e-12
+def test_nonconvergent_quadrature_exits_3(tmp_path, capsys, monkeypatch):
+    def stalled(*args, **kwargs):
+        raise ConvergenceError("subordination moments: trapezoid refinement stalled",
+                               achieved=1e-3, required=1e-12)
+
+    monkeypatch.setattr("fracext.cli.trace_incremental", stalled)
     path = write_config(
-        tmp_path,
-        "matrix = diag-demo\ns = 0.5\nscheme = gauss_laguerre_generalized\n"
-        f"out = {tmp_path/'x.csv'}\nygrid_count = 4\n",
+        tmp_path, f"matrix = diag-demo\ns = 0.5\nout = {tmp_path/'x.csv'}\nygrid_count = 4\n"
     )
     status = main(["trace_incremental", "--config", path])
     assert status == 3

@@ -10,6 +10,7 @@ from fracext import (
     ConvergenceError,
     FracOrder,
     Generator,
+    QuadratureSpec,
     balakrishnan,
     balakrishnan_general,
     balakrishnan_second_kind,
@@ -78,6 +79,13 @@ class TestResolventFracPower:
             back = resolvent_frac_power(gen=rand8, eps=0.0, alpha=s,
                                         u=rand8.frac_power(s, rand8_u))
             assert relerr(back, rand8_u) <= 1e-8
+
+    def test_no_usable_rule_raises(self, diag_gen):
+        # Gauss-Laguerre rules are degenerate from 512 nodes on: no level at all
+        with pytest.raises(ConvergenceError) as err:
+            resolvent_frac_power(diag_gen, 0.0, 0.5, np.ones(2, dtype=complex),
+                                 QuadratureSpec(nodes=1024))
+        assert err.value.achieved == np.inf
 
     def test_rejects_bad_arguments(self, diag_gen):
         u = np.ones(2, dtype=complex)
