@@ -6,7 +6,9 @@ spectral evaluation in tests:
 * inverse fractional powers ``(eps I - L)^{-alpha}`` by Laguerre-weighted
   quadrature of the semigroup;
 * the Balakrishnan integral over the resolvent, split at ``mu = 1`` with
-  exact power substitutions on both halves;
+  exact power substitutions on both halves; ``L`` is reduced once to its
+  complex Schur form, so each quadrature node costs one ``O(d^2)``
+  triangular solve and the route stays independent of the eigensystem;
 * the Berens-Butzer-Westphal limit of ``(e^{tL} - I)^k`` integrals with a
   Richardson-extrapolated truncation parameter.
 """
@@ -114,11 +116,21 @@ def resolvent_frac_power(gen: Generator, eps, alpha, u, quad=None):
 # -- Balakrishnan integrals ------------------------------------------------------
 
 
-def _stacked_resolvent(mats, rhs):
-    """Solve ``mats[j] x_j = rhs`` for a stack of matrices; returns ``(m, dim)``."""
-    return np.linalg.solve(mats, np.broadcast_to(rhs, mats.shape[:1] + rhs.shape)[..., None])[
-        ..., 0
-    ]
+def _shifted_triangular_solve(alpha, beta, tri, rhs):
+    """Solve ``(alpha_j I + beta_j T) x_j = rhs_j`` for every node ``j``; shape ``(m, d)``.
+
+    ``T`` is upper triangular.  ``alpha`` and ``beta`` are scalars or arrays of
+    shape ``(m,)``, at least one of them an array; ``rhs`` is ``(d,)`` (shared
+    by every node) or ``(m, d)``.  One back-substitution sweep over the ``d``
+    rows solves all ``m`` systems at once, at ``O(m d)`` per row.
+    """
+    diag = alpha + beta * tri.diagonal()[:, None]
+    dim, m = diag.shape
+    b = np.broadcast_to(rhs, (m, dim)).T
+    x = np.empty((dim, m), dtype=complex)
+    for i in range(dim - 1, -1, -1):
+        x[i] = (b[i] - beta * (tri[i, i + 1:] @ x[i + 1:])) / diag[i]
+    return x.T
 
 
 def balakrishnan(gen: Generator, s, u, quad=None):
@@ -128,26 +140,26 @@ def balakrishnan(gen: Generator, s, u, quad=None):
     ``A = -L``, split at ``mu = 1``; the substitution ``mu = 1/v`` maps the
     outer half onto ``(0, 1)`` with integrand ``v^{-s} (I + vA)^{-1} A u``.
     Both halves carry a pure power endpoint singularity that the unit-interval
-    driver removes exactly.  Resolvents are dense batched solves, independent
-    of the cached eigensystem.
+    driver removes exactly.  Everything runs in the cached complex Schur
+    basis ``L = Z T Z^H``, independent of the cached eigensystem: ``A u``
+    is formed there as ``-T Z^H u``, each node costs one triangular back
+    substitution, and ``Z`` is applied once to the sum.  For normal ``L``
+    (diagonal ``T``) forming ``A u`` per Schur mode keeps the roundoff of
+    stiff modes out of the soft ones.
     """
     order = as_order(s)
     if order.n != 0:
         raise ValueError(f"plain Balakrishnan integral needs 0 < s < 1, got s={order.s}")
     quad = quad or QuadratureSpec()
-    u = gen._check_vector(u)
-    a_mat = -gen.matrix
-    au = a_mat @ u
-    eye = np.eye(gen.dim)
+    tri, unitary = gen.schur
+    au = -(tri @ (unitary.conj().T @ gen._check_vector(u)))
     sig = order.s
 
     def inner_half(mu):
-        mats = mu[:, None, None] * eye + a_mat
-        return _stacked_resolvent(mats, au)
+        return _shifted_triangular_solve(mu, -1.0, tri, au)
 
     def outer_half(v):
-        mats = eye + v[:, None, None] * a_mat
-        return _stacked_resolvent(mats, au)
+        return _shifted_triangular_solve(1.0, -v, tri, au)
 
     inner = integrate_unit(
         inner_half, quad.tol, singular_power=sig - 1.0, nodes0=quad.nodes, name="balakrishnan inner"
@@ -155,7 +167,7 @@ def balakrishnan(gen: Generator, s, u, quad=None):
     outer = integrate_unit(
         outer_half, quad.tol, singular_power=-sig, nodes0=quad.nodes, name="balakrishnan outer"
     )
-    return np.sin(sig * np.pi) / np.pi * (inner + outer)
+    return np.sin(sig * np.pi) / np.pi * (unitary @ (inner + outer))
 
 
 def balakrishnan_general(gen: Generator, s, u, quad=None):
@@ -170,27 +182,26 @@ def balakrishnan_second_kind(gen: Generator, s, u, quad=None):
     ``(sin(s pi)/pi) int_0^inf mu^{s-1} [(mu I + A)^{-1} - mu/(1+mu^2)] A u dmu
     + sin(s pi / 2) A u``.  The outer half is rewritten as
     ``v^{1-s} (I + vA)^{-1} (v A u - A^2 u) / (1 + v^2)`` (exact algebra, no
-    cancellation at ``v = 0``).
+    cancellation at ``v = 0``).  Everything, the ``sin(s pi / 2) A u`` term
+    included, runs in the Schur basis as in :func:`balakrishnan`; on stiff
+    normal ``L`` a dense ``A^2 u`` would put the roundoff of the stiff modes
+    into the soft ones.
     """
     order = as_order(s)
     if not 0.0 < order.s < 2.0:
         raise ValueError(f"second-kind formula needs 0 < s < 2, got s={order.s}")
     quad = quad or QuadratureSpec()
-    u = gen._check_vector(u)
     s_val = order.s
-    a_mat = -gen.matrix
-    au = a_mat @ u
-    a2u = a_mat @ au
-    eye = np.eye(gen.dim)
+    tri, unitary = gen.schur
+    au = -(tri @ (unitary.conj().T @ gen._check_vector(u)))
+    a2u = -(tri @ au)
 
     def inner_half(mu):
-        mats = mu[:, None, None] * eye + a_mat
-        return _stacked_resolvent(mats, au) - (mu / (1.0 + mu**2))[:, None] * au
+        return _shifted_triangular_solve(mu, -1.0, tri, au) - (mu / (1.0 + mu**2))[:, None] * au
 
     def outer_half(v):
-        mats = eye + v[:, None, None] * a_mat
         rhs = v[:, None] * au - a2u
-        return np.linalg.solve(mats, rhs[..., None])[..., 0] / (1.0 + v**2)[:, None]
+        return _shifted_triangular_solve(1.0, -v, tri, rhs) / (1.0 + v**2)[:, None]
 
     inner = integrate_unit(
         inner_half, quad.tol, singular_power=s_val - 1.0, nodes0=quad.nodes,
@@ -200,7 +211,8 @@ def balakrishnan_second_kind(gen: Generator, s, u, quad=None):
         outer_half, quad.tol, singular_power=1.0 - s_val, nodes0=quad.nodes,
         name="balakrishnan-II outer",
     )
-    return np.sin(s_val * np.pi) / np.pi * (inner + outer) + np.sin(s_val * np.pi / 2.0) * au
+    return unitary @ (np.sin(s_val * np.pi) / np.pi * (inner + outer)
+                      + np.sin(s_val * np.pi / 2.0) * au)
 
 
 # -- the Berens-Butzer-Westphal normalization constant ----------------------------

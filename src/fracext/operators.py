@@ -4,10 +4,15 @@ A :class:`Generator` wraps a diagonalizable square matrix ``L`` whose spectrum
 lies in the open left half-plane.  That class of matrices generates uniformly
 bounded semigroups ``e^{tL}`` (with bound ``cond(V)`` for the eigenvector
 matrix ``V``) and has ``0`` in its resolvent set, so every fractional-power
-construction in this package is well defined on it.  The eigendecomposition is
-computed once at construction and cached; all operations are pure functions of
-the cached data and safe to call from multiple threads.
+construction in this package is well defined on it.  The eigendecomposition
+and the 2-norm ``||L||_2`` are computed at construction.  Two further factors
+are computed on first use and then cached: the complex Schur form
+``L = Z T Z^H`` that the Balakrishnan resolvents solve against, and the
+semigroup bound ``cond_2(V)``.  All operations are pure functions of this
+data and safe to call from multiple threads.
 """
+
+from functools import cached_property
 
 import numpy as np
 
@@ -56,8 +61,15 @@ class Generator:
         Eigenvalues ``lam_i`` with ``Re(lam_i) < 0``.
     eigvecs, eigvecs_inv : ndarray
         Factor pair ``V``, ``V^{-1}`` with ``L = V diag(lam) V^{-1}``.
+    norm2 : float
+        ``||L||_2``.
     bound_M : float
-        ``cond_2(V)``, a surrogate for ``sup_t ||e^{tL}||``.
+        ``cond_2(V)``, a surrogate for ``sup_t ||e^{tL}||`` (cached on first use).
+    schur : tuple of ndarray
+        Complex Schur factors ``(T, Z)`` (cached on first use).
+
+    Cached factors are computed on first use and kept.  Two threads that read
+    one for the first time at once at worst compute the same value twice.
     """
 
     def __init__(self, matrix):
@@ -86,10 +98,25 @@ class Generator:
         self.eigenvalues = lam
         self.eigvecs = vecs
         self.eigvecs_inv = vecs_inv
-        self.bound_M = float(
-            np.linalg.norm(vecs, 2) * np.linalg.norm(vecs_inv, 2)
-        )
         self.norm2 = float(np.linalg.norm(mat, 2))
+
+    @cached_property
+    def bound_M(self):
+        """``cond_2(V)``, a surrogate for ``sup_t ||e^{tL}||``."""
+        return float(np.linalg.norm(self.eigvecs, 2) * np.linalg.norm(self.eigvecs_inv, 2))
+
+    @cached_property
+    def schur(self):
+        """Read-only complex Schur factors ``(T, Z)``: ``L = Z T Z^H``, ``T`` upper triangular.
+
+        Computed from ``L`` alone, independent of the eigendecomposition.
+        """
+        from scipy.linalg import schur  # deferred: importing scipy.linalg is slow
+
+        tri, unitary = schur(self.matrix, output="complex")
+        tri.setflags(write=False)
+        unitary.setflags(write=False)
+        return tri, unitary
 
     # -- construction helpers -------------------------------------------------
 

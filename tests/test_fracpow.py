@@ -22,6 +22,10 @@ from fracext import (
     resolvent_frac_power,
 )
 
+from fracext.cli import builtin_matrix
+from fracext.fracpow import _shifted_triangular_solve
+from fracext.verify import dirichlet_sine_power
+
 from conftest import relerr
 
 
@@ -139,6 +143,91 @@ class TestSecondKind:
     def test_rejects_outside(self, diag_gen):
         with pytest.raises(ValueError, match="0 < s < 2"):
             balakrishnan_second_kind(diag_gen, 2.5, np.ones(2, dtype=complex))
+
+
+class TestShiftedTriangularSolve:
+    @pytest.fixture
+    def tri(self):
+        rng = np.random.default_rng(7)
+        dim = 12
+        tri = np.triu(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+        tri[np.diag_indices(dim)] = -rng.uniform(0.5, 10.0, dim) + 1j * rng.uniform(-5.0, 5.0, dim)
+        return tri
+
+    @staticmethod
+    def dense(alpha, beta, tri, rhs):
+        eye = np.eye(tri.shape[0])
+        mats = alpha[:, None, None] * eye + beta[:, None, None] * tri
+        return np.linalg.solve(mats, rhs[..., None])[..., 0]
+
+    def test_resolvent_form_per_node_rhs(self, tri):
+        mu = np.geomspace(1e-6, 1e12, 19)
+        rhs = np.random.default_rng(8).standard_normal((mu.size, tri.shape[0])) + 0.5j
+        got = _shifted_triangular_solve(mu, -1.0, tri, rhs)
+        expected = self.dense(mu, -np.ones_like(mu), tri, rhs)
+        for row, ref in zip(got, expected):
+            assert relerr(row, ref) <= 1e-12
+
+    def test_reciprocal_form_shared_rhs(self, tri):
+        v = np.geomspace(1e-300, 1.0, 23)
+        rhs = np.random.default_rng(9).standard_normal(tri.shape[0]) - 2.0j
+        got = _shifted_triangular_solve(1.0, -v, tri, rhs)
+        expected = self.dense(np.ones_like(v), -v, tri, np.broadcast_to(rhs, got.shape))
+        assert got.shape == (v.size, tri.shape[0])
+        for row, ref in zip(got, expected):
+            assert relerr(row, ref) <= 1e-12
+        assert relerr(got[0], rhs) <= 1e-15
+
+
+class TestBalakrishnanStiffAndIndependent:
+    """Balakrishnan routes on a stiff Laplacian, a non-normal complex matrix,
+    and a generator whose eigensystem has been removed."""
+
+    @pytest.fixture(scope="class")
+    def lap128(self):
+        return builtin_matrix("laplacian1d:128")
+
+    @pytest.fixture(scope="class")
+    def nonnormal(self):
+        rng = np.random.default_rng(12)
+        dim = 48
+        lam = -np.linspace(0.5, 10.0, dim) + 1j * rng.permutation(np.linspace(-10.0, 10.0, dim))
+        noise = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        vecs = np.eye(dim) + 0.25 * noise / np.sqrt(2.0)
+        return Generator((vecs * lam) @ np.linalg.inv(vecs))
+
+    @pytest.mark.parametrize("s", [0.3, 1.5, 2.7])
+    def test_general_on_stiff_laplacian(self, lap128, s):
+        u = np.random.default_rng(20).standard_normal(128) + 0j
+        got = balakrishnan_general(lap128, s, u)
+        assert relerr(got, dirichlet_sine_power(128, s, u)) <= 1e-7
+
+    @pytest.mark.parametrize("s", [0.3, 1.5])
+    def test_second_kind_on_stiff_laplacian(self, lap128, s):
+        u = np.random.default_rng(21).standard_normal(128) + 0j
+        got = balakrishnan_second_kind(lap128, s, u)
+        assert relerr(got, dirichlet_sine_power(128, s, u)) <= 1e-7
+
+    @pytest.mark.parametrize("s", [0.3, 1.5, 2.7])
+    def test_general_on_nonnormal_complex(self, nonnormal, s):
+        u = np.random.default_rng(22).standard_normal(48) + 1j
+        got = balakrishnan_general(nonnormal, s, u)
+        assert relerr(got, nonnormal.frac_power(s, u)) <= 1e-7
+
+    @pytest.mark.parametrize("s", [0.3, 1.5])
+    def test_second_kind_on_nonnormal_complex(self, nonnormal, s):
+        u = np.random.default_rng(23).standard_normal(48) + 1j
+        got = balakrishnan_second_kind(nonnormal, s, u)
+        assert relerr(got, nonnormal.frac_power(s, u)) <= 1e-7
+
+    def test_routes_ignore_the_eigensystem(self):
+        gen = random_generator(16, 5)
+        u = np.random.default_rng(24).standard_normal(16) + 0j
+        oracles = {s: gen.frac_power(s, u) for s in (0.3, 1.5)}
+        gen.eigvecs = gen.eigvecs_inv = None
+        assert relerr(balakrishnan(gen, 0.3, u), oracles[0.3]) <= 1e-7
+        assert relerr(balakrishnan_general(gen, 1.5, u), oracles[1.5]) <= 1e-7
+        assert relerr(balakrishnan_second_kind(gen, 1.5, u), oracles[1.5]) <= 1e-7
 
 
 class TestCConstant:

@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+import fracext
 from fracext import Generator, load_vector, random_generator
 from fracext.operators import parse_complex
 
@@ -222,3 +227,29 @@ def test_random_generator_reproducible():
     assert np.array_equal(first.matrix, second.matrix)
     eigs = np.sort(first.eigenvalues.real)
     assert eigs.min() >= -10.0 - 1e-9 and eigs.max() <= -0.5 + 1e-9
+
+
+def test_schur_factor_reconstructs_and_is_cached(rand8):
+    tri, unitary = rand8.schur
+    assert np.array_equal(np.tril(tri, -1), np.zeros_like(tri))
+    recon = unitary @ tri @ unitary.conj().T
+    assert np.linalg.norm(recon - rand8.matrix) <= 1e-12 * np.linalg.norm(rand8.matrix)
+    assert not tri.flags.writeable and not unitary.flags.writeable
+    assert rand8.schur is rand8.schur
+
+
+def test_bound_m_is_lazy(rand8):
+    assert "bound_M" not in vars(rand8)
+    cond = np.linalg.cond(rand8.eigvecs, 2)
+    assert abs(rand8.bound_M - cond) <= 1e-10 * cond
+    assert "bound_M" in vars(rand8)
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fracext.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, fracext; print('scipy.linalg' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
