@@ -304,7 +304,7 @@ def c_constant(s, k, quad=None):
 # -- the Berens-Butzer-Westphal limit ----------------------------------------------
 
 
-def bbw_frac_power(gen: Generator, s, k, u, quad=None, eps0=0.1, levels=13,
+def bbw_frac_power(gen: Generator, s, k, u, quad=None, eps0=None, levels=13,
                    conv_tol=1e-5, return_table=False):
     """``(-L)^s u`` as the extrapolated Berens-Butzer-Westphal limit.
 
@@ -315,6 +315,12 @@ def bbw_frac_power(gen: Generator, s, k, u, quad=None, eps0=0.1, levels=13,
     are assembled once: a base integral over ``[eps0, inf)`` plus
     Gauss-Legendre panels over each ``[eps_{j+1}, eps_j]``.
 
+    The default ``eps0 = min(0.1, 1/||L||_2)`` puts the first cut-off at the
+    decay time ``1/||L||_2`` of the stiffest mode instead of far past it, so
+    the extrapolated truncation error is in its asymptotic regime; the cap
+    keeps ``eps0 < 1``, which the base interval ``[eps0, 1]`` needs, and
+    leaves every generator with ``||L||_2 <= 10`` at ``0.1``.
+
     A non-Cauchy extrapolant sequence (spread above ``conv_tol`` relative)
     raises :class:`ConvergenceError`.  With ``return_table=True`` also returns
     the per-level ``(eps_j, estimate_j)`` rows for diagnostics.
@@ -323,15 +329,26 @@ def bbw_frac_power(gen: Generator, s, k, u, quad=None, eps0=0.1, levels=13,
     k = _check_bbw_exponent(order, k)
     quad = quad or QuadratureSpec()
     u = gen._check_vector(u)
+    if eps0 is None:
+        eps0 = min(0.1, 1.0 / gen.norm2)
     s_val = order.s
     lam = gen.eigenvalues
+    if not lam.imag.any():
+        lam = lam.real  # a real spectrum (every Hermitian L): real expm1 is several times cheaper
     coords = gen.eigvecs_inv @ u
+
+    def expm1_power(ts):
+        # (e^{t lam} - 1)^k by products: pow() of a negative real base is slow
+        base = np.expm1(np.multiply.outer(ts, lam))
+        factors = base
+        for _ in range(k - 1):
+            factors = factors * base
+        return factors
 
     def integrand(ts):
         # (e^{tL} - I)^k u in eigencoordinates, times t^{-1-s}
         ts = np.asarray(ts, dtype=float)
-        factors = np.expm1(np.multiply.outer(ts, lam)) ** k
-        return factors * coords * (ts ** (-1.0 - s_val))[:, None]
+        return expm1_power(ts) * coords * (ts ** (-1.0 - s_val))[:, None]
 
     def inner_base(x):
         t = eps0 + (1.0 - eps0) * x
@@ -340,8 +357,7 @@ def bbw_frac_power(gen: Generator, s, k, u, quad=None, eps0=0.1, levels=13,
     def outer_base(v):
         with np.errstate(divide="ignore"):
             t = 1.0 / np.maximum(v, 1e-300)
-        factors = np.expm1(np.multiply.outer(t, lam)) ** k
-        return factors * coords
+        return expm1_power(t) * coords
 
     base = integrate_unit(inner_base, quad.tol, singular_power=0.0, nodes0=quad.nodes,
                           name="bbw base")

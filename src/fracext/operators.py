@@ -5,8 +5,17 @@ lies in the open left half-plane.  That class of matrices generates uniformly
 bounded semigroups ``e^{tL}`` (with bound ``cond(V)`` for the eigenvector
 matrix ``V``) and has ``0`` in its resolvent set, so every fractional-power
 construction in this package is well defined on it.  The eigendecomposition
-and the 2-norm ``||L||_2`` are computed at construction.  Two further factors
-are computed on first use and then cached: the complex Schur form
+and the 2-norm ``||L||_2`` are computed at construction, along one of two
+paths:
+
+* Hermitian ``L`` (exactly equal to its conjugate transpose, as is every real
+  symmetric matrix): one ``eigh``; ``V^{-1} = V^H`` and ``||L||_2 = max|lam|``,
+  with no inverse and no SVD.
+* Any other ``L``: a general ``eig``, an explicit ``inv(V)`` and a 2-norm SVD.
+
+:meth:`Generator.yosida` builds its regularized generator from the parent's
+``V`` and ``V^{-1}``, so it runs no new eigendecomposition.  Two further
+factors are computed on first use and then cached: the complex Schur form
 ``L = Z T Z^H`` that the Balakrishnan resolvents solve against, and the
 semigroup bound ``cond_2(V)``.  All operations are pure functions of this
 data and safe to call from multiple threads.
@@ -41,6 +50,15 @@ def _format_complex(z):
     return f"{z.real:.17g}{z.imag:+.17g}i"
 
 
+def _check_spectrum(lam):
+    if np.any(lam.real >= 0.0):
+        worst = lam[np.argmax(lam.real)]
+        raise ValueError(
+            f"generator spectrum must lie in the open left half-plane; "
+            f"found eigenvalue {worst}"
+        )
+
+
 class Generator:
     """Diagonalizable matrix generator with spectrum in the open left half-plane.
 
@@ -49,7 +67,9 @@ class Generator:
     matrix : array_like
         Square matrix ``L``.  Rejected unless every eigenvalue has a negative
         real part and the eigendecomposition reconstructs ``L`` to a relative
-        residual of ``1e-10``.
+        residual of ``1e-10``.  A Hermitian ``L`` is factored by ``eigh``
+        (``V`` unitary, ``V^{-1} = V^H``, ``norm2 = max|lam|``); any other
+        ``L``, near-Hermitian ones included, by ``eig``, ``inv(V)`` and an SVD.
 
     Attributes
     ----------
@@ -58,7 +78,7 @@ class Generator:
     matrix : ndarray
         The matrix ``L`` (complex, read-only).
     eigenvalues : ndarray
-        Eigenvalues ``lam_i`` with ``Re(lam_i) < 0``.
+        Eigenvalues ``lam_i`` with ``Re(lam_i) < 0`` (complex on both paths).
     eigvecs, eigvecs_inv : ndarray
         Factor pair ``V``, ``V^{-1}`` with ``L = V diag(lam) V^{-1}``.
     norm2 : float
@@ -76,14 +96,14 @@ class Generator:
         mat = np.array(matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"generator matrix must be square, got shape {mat.shape}")
-        lam, vecs = np.linalg.eig(mat)
-        if np.any(lam.real >= 0.0):
-            worst = lam[np.argmax(lam.real)]
-            raise ValueError(
-                f"generator spectrum must lie in the open left half-plane; "
-                f"found eigenvalue {worst}"
-            )
-        vecs_inv = np.linalg.inv(vecs)
+        hermitian = np.array_equal(mat, mat.conj().T)
+        if hermitian:
+            lam, vecs = np.linalg.eigh(mat)
+            lam = lam.astype(complex)
+        else:
+            lam, vecs = np.linalg.eig(mat)
+        _check_spectrum(lam)
+        vecs_inv = vecs.conj().T if hermitian else np.linalg.inv(vecs)
         scale = np.linalg.norm(mat)
         residual = np.linalg.norm((vecs * lam) @ vecs_inv - mat)
         if residual > _RECON_TOL * max(scale, 1e-300):
@@ -91,6 +111,14 @@ class Generator:
                 "matrix is not reliably diagonalizable: eigendecomposition "
                 f"residual {residual:.3e} exceeds {_RECON_TOL:.0e} * ||L||"
             )
+        self._set_factors(mat, lam, vecs, vecs_inv, hermitian)
+
+    def _set_factors(self, mat, lam, vecs, vecs_inv, hermitian):
+        """Store ``L = V diag(lam) V^{-1}`` read-only and compute ``||L||_2``.
+
+        ``hermitian`` means ``V`` is unitary, so ``L`` is normal and its
+        2-norm is the spectral radius.
+        """
         for arr in (mat, lam, vecs, vecs_inv):
             arr.setflags(write=False)
         self.dim = mat.shape[0]
@@ -98,7 +126,8 @@ class Generator:
         self.eigenvalues = lam
         self.eigvecs = vecs
         self.eigvecs_inv = vecs_inv
-        self.norm2 = float(np.linalg.norm(mat, 2))
+        self._hermitian = hermitian
+        self.norm2 = float(np.max(np.abs(lam))) if hermitian else float(np.linalg.norm(mat, 2))
 
     @cached_property
     def bound_M(self):
@@ -235,14 +264,21 @@ class Generator:
         """Return the generator whose negative is ``A_eps = A(I + eps A)^{-1}``, ``A = -L``.
 
         The bounded regularization of ``A``: eigenvalues map to
-        ``a_i / (1 + eps a_i)`` with ``a_i = -lam_i``.
+        ``a_i / (1 + eps a_i)`` with ``a_i = -lam_i``.  The result shares this
+        generator's read-only ``V`` and ``V^{-1}`` and runs no new
+        eigendecomposition; its Schur factors and ``bound_M`` are computed
+        afresh from its own matrix on first use.
         """
         if eps <= 0:
             raise ValueError(f"regularization parameter must be positive, got {eps}")
         a = -self.eigenvalues
-        a_eps = a / (1.0 + eps * a)
-        mat = (self.eigvecs * (-a_eps)) @ self.eigvecs_inv
-        return Generator(mat)
+        lam = -(a / (1.0 + eps * a))
+        _check_spectrum(lam)
+        mat = (self.eigvecs * lam) @ self.eigvecs_inv
+        # No reconstruction check: mat is built from these very factors.
+        reg = Generator.__new__(Generator)
+        reg._set_factors(mat, lam, self.eigvecs, self.eigvecs_inv, self._hermitian)
+        return reg
 
 
 def load_vector(path, dim=None):

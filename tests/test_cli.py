@@ -1,8 +1,12 @@
 import csv
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fracext
 from fracext import ConvergenceError, Generator
 from fracext.cli import (
     ConfigError,
@@ -216,3 +220,13 @@ def test_verify_accepts_config(tmp_path):
 
     config = parse_config(path, "verify")
     assert config.method == "verify"
+
+
+def test_python_m_fracext_help():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fracext.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run([sys.executable, "-m", "fracext", "--help"], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("usage: fracext")

@@ -287,6 +287,20 @@ class TestBBW:
         with pytest.raises(ValueError, match="k > s"):
             bbw_frac_power(diag_gen, 1.5, 1, np.ones(2, dtype=complex))
 
+    def test_default_eps0_scales_with_norm(self, diag_gen):
+        lap = builtin_matrix("laplacian1d:128")
+        _, rows = bbw_frac_power(lap, 0.5, 1, np.ones(128, dtype=complex), return_table=True)
+        assert rows[0][0] == 1.0 / lap.norm2
+        _, rows = bbw_frac_power(diag_gen, 0.5, 1, np.ones(2, dtype=complex), return_table=True)
+        assert rows[0][0] == 0.1
+
+    @pytest.mark.parametrize("s", [0.3, 1.5, 2.7])
+    def test_stiff_laplacian(self, s):
+        lap = builtin_matrix("laplacian1d:128")
+        u = np.random.default_rng(22).standard_normal(128) + 0j
+        got = bbw_frac_power(lap, s, int(s) + 1, u)
+        assert relerr(got, dirichlet_sine_power(128, s, u)) <= 1e-4
+
 
 def test_method_agreement_sweep():
     """All classical constructions agree with the exact value on random matrices."""

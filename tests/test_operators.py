@@ -10,7 +10,9 @@ from scipy.linalg import expm
 
 import fracext
 from fracext import Generator, load_vector, random_generator
+from fracext.cli import builtin_matrix
 from fracext.operators import parse_complex
+from fracext.verify import dirichlet_sine_power
 
 from conftest import relerr
 
@@ -253,3 +255,120 @@ def test_import_leaves_scipy_linalg_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "False"
+
+
+# -- Hermitian fast path and yosida factor reuse ------------------------------------
+
+
+def _forbid(monkeypatch, *names):
+    def refuse(*args, **kwargs):
+        raise AssertionError("unexpected eigendecomposition")
+
+    for name in names:
+        monkeypatch.setattr(np.linalg, name, refuse)
+
+
+def _sine_modes(size):
+    """Orthonormal Dirichlet sine basis and the eigenvalues of ``-L``, no eigensolver."""
+    k = np.arange(1, size + 1)
+    basis = np.sin(np.outer(k, k) * np.pi / (size + 1)) * np.sqrt(2.0 / (size + 1))
+    mu = 4.0 * (size + 1) ** 2 * np.sin(k * np.pi / (2.0 * (size + 1))) ** 2
+    return basis, mu
+
+
+def _complex_hermitian(dim, seed):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    lam = -np.linspace(0.5, 20.0, dim)
+    mat = (q * lam) @ q.conj().T
+    return (mat + mat.conj().T) / 2.0, q, lam  # exactly Hermitian
+
+
+def _assert_hermitian_factors(gen):
+    assert gen.eigenvalues.dtype == complex
+    assert np.array_equal(gen.eigvecs_inv, gen.eigvecs.conj().T)
+    ref = np.linalg.norm(gen.matrix, 2)
+    assert abs(gen.norm2 - ref) <= 1e-13 * ref
+
+
+def test_hermitian_laplacian_skips_eig(monkeypatch):
+    _forbid(monkeypatch, "eig")
+    gen = builtin_matrix("laplacian1d:256")
+    _assert_hermitian_factors(gen)
+    basis, mu = _sine_modes(256)
+    u = np.random.default_rng(30).standard_normal(256) + 0j
+    for s in (0.3, 1.5, 2.7):
+        assert relerr(gen.frac_power(s, u), dirichlet_sine_power(256, s, u)) <= 1e-10
+    for t in (1e-4, 1e-2, 0.1):
+        assert relerr(gen.semigroup(t, u), basis @ (np.exp(-t * mu) * (basis @ u))) <= 1e-10
+
+
+def test_complex_hermitian_skips_eig(monkeypatch):
+    mat, q, lam = _complex_hermitian(12, 31)
+    _forbid(monkeypatch, "eig")
+    gen = Generator(mat)
+    _assert_hermitian_factors(gen)
+    u = np.random.default_rng(32).standard_normal(12) + 0j
+    for s in (0.3, 1.5):
+        oracle = q @ ((-lam) ** s * (q.conj().T @ u))
+        assert relerr(gen.frac_power(s, u), oracle) <= 1e-12
+    assert relerr(gen.semigroup(0.3, u), q @ (np.exp(0.3 * lam) * (q.conj().T @ u))) <= 1e-12
+
+
+def test_near_hermitian_inputs_take_general_path(monkeypatch):
+    herm, _, _ = _complex_hermitian(10, 33)
+    nudged = herm.copy()
+    nudged[2, 5] = complex(np.nextafter(nudged[2, 5].real, np.inf), nudged[2, 5].imag)
+    # complex symmetric, not Hermitian: Q diag(lam) Q^T with Q complex orthogonal
+    rng = np.random.default_rng(34)
+    skew = 0.2 * (rng.standard_normal((10, 10)) + 1j * rng.standard_normal((10, 10)))
+    orth = expm(skew - skew.T)
+    lam = -np.linspace(1.0, 8.0, 10)
+    sym = (orth * lam) @ orth.T
+    sym = (sym + sym.T) / 2.0
+    reference = Generator(herm)
+    _forbid(monkeypatch, "eigh")
+    near, cplx = Generator(nudged), Generator(sym)
+    u = np.random.default_rng(35).standard_normal(10) + 0j
+    assert not np.array_equal(near.eigvecs_inv, near.eigvecs.conj().T)
+    for s in (0.3, 1.5):
+        assert relerr(near.frac_power(s, u), reference.frac_power(s, u)) <= 1e-12
+        assert relerr(cplx.frac_power(s, u), orth @ ((-lam) ** s * (orth.T @ u))) <= 1e-12
+    assert relerr(near.semigroup(0.2, u), reference.semigroup(0.2, u)) <= 1e-12
+    assert relerr(cplx.semigroup(0.2, u), orth @ (np.exp(0.2 * lam) * (orth.T @ u))) <= 1e-12
+    assert abs(near.norm2 - reference.norm2) <= 1e-12 * reference.norm2
+
+
+@pytest.mark.parametrize("parent", ["laplacian1d:64", "random:8:3"])
+def test_yosida_reuses_factors(monkeypatch, parent):
+    gen = builtin_matrix(parent)
+    gen.bound_M, gen.schur  # cache both on the parent first
+    _forbid(monkeypatch, "eig", "eigh")
+    eps = 0.01
+    reg = gen.yosida(eps)
+    assert reg.eigvecs is gen.eigvecs and reg.eigvecs_inv is gen.eigvecs_inv
+    a = -gen.eigenvalues
+    assert np.array_equal(reg.eigenvalues, -a / (1 + eps * a))
+    assert "bound_M" not in vars(reg) and "schur" not in vars(reg)
+    tri, unitary = reg.schur
+    scale = np.linalg.norm(reg.matrix)
+    assert np.linalg.norm(unitary @ tri @ unitary.conj().T - reg.matrix) <= 1e-12 * scale
+    assert abs(reg.bound_M - np.linalg.cond(reg.eigvecs, 2)) <= 1e-10 * reg.bound_M
+    ref = np.linalg.norm(reg.matrix, 2)
+    assert abs(reg.norm2 - ref) <= 1e-12 * ref
+    twice = reg.yosida(0.02)  # A/(1 + 0.01 A) regularized again is A/(1 + 0.03 A)
+    assert twice.eigvecs is gen.eigvecs
+    assert relerr(twice.eigenvalues, gen.yosida(0.03).eigenvalues) <= 1e-14
+    u = np.random.default_rng(36).standard_normal(gen.dim) + 0j
+    assert relerr(twice.matrix @ u, gen.yosida(0.03).matrix @ u) <= 1e-12
+
+
+def test_yosida_laplacian_sine_oracle():
+    gen = builtin_matrix("laplacian1d:64")
+    basis, mu = _sine_modes(64)
+    u = np.random.default_rng(37).standard_normal(64) + 0j
+    for eps in (1e-1, 1e-3, 1e-5):
+        reg = gen.yosida(eps)
+        oracle = basis @ (-(mu / (1 + eps * mu)) * (basis @ u))
+        assert relerr(reg.matrix @ u, oracle) <= 1e-12
+        assert reg.norm2 == np.max(np.abs(reg.eigenvalues))
