@@ -43,6 +43,7 @@ from .traces import (
     default_ysched,
     domain_membership,
     initial_condition_suite,
+    neumann_y0,
     trace_constants,
     trace_incremental,
     trace_neumann,
@@ -79,6 +80,7 @@ __all__ = [
     "initial_condition_suite",
     "ivp_classify",
     "load_vector",
+    "neumann_y0",
     "normalization_check",
     "ode_cross_solve",
     "pde_residual",

@@ -26,7 +26,7 @@ from .extension import build_profile
 from .fracpow import FracOrder, balakrishnan_general
 from .operators import Generator, load_vector, random_generator
 from .quadrature import ConvergenceError, QuadratureSpec
-from .traces import bbw_estimate, default_ysched, trace_incremental, trace_neumann
+from .traces import bbw_estimate, default_ysched, neumann_y0, trace_incremental, trace_neumann
 
 METHODS = (
     "spectral",
@@ -51,7 +51,8 @@ configuration keys (key = value, '#' comments):
   s             fractional order (positive, noninteger); required except for
                 'verify'
   k             power index for 'bbw' (integer > s; default [s]+1)
-  ygrid_start   head of the geometric y-schedule        [default 0.4]
+  ygrid_start   head of the geometric y-schedule        [default 0.4;
+                for 'trace_neumann' min(0.4, 4/sqrt(||L||_2))]
   ygrid_factor  schedule ratio, in (0, 1)               [default 0.5]
   ygrid_count   number of schedule points               [default 11]
   nodes         first-level node budget                 [default 128]
@@ -83,7 +84,7 @@ class RunConfig:
     u_source: str = "ones"
     s: float = None
     k: int = None
-    ygrid_start: float = 0.4
+    ygrid_start: float = None  # None: the method's default head
     ygrid_factor: float = 0.5
     ygrid_count: int = 11
     nodes: int = 128
@@ -96,8 +97,11 @@ class RunConfig:
     def quadrature(self):
         return QuadratureSpec(nodes=self.nodes, tol=self.tol)
 
-    def ysched(self):
-        return default_ysched(self.ygrid_start, self.ygrid_factor, self.ygrid_count)
+    def ysched(self, start=0.4):
+        """The configured schedule; ``start`` is the head when ``ygrid_start`` is unset."""
+        if self.ygrid_start is not None:
+            start = self.ygrid_start
+        return default_ysched(start, self.ygrid_factor, self.ygrid_count)
 
 
 _CASTS = {
@@ -288,7 +292,7 @@ def run(config: RunConfig) -> int:
             _atomic_write(out, estimate.to_csv)
             summary = f"oracle rel err {estimate.oracle_err:.2e} (k={k})"
         elif config.method == "trace_neumann":
-            estimate = trace_neumann(gen, order, u, quad, ysched=config.ysched())
+            estimate = trace_neumann(gen, order, u, quad, ysched=config.ysched(neumann_y0(gen)))
             _atomic_write(out, estimate.to_csv)
             if not estimate.converged:
                 print("trace_neumann: extrapolation did not converge", file=sys.stderr)

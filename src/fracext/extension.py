@@ -18,6 +18,12 @@ rule already reaches machine precision.  (A Gauss-Laguerre rule with weight
 ``r^{s-1} e^-r`` would converge poorly: the factor ``e^{-c/r}`` is not
 polynomial-like near ``r = 0``.)
 
+Every integrand is linear in ``u`` and ``L = V diag(lam) V^{-1}`` is
+factored once, so the integrands run per mode: on the eigencoordinates
+``c = V^{-1} u`` each node costs ``O(dim)`` (``e^{t lam} c``, in real
+arithmetic when the spectrum is real), the refinement driver sums
+eigencoordinate rows, and ``V`` is applied once to each finished integral.
+
 Two symbolic calculi drive the derivative machinery:
 
 * :class:`KernelDerivative` differentiates the kernel ``y^{2s} e^{-y^2/(4t)}``
@@ -30,7 +36,9 @@ Two symbolic calculi drive the derivative machinery:
   with ``R_j(t) = e^{tL}u - sum_{k<=j} (tL)^k u / k!`` one has
   ``dR_j/dt = L R_{j-1}``, so every composition becomes an exact polynomial
   plus integrals ``int r^{s-1-q} e^-r L^j R_{[s]-j}(y^2/(4r)) dr`` whose
-  integrands are small exactly where the quantity is small.
+  integrands are small exactly where the quantity is small.  Per mode the
+  remainder is the scalar ``e^z - sum_{k<=j} z^k/k!`` at ``z = t lam`` (a
+  phi-function remainder), so no power ``L^k u`` is ever formed.
 """
 
 import csv
@@ -64,11 +72,63 @@ __all__ = [
 ]
 
 _TAIL_SWITCH = 0.5
-_TAIL_TERMS = 25
+_TAIL_TERMS = 26  # where |z| <= 1 the first omitted tail term is below 1/27! of the first
 _KERNEL_DECAY = 55.0  # windows end where the semigroup factor is below e^-55 ~ 1e-24
 
 
 # -- scalar helpers --------------------------------------------------------------
+
+
+def _taylor_remainders(z, top, bottom, series):
+    """``{i: e^z - sum_{k<=i} z^k / k!}`` for ``bottom <= i <= top``, elementwise.
+
+    ``i = -1`` is ``e^z`` itself.  ``series`` is a boolean mask over the
+    leading axes of ``z``.  Where it holds (callers set it only where
+    ``|z| <= 1``) ``R_top`` is summed from its tail ``sum_{k>top} z^k / k!``,
+    ``_TAIL_TERMS`` terms long, because the direct difference would cancel
+    catastrophically, and each lower remainder follows by
+    ``R_{i-1} = R_i + z^i / i!``, which adds a term at least as large.
+    Elsewhere the subtracted polynomial is comparable to ``e^z`` and each
+    remainder is the direct difference.
+    """
+    if top < 0:
+        return {-1: np.exp(z)}
+    out = {}
+    for mask, tail in ((~series, False), (series, True)):
+        if not np.any(mask):
+            continue
+        whole = bool(np.all(mask))
+        zb = z if whole else z[mask]
+        terms = [1.0]  # z^k / k!
+        for k in range(1, top + 1):
+            terms.append(terms[-1] * zb / k)
+        vals = {}
+        if tail:
+            # R_top = (z^top/top!) (z/(top+1)) (1 + z/(top+2) (1 + ...)), by Horner in place
+            rem = np.ones_like(zb)
+            for k in range(top + _TAIL_TERMS, top + 1, -1):
+                rem *= zb
+                rem *= 1.0 / k
+                rem += 1.0
+            rem *= zb
+            rem *= terms[top] / (top + 1)
+            for i in range(top, bottom - 1, -1):
+                vals[i] = rem
+                if i > bottom:
+                    rem = rem + terms[i]
+        else:
+            rem = np.exp(zb)
+            for i in range(-1, top + 1):
+                if i >= 0:
+                    rem = rem - terms[i]
+                if i >= bottom:
+                    vals[i] = rem
+        for i, val in vals.items():
+            if whole:
+                out[i] = val
+            else:
+                out.setdefault(i, np.empty_like(z))[mask] = val
+    return out
 
 
 def exp_tail(n, r):
@@ -82,24 +142,7 @@ def exp_tail(n, r):
         raise ValueError(f"tail index must be >= -1, got {n}")
     scalar = np.isscalar(r) or np.ndim(r) == 0
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    if n == -1:
-        out = np.exp(-r)
-        return out[0] if scalar else out
-    partial = np.ones_like(r)
-    term = np.ones_like(r)
-    for k in range(1, n + 1):
-        term = term * (-r) / k
-        partial = partial + term
-    out = np.exp(-r) - partial
-    small = r < _TAIL_SWITCH
-    if np.any(small):
-        rs = r[small]
-        term = (-rs) ** (n + 1) / factorial(n + 1)
-        acc = term.copy()
-        for k in range(n + 2, n + 2 + _TAIL_TERMS):
-            term = term * (-rs) / k
-            acc += term
-        out[small] = acc
+    out = _taylor_remainders(-r, n, n, r < _TAIL_SWITCH)[n]
     return out[0] if scalar else out
 
 
@@ -156,6 +199,23 @@ def _kernel_depth(gen, y):
     return max(np.log(_KERNEL_DECAY / c_min), 1.0) if c_min > 0 else np.inf
 
 
+def _modes(gen, u):
+    """Eigenvalues ``lam`` and eigencoordinates ``c = V^{-1} u``.
+
+    Each comes back real when it has no imaginary part (every Hermitian
+    ``L`` has a real spectrum), so the per-mode integrands run in real
+    arithmetic wherever they can.
+    """
+    lam = gen.eigenvalues
+    coords = gen.eigvecs_inv @ u
+    return (lam if lam.imag.any() else lam.real), (coords if coords.imag.any() else coords.real)
+
+
+def _semigroup_modes(ts, lam, coords):
+    """``e^{t_j L} u`` in eigencoordinates: ``e^{t_j lam} c``, shape ``(len(ts), dim)``."""
+    return np.exp(np.multiply.outer(ts, lam)) * coords
+
+
 def _moment_window(gen, order, powers, y):
     """Log-axis window outside which every moment integrand is below ~1e-22."""
     hi = np.log(_upper_cutoff(order.s + max(powers)))
@@ -167,21 +227,24 @@ def _semigroup_moments(gen, order, u, y, quad, powers):
     """Moments ``M_b = int r^{s-1+b} e^-r e^{(y^2/(4r))L} u dr`` on a shared rule.
 
     Returns ``{b: vector}``.  The left window cutoff exploits the semigroup
-    decay ``e^{-a_min y^2/(4r)}``; the rule is refined until all requested
-    moments are stable to ``quad.tol``.
+    decay ``e^{-a_min y^2/(4r)}``; the rule is refined, in eigencoordinates,
+    until all requested moments are stable to ``quad.tol``, and ``V`` maps
+    the finished moments back.
     """
     powers = sorted(set(int(b) for b in powers))
     lo, hi = _moment_window(gen, order, powers, y)
     exps = np.array([order.s + b for b in powers])
+    lam, coords = _modes(gen, u)
 
     def g(x):
         r = np.exp(x)
-        states = gen.semigroup_batch(y * y / (4.0 * r), u)
+        states = _semigroup_modes(y * y / (4.0 * r), lam, coords)
         weight = np.exp(-r[:, None] + np.multiply.outer(x, exps))
         return weight[:, :, None] * states[:, None, :]
 
     h0 = min(0.5, max(hi - lo, 1.0) / max(quad.nodes, 16))
     stacked = trapezoid_refine(g, lo, hi, quad.tol, h0=h0, name="subordination moments")
+    stacked = stacked @ gen.eigvecs.T
     return {b: stacked[i] for i, b in enumerate(powers)}
 
 
@@ -338,42 +401,23 @@ def _eval_poly(poly, y):
     return total
 
 
-def _remainder_states(gen, u, ts, idx, lpowers, lshift=0):
-    """``L^lshift R_idx(t)`` with ``R_idx(t) = e^{tL}u - sum_{k<=idx} (tL)^k u/k!``.
+def _remainder_states(z, lam, coords, n, js, series):
+    """``{j: L^j R_{max(n-j, -1)}(t)}`` in eigencoordinates, at ``z = outer(t, lam)``.
 
-    ``lpowers`` caches ``L^k u``; the extra power of ``L`` is folded into the
-    spectral semigroup factors and into shifted cache indices, so no dense
-    matrix product touches the finished states.  For ``t ||L|| <= 1`` the
-    remainder is the tail series (the direct difference would cancel);
-    otherwise the subtracted polynomial is comparable to the semigroup and
-    the difference is safe.
+    ``R_idx(t) = e^{tL}u - sum_{k<=idx} (tL)^k u/k!``.  Per mode this is the
+    scalar remainder ``e^z - sum_{k<=idx} z^k/k!`` times ``lam^j c``, so no
+    power ``L^k u`` is formed.  ``series`` marks the times with
+    ``t ||L|| <= 1``: there every ``|z| <= 1`` and the remainders are summed
+    from their tail series (the direct difference would cancel); otherwise
+    the subtracted polynomial is comparable to the semigroup and the
+    difference is safe.
     """
-    if idx < 0:
-        return gen.semigroup_batch(ts, u, lpower=lshift)
-    lnorm = gen.norm2
-    small = ts * lnorm <= 1.0
-    out = np.empty((ts.size, gen.dim), dtype=complex)
-    if np.any(~small):
-        tb = ts[~small]
-        states = gen.semigroup_batch(tb, u, lpower=lshift)
-        coeff = np.ones_like(tb)
-        for k in range(idx + 1):
-            states = states - coeff[:, None] * lpowers[k + lshift]
-            if k < idx:
-                coeff = coeff * tb / (k + 1.0)
-        out[~small] = states
-    if np.any(small):
-        tb = ts[small]
-        coeff = tb ** (idx + 1) / factorial(idx + 1)
-        acc = coeff[:, None] * lpowers[idx + 1 + lshift]
-        for k in range(idx + 2, idx + 55):
-            coeff = coeff * tb / k
-            acc = acc + coeff[:, None] * lpowers[k + lshift]
-        out[small] = acc
-    return out
+    idx = {j: max(n - j, -1) for j in js}
+    rems = _taylor_remainders(z, max(idx.values()), min(idx.values()), series)
+    return {j: rems[idx[j]] * (lam**j * coords) for j in js}
 
 
-def _chain_eval_group(gen, order, u, keys, y, quad, lpowers, lo, hi, name):
+def _chain_eval_group(gen, order, lam, coords, keys, y, quad, lo, hi, name):
     s_val, n = order.s, order.n
     js = sorted({j for (_, _, j) in keys})
     c_val = y * y / 4.0
@@ -381,12 +425,13 @@ def _chain_eval_group(gen, order, u, keys, y, quad, lpowers, lo, hi, name):
     def g(x):
         r = np.exp(x)
         ts = c_val / r
-        states = {
-            j: _remainder_states(gen, u, ts, max(n - j, -1), lpowers, lshift=j)
-            for j in js
-        }
-        rows = [np.exp((s_val - q) * x - r)[:, None] * states[j] for (_, q, j) in keys]
-        return np.stack(rows, axis=1)
+        states = _remainder_states(
+            np.multiply.outer(ts, lam), lam, coords, n, js, ts * gen.norm2 <= 1.0
+        )
+        rows = np.empty((x.size, len(keys), lam.size), dtype=np.result_type(lam, coords))
+        for i, (_, q, j) in enumerate(keys):
+            np.multiply(np.exp((s_val - q) * x - r)[:, None], states[j], out=rows[:, i])
+        return rows
 
     h0 = min(0.5, max(hi - lo, 1.0) / max(quad.nodes, 16))
     return trapezoid_refine(g, lo, hi, quad.tol, h0=h0, name=name)
@@ -401,15 +446,13 @@ def _chain_eval(gen, order, u, chain, y, quad):
     semigroup, whose ``e^{-c_min/r}`` decay truncates the window much earlier
     but whose weight grows toward the origin; mixing the two groups on one
     window would pair overflowing weights with underflowing states, so each
-    group is integrated on its own.
+    group is integrated on its own.  Both groups run in eigencoordinates and
+    ``V`` maps their combined sum back once.
     """
     if not chain:
         return np.zeros(gen.dim, dtype=complex)
     s_val, n, sig = order.s, order.n, order.sigma
-    lpowers = [u]
-    max_pow = max(j for (_, _, j) in chain) + n + 60
-    for _ in range(max_pow):
-        lpowers.append(gen.matrix @ lpowers[-1])
+    lam, coords = _modes(gen, u)
     c_val = y * y / 4.0
     hi = np.log(_upper_cutoff(s_val))
     lo_short = -_kernel_depth(gen, y)
@@ -429,12 +472,11 @@ def _chain_eval(gen, order, u, chain, y, quad):
             continue
         lo = lo_short if is_short else lo_long
         stacked = _chain_eval_group(
-            gen, order, u, keys, y, quad, lpowers, lo, hi,
-            "remainder-chain integrals",
+            gen, order, lam, coords, keys, y, quad, lo, hi, "remainder-chain integrals"
         )
         for i, (p, q, j) in enumerate(keys):
             total = total + chain[(p, q, j)] * y**p * stacked[i]
-    return total / gamma(s_val)
+    return gen.eigvecs @ total / gamma(s_val)
 
 
 def _eval_quantity(gen, order, u, poly, chain, y, quad):
@@ -448,13 +490,14 @@ def _explicit_radial(gen, order, u, m, y, quad):
     """``(2/y d/dy)^m U`` through the representation driven by ``f = (-L)^s u``."""
     s, n = order.s, order.n
     sig = order.sigma
-    f = gen.frac_power(s, u)
+    lam, coords = _modes(gen, u)
+    f_coords = np.exp(s * np.log(-lam)) * coords  # f = (-L)^s u, as in Generator.frac_power
     poly = explicit_poly_part(gen, order, u, m, n, y * y / 4.0)
     tail_index = n - m
 
     def g(x):
         r = np.exp(x)
-        states = gen.semigroup_batch(y * y / (4.0 * r), f)
+        states = _semigroup_modes(y * y / (4.0 * r), lam, f_coords)
         weight = exp_tail(tail_index, r) * np.exp(-(s - m) * x)
         return weight[:, None] * states
 
@@ -464,7 +507,9 @@ def _explicit_radial(gen, order, u, m, y, quad):
         hi = float(np.log(60.0))
     lo = -min(52.0 / (1.0 - sig), _kernel_depth(gen, y))
     h0 = min(0.5, max(hi - lo, 1.0) / max(quad.nodes, 16))
-    integral = trapezoid_refine(g, lo, hi, quad.tol, h0=h0, name="explicit radial tail")
+    integral = gen.eigvecs @ trapezoid_refine(
+        g, lo, hi, quad.tol, h0=h0, name="explicit radial tail"
+    )
     sign = (-1.0) ** m
     return sign * poly + sign * y ** (2.0 * (s - m)) / (4.0 ** (s - m) * gamma(s)) * integral
 
@@ -582,21 +627,24 @@ def extend_explicit(gen: Generator, s, u, y, quad=None, form="r"):
         raise ValueError(f"unknown form {form!r}; use 'r' or 't'")
     s_val, n = order.s, order.n
     sig = order.sigma
-    f = gen.frac_power(s_val, u)
+    lam, coords = _modes(gen, u)
+    f_coords = np.exp(s_val * np.log(-lam)) * coords
     poly = explicit_poly_part(gen, order, u, 0, n, y * y / 4.0)
     c = y * y / 4.0
     a_min = float((-gen.eigenvalues).real.min())
 
     def g(x):
         t = np.exp(x)
-        states = gen.semigroup_batch(t, f)
+        states = _semigroup_modes(t, lam, f_coords)
         weight = exp_tail(n, c / t) * np.exp(s_val * x)
         return weight[:, None] * states
 
     hi = np.log(60.0 / a_min) + 1.0
     lo = -(54.0 + n * abs(np.log(c))) / sig
     h0 = min(0.5, max(hi - lo, 1.0) / max(quad.nodes, 16))
-    integral = trapezoid_refine(g, lo, hi, quad.tol, h0=h0, name="explicit t-form tail")
+    integral = gen.eigvecs @ trapezoid_refine(
+        g, lo, hi, quad.tol, h0=h0, name="explicit t-form tail"
+    )
     return poly + integral / gamma(s_val)
 
 

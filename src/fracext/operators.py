@@ -204,22 +204,17 @@ class Generator:
             raise ValueError(f"semigroup time must be nonnegative, got {t}")
         return self.spectral_apply(np.exp(t * self.eigenvalues), u)
 
-    def semigroup_batch(self, ts, u, lpower=0):
-        """Apply ``L^lpower e^{t_j L} u`` for a batch of times; shape ``(len(ts), dim)``.
+    def semigroup_batch(self, ts, u):
+        """Apply ``e^{t_j L} u`` for a batch of times; shape ``(len(ts), dim)``.
 
         Times may be passed in any order but must be nonnegative; the output
-        row order matches the input order.  The optional integer power of
-        ``L`` is fused into the spectral factors (``lam^lpower e^{t lam}``),
-        which keeps each mode accurate to relative rounding even for stiff
-        matrices where repeated matrix products would amplify noise.
+        row order matches the input order.
         """
         ts = np.asarray(ts, dtype=float)
         if ts.size and ts.min() < 0:
             raise ValueError("semigroup times must be nonnegative")
         coords = self.eigvecs_inv @ self._check_vector(u)
         phases = np.exp(np.multiply.outer(ts, self.eigenvalues))
-        if lpower:
-            phases = phases * self.eigenvalues**lpower
         return (phases * coords) @ self.eigvecs.T
 
     def resolvent(self, mu, u):

@@ -37,6 +37,7 @@ __all__ = [
     "trace_constants",
     "d_constant",
     "default_ysched",
+    "neumann_y0",
     "TraceEstimate",
     "trace_neumann",
     "trace_incremental",
@@ -97,6 +98,16 @@ def default_ysched(start=0.4, factor=0.5, count=11):
     if start <= 0 or count < 2:
         raise ValueError("schedule needs a positive start and at least two points")
     return start * factor ** np.arange(count)
+
+
+def neumann_y0(gen: Generator):
+    """Head of the default ``trace_neumann`` schedule: ``min(0.4, 4 / sqrt(||L||_2))``.
+
+    The Richardson ladder models the error by powers of ``y^2 ||L||``, which
+    must be small for the expansion to hold; a fixed head of 0.4 leaves stiff
+    operators outside that regime.  Generators with ``||L||_2 <= 100`` keep 0.4.
+    """
+    return min(0.4, 4.0 / gen.norm2**0.5)
 
 
 def _check_sched(ysched):
@@ -192,12 +203,15 @@ def trace_neumann(gen: Generator, s, u, quad=None, ysched=None, form="radial",
     Evaluates ``y^{1-2 sigma} d/dy (2/y d/dy)^{[s]} U(y)`` (or the variant
     with the full extension operator in place of the radial one, via
     ``form='operator'``, which carries an extra factor ``[s]!``) along the
-    schedule, extrapolates, and divides by the trace constant.
+    schedule, extrapolates, and divides by the trace constant.  Without
+    ``ysched`` the schedule is ``default_ysched(neumann_y0(gen))``.
     """
     order = as_order(s)
     quad = quad or QuadratureSpec()
     u = gen._check_vector(u)
-    ysched, ratio = _check_sched(ysched if ysched is not None else default_ysched())
+    if ysched is None:
+        ysched = default_ysched(neumann_y0(gen))
+    ysched, ratio = _check_sched(ysched)
     raws = [
         weighted_extension_derivative(gen, order, u, order.n, float(y), quad, form=form)
         for y in ysched

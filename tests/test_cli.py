@@ -147,6 +147,25 @@ class TestRuns:
             header = handle.readline()
         assert header.startswith("level,y")
 
+    def test_trace_neumann_schedule_head(self, tmp_path):
+        """Unset ``ygrid_start`` scales with ``||L||_2`` for ``trace_neumann`` only."""
+
+        def first_y(method, extra=""):
+            out = tmp_path / f"{method}.csv"
+            path = write_config(
+                tmp_path, f"matrix = laplacian1d:64\ns = 1.5\nout = {out}\n{extra}"
+            )
+            assert main([method, "--config", path]) == 0
+            with open(out, newline="") as handle:
+                if method == "extend":
+                    handle.readline()  # comment header
+                return [float(row["y"]) for row in csv.DictReader(handle)]
+
+        head = 4.0 / np.sqrt(builtin_matrix("laplacian1d:64").norm2)
+        assert first_y("trace_neumann")[0] == pytest.approx(head, rel=1e-9)
+        assert first_y("trace_neumann", "ygrid_start = 0.2\n")[0] == 0.2
+        assert max(first_y("extend", "ygrid_count = 3\n")) == 0.4
+
     def test_incremental_run(self, tmp_path):
         out = tmp_path / "inc.csv"
         path = write_config(

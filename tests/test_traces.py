@@ -16,6 +16,7 @@ from fracext import (
     default_ysched,
     domain_membership,
     initial_condition_suite,
+    neumann_y0,
     random_generator,
     trace_constants,
     trace_incremental,
@@ -57,6 +58,19 @@ class TestSchedule:
         sched = default_ysched()
         assert sched[0] == 0.4 and len(sched) == 11
         assert np.allclose(sched[:-1] / sched[1:], 2.0)
+
+    def test_neumann_head_scales_with_norm(self, diag_gen):
+        from fracext.cli import builtin_matrix
+
+        assert neumann_y0(diag_gen) == 0.4  # ||L||_2 = 4 <= 100
+        assert neumann_y0(Generator(np.diag([-100.0, -1.0]))) == 0.4
+        lap = builtin_matrix("laplacian1d:64")
+        assert neumann_y0(lap) == pytest.approx(4.0 / np.sqrt(lap.norm2), rel=1e-15)
+        u = np.ones(64, dtype=complex)
+        est = trace_neumann(lap, 1.5, u)
+        assert est.y_sequence[0] == neumann_y0(lap)
+        assert est.converged and est.oracle_err <= 1e-10
+        assert trace_neumann(diag_gen, 0.5, np.ones(2, dtype=complex)).y_sequence[0] == 0.4
 
     def test_validation(self):
         with pytest.raises(ValueError, match="factor"):
