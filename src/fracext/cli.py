@@ -52,7 +52,8 @@ configuration keys (key = value, '#' comments):
                 'verify'
   k             power index for 'bbw' (integer > s; default [s]+1)
   ygrid_start   head of the geometric y-schedule        [default 0.4;
-                for 'trace_neumann' min(0.4, 4/sqrt(||L||_2))]
+                for 'trace_neumann' and 'trace_incremental'
+                min(0.4, 4/sqrt(||L||_2))]
   ygrid_factor  schedule ratio, in (0, 1)               [default 0.5]
   ygrid_count   number of schedule points               [default 11]
   nodes         first-level node budget                 [default 128]
@@ -299,7 +300,9 @@ def run(config: RunConfig) -> int:
                 return 3
             summary = f"converged, oracle rel err {estimate.oracle_err:.2e}"
         elif config.method == "trace_incremental":
-            estimate = trace_incremental(gen, order, u, quad, ysched=config.ysched())
+            estimate = trace_incremental(
+                gen, order, u, quad, ysched=config.ysched(neumann_y0(gen))
+            )
             _atomic_write(out, estimate.to_csv)
             if not estimate.converged:
                 print("trace_incremental: extrapolation did not converge", file=sys.stderr)

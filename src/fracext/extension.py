@@ -24,28 +24,35 @@ factored once, so the integrands run per mode: on the eigencoordinates
 arithmetic when the spectrum is real), the refinement driver sums
 eigencoordinate rows, and ``V`` is applied once to each finished integral.
 
-Two symbolic calculi drive the derivative machinery:
+Two symbolic calculi drive the derivative machinery, each moving every
+``y``-derivative under the integral sign:
 
 * :class:`KernelDerivative` differentiates the kernel ``y^{2s} e^{-y^2/(4t)}``
-  itself, which evaluates plain derivatives ``d^m U/dy^m`` through weighted
-  moments of the semigroup.
-* For compositions with negative ``y``-powers (radial powers, weighted
-  boundary derivatives, the higher extension operator) the moments nearly
-  cancel and ``y^{-p}`` amplifies the rounding catastrophically as ``y -> 0``.
-  Those quantities are instead reduced, exactly, to Taylor-remainder chains:
-  with ``R_j(t) = e^{tL}u - sum_{k<=j} (tL)^k u / k!`` one has
-  ``dR_j/dt = L R_{j-1}``, so every composition becomes an exact polynomial
-  plus integrals ``int r^{s-1-q} e^-r L^j R_{[s]-j}(y^2/(4r)) dr`` whose
-  integrands are small exactly where the quantity is small.  Per mode the
-  remainder is the scalar ``e^z - sum_{k<=j} z^k/k!`` at ``z = t lam`` (a
-  phi-function remainder), so no power ``L^k u`` is ever formed.
+  itself and serves the plain derivatives ``d^m U/dy^m`` (``y_derivative``,
+  ``y_derivatives_upto``, ``build_profile``) through weighted moments of the
+  semigroup.  Those moments carry negative powers of ``y`` that nearly cancel
+  as ``y -> 0``, which plain derivatives tolerate and boundary limits do not.
+* The semigroup chain serves the radial powers ``(2/y d/dy)^m U``, the
+  weighted boundary derivatives and the higher extension operator.  With
+  ``d/dt e^{tL} = L e^{tL}`` each step maps ``y^p I_j`` to terms ``y^{p'}
+  I_{j'}`` with ``p' >= 0``, where ``I_j = (1/Gamma(s)) int r^{s-1-j} e^-r
+  L^j e^{(y^2/(4r))L} u dr`` integrates the bare semigroup; so no negative
+  power of ``y`` and no subtracted Taylor polynomial appears, and the
+  integrals are accurate at every ``y``.  (Splitting off the Taylor
+  polynomial of the semigroup, as an exact part plus remainder integrals,
+  cancels catastrophically once ``y^2 ||L||`` is large.)  The chain does not
+  replace the kernel moments for plain derivatives: up to order
+  ``2([s]+1)`` it needs ``I_j`` with ``j >> s``, whose integrands peak where
+  ``e^{t lam}`` oscillates on complex spectra, and ``build_profile`` on a
+  non-normal ``64 x 64`` complex spectrum ran several times slower through
+  it.
 """
 
 import csv
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb
 
 import numpy as np
 from scipy.special import gamma
@@ -71,78 +78,44 @@ __all__ = [
     "build_profile",
 ]
 
-_TAIL_SWITCH = 0.5
-_TAIL_TERMS = 26  # where |z| <= 1 the first omitted tail term is below 1/27! of the first
+_TAIL_TERMS = 26  # where r <= 1 the first omitted tail term is below 1/27! of the first
 _KERNEL_DECAY = 55.0  # windows end where the semigroup factor is below e^-55 ~ 1e-24
 
 
 # -- scalar helpers --------------------------------------------------------------
 
 
-def _taylor_remainders(z, top, bottom, series):
-    """``{i: e^z - sum_{k<=i} z^k / k!}`` for ``bottom <= i <= top``, elementwise.
-
-    ``i = -1`` is ``e^z`` itself.  ``series`` is a boolean mask over the
-    leading axes of ``z``.  Where it holds (callers set it only where
-    ``|z| <= 1``) ``R_top`` is summed from its tail ``sum_{k>top} z^k / k!``,
-    ``_TAIL_TERMS`` terms long, because the direct difference would cancel
-    catastrophically, and each lower remainder follows by
-    ``R_{i-1} = R_i + z^i / i!``, which adds a term at least as large.
-    Elsewhere the subtracted polynomial is comparable to ``e^z`` and each
-    remainder is the direct difference.
-    """
-    if top < 0:
-        return {-1: np.exp(z)}
-    out = {}
-    for mask, tail in ((~series, False), (series, True)):
-        if not np.any(mask):
-            continue
-        whole = bool(np.all(mask))
-        zb = z if whole else z[mask]
-        terms = [1.0]  # z^k / k!
-        for k in range(1, top + 1):
-            terms.append(terms[-1] * zb / k)
-        vals = {}
-        if tail:
-            # R_top = (z^top/top!) (z/(top+1)) (1 + z/(top+2) (1 + ...)), by Horner in place
-            rem = np.ones_like(zb)
-            for k in range(top + _TAIL_TERMS, top + 1, -1):
-                rem *= zb
-                rem *= 1.0 / k
-                rem += 1.0
-            rem *= zb
-            rem *= terms[top] / (top + 1)
-            for i in range(top, bottom - 1, -1):
-                vals[i] = rem
-                if i > bottom:
-                    rem = rem + terms[i]
-        else:
-            rem = np.exp(zb)
-            for i in range(-1, top + 1):
-                if i >= 0:
-                    rem = rem - terms[i]
-                if i >= bottom:
-                    vals[i] = rem
-        for i, val in vals.items():
-            if whole:
-                out[i] = val
-            else:
-                out.setdefault(i, np.empty_like(z))[mask] = val
-    return out
-
-
 def exp_tail(n, r):
     """``F_n(r) = e^-r - sum_{k<=n} (-r)^k / k!``, the Taylor tail of ``e^-r``.
 
     Vectorized in ``r``; ``n = -1`` returns ``e^-r`` (empty partial sum).  For
-    ``r < 0.5`` the value is assembled from the tail series (terms ``k = n+1``
-    onward) because the direct difference cancels catastrophically.
+    ``r <= 1`` the value is summed from the tail series (terms ``k = n+1``
+    onward, ``_TAIL_TERMS`` of them, by Horner) because the direct difference
+    cancels catastrophically; beyond, the subtracted polynomial is comparable
+    to ``e^-r`` and the difference is safe.
     """
     if n < -1:
         raise ValueError(f"tail index must be >= -1, got {n}")
     scalar = np.isscalar(r) or np.ndim(r) == 0
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    out = _taylor_remainders(-r, n, n, r < _TAIL_SWITCH)[n]
+    out = np.exp(-r)
+    if n >= 0:
+        near = r <= 1.0
+        z = -r[near]
+        # F_n = (z^{n+1}/(n+1)!) (1 + z/(n+2) (1 + z/(n+3) (1 + ...)))
+        tail = np.ones_like(z)
+        for k in range(n + _TAIL_TERMS, n + 1, -1):
+            tail = 1.0 + tail * z / k
+        for k in range(1, n + 2):
+            tail = tail * z / k
+        out[near] = tail
+        z = -r[~near]
+        term = np.ones_like(z)  # z^k / k!
+        direct = out[~near]
+        for k in range(n + 1):
+            direct = direct - term
+            term = term * z / (k + 1)
+        out[~near] = direct
     return out[0] if scalar else out
 
 
@@ -329,27 +302,16 @@ def y_derivative(gen: Generator, s, u, m, y, quad=None):
     return y_derivatives_upto(gen, s, u, m, y, quad)[m]
 
 
-# -- Taylor-remainder chain calculus -------------------------------------------------
+# -- semigroup chain calculus ---------------------------------------------------------
 #
-# A quantity is a pair (poly, chain).  ``poly`` is a list of (vector, power)
-# meaning ``sum vec * y^power`` with exact coefficient vectors.  ``chain`` maps
-# (p, q, j) -> coeff, meaning
+# A chain maps (p, j) -> coeff, meaning
 #
-#     coeff * y^p * (1/Gamma(s)) int_0^inf r^{s-1-q} e^-r L^j R_{idx}(y^2/(4r)) dr
+#     coeff * y^p * I_j,   I_j = (1/Gamma(s)) int_0^inf r^{s-1-j} e^-r L^j e^{(y^2/(4r))L} u dr,
 #
-# with ``idx = max([s]-j, -1)`` and ``R_idx`` the Taylor remainder of the
-# semigroup (``R_{-1}`` is the semigroup itself).  All three differential
-# steps below preserve ``q - j``, so every generated integrand behaves like
-# ``r^{sigma-1}`` at the origin: absolutely integrable, no cancellation.
-
-
-def _quantity_base(gen, order, u):
-    poly = []
-    lp = u
-    for k in range(order.n + 1):
-        poly.append((_gamma_ratio(order.s, k) / (factorial(k) * 4.0**k) * lp, 2 * k))
-        lp = gen.matrix @ lp
-    return poly, {(0, 0, 0): 1.0}
+# and ``U`` itself is {(0, 0): 1}.  Each differential step moves the
+# y-derivative onto the semigroup, d/dy I_j = (y/2) I_{j+1}: the radial step
+# 2/y d/dy maps I_j to I_{j+1}, and the Bessel step (a/y) d/dy + d^2/dy^2
+# keeps p even, so p starts at 0 and never turns negative.
 
 
 def _chain_add(terms, key, val):
@@ -359,128 +321,66 @@ def _chain_add(terms, key, val):
 
 def _chain_deriv(chain):
     out = {}
-    for (p, q, j), c in chain.items():
-        _chain_add(out, (p - 1, q, j), c * p)
-        _chain_add(out, (p + 1, q + 1, j + 1), 0.5 * c)
-    return out
-
-
-def _chain_radial(chain):
-    out = {}
-    for (p, q, j), c in chain.items():
-        _chain_add(out, (p - 2, q, j), 2.0 * c * p)
-        _chain_add(out, (p, q + 1, j + 1), c)
+    for (p, j), c in chain.items():
+        _chain_add(out, (p - 1, j), c * p)
+        _chain_add(out, (p + 1, j + 1), 0.5 * c)
     return out
 
 
 def _chain_bessel(chain, a):
     out = {}
-    for (p, q, j), c in chain.items():
-        _chain_add(out, (p - 2, q, j), c * p * (a + p - 1.0))
-        _chain_add(out, (p, q + 1, j + 1), c * (a + 2.0 * p + 1.0) / 2.0)
-        _chain_add(out, (p + 2, q + 2, j + 2), 0.25 * c)
+    for (p, j), c in chain.items():
+        _chain_add(out, (p - 2, j), c * p * (a + p - 1.0))
+        _chain_add(out, (p, j + 1), c * (a + 2.0 * p + 1.0) / 2.0)
+        _chain_add(out, (p + 2, j + 2), 0.25 * c)
     return out
 
 
-def _poly_deriv(poly):
-    return [(k * vec, k - 1) for vec, k in poly if k != 0]
+def _eval_chains(gen, order, u, parts, y, quad):
+    """``sum_i w_i L^{k_i} chain_i(y)`` for ``parts = [(k_i, w_i, chain_i), ...]``.
 
-
-def _poly_radial(poly):
-    return [(2.0 * k * vec, k - 2) for vec, k in poly if k != 0]
-
-
-def _poly_bessel(poly, a):
-    return [(k * (a + k - 1.0) * vec, k - 2) for vec, k in poly if k != 0]
-
-
-def _eval_poly(poly, y):
-    total = 0.0
-    for vec, k in poly:
-        total = total + vec * y**k
-    return total
-
-
-def _remainder_states(z, lam, coords, n, js, series):
-    """``{j: L^j R_{max(n-j, -1)}(t)}`` in eigencoordinates, at ``z = outer(t, lam)``.
-
-    ``R_idx(t) = e^{tL}u - sum_{k<=idx} (tL)^k u/k!``.  Per mode this is the
-    scalar remainder ``e^z - sum_{k<=idx} z^k/k!`` times ``lam^j c``, so no
-    power ``L^k u`` is formed.  ``series`` marks the times with
-    ``t ||L|| <= 1``: there every ``|z| <= 1`` and the remainders are summed
-    from their tail series (the direct difference would cancel); otherwise
-    the subtracted polynomial is comparable to the semigroup and the
-    difference is safe.
+    Per mode every chain term is a scalar multiple of ``I_j``, so the terms
+    sharing a ``j`` collapse into one factor ``sum w_i lam^{k_i} coeff y^p``
+    and each distinct ``j`` is one integral.  All of them run on one rule in
+    eigencoordinates; the window ends where the semigroup of the slowest mode
+    has decayed (left) and where ``r^s e^-r`` has (right), and ``V`` maps the
+    finished sum back once.
     """
-    idx = {j: max(n - j, -1) for j in js}
-    rems = _taylor_remainders(z, max(idx.values()), min(idx.values()), series)
-    return {j: rems[idx[j]] * (lam**j * coords) for j in js}
-
-
-def _chain_eval_group(gen, order, lam, coords, keys, y, quad, lo, hi, name):
-    s_val, n = order.s, order.n
-    js = sorted({j for (_, _, j) in keys})
+    lam, coords = _modes(gen, u)
+    factors = {}
+    for k, w, chain in parts:
+        for (p, j), c in chain.items():
+            factors[j] = factors.get(j, 0.0) + (w * c * y**p) * lam**k
+    js = sorted(factors)
+    rows = np.array([factors[j] * lam**j * coords for j in js])
+    exps = order.s - np.array(js, dtype=float)
     c_val = y * y / 4.0
 
     def g(x):
         r = np.exp(x)
-        ts = c_val / r
-        states = _remainder_states(
-            np.multiply.outer(ts, lam), lam, coords, n, js, ts * gen.norm2 <= 1.0
-        )
-        rows = np.empty((x.size, len(keys), lam.size), dtype=np.result_type(lam, coords))
-        for i, (_, q, j) in enumerate(keys):
-            np.multiply(np.exp((s_val - q) * x - r)[:, None], states[j], out=rows[:, i])
-        return rows
+        weight = np.exp(np.multiply.outer(x, exps) - r[:, None])
+        states = np.exp(np.multiply.outer(c_val / r, lam))
+        return weight[:, :, None] * states[:, None, :] * rows
 
+    lo, hi = -_kernel_depth(gen, y), float(np.log(_upper_cutoff(order.s)))
     h0 = min(0.5, max(hi - lo, 1.0) / max(quad.nodes, 16))
-    return trapezoid_refine(g, lo, hi, quad.tol, h0=h0, name=name)
+    stacked = trapezoid_refine(g, lo, hi, quad.tol, h0=h0, name="semigroup-chain integrals")
+    return gen.eigvecs @ stacked.sum(axis=0) / gamma(order.s)
 
 
-def _chain_eval(gen, order, u, chain, y, quad):
-    """Evaluate the integral part of a quantity at ``y > 0``.
-
-    Terms with ``j <= [s]`` carry polynomially growing Taylor remainders and
-    exponentially decaying weights: their window extends to where the combined
-    ``e^{sigma x}`` envelope dies.  Terms with ``j > [s]`` ride the bare
-    semigroup, whose ``e^{-c_min/r}`` decay truncates the window much earlier
-    but whose weight grows toward the origin; mixing the two groups on one
-    window would pair overflowing weights with underflowing states, so each
-    group is integrated on its own.  Both groups run in eigencoordinates and
-    ``V`` maps their combined sum back once.
-    """
-    if not chain:
-        return np.zeros(gen.dim, dtype=complex)
-    s_val, n, sig = order.s, order.n, order.sigma
-    lam, coords = _modes(gen, u)
-    c_val = y * y / 4.0
-    hi = np.log(_upper_cutoff(s_val))
-    lo_short = -_kernel_depth(gen, y)
-    # Window for the Taylor-remainder terms: deep enough that the e^{sigma x}
-    # envelope (times the polynomial prefactors) is below ~1e-24, but capped
-    # so t^n = (c e^{-x})^n stays representable in double precision.
-    margin = n * np.log(2.0 + gen.norm2) + max(0.0, n * np.log(c_val))
-    depth = (55.0 + margin) / sig
-    depth = min(depth, max(575.0 / max(n, 1) - np.log(c_val), 5.0))
-    lo_long = min(-depth, lo_short)
-    total = 0.0
-    for is_short in (False, True):
-        keys = sorted(
-            key for key in chain if (key[2] > n) == is_short
-        )
-        if not keys:
-            continue
-        lo = lo_short if is_short else lo_long
-        stacked = _chain_eval_group(
-            gen, order, lam, coords, keys, y, quad, lo, hi, "remainder-chain integrals"
-        )
-        for i, (p, q, j) in enumerate(keys):
-            total = total + chain[(p, q, j)] * y**p * stacked[i]
-    return gen.eigvecs @ total / gamma(s_val)
+def _radial_chain(m):
+    """``(2/y d/dy)^m U = I_m``."""
+    return {(0, m): 1.0}
 
 
-def _eval_quantity(gen, order, u, poly, chain, y, quad):
-    return _eval_poly(poly, y) + _chain_eval(gen, order, u, chain, y, quad)
+def _operator_parts(m, a):
+    """Terms ``(m-i, comb(m, i), B^i U)`` of ``(L + B)^m U``, ``B = (a/y) d/dy + d^2/dy^2``."""
+    parts = []
+    chain = {(0, 0): 1.0}
+    for i in range(m + 1):
+        parts.append((m - i, float(comb(m, i)), chain))
+        chain = _chain_bessel(chain, a)
+    return parts
 
 
 # -- radial powers and the explicit representation ----------------------------------
@@ -518,10 +418,11 @@ def radial_power(gen: Generator, s, u, m, y, quad=None, mode="from_u"):
     """``(2/y d/dy)^m U(y)`` for ``0 <= m <= [s] + 1``.
 
     ``mode='from_u'`` pushes the radial composition under the subordination
-    integral (Taylor-remainder chain), which is exact and stable down to tiny
-    ``y``; ``mode='from_f'`` uses the closed-form representation through
-    ``f = (-L)^s u`` (polynomial part plus a Taylor-tail-weighted semigroup
-    integral).  The two must agree.
+    integral, where it becomes the single bare-semigroup integral ``I_m``
+    (accurate from tiny to large ``y``); ``mode='from_f'`` uses the
+    closed-form representation through ``f = (-L)^s u`` (polynomial part plus
+    a Taylor-tail-weighted semigroup integral), which loses digits to that
+    polynomial once ``y^2 ||L||`` is large.  The two must agree.
     """
     order = as_order(s)
     quad = quad or QuadratureSpec()
@@ -531,10 +432,7 @@ def radial_power(gen: Generator, s, u, m, y, quad=None, mode="from_u"):
     if y <= 0:
         raise ValueError(f"radial powers need y > 0, got {y}")
     if mode == "from_u":
-        poly, chain = _quantity_base(gen, order, u)
-        for _ in range(m):
-            poly, chain = _poly_radial(poly), _chain_radial(chain)
-        return _eval_quantity(gen, order, u, poly, chain, y, quad)
+        return _eval_chains(gen, order, u, [(0, 1.0, _radial_chain(m))], y, quad)
     if mode == "from_f":
         return _explicit_radial(gen, order, u, m, y, quad)
     raise ValueError(f"unknown mode {mode!r}; use 'from_u' or 'from_f'")
@@ -557,33 +455,23 @@ def weighted_extension_derivative(gen: Generator, s, u, m, y, quad=None, form="r
         raise ValueError(f"weighted derivatives need y > 0, got {y}")
     weight = y ** (1.0 - 2.0 * order.sigma)
     if form == "radial":
-        poly, chain = _quantity_base(gen, order, u)
-        for _ in range(m):
-            poly, chain = _poly_radial(poly), _chain_radial(chain)
-        poly, chain = _poly_deriv(poly), _chain_deriv(chain)
-        return weight * _eval_quantity(gen, order, u, poly, chain, y, quad)
-    if form != "operator":
+        parts = [(0, 1.0, _chain_deriv(_radial_chain(m)))]
+    elif form == "operator":
+        parts = [
+            (k, w, _chain_deriv(chain))
+            for k, w, chain in _operator_parts(m, 1.0 - 2.0 * order.sigma)
+        ]
+    else:
         raise ValueError(f"unknown form {form!r}; use 'radial' or 'operator'")
-    a = 1.0 - 2.0 * order.sigma
-    total = 0.0
-    poly, chain = _quantity_base(gen, order, u)
-    for i in range(m + 1):
-        dpoly, dchain = _poly_deriv(poly), _chain_deriv(chain)
-        part = _eval_quantity(gen, order, u, dpoly, dchain, y, quad)
-        for _ in range(m - i):
-            part = gen.matrix @ part
-        total = total + comb(m, i) * part
-        if i < m:
-            poly, chain = _poly_bessel(poly, a), _chain_bessel(chain, a)
-    return weight * total
+    return weight * _eval_chains(gen, order, u, parts, y, quad)
 
 
 def extension_operator_power(gen: Generator, s, u, m, y, quad=None, a=None):
     """``(L + (a/y) d/dy + d^2/dy^2)^m U(y)`` with ``a = 1 - 2(s - [s])`` by default.
 
     Expanded binomially over the commuting factors ``L`` and the scalar
-    differential part; the scalar parts are evaluated through the
-    Taylor-remainder chain.
+    differential part; every term is a semigroup-chain integral, and all of
+    them run on one rule with ``L^{m-i}`` applied per mode.
     """
     order = as_order(s)
     quad = quad or QuadratureSpec()
@@ -594,16 +482,7 @@ def extension_operator_power(gen: Generator, s, u, m, y, quad=None, a=None):
         raise ValueError(f"operator powers need y > 0, got {y}")
     if a is None:
         a = 1.0 - 2.0 * order.sigma
-    total = 0.0
-    poly, chain = _quantity_base(gen, order, u)
-    for i in range(m + 1):
-        part = _eval_quantity(gen, order, u, poly, chain, y, quad)
-        for _ in range(m - i):
-            part = gen.matrix @ part
-        total = total + comb(m, i) * part
-        if i < m:
-            poly, chain = _poly_bessel(poly, a), _chain_bessel(chain, a)
-    return total
+    return _eval_chains(gen, order, u, _operator_parts(m, a), y, quad)
 
 
 def extend_explicit(gen: Generator, s, u, y, quad=None, form="r"):

@@ -232,8 +232,10 @@ def trace_incremental(gen: Generator, s, u, quad=None, ysched=None,
 
     For ``0 < s < 1`` this is ``(2s/c_s)(U(y) - u)/y^{2s}``; for ``1 < s < 2``
     the three-point quotient ``(U(2y) - 4U(y) + 3u)/(d_s y^{2s})``, whose
-    stencil cancels the ``y^2`` branch.  The latter loses ``y^{2s}`` digits to
-    cancellation, so its default schedule stops at 8 levels.
+    stencil cancels the ``y^2`` branch.  Without ``ysched`` the schedule is
+    ``default_ysched(neumann_y0(gen))``, the head ``trace_neumann`` uses; the
+    three-point quotient loses ``y^{2s}`` digits to cancellation, so its
+    default schedule stops at 8 levels.
     """
     order = as_order(s)
     quad = quad or QuadratureSpec()
@@ -241,7 +243,9 @@ def trace_incremental(gen: Generator, s, u, quad=None, ysched=None,
     s_val = order.s
     oracle = gen.frac_power(s_val, u)
     if order.n == 0:
-        ysched, ratio = _check_sched(ysched if ysched is not None else default_ysched())
+        ysched, ratio = _check_sched(
+            ysched if ysched is not None else default_ysched(neumann_y0(gen))
+        )
         raws = [
             (extend_subordination(gen, order, u, float(y), quad) - u) / y ** (2 * s_val)
             for y in ysched
@@ -253,7 +257,7 @@ def trace_incremental(gen: Generator, s, u, quad=None, ysched=None,
         )
     if order.n == 1:
         ysched, ratio = _check_sched(
-            ysched if ysched is not None else default_ysched(count=8)
+            ysched if ysched is not None else default_ysched(neumann_y0(gen), count=8)
         )
         raws = [
             (
@@ -306,12 +310,16 @@ def initial_condition_suite(gen: Generator, s, u, quad=None, ysched=None,
     carry the extra factor ``[s]!/([s]-m)!``.  For ``0 <= m < [s]``: the
     weighted-derivative limits vanish.  For ``m = [s]``: the Neumann limit
     recovers ``c_s (-L)^s u``.  Each line reports its extrapolated error
-    against the stated tolerance.
+    against the stated tolerance.  Without ``ysched`` the schedule is
+    ``default_ysched(neumann_y0(gen))``, so ``y^2 ||L||`` starts small on
+    stiff generators too.
     """
     order = as_order(s)
     quad = quad or QuadratureSpec()
     u = gen._check_vector(u)
-    ysched, ratio = _check_sched(ysched if ysched is not None else default_ysched())
+    ysched, ratio = _check_sched(
+        ysched if ysched is not None else default_ysched(neumann_y0(gen))
+    )
     n, sig, s_val = order.n, order.sigma, order.s
     count = len(ysched) - 1
     report = ICReport(s=s_val, tol=tol)

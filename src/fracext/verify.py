@@ -1,6 +1,6 @@
 """Acceptance checks and condensed module invariants, runnable from the CLI.
 
-Each check returns a :class:`CheckResult`; ``run_all`` executes the ten
+Each check returns a :class:`CheckResult`; ``run_all`` executes the eleven
 acceptance criteria followed by the per-module invariant sweeps.  The pytest
 suite asserts the same functions, so the CLI ``verify`` method and the test
 suite cannot drift apart.
@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma, iv
+from scipy.special import gamma, iv, kv
 
 from .bessel import BesselParams, ivp_classify, ode_cross_solve, phi
 from .extension import (
@@ -71,11 +71,16 @@ def dirichlet_sine_power(size, s, u):
     eigenvalues ``4 (n+1)^2 sin^2(k pi / (2(n+1)))``: an oracle independent of
     any numerical eigendecomposition.
     """
-    k = np.arange(1, size + 1)
-    grid = np.outer(np.arange(1, size + 1), k)
-    basis = np.sin(grid * np.pi / (size + 1)) * np.sqrt(2.0 / (size + 1))
-    mu = 4.0 * (size + 1) ** 2 * np.sin(k * np.pi / (2.0 * (size + 1))) ** 2
+    basis, mu = _sine_modes(size)
     return basis @ (mu**s * (basis @ u))
+
+
+def _sine_modes(size):
+    """Orthonormal (and symmetric) sine basis and the eigenvalues of ``-L``."""
+    k = np.arange(1, size + 1)
+    basis = np.sin(np.outer(k, k) * np.pi / (size + 1)) * np.sqrt(2.0 / (size + 1))
+    mu = 4.0 * (size + 1) ** 2 * np.sin(k * np.pi / (2.0 * (size + 1))) ** 2
+    return basis, mu
 
 
 # -- acceptance criteria -------------------------------------------------------------
@@ -309,6 +314,34 @@ def check_cli_demo():
         "criterion 10: CLI demo (laplacian1d:32)",
         passed,
         f"sine-oracle rel err {err:.2e}/1e-6, runtime {elapsed:.2f}s/10s",
+    )
+
+
+def check_stiff_radial_powers():
+    """Radial powers on laplacian1d:256 match the sine-basis Bessel-K values to 1e-9.
+
+    Per mode ``(2/y d/dy)^m U = (-2a)^m 2^{1-s}/Gamma(s) z^{s-m} K_{s-m}(z)``
+    with ``a = -lam`` and ``z = sqrt(a) y``; ``y^2 ||L||_2`` reaches ~7e6 here.
+    """
+    from .cli import builtin_matrix
+
+    size = 256
+    gen = builtin_matrix(f"laplacian1d:{size}")
+    basis, a = _sine_modes(size)
+    u = np.random.default_rng(256).standard_normal(size) + 0j
+    coords = basis @ u
+    worst = 0.0
+    for s in (0.3, 1.5, 2.7):
+        for y in (0.1, 1.0, 5.0):
+            z = np.sqrt(a) * y
+            for m in range(int(s) + 2):
+                modes = (-2.0 * a) ** m * 2.0 ** (1.0 - s) / gamma(s) * z ** (s - m) * kv(s - m, z)
+                got = radial_power(gen, s, u, m, y)
+                worst = max(worst, _rel(got, basis @ (modes * coords)))
+    return CheckResult(
+        "criterion 11: stiff radial powers (laplacian1d:256)",
+        worst <= 1e-9,
+        f"max rel err {worst:.2e} (tol 1e-9)",
     )
 
 
@@ -561,6 +594,7 @@ CRITERIA = (
     check_bbw_constant,
     check_cross_representation,
     check_cli_demo,
+    check_stiff_radial_powers,
 )
 
 INVARIANTS = (

@@ -54,6 +54,10 @@ def test_criterion_10_cli_demo():
     _run(verify.check_cli_demo)
 
 
+def test_criterion_11_stiff_radial_powers():
+    _run(verify.check_stiff_radial_powers)
+
+
 def test_invariant_sweeps():
     for check in verify.INVARIANTS:
         result = check()

@@ -166,6 +166,16 @@ class TestRuns:
         assert first_y("trace_neumann", "ygrid_start = 0.2\n")[0] == 0.2
         assert max(first_y("extend", "ygrid_count = 3\n")) == 0.4
 
+    def test_trace_incremental_schedule_head(self, tmp_path):
+        """Unset ``ygrid_start`` gives ``trace_incremental`` the ``trace_neumann`` head."""
+        out = tmp_path / "inc.csv"
+        path = write_config(tmp_path, f"matrix = laplacian1d:64\ns = 0.3\nout = {out}\n")
+        assert main(["trace_incremental", "--config", path]) == 0
+        with open(out, newline="") as handle:
+            first = float(next(csv.DictReader(handle))["y"])
+        head = 4.0 / np.sqrt(builtin_matrix("laplacian1d:64").norm2)
+        assert first == pytest.approx(head, rel=1e-9)
+
     def test_incremental_run(self, tmp_path):
         out = tmp_path / "inc.csv"
         path = write_config(

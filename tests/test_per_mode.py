@@ -2,9 +2,11 @@
 
 Per mode the extension profile has the Bessel-K closed form
 ``U = (2/Gamma(s)) (z/2)^s K_s(z)`` with ``z = sqrt(-lam) y``, and
-``dU/dy = -(2/Gamma(s)) 2^{-s} z^s K_{s-1}(z) sqrt(-lam)``.  The stiff case
-takes its modes from the closed-form sine basis of ``laplacian1d:256``; the
-non-normal case from the factors its matrix was built from.
+``dU/dy = -(2/Gamma(s)) 2^{-s} z^s K_{s-1}(z) sqrt(-lam)``; radial powers
+``(2/y d/dy)^m U`` follow from DLMF 10.29.4, and the extension-operator powers
+are combinations of them.  The stiff cases take their modes from the
+closed-form sine basis of ``laplacian1d:n``; the non-normal case from the
+factors its matrix was built from.
 """
 
 import warnings
@@ -21,11 +23,16 @@ from fracext import (
     extend_subordination,
     initial_condition_suite,
     radial_power,
+    trace_incremental,
     trace_neumann,
     y_derivatives_upto,
 )
 from fracext.cli import builtin_matrix
-from fracext.extension import _taylor_remainders, weighted_extension_derivative
+from fracext.extension import (
+    exp_tail,
+    extension_operator_power,
+    weighted_extension_derivative,
+)
 from fracext.verify import dirichlet_sine_power
 
 from conftest import relerr
@@ -109,6 +116,93 @@ def test_radial_power_representations_agree_on_stiff_laplacian(lap256, s, y):
         assert relerr(from_u, from_f) <= 1e-8, m
 
 
+WIDE_Y = (1e-6, 1e-3, 0.1, 1.0, 5.0)
+
+
+@pytest.fixture(scope="module", params=(64, 256), ids=lambda n: f"laplacian1d:{n}")
+def lap(request):
+    n = request.param
+    basis, lam = sine_modes(n)
+    rng = np.random.default_rng(n)
+    u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return builtin_matrix(f"laplacian1d:{n}"), basis, lam, u
+
+
+def radial_modes(s, m, lam, y):
+    """Per-mode ``R^m U = (-2a)^m 2^{1-s}/Gamma(s) z^{s-m} K_{s-m}(z)``, ``R = 2/y d/dy``.
+
+    ``a = -lam`` and ``z = sqrt(a) y`` (DLMF 10.29.4).
+    """
+    a = -np.asarray(lam)
+    z = np.sqrt(a) * y
+    return (-2.0 * a) ** m * 2.0 ** (1.0 - s) / gamma(s) * z ** (s - m) * kv(s - m, z)
+
+
+def operator_modes(s, m, lam, y, weighted=False):
+    """Per-mode ``(lam + B)^m U`` with ``B = ((a+1)/2) R + (y^2/4) R^2``, ``a = 1 - 2 sigma``.
+
+    A term ``(p, k) -> c`` stands for ``c y^{2p} R^k U``, and
+    ``R(y^{2p} g) = 4p y^{2p-2} g + y^{2p} R g``.  ``weighted`` applies
+    ``y^{1-2 sigma} d/dy = y^{1-2 sigma} (y/2) R`` last.
+    """
+    a = 1.0 - 2.0 * (s - int(s))
+
+    def add(terms, key, c):
+        terms[key] = terms.get(key, 0.0) + c
+
+    def apply_r(terms):
+        out = {}
+        for (p, k), c in terms.items():
+            if p:
+                add(out, (p - 1, k), 4.0 * p * c)
+            add(out, (p, k + 1), c)
+        return out
+
+    terms = {(0, 0): np.ones_like(lam)}
+    for _ in range(m):
+        once = apply_r(terms)
+        new = {key: lam * c for key, c in terms.items()}
+        for (p, k), c in once.items():
+            add(new, (p, k), 0.5 * (a + 1.0) * c)
+        for (p, k), c in apply_r(once).items():
+            add(new, (p + 1, k), 0.25 * c)
+        terms = new
+    scale = 1.0
+    if weighted:
+        terms = apply_r(terms)
+        scale = y**a * y / 2.0
+    return scale * sum(
+        c * y ** (2 * p) * radial_modes(s, k, lam, y) for (p, k), c in terms.items()
+    )
+
+
+@pytest.mark.parametrize("s", S_VALUES)
+@pytest.mark.parametrize("y", WIDE_Y)
+def test_radial_family_matches_bessel_k(lap, s, y):
+    gen, basis, lam, u = lap
+    coords = basis @ u
+    weight = y ** (1.0 - 2.0 * (s - int(s))) * y / 2.0
+    for m in range(int(s) + 2):
+        ref = basis @ (radial_modes(s, m, lam, y) * coords)
+        assert relerr(radial_power(gen, s, u, m, y), ref) <= 1e-10, m
+    for m in range(int(s) + 1):
+        ref = basis @ (weight * radial_modes(s, m + 1, lam, y) * coords)
+        assert relerr(weighted_extension_derivative(gen, s, u, m, y), ref) <= 1e-10, m
+
+
+@pytest.mark.parametrize("s", S_VALUES)
+@pytest.mark.parametrize("y", WIDE_Y)
+def test_operator_family_matches_bessel_k(lap, s, y):
+    gen, basis, lam, u = lap
+    coords = basis @ u
+    for m in range(int(s) + 1):
+        ref = basis @ (operator_modes(s, m, lam, y) * coords)
+        assert relerr(extension_operator_power(gen, s, u, m, y), ref) <= 1e-9, m
+        ref = basis @ (operator_modes(s, m, lam, y, weighted=True) * coords)
+        got = weighted_extension_derivative(gen, s, u, m, y, form="operator")
+        assert relerr(got, ref) <= 1e-9, m
+
+
 def test_trace_neumann_raises_no_runtime_warning(lap256):
     gen, _, _, u = lap256
     with warnings.catch_warnings():
@@ -142,20 +236,32 @@ def test_extension_never_applies_dense_semigroup(lap256, monkeypatch):
         extend_explicit(gen, 0.3, u, 0.05, form=form)
 
 
-def test_taylor_remainders_against_high_precision():
-    z = np.array([-1.0, -0.5, -1e-3, -1e-8, 0.3 + 0.9j, -0.7 - 0.7j, 1e-6j,
-                  -3.0, -40.0, -1e4, 5.0 + 20.0j])
-    small = np.abs(z) <= 1.0
-    for top in range(-1, 4):
-        for bottom in range(-1, top + 1):
-            rems = _taylor_remainders(z, top, bottom, small)
-            assert sorted(rems) == list(range(bottom, top + 1))
-            for i, got in rems.items():
-                with mpmath.workdps(100):
-                    exact = np.array([
-                        complex(mpmath.exp(mpmath.mpc(w))
-                                - sum(mpmath.mpc(w) ** k / mpmath.factorial(k) for k in range(i + 1)))
-                        for w in z
-                    ])
-                err = np.abs(got - exact) / np.maximum(np.abs(exact), 1e-300)
-                assert err.max() <= 1e-14, (top, bottom, i)
+def test_exp_tail_against_high_precision():
+    """Both sides of the series switch at ``r = 1``, including just above it."""
+    r = np.array([1e-8, 1e-3, 0.3, 0.55, 0.8, 1.0, 1.02, 1.5, 3.0, 10.0, 40.0])
+    for n in range(-1, 6):
+        with mpmath.workdps(120):
+            exact = np.array([
+                float(mpmath.exp(-mpmath.mpf(x))
+                      - sum((-mpmath.mpf(x)) ** k / mpmath.factorial(k) for k in range(n + 1)))
+                for x in r
+            ])
+        err = np.abs(exp_tail(n, r) - exact) / np.abs(exact)
+        assert err.max() <= 1e-13, (n, r[err.argmax()], err.max())
+
+
+@pytest.mark.parametrize("n, s", ((512, 0.3), (128, 1.5)))
+def test_trace_incremental_default_schedule_on_stiff_laplacian(n, s):
+    gen = builtin_matrix(f"laplacian1d:{n}")
+    u = np.random.default_rng(7).standard_normal(n) + 0j
+    estimate = trace_incremental(gen, s, u)
+    assert estimate.converged
+    assert relerr(estimate.value, dirichlet_sine_power(n, s, u)) <= 1e-3
+
+
+@pytest.mark.parametrize("s", (1.5, 2.7))
+def test_initial_condition_suite_default_schedule_on_stiff_laplacian(s):
+    gen = builtin_matrix("laplacian1d:128")
+    u = np.random.default_rng(7).standard_normal(128) + 0j
+    report = initial_condition_suite(gen, s, u)
+    assert report.all_passed, [(line.m, line.kind, line.error) for line in report.lines]
