@@ -340,25 +340,34 @@ def _eval_chains(gen, order, u, parts, y, quad):
     """``sum_i w_i L^{k_i} chain_i(y)`` for ``parts = [(k_i, w_i, chain_i), ...]``.
 
     Per mode every chain term is a scalar multiple of ``I_j``, so the terms
-    sharing a ``j`` collapse into one factor ``sum w_i lam^{k_i} coeff y^p``
+    sharing a ``j`` collapse into one factor ``y^{p_j} sum w_i lam^{k_i}
+    coeff y^{p - p_j}``, with ``p_j`` the smallest ``p`` paired with ``j``,
     and each distinct ``j`` is one integral.  All of them run on one rule in
     eigencoordinates; the window ends where the semigroup of the slowest mode
     has decayed (left) and where ``r^s e^-r`` has (right), and ``V`` maps the
-    finished sum back once.
+    finished sum back once.  The scale ``y^{p_j}`` enters the exponent of the
+    weight ``r^{s-j} e^-r``: at tiny ``y`` the left window edge sits at
+    ``r ~ y^2``, where ``r^{s-j}`` alone overflows for ``j > s`` although
+    its product with ``y^{p_j}`` is moderate.
     """
     lam, coords = _modes(gen, u)
+    lowest = {}
+    for _, _, chain in parts:
+        for p, j in chain:
+            lowest[j] = min(p, lowest.get(j, p))
     factors = {}
     for k, w, chain in parts:
         for (p, j), c in chain.items():
-            factors[j] = factors.get(j, 0.0) + (w * c * y**p) * lam**k
+            factors[j] = factors.get(j, 0.0) + (w * c * y ** (p - lowest[j])) * lam**k
     js = sorted(factors)
     rows = np.array([factors[j] * lam**j * coords for j in js])
     exps = order.s - np.array(js, dtype=float)
+    offsets = np.log(y) * np.array([lowest[j] for j in js], dtype=float)
     c_val = y * y / 4.0
 
     def g(x):
         r = np.exp(x)
-        weight = np.exp(np.multiply.outer(x, exps) - r[:, None])
+        weight = np.exp(np.multiply.outer(x, exps) + offsets - r[:, None])
         states = np.exp(np.multiply.outer(c_val / r, lam))
         return weight[:, :, None] * states[:, None, :] * rows
 

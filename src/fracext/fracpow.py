@@ -3,12 +3,13 @@
 Three independent routes to the same operator, reconciled against the exact
 spectral evaluation in tests:
 
-* inverse fractional powers ``(eps I - L)^{-alpha}`` by Laguerre-weighted
-  quadrature of the semigroup;
 * the Balakrishnan integral over the resolvent, split at ``mu = 1`` with
   exact power substitutions on both halves; ``L`` is reduced once to its
   complex Schur form, so each quadrature node costs one ``O(d^2)``
   triangular solve and the route stays independent of the eigensystem;
+* inverse fractional powers ``(eps I - L)^{-alpha}``: ``[alpha]``
+  triangular solves with ``eps I - T`` and, for the fractional part, the
+  same resolvent integral with its resolvent shifted by ``eps``;
 * the Berens-Butzer-Westphal limit of ``(e^{tL} - I)^k`` integrals with a
   Richardson-extrapolated truncation parameter.
 """
@@ -17,17 +18,14 @@ from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
-from scipy.special import gamma
 
 from .operators import Generator
 from .quadrature import (
     ConvergenceError,
     QuadratureSpec,
     extrapolation_spread,
-    gauss_laguerre_rule,
     gauss_legendre_rule,
     integrate_unit,
-    refine,
     richardson_table,
     trapezoid_refine,
 )
@@ -71,49 +69,7 @@ def as_order(s):
     return s if isinstance(s, FracOrder) else FracOrder(float(s))
 
 
-# -- inverse fractional powers ---------------------------------------------------
-
-
-def resolvent_frac_power(gen: Generator, eps, alpha, u, quad=None):
-    """Apply ``(eps I - L)^{-alpha}`` by quadrature of the semigroup integral.
-
-    Evaluates ``(1/Gamma(alpha)) int_0^inf e^{-eps t} e^{tL} u t^{alpha-1} dt``
-    on a generalized Gauss-Laguerre rule after rescaling ``t = x / c`` with
-    ``c = eps + min Re(-lam)``, which keeps every mode's effective exponent
-    nonpositive.  The per-mode exponentials are fused before exponentiation so
-    no intermediate factor overflows.  Nodes are doubled from ``quad.nodes``
-    until the value is stable to ``quad.tol`` (or to the roundoff floor of the
-    eigencoordinate sum); the doubling ends at the first numerically
-    degenerate rule.
-    """
-    quad = quad or QuadratureSpec()
-    if eps < 0:
-        raise ValueError(f"shift must be nonnegative, got {eps}")
-    if alpha <= 0:
-        raise ValueError(f"power must be positive, got {alpha}")
-    u = gen._check_vector(u)
-    a = -gen.eigenvalues
-    c = eps + float(a.real.min())
-    z = 1.0 - (eps + a) / c
-    coords = gen.eigvecs_inv @ u
-
-    def levels():
-        n = quad.nodes
-        while True:
-            try:
-                x, w = gauss_laguerre_rule(n, alpha - 1.0)
-            except ValueError:
-                return
-            kernel = w[:, None] * np.exp(np.multiply.outer(x, z))
-            current = gen.eigvecs @ (kernel.sum(axis=0) * coords) * c ** (-alpha) / gamma(alpha)
-            mass = float(np.abs(kernel).sum(axis=0) @ np.abs(coords))
-            yield current, mass * c ** (-alpha) / gamma(alpha)
-            n *= 2
-
-    return refine(levels(), quad.tol, "inverse fractional power: Laguerre")
-
-
-# -- Balakrishnan integrals ------------------------------------------------------
+# -- the shifted resolvent integral -------------------------------------------------
 
 
 def _shifted_triangular_solve(alpha, beta, tri, rhs):
@@ -133,19 +89,83 @@ def _shifted_triangular_solve(alpha, beta, tri, rhs):
     return x.T
 
 
+def _resolvent_integral(tri, w, sig, shift, quad, name):
+    """``(sin(pi sig)/pi) int_0^inf mu^{-sig} ((mu + shift) I - T)^{-1} w dmu``, ``0 < sig < 1``.
+
+    ``T`` is the triangular Schur factor of ``L`` and ``w`` a vector in its
+    basis.  The integral is split at ``mu = 1``; ``mu = 1/v`` maps the outer
+    half onto ``v^{sig-1} ((1 + shift v) I - v T)^{-1} w`` on ``(0, 1)``.
+    Both halves carry a pure power endpoint singularity that the unit-interval
+    driver removes exactly, and each node costs one triangular back
+    substitution.  ``sig`` is first rounded so that both endpoint powers
+    ``-sig`` and ``sig - 1`` are exact, and the prefactor is formed from the
+    smaller of ``sig`` and ``1 - sig``: then the ``1/sig`` or ``1/(1-sig)``
+    the driver integrates and the prefactor cancel to full relative accuracy
+    even for ``sig`` within ``1e-9`` of ``0`` or ``1``.
+    """
+    sig = 1.0 + (sig - 1.0)
+
+    def inner_half(mu):
+        return _shifted_triangular_solve(mu + shift, -1.0, tri, w)
+
+    def outer_half(v):
+        return _shifted_triangular_solve(1.0 + shift * v, -v, tri, w)
+
+    inner = integrate_unit(
+        inner_half, quad.tol, singular_power=-sig, nodes0=quad.nodes, name=f"{name} inner"
+    )
+    outer = integrate_unit(
+        outer_half, quad.tol, singular_power=sig - 1.0, nodes0=quad.nodes, name=f"{name} outer"
+    )
+    return np.sin(np.pi * min(sig, 1.0 - sig)) / np.pi * (inner + outer)
+
+
+# -- inverse fractional powers ---------------------------------------------------
+
+
+def resolvent_frac_power(gen: Generator, eps, alpha, u, quad=None):
+    """Apply ``(eps I - L)^{-alpha}`` in the cached Schur basis ``L = Z T Z^H``.
+
+    The integer part ``[alpha]`` is that many triangular solves with
+    ``eps I - T``; the fractional part ``sigma = alpha - [alpha]``, when
+    nonzero, is the Balakrishnan-type resolvent integral
+
+        ``(eps I - L)^{-sigma} w = (sin(pi sigma)/pi)
+        int_0^inf mu^{-sigma} ((mu + eps) I - L)^{-1} w dmu``,
+
+    evaluated by the same split tanh-sinh rule as :func:`balakrishnan`.
+    ``Z`` is applied once to the result; the cached eigensystem is not used.
+    """
+    quad = quad or QuadratureSpec()
+    if eps < 0:
+        raise ValueError(f"shift must be nonnegative, got {eps}")
+    if alpha <= 0:
+        raise ValueError(f"power must be positive, got {alpha}")
+    tri, unitary = gen.schur
+    w = unitary.conj().T @ gen._check_vector(u)
+    whole = int(np.floor(alpha))
+    for _ in range(whole):
+        w = _shifted_triangular_solve(np.full(1, eps), -1.0, tri, w)[0]
+    sig = alpha - whole
+    if sig > 0.0:
+        w = _resolvent_integral(tri, w, sig, eps, quad, "inverse fractional power")
+    return unitary @ w
+
+
+# -- Balakrishnan integrals ------------------------------------------------------
+
+
 def balakrishnan(gen: Generator, s, u, quad=None):
     """Balakrishnan integral for ``(-L)^s u`` with ``0 < s < 1``.
 
     ``(sin(s pi)/pi) int_0^inf mu^{s-1} (mu I + A)^{-1} A u dmu`` with
-    ``A = -L``, split at ``mu = 1``; the substitution ``mu = 1/v`` maps the
-    outer half onto ``(0, 1)`` with integrand ``v^{-s} (I + vA)^{-1} A u``.
-    Both halves carry a pure power endpoint singularity that the unit-interval
-    driver removes exactly.  Everything runs in the cached complex Schur
-    basis ``L = Z T Z^H``, independent of the cached eigensystem: ``A u``
-    is formed there as ``-T Z^H u``, each node costs one triangular back
-    substitution, and ``Z`` is applied once to the sum.  For normal ``L``
-    (diagonal ``T``) forming ``A u`` per Schur mode keeps the roundoff of
-    stiff modes out of the soft ones.
+    ``A = -L``: the resolvent integral of :func:`_resolvent_integral` at
+    ``sig = 1 - s`` and no shift.  Everything runs in the cached complex
+    Schur basis ``L = Z T Z^H``, independent of the cached eigensystem:
+    ``A u`` is formed there as ``-T Z^H u``, each node costs one triangular
+    back substitution, and ``Z`` is applied once to the sum.  For normal
+    ``L`` (diagonal ``T``) forming ``A u`` per Schur mode keeps the roundoff
+    of stiff modes out of the soft ones.
     """
     order = as_order(s)
     if order.n != 0:
@@ -153,21 +173,7 @@ def balakrishnan(gen: Generator, s, u, quad=None):
     quad = quad or QuadratureSpec()
     tri, unitary = gen.schur
     au = -(tri @ (unitary.conj().T @ gen._check_vector(u)))
-    sig = order.s
-
-    def inner_half(mu):
-        return _shifted_triangular_solve(mu, -1.0, tri, au)
-
-    def outer_half(v):
-        return _shifted_triangular_solve(1.0, -v, tri, au)
-
-    inner = integrate_unit(
-        inner_half, quad.tol, singular_power=sig - 1.0, nodes0=quad.nodes, name="balakrishnan inner"
-    )
-    outer = integrate_unit(
-        outer_half, quad.tol, singular_power=-sig, nodes0=quad.nodes, name="balakrishnan outer"
-    )
-    return np.sin(sig * np.pi) / np.pi * (unitary @ (inner + outer))
+    return unitary @ _resolvent_integral(tri, au, 1.0 - order.s, 0.0, quad, "balakrishnan")
 
 
 def balakrishnan_general(gen: Generator, s, u, quad=None):

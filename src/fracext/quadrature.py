@@ -1,12 +1,11 @@
 """Quadrature engines and extrapolation utilities.
 
-Three rule families cover every integral in the package:
+Two rule families cover every adaptive integral in the package:
 
-* generalized Gauss-Laguerre rules (``scipy.special.roots_genlaguerre``) for
-  integrands of the form ``t^{alpha-1} e^{-c t} * smooth`` (the inverse
-  fractional powers);
 * tanh-sinh rules on ``(0, 1)`` combined with exact power substitutions, for
-  integrands with an algebraic endpoint singularity ``x^p * smooth``;
+  integrands with an algebraic endpoint singularity ``x^p * smooth`` (the
+  resolvent integrals of the Balakrishnan routes and the inverse fractional
+  powers, and the BBW integrals);
 * trapezoid rules on the log axis, whose transformed integrands decay
   exponentially (or double-exponentially) in both directions.
 
@@ -22,12 +21,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_genlaguerre
 
 __all__ = [
     "QuadratureSpec",
     "ConvergenceError",
-    "gauss_laguerre_rule",
     "gauss_legendre_rule",
     "tanh_sinh_rule",
     "integrate_unit",
@@ -64,22 +61,6 @@ class QuadratureSpec:
 
 
 # -- fixed rules ---------------------------------------------------------------
-
-
-@lru_cache(maxsize=64)
-def gauss_laguerre_rule(n, alpha):
-    """Nodes and weights for ``int_0^inf x^alpha e^-x f(x) dx``.
-
-    The Golub-Welsch weights degrade to non-finite values for very large
-    rules (n >= ~512); those are rejected rather than silently returned.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        x, w = roots_genlaguerre(n, alpha)
-    if not (np.isfinite(x).all() and np.isfinite(w).all()):
-        raise ValueError(f"Gauss-Laguerre rule with {n} nodes is numerically degenerate")
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
 
 
 @lru_cache(maxsize=16)

@@ -148,7 +148,11 @@ class TestRuns:
         assert header.startswith("level,y")
 
     def test_trace_neumann_schedule_head(self, tmp_path):
-        """Unset ``ygrid_start`` scales with ``||L||_2`` for ``trace_neumann`` only."""
+        """Unset ``ygrid_start`` scales with ``||L||_2`` for ``trace_neumann``.
+
+        ``extend`` keeps 0.4; ``trace_incremental`` shares the scaled head
+        (next test).
+        """
 
         def first_y(method, extra=""):
             out = tmp_path / f"{method}.csv"

@@ -10,7 +10,6 @@ from fracext import (
     ConvergenceError,
     FracOrder,
     Generator,
-    QuadratureSpec,
     balakrishnan,
     balakrishnan_general,
     balakrishnan_second_kind,
@@ -24,7 +23,7 @@ from fracext import (
 
 from fracext.cli import builtin_matrix
 from fracext.fracpow import _shifted_triangular_solve
-from fracext.verify import dirichlet_sine_power
+from fracext.verify import _sine_modes, dirichlet_sine_power
 
 from conftest import relerr
 
@@ -83,13 +82,6 @@ class TestResolventFracPower:
             back = resolvent_frac_power(gen=rand8, eps=0.0, alpha=s,
                                         u=rand8.frac_power(s, rand8_u))
             assert relerr(back, rand8_u) <= 1e-8
-
-    def test_no_usable_rule_raises(self, diag_gen):
-        # Gauss-Laguerre rules are degenerate from 512 nodes on: no level at all
-        with pytest.raises(ConvergenceError) as err:
-            resolvent_frac_power(diag_gen, 0.0, 0.5, np.ones(2, dtype=complex),
-                                 QuadratureSpec(nodes=1024))
-        assert err.value.achieved == np.inf
 
     def test_rejects_bad_arguments(self, diag_gen):
         u = np.ones(2, dtype=complex)
@@ -179,6 +171,16 @@ class TestShiftedTriangularSolve:
         assert relerr(got[0], rhs) <= 1e-15
 
 
+def nonnormal_factors():
+    """``V`` and ``lam`` of the 48 x 48 non-normal complex generator ``V diag(lam) V^{-1}``."""
+    rng = np.random.default_rng(12)
+    dim = 48
+    lam = -np.linspace(0.5, 10.0, dim) + 1j * rng.permutation(np.linspace(-10.0, 10.0, dim))
+    noise = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    vecs = np.eye(dim) + 0.25 * noise / np.sqrt(2.0)
+    return vecs, lam
+
+
 class TestBalakrishnanStiffAndIndependent:
     """Balakrishnan routes on a stiff Laplacian, a non-normal complex matrix,
     and a generator whose eigensystem has been removed."""
@@ -189,11 +191,7 @@ class TestBalakrishnanStiffAndIndependent:
 
     @pytest.fixture(scope="class")
     def nonnormal(self):
-        rng = np.random.default_rng(12)
-        dim = 48
-        lam = -np.linspace(0.5, 10.0, dim) + 1j * rng.permutation(np.linspace(-10.0, 10.0, dim))
-        noise = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        vecs = np.eye(dim) + 0.25 * noise / np.sqrt(2.0)
+        vecs, lam = nonnormal_factors()
         return Generator((vecs * lam) @ np.linalg.inv(vecs))
 
     @pytest.mark.parametrize("s", [0.3, 1.5, 2.7])
@@ -228,6 +226,46 @@ class TestBalakrishnanStiffAndIndependent:
         assert relerr(balakrishnan(gen, 0.3, u), oracles[0.3]) <= 1e-7
         assert relerr(balakrishnan_general(gen, 1.5, u), oracles[1.5]) <= 1e-7
         assert relerr(balakrishnan_second_kind(gen, 1.5, u), oracles[1.5]) <= 1e-7
+
+
+class TestResolventFracPowerStiffAndIndependent:
+    """Inverse powers ``(eps I - L)^{-alpha}`` on a stiff Laplacian and a non-normal
+    complex matrix, both with their eigensystem removed, against oracles built
+    from closed-form or generating factors.  The orders include integers, tiny
+    fractional parts and orders just below and above an integer."""
+
+    ALPHAS = [1e-6, 0.3, 1.0, 1.0 - 1e-9, 1.0 + 1e-9, 2.0 + 1e-6, 2.7, 5.5]
+
+    @pytest.fixture(scope="class")
+    def lap128(self):
+        gen = builtin_matrix("laplacian1d:128")
+        gen.eigvecs = gen.eigvecs_inv = None
+        return gen
+
+    @pytest.fixture(scope="class")
+    def nonnormal(self):
+        vecs, lam = nonnormal_factors()
+        gen = Generator((vecs * lam) @ np.linalg.inv(vecs))
+        gen.eigvecs = gen.eigvecs_inv = None
+        return gen, vecs, lam
+
+    @pytest.mark.parametrize("eps", [0.0, 0.5])
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_stiff_laplacian(self, lap128, alpha, eps):
+        u = np.random.default_rng(25).standard_normal(128) + 0j
+        basis, mu = _sine_modes(128)
+        expected = basis @ ((eps + mu) ** -alpha * (basis @ u))
+        if eps == 0.0:
+            assert relerr(expected, dirichlet_sine_power(128, -alpha, u)) <= 1e-14
+        assert relerr(resolvent_frac_power(lap128, eps, alpha, u), expected) <= 1e-10
+
+    @pytest.mark.parametrize("eps", [0.0, 0.5])
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_nonnormal_complex(self, nonnormal, alpha, eps):
+        gen, vecs, lam = nonnormal
+        u = np.random.default_rng(26).standard_normal(48) + 1j
+        expected = vecs @ ((eps - lam) ** -alpha * np.linalg.solve(vecs, u))
+        assert relerr(resolvent_frac_power(gen, eps, alpha, u), expected) <= 1e-10
 
 
 class TestCConstant:

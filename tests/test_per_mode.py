@@ -10,6 +10,7 @@ factors its matrix was built from.
 """
 
 import warnings
+from math import factorial
 
 import mpmath
 import numpy as np
@@ -17,6 +18,7 @@ import pytest
 from scipy.special import gamma, kv
 
 from fracext import (
+    FracOrder,
     Generator,
     build_profile,
     extend_explicit,
@@ -24,6 +26,7 @@ from fracext import (
     initial_condition_suite,
     radial_power,
     trace_incremental,
+    trace_constants,
     trace_neumann,
     y_derivatives_upto,
 )
@@ -201,6 +204,42 @@ def test_operator_family_matches_bessel_k(lap, s, y):
         ref = basis @ (operator_modes(s, m, lam, y, weighted=True) * coords)
         got = weighted_extension_derivative(gen, s, u, m, y, form="operator")
         assert relerr(got, ref) <= 1e-9, m
+
+
+@pytest.mark.parametrize("s", S_VALUES)
+@pytest.mark.parametrize("y", (1e-60, 1e-100))
+def test_chain_families_at_tiny_y(s, y):
+    """At ``y -> 0`` the chain routes reach the initial-condition limits without overflow.
+
+    ``(2/y d/dy)^m U -> Gamma(s-m)/Gamma(s) L^m u`` and the extension-operator
+    power tends to ``[s]!/([s]-m)!`` times that, for ``m <= [s]``; at
+    ``m = [s] + 1`` both grow like ``y^{2(s-m)}`` and must stay finite.  The
+    weighted derivatives vanish below ``m = [s]`` and tend to ``c_s (-L)^s u``
+    (radial form) and ``[s]! c_s (-L)^s u`` (operator form) at ``m = [s]``.
+    """
+    n = int(s)
+    gen = builtin_matrix("laplacian1d:64")
+    basis, lam = sine_modes(64)
+    u = np.random.default_rng(3).standard_normal(64) + 0j
+    coords = basis @ u
+    neumann = trace_constants(FracOrder(s)).c_s * dirichlet_sine_power(64, s, u)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in range(n + 1):
+            limit = gamma(s - m) / gamma(s) * (basis @ (lam**m * coords))
+            assert relerr(radial_power(gen, s, u, m, y), limit) <= 1e-12, m
+            factor = factorial(n) / factorial(n - m)
+            assert relerr(extension_operator_power(gen, s, u, m, y), factor * limit) <= 1e-12, m
+        assert np.isfinite(radial_power(gen, s, u, n + 1, y)).all()
+        assert np.isfinite(extension_operator_power(gen, s, u, n + 1, y)).all()
+        for m in range(n):
+            for form in ("radial", "operator"):
+                got = weighted_extension_derivative(gen, s, u, m, y, form=form)
+                assert np.linalg.norm(got) <= 1e-12 * np.linalg.norm(u), (m, form)
+        got = weighted_extension_derivative(gen, s, u, n, y)
+        assert relerr(got, neumann) <= 1e-12
+        got = weighted_extension_derivative(gen, s, u, n, y, form="operator")
+        assert relerr(got, factorial(n) * neumann) <= 1e-12
 
 
 def test_trace_neumann_raises_no_runtime_warning(lap256):

@@ -7,7 +7,6 @@ from fracext.quadrature import (
     ConvergenceError,
     QuadratureSpec,
     extrapolation_spread,
-    gauss_laguerre_rule,
     integrate_unit,
     richardson,
     richardson_table,
@@ -24,14 +23,6 @@ def test_spec_validation():
         QuadratureSpec(4, 1e-10)
     with pytest.raises(ValueError, match="tolerance"):
         QuadratureSpec(32, -1.0)
-
-
-def test_gauss_laguerre_weights_sum():
-    from scipy.special import gamma
-
-    for alpha in (-0.5, 0.0, 1.7):
-        _, w = gauss_laguerre_rule(64, alpha)
-        assert abs(w.sum() - gamma(alpha + 1.0)) < 1e-12 * gamma(alpha + 1.0)
 
 
 def test_tanh_sinh_nodes_inside_interval():
@@ -73,11 +64,6 @@ def test_refinement_failure_raises():
     with pytest.raises(ConvergenceError, match="tanh-sinh") as err:
         integrate_unit(jump, 1e-13)
     assert 1e-4 < err.value.achieved < 1e-1
-
-
-def test_degenerate_laguerre_rule_rejected():
-    with pytest.raises(ValueError, match="degenerate"):
-        gauss_laguerre_rule(1024, -0.5)
 
 
 def test_richardson_eliminates_prescribed_powers():
