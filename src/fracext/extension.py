@@ -11,12 +11,24 @@ integral sign), the explicit representation through ``f = (-L)^s u``, the
 radial powers ``(2/y d/dy)^m U``, and the ODE residuals used to validate
 everything.
 
-Every integral here is a trapezoid rule on the log axis: after ``r = e^v``
-the integrand decays double-exponentially on the left (through the semigroup
-factor ``e^{-c/r}``) and at least exponentially on the right, so a ~60-node
-rule already reaches machine precision.  (A Gauss-Laguerre rule with weight
-``r^{s-1} e^-r`` would converge poorly: the factor ``e^{-c/r}`` is not
-polynomial-like near ``r = 0``.)
+Every integral here is one subordination integral
+
+    int_0^inf F_k(r) r^alpha e^{(y^2/(4r)) L} (.) dr/r,
+
+with ``F_-1(r) = e^-r`` or, for ``k >= 0``, the Taylor tail
+:func:`exp_tail` of ``e^-r``, and one private integrator,
+:func:`_subordinate`, evaluates all of them: a trapezoid rule on ``x = log r``,
+where the integrand decays double-exponentially on the left (through the
+semigroup factor ``e^{-c/r}``) and at least exponentially on the right, so a
+~60-node rule already reaches machine precision.  (A Gauss-Laguerre rule with
+weight ``r^{s-1} e^-r`` would converge poorly: the factor ``e^{-c/r}`` is not
+polynomial-like near ``r = 0``.)  One rule, :func:`_log_window`, reads every
+window off the weight's envelope (``r^{alpha+k+1}`` at ``0``, ``r^alpha e^-r``
+or ``r^{alpha+k}`` at infinity) and the semigroup's decay, with the single
+constant ``_KERNEL_DECAY``.  Integrals over the original ``t = y^2/(4r)``
+line need no rule of their own: in ``log t`` that line is the ``r``-line
+mirrored, ``log t = log(y^2/4) - log r``, so its trapezoid sums the same
+integrand at mirrored nodes.
 
 Every integrand is linear in ``u`` and ``L = V diag(lam) V^{-1}`` is
 factored once, so the integrands run per mode: on the eigencoordinates
@@ -79,7 +91,7 @@ __all__ = [
 ]
 
 _TAIL_TERMS = 26  # where r <= 1 the first omitted tail term is below 1/27! of the first
-_KERNEL_DECAY = 55.0  # windows end where the semigroup factor is below e^-55 ~ 1e-24
+_KERNEL_DECAY = 55.0  # windows end where weight or semigroup factor is below e^-55 ~ 1e-24
 
 
 # -- scalar helpers --------------------------------------------------------------
@@ -153,11 +165,11 @@ def explicit_poly_part(gen: Generator, s, u, start, stop, r):
 
 
 def _upper_cutoff(power):
-    """``r`` beyond which ``r^power e^-r`` is below ~1e-24 relative."""
-    r_hi = 55.0
+    """``r`` beyond which ``r^power e^-r`` is below ``e^-_KERNEL_DECAY``."""
+    r_hi = _KERNEL_DECAY
     if power > 0:
         for _ in range(4):
-            r_hi = 55.0 + power * np.log(r_hi)
+            r_hi = _KERNEL_DECAY + power * np.log(r_hi)
     return float(r_hi)
 
 
@@ -172,51 +184,66 @@ def _kernel_depth(gen, y):
     return max(np.log(_KERNEL_DECAY / c_min), 1.0) if c_min > 0 else np.inf
 
 
-def _modes(gen, u):
-    """Eigenvalues ``lam`` and eigencoordinates ``c = V^{-1} u``.
+def _log_window(alphas, k, depth=np.inf):
+    """Window ``[lo, hi]`` in ``x = log r`` for the weights ``F_k(r) r^alpha``.
 
-    Each comes back real when it has no imaginary part (every Hermitian
-    ``L`` has a real spectrum), so the per-mode integrands run in real
-    arithmetic wherever they can.
+    Near ``r = 0`` the weight behaves like ``r^{alpha+k+1}``: the left edge
+    sits where the smallest such power has fallen to ``e^-_KERNEL_DECAY``, or
+    at ``-depth`` (where the semigroup factor has, see :func:`_kernel_depth`)
+    when that is nearer or the power is not positive.  On the right
+    ``r^alpha e^-r`` (``k = -1``) ends at :func:`_upper_cutoff`, and the Taylor
+    tail ``F_k(r) ~ r^k`` (``k >= 0``, needing ``alpha + k < 0``) where
+    ``r^{alpha+k}`` has decayed.
     """
-    lam = gen.eigenvalues
-    coords = gen.eigvecs_inv @ u
-    return (lam if lam.imag.any() else lam.real), (coords if coords.imag.any() else coords.real)
-
-
-def _semigroup_modes(ts, lam, coords):
-    """``e^{t_j L} u`` in eigencoordinates: ``e^{t_j lam} c``, shape ``(len(ts), dim)``."""
-    return np.exp(np.multiply.outer(ts, lam)) * coords
-
-
-def _moment_window(gen, order, powers, y):
-    """Log-axis window outside which every moment integrand is below ~1e-22."""
-    hi = np.log(_upper_cutoff(order.s + max(powers)))
-    lo = min(55.0 / (order.s + min(powers)), _kernel_depth(gen, y))
+    left = np.min(alphas) + k + 1
+    lo = min(depth, _KERNEL_DECAY / left) if left > 0 else depth
+    top = np.max(alphas)
+    hi = np.log(_upper_cutoff(top)) if k < 0 else _KERNEL_DECAY / -(top + k)
     return -float(lo), float(hi)
+
+
+def _subordinate(gen, lam, rows, alphas, y, quad, name, k=-1, offsets=0.0):
+    """``int_0^inf F_k(r) r^{alpha_i} e^{(y^2/(4r)) lam} row_i dr/r`` per mode, for every ``i``.
+
+    ``rows`` holds eigencoordinate rows, one per ``alpha_i`` or a single row
+    shared by all; the result stays in eigencoordinates, shape
+    ``(len(alphas), dim)``, for the caller to map back with ``V`` once.  The
+    trapezoid rule runs on ``x = log r`` over :func:`_log_window`.  Row
+    scales ``e^{offsets_i}`` enter the exponent of the weight: at tiny ``y``
+    the left window edge sits at ``r ~ y^2``, where ``r^alpha`` alone
+    overflows for ``alpha < 0`` although its product with the scale is
+    moderate.
+    """
+    alphas = np.array(alphas, dtype=float, ndmin=1)
+    c_val = y * y / 4.0
+
+    def g(x):
+        r = np.exp(x)
+        expo = np.multiply.outer(x, alphas) + offsets
+        weight = np.exp(expo - r[:, None]) if k < 0 else exp_tail(k, r)[:, None] * np.exp(expo)
+        states = np.exp(np.multiply.outer(c_val / r, lam))
+        # the real factors meet first and the (often complex) rows last, unless
+        # one row is shared by several alphas: then it scales the semigroup once
+        if len(rows) < len(alphas):
+            return weight[:, :, None] * (states * rows)[:, None, :]
+        return weight[:, :, None] * states[:, None, :] * rows
+
+    lo, hi = _log_window(alphas, k, _kernel_depth(gen, y))
+    h0 = min(0.5, max(hi - lo, 1.0) / max(quad.nodes, 16))
+    return trapezoid_refine(g, lo, hi, quad.tol, h0=h0, name=name)
 
 
 def _semigroup_moments(gen, order, u, y, quad, powers):
     """Moments ``M_b = int r^{s-1+b} e^-r e^{(y^2/(4r))L} u dr`` on a shared rule.
 
-    Returns ``{b: vector}``.  The left window cutoff exploits the semigroup
-    decay ``e^{-a_min y^2/(4r)}``; the rule is refined, in eigencoordinates,
-    until all requested moments are stable to ``quad.tol``, and ``V`` maps
-    the finished moments back.
+    Returns ``{b: vector}``; the rule is refined, in eigencoordinates, until
+    all requested moments are stable to ``quad.tol``, and ``V`` maps the
+    finished moments back.
     """
     powers = sorted(set(int(b) for b in powers))
-    lo, hi = _moment_window(gen, order, powers, y)
-    exps = np.array([order.s + b for b in powers])
-    lam, coords = _modes(gen, u)
-
-    def g(x):
-        r = np.exp(x)
-        states = _semigroup_modes(y * y / (4.0 * r), lam, coords)
-        weight = np.exp(-r[:, None] + np.multiply.outer(x, exps))
-        return weight[:, :, None] * states[:, None, :]
-
-    h0 = min(0.5, max(hi - lo, 1.0) / max(quad.nodes, 16))
-    stacked = trapezoid_refine(g, lo, hi, quad.tol, h0=h0, name="subordination moments")
+    lam, coords = gen._modes(u)
+    alphas = [order.s + b for b in powers]
+    stacked = _subordinate(gen, lam, coords[None, :], alphas, y, quad, "subordination moments")
     stacked = stacked @ gen.eigvecs.T
     return {b: stacked[i] for i, b in enumerate(powers)}
 
@@ -342,15 +369,11 @@ def _eval_chains(gen, order, u, parts, y, quad):
     Per mode every chain term is a scalar multiple of ``I_j``, so the terms
     sharing a ``j`` collapse into one factor ``y^{p_j} sum w_i lam^{k_i}
     coeff y^{p - p_j}``, with ``p_j`` the smallest ``p`` paired with ``j``,
-    and each distinct ``j`` is one integral.  All of them run on one rule in
-    eigencoordinates; the window ends where the semigroup of the slowest mode
-    has decayed (left) and where ``r^s e^-r`` has (right), and ``V`` maps the
-    finished sum back once.  The scale ``y^{p_j}`` enters the exponent of the
-    weight ``r^{s-j} e^-r``: at tiny ``y`` the left window edge sits at
-    ``r ~ y^2``, where ``r^{s-j}`` alone overflows for ``j > s`` although
-    its product with ``y^{p_j}`` is moderate.
+    and each distinct ``j`` is one integral, with weight ``r^{s-j} e^-r`` and
+    the scale ``y^{p_j}`` folded into its exponent.  All of them run on one
+    rule in eigencoordinates, and ``V`` maps the finished sum back once.
     """
-    lam, coords = _modes(gen, u)
+    lam, coords = gen._modes(u)
     lowest = {}
     for _, _, chain in parts:
         for p, j in chain:
@@ -361,19 +384,10 @@ def _eval_chains(gen, order, u, parts, y, quad):
             factors[j] = factors.get(j, 0.0) + (w * c * y ** (p - lowest[j])) * lam**k
     js = sorted(factors)
     rows = np.array([factors[j] * lam**j * coords for j in js])
-    exps = order.s - np.array(js, dtype=float)
+    alphas = order.s - np.array(js, dtype=float)
     offsets = np.log(y) * np.array([lowest[j] for j in js], dtype=float)
-    c_val = y * y / 4.0
-
-    def g(x):
-        r = np.exp(x)
-        weight = np.exp(np.multiply.outer(x, exps) + offsets - r[:, None])
-        states = np.exp(np.multiply.outer(c_val / r, lam))
-        return weight[:, :, None] * states[:, None, :] * rows
-
-    lo, hi = -_kernel_depth(gen, y), float(np.log(_upper_cutoff(order.s)))
-    h0 = min(0.5, max(hi - lo, 1.0) / max(quad.nodes, 16))
-    stacked = trapezoid_refine(g, lo, hi, quad.tol, h0=h0, name="semigroup-chain integrals")
+    stacked = _subordinate(gen, lam, rows, alphas, y, quad, "semigroup-chain integrals",
+                           offsets=offsets)
     return gen.eigvecs @ stacked.sum(axis=0) / gamma(order.s)
 
 
@@ -396,30 +410,19 @@ def _operator_parts(m, a):
 
 
 def _explicit_radial(gen, order, u, m, y, quad):
-    """``(2/y d/dy)^m U`` through the representation driven by ``f = (-L)^s u``."""
-    s, n = order.s, order.n
-    sig = order.sigma
-    lam, coords = _modes(gen, u)
+    """``(2/y d/dy)^m U`` through the representation driven by ``f = (-L)^s u``.
+
+    The polynomial part :func:`explicit_poly_part` plus the Taylor-tail
+    integral ``int F_{[s]-m}(r) r^{m-s} e^{(y^2/(4r))L} f dr/r``.
+    """
+    s = order.s
+    lam, coords = gen._modes(u)
     f_coords = np.exp(s * np.log(-lam)) * coords  # f = (-L)^s u, as in Generator.frac_power
-    poly = explicit_poly_part(gen, order, u, m, n, y * y / 4.0)
-    tail_index = n - m
-
-    def g(x):
-        r = np.exp(x)
-        states = _semigroup_modes(y * y / (4.0 * r), lam, f_coords)
-        weight = exp_tail(tail_index, r) * np.exp(-(s - m) * x)
-        return weight[:, None] * states
-
-    if tail_index >= 0:
-        hi = 52.0 / sig
-    else:
-        hi = float(np.log(60.0))
-    lo = -min(52.0 / (1.0 - sig), _kernel_depth(gen, y))
-    h0 = min(0.5, max(hi - lo, 1.0) / max(quad.nodes, 16))
-    integral = gen.eigvecs @ trapezoid_refine(
-        g, lo, hi, quad.tol, h0=h0, name="explicit radial tail"
-    )
+    poly = explicit_poly_part(gen, order, u, m, order.n, y * y / 4.0)
+    tail = _subordinate(gen, lam, f_coords[None, :], m - s, y, quad, "explicit radial tail",
+                        k=order.n - m)
     sign = (-1.0) ** m
+    integral = gen.eigvecs @ tail[0]
     return sign * poly + sign * y ** (2.0 * (s - m)) / (4.0 ** (s - m) * gamma(s)) * integral
 
 
@@ -430,8 +433,12 @@ def radial_power(gen: Generator, s, u, m, y, quad=None, mode="from_u"):
     integral, where it becomes the single bare-semigroup integral ``I_m``
     (accurate from tiny to large ``y``); ``mode='from_f'`` uses the
     closed-form representation through ``f = (-L)^s u`` (polynomial part plus
-    a Taylor-tail-weighted semigroup integral), which loses digits to that
-    polynomial once ``y^2 ||L||`` is large.  The two must agree.
+    a Taylor-tail-weighted semigroup integral) and is a small-``y``
+    cross-check only: the polynomial part cancels against the integral once
+    ``y^2 ||L||`` is large, and about ``10-20 eps ||poly|| / ||result||`` of
+    relative accuracy is lost, silently (on a 256-point Laplacian at
+    ``s = 2.7``: ~5e-10 at ``y = 0.05``, ~1e-5 at ``y = 0.5``).  The two
+    must agree where ``from_f`` is accurate.
     """
     order = as_order(s)
     quad = quad or QuadratureSpec()
@@ -494,13 +501,18 @@ def extension_operator_power(gen: Generator, s, u, m, y, quad=None, a=None):
     return _eval_chains(gen, order, u, _operator_parts(m, a), y, quad)
 
 
-def extend_explicit(gen: Generator, s, u, y, quad=None, form="r"):
+def extend_explicit(gen: Generator, s, u, y, quad=None):
     """``U(y)`` through the explicit representation driven by ``f = (-L)^s u``.
 
-    ``form='r'`` evaluates the ``r = y^2/(4t)``-substituted line (the default
-    and the accurate one); ``form='t'`` evaluates the original ``t``-line and
-    exists as a cross-check of the substitution.  ``y = 0`` returns ``u``:
-    every other term carries a positive power of ``y``.
+    The polynomial part ``sum_{k <= [s]} ((-y^2/4)^k / k!) (Gamma(s-k)/Gamma(s))
+    (-L)^k u`` plus the Taylor-tail integral over ``r = y^2/(4t)``
+    (``radial_power(..., mode='from_f')`` at ``m = 0``).  In ``log t`` the
+    original ``t``-line is the same integrand mirrored, ``log t = log(y^2/4) -
+    log r``, so it is not evaluated separately.  A small-``y`` cross-check of
+    :func:`extend_subordination`: the polynomial part cancels against the
+    integral as ``y^2 ||L||`` grows, and about ``10-20 eps`` times its size
+    relative to ``U`` is lost, silently.  ``y = 0`` returns ``u``: every
+    other term carries a positive power of ``y``.
     """
     order = as_order(s)
     quad = quad or QuadratureSpec()
@@ -509,31 +521,7 @@ def extend_explicit(gen: Generator, s, u, y, quad=None, form="r"):
         raise ValueError(f"extension variable must be nonnegative, got {y}")
     if y == 0:
         return u.copy()
-    if form == "r":
-        return _explicit_radial(gen, order, u, 0, y, quad)
-    if form != "t":
-        raise ValueError(f"unknown form {form!r}; use 'r' or 't'")
-    s_val, n = order.s, order.n
-    sig = order.sigma
-    lam, coords = _modes(gen, u)
-    f_coords = np.exp(s_val * np.log(-lam)) * coords
-    poly = explicit_poly_part(gen, order, u, 0, n, y * y / 4.0)
-    c = y * y / 4.0
-    a_min = float((-gen.eigenvalues).real.min())
-
-    def g(x):
-        t = np.exp(x)
-        states = _semigroup_modes(t, lam, f_coords)
-        weight = exp_tail(n, c / t) * np.exp(s_val * x)
-        return weight[:, None] * states
-
-    hi = np.log(60.0 / a_min) + 1.0
-    lo = -(54.0 + n * abs(np.log(c))) / sig
-    h0 = min(0.5, max(hi - lo, 1.0) / max(quad.nodes, 16))
-    integral = gen.eigvecs @ trapezoid_refine(
-        g, lo, hi, quad.tol, h0=h0, name="explicit t-form tail"
-    )
-    return poly + integral / gamma(s_val)
+    return _explicit_radial(gen, order, u, 0, y, quad)
 
 
 # -- identities and residuals --------------------------------------------------------
@@ -543,7 +531,8 @@ def normalization_check(s, y, quad=None):
     """Quadrature value of ``(1/(4^s Gamma(s))) int y^{2s} e^{-y^2/(4t)} t^{-1-s} dt``.
 
     Evaluated in the ``t``-form (the ``r``-form reduces to the Laguerre weight
-    normalization and would be vacuous); the exact value is 1 for every
+    normalization and would be vacuous) on the mirror ``log(y^2/4) - x`` of
+    the ``r``-window of ``r^s e^-r``; the exact value is 1 for every
     ``(s, y)``.
     """
     order = as_order(s)
@@ -556,8 +545,8 @@ def normalization_check(s, y, quad=None):
     def g(x):
         return np.exp(-c * np.exp(-x) - s_val * x)
 
-    lo = np.log(c / 55.0) - 1.0
-    hi = 56.0 / s_val + abs(np.log(c)) + 2.0
+    r_lo, r_hi = _log_window(s_val, -1)
+    lo, hi = np.log(c) - r_hi, np.log(c) - r_lo
     h0 = min(0.25, max(hi - lo, 1.0) / max(quad.nodes, 16))
     integral = trapezoid_refine(g, lo, hi, quad.tol, h0=h0, name="normalization")
     return float(y ** (2.0 * s_val) / (4.0**s_val * gamma(s_val)) * integral)

@@ -271,20 +271,17 @@ def c_constant_expsum(s, k, quad=None):
     ``int_0^inf F_n(r) r^{-1-s} dr``, evaluated on the log axis where the
     integrand decays exponentially both ways.
     """
-    from .extension import exp_tail
+    from .extension import _log_window, exp_tail
 
     order = as_order(s)
     k = _check_bbw_exponent(order, k)
     quad = quad or QuadratureSpec()
     s_val, n = order.s, order.n
-    sig = order.sigma
 
     def g(x):
         return exp_tail(n, np.exp(x)) * np.exp(-s_val * x)
 
-    universal = trapezoid_refine(
-        g, -50.0 / (1.0 - sig), 50.0 / sig, quad.tol, name="c(s,k) universal"
-    )
+    universal = trapezoid_refine(g, *_log_window(-s_val, n), quad.tol, name="c(s,k) universal")
     weights = sum(comb(k, j) * (-1.0) ** (k - j) * j**s_val for j in range(1, k + 1))
     return float(universal * weights)
 
@@ -338,10 +335,7 @@ def bbw_frac_power(gen: Generator, s, k, u, quad=None, eps0=None, levels=13,
     if eps0 is None:
         eps0 = min(0.1, 1.0 / gen.norm2)
     s_val = order.s
-    lam = gen.eigenvalues
-    if not lam.imag.any():
-        lam = lam.real  # a real spectrum (every Hermitian L): real expm1 is several times cheaper
-    coords = gen.eigvecs_inv @ u
+    lam, coords = gen._modes(u)  # on a real spectrum a real expm1 is several times cheaper
 
     def expm1_power(ts):
         # (e^{t lam} - 1)^k by products: pow() of a negative real base is slow

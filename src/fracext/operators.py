@@ -191,6 +191,17 @@ class Generator:
             )
         return vec
 
+    def _modes(self, u):
+        """Eigenvalues ``lam`` and eigencoordinates ``c = V^{-1} u``.
+
+        Each comes back real when it has no imaginary part (every Hermitian
+        ``L`` has a real spectrum), so per-mode integrands run in real
+        arithmetic wherever they can.
+        """
+        lam = self.eigenvalues
+        coords = self.eigvecs_inv @ u
+        return (lam if lam.imag.any() else lam.real), (coords if coords.imag.any() else coords.real)
+
     def spectral_apply(self, fvals, u):
         """Apply ``V diag(fvals) V^{-1}`` to ``u``."""
         u = self._check_vector(u)

@@ -95,7 +95,13 @@ def tanh_sinh_rule(h, tmax=4.0):
 
 
 def _norm(value):
-    return float(np.linalg.norm(np.atleast_1d(value)))
+    """2-norm, scaled by the largest magnitude so that squaring cannot overflow."""
+    size = np.abs(value).ravel()
+    peak = size.max()
+    if not 0.0 < peak < np.inf:
+        return float(peak)
+    size = size / peak
+    return float(peak * np.sqrt(size @ size))
 
 
 _EPS = float(np.finfo(float).eps)

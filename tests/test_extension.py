@@ -19,7 +19,7 @@ from fracext import (
     y_derivative,
     y_derivatives_upto,
 )
-from fracext.extension import KernelDerivative, extension_operator_power
+from fracext.extension import KernelDerivative, _log_window, extension_operator_power
 
 from conftest import relerr
 
@@ -63,6 +63,38 @@ class TestExpTail:
         r = 1e-5
         two_terms = (-r) ** 4 / factorial(4) + (-r) ** 5 / factorial(5)
         assert abs(exp_tail(3, r) - two_terms) <= 1e-10 * abs(two_terms)
+
+
+def _log_weight(k, alpha, x):
+    """``log |F_k(e^x) e^{alpha x}|`` in high precision, at any ``x``."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        x = mpmath.mpf(x)
+        r = mpmath.exp(x)
+        if k < 0:
+            tail = mpmath.exp(-r)
+        elif r <= 1:
+            tail = sum((-r) ** j / mpmath.factorial(j) for j in range(k + 1, k + 40))
+        else:
+            tail = mpmath.exp(-r) - sum((-r) ** j / mpmath.factorial(j) for j in range(k + 1))
+        return float(mpmath.log(abs(tail)) + alpha * x)
+
+
+@pytest.mark.parametrize("k", (-1, 0, 1, 2))
+def test_log_window_edges_sit_on_the_weight_envelope(k):
+    """At each finite window edge the weight ``F_k(e^x) e^{alpha x}`` is <= 1e-23 of its peak."""
+    if k < 0:
+        alphas = np.linspace(-2.9, 7.9, 28)
+    else:
+        alphas = -k - np.array([1.9, 1.5, 1.1, 0.9, 0.7, 0.5, 0.3, 0.1, 0.02])
+    for alpha in alphas:
+        lo, hi = _log_window(alpha, k)
+        x = np.linspace(max(lo, -60.0), min(hi, 60.0), 4001)
+        peak = np.max(np.log(np.abs(exp_tail(k, np.exp(x)))) + alpha * x)
+        for edge in (lo, hi):
+            if np.isfinite(edge):
+                assert _log_weight(k, alpha, edge) - peak <= np.log(1e-23), (alpha, edge)
 
 
 class TestPolyPart:
@@ -139,14 +171,6 @@ class TestExplicit:
             got = extend_explicit(gen, 2.5, u, y)
             ref = extend_subordination(gen, 2.5, u, y)
             assert relerr(got, ref) <= 1e-8
-
-    def test_t_form_cross_checks_r_form(self, diag_gen):
-        u = np.array([1.0, 0.5], dtype=complex)
-        for s in (0.5, 2.5):
-            for y in (0.3, 1.0):
-                r_form = extend_explicit(diag_gen, s, u, y, form="r")
-                t_form = extend_explicit(diag_gen, s, u, y, form="t")
-                assert relerr(t_form, r_form) <= 1e-8
 
 
 class TestKernelDerivative:
