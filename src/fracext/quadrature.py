@@ -9,11 +9,14 @@ Two rule families cover every adaptive integral in the package:
 * trapezoid rules on the log axis, whose transformed integrands decay
   exponentially (or double-exponentially) in both directions.
 
-Every adaptive rule feeds one driver, :func:`refine`, which compares
-successive levels and stops at the requested tolerance or at the roundoff
-floor set by the integrand's L1 mass.  Summation order over nodes is fixed,
-so results are deterministic for a fixed :class:`QuadratureSpec`.  Failure
-to meet the tolerance within the level budget raises
+Both rule families are nested: halving the step keeps every node of the
+previous level, so each level evaluates the integrand only at the new nodes
+and adds their weighted sum to half the previous value.  Every node is
+evaluated once.  Every adaptive rule feeds one driver, :func:`refine`, which
+compares successive levels and stops at the requested tolerance or at the
+roundoff floor set by the integrand's L1 mass.  Summation order over nodes
+is fixed, so results are deterministic for a fixed :class:`QuadratureSpec`.
+Failure to meet the tolerance within the level budget raises
 :class:`ConvergenceError` carrying the achieved residual.
 """
 
@@ -72,15 +75,8 @@ def gauss_legendre_rule(n):
     return x, w
 
 
-@lru_cache(maxsize=64)
-def tanh_sinh_rule(h, tmax=4.0):
-    """Endpoint-stable tanh-sinh nodes/weights on ``(0, 1)``.
-
-    Nodes near 0 are computed through ``1/(1 + e^{2z})`` so their distance to
-    the endpoint stays accurate down to ~1e-300; nodes that underflow to the
-    endpoints are dropped (their weights are negligible).
-    """
-    k = np.arange(-int(tmax / h), int(tmax / h) + 1)
+def _tanh_sinh_nodes(k, h):
+    """Nodes/weights of the step-``h`` tanh-sinh rule at the integers ``k``."""
     z = 0.5 * np.pi * np.sinh(k * h)
     x = 1.0 / (1.0 + np.exp(-2.0 * z))
     w = h * (0.25 * np.pi) * np.cosh(k * h) / np.cosh(z) ** 2
@@ -89,6 +85,31 @@ def tanh_sinh_rule(h, tmax=4.0):
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
+
+
+@lru_cache(maxsize=64)
+def tanh_sinh_rule(h, tmax=4.0):
+    """Endpoint-stable tanh-sinh nodes/weights on ``(0, 1)``.
+
+    Nodes near 0 are computed through ``1/(1 + e^{2z})`` so their distance to
+    the endpoint stays accurate down to ~1e-300; nodes that underflow to the
+    endpoints are dropped (their weights are negligible).
+    """
+    top = int(tmax / h)
+    return _tanh_sinh_nodes(np.arange(-top, top + 1), h)
+
+
+@lru_cache(maxsize=64)
+def _tanh_sinh_odd(h, tmax=4.0):
+    """The odd-``k`` part of :func:`tanh_sinh_rule` ``(h, tmax)``.
+
+    Its even-``k`` nodes are those of the step-``2h`` rule (``2k h == k (2h)``
+    exactly) with half their weights, so this part is all a refinement from
+    ``2h`` to ``h`` has to evaluate.
+    """
+    top = int(tmax / h)
+    k = np.arange(-top, top + 1)
+    return _tanh_sinh_nodes(k[k % 2 != 0], h)
 
 
 # -- adaptive drivers ----------------------------------------------------------
@@ -137,9 +158,13 @@ def refine(levels, tol, name):
 
 
 def _weighted_sum(weights, vals):
-    """Rule value and L1 mass of ``vals``, reducing the leading (node) axis."""
-    shaped = weights.reshape((-1,) + (1,) * (vals.ndim - 1))
-    return np.sum(shaped * vals, axis=0), float(np.sum(shaped * np.abs(vals)))
+    """Rule value and L1 mass of ``vals``, reducing the leading (node) axis.
+
+    One matrix-vector product for the value and one ``abs`` pass for the mass.
+    """
+    flat = vals.reshape(len(weights), -1)
+    value = (weights @ flat).reshape(vals.shape[1:])
+    return value[()], float(np.sum(weights @ np.abs(flat)))  # [()]: 0-d -> scalar
 
 
 _UNIT_LEVELS = 6
@@ -153,20 +178,26 @@ def integrate_unit(f, tol, singular_power=0.0, nodes0=64, name="integral"):
     singularity exactly, after which tanh-sinh handles the remaining
     (derivative-level) endpoint behavior.  ``f`` must be vectorized, bounded
     on ``(0, 1]``, and may return arrays of shape ``(len(x), ...)``; the node
-    axis is reduced.  The step halves over at most ``_UNIT_LEVELS`` levels.
+    axis is reduced.  The step halves over at most ``_UNIT_LEVELS`` levels;
+    each level evaluates only the nodes the previous one lacks.
     """
     if singular_power <= -1.0:
         raise ValueError(f"endpoint power must exceed -1, got {singular_power}")
     q = 1.0 / (1.0 + singular_power)
 
+    def part(w_nodes, weights):
+        x = w_nodes**q if q != 1.0 else w_nodes
+        return _weighted_sum(weights, np.asarray(f(x)))
+
     def levels():
         h = min(0.5, 8.0 / max(nodes0, 16))
-        for _ in range(_UNIT_LEVELS):
-            w_nodes, weights = tanh_sinh_rule(h)
-            x = w_nodes**q if q != 1.0 else w_nodes
-            value, mass = _weighted_sum(weights, np.asarray(f(x)))
-            yield q * value, q * mass
+        value, mass = part(*tanh_sinh_rule(h))
+        yield q * value, q * mass
+        for _ in range(_UNIT_LEVELS - 1):
             h *= 0.5
+            new_value, new_mass = part(*_tanh_sinh_odd(h))
+            value, mass = 0.5 * value + new_value, 0.5 * mass + new_mass
+            yield q * value, q * mass
 
     return refine(levels(), tol, f"{name}: tanh-sinh")
 
@@ -176,21 +207,31 @@ def trapezoid_refine(g, lo, hi, tol, h0=0.25, name="integral"):
 
     Intended for integrands that decay (near) to zero at both window edges,
     where the trapezoid rule on an exponentially decaying smooth function
-    converges geometrically in ``1/h``.  The step halves from ``h0`` over at
-    most ``_TRAPEZOID_LEVELS`` levels.
+    converges geometrically in ``1/h``.  The first level spans ``count``
+    steps of ``h0`` from ``lo``, ending within ``h0/2`` of ``hi``; the step
+    then halves over at most ``_TRAPEZOID_LEVELS`` levels, each evaluating
+    only the midpoints of the previous level's intervals.
     """
+    if not (np.isfinite(lo) and np.isfinite(hi) and np.isfinite(h0) and h0 > 0.0):
+        raise ValueError(f"{name}: trapezoid window [{lo}, {hi}] with step {h0} "
+                         "needs finite edges and a positive finite step")
     if hi <= lo:
         raise ValueError(f"empty integration window [{lo}, {hi}]")
 
     def levels():
-        h = h0
-        for _ in range(_TRAPEZOID_LEVELS):
-            x = np.arange(lo, hi + 0.5 * h, h)
-            weights = np.full(x.shape, h)
-            weights[0] *= 0.5
-            weights[-1] *= 0.5
-            yield _weighted_sum(weights, np.asarray(g(x)))
+        n, h = max(int(np.ceil((hi - lo) / h0 - 0.5)), 1), h0
+        weights = np.full(n + 1, h)
+        weights[0] *= 0.5
+        weights[-1] *= 0.5
+        value, mass = _weighted_sum(weights, np.asarray(g(lo + h * np.arange(n + 1))))
+        yield value, mass
+        for _ in range(_TRAPEZOID_LEVELS - 1):
             h *= 0.5
+            mids = lo + h * (2 * np.arange(n) + 1)
+            new_value, new_mass = _weighted_sum(np.full(n, h), np.asarray(g(mids)))
+            value, mass = 0.5 * value + new_value, 0.5 * mass + new_mass
+            n *= 2
+            yield value, mass
 
     return refine(levels(), tol, f"{name}: trapezoid")
 

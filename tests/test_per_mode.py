@@ -256,6 +256,37 @@ def test_radial_power_beyond_squared_norm_range(y):
     assert relerr(got / scale, ref / scale) <= 1e-12
 
 
+@pytest.mark.parametrize("s", S_VALUES)
+def test_radial_power_where_y_squared_underflows(s):
+    """At ``y = 1e-170`` the ``m = [s] + 1`` window has no left edge and is refused by name."""
+    n = int(s)
+    gen = builtin_matrix("laplacian1d:64")
+    u = np.random.default_rng(3).standard_normal(64) + 0j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for m in range(n + 1):
+            assert np.isfinite(radial_power(gen, s, u, m, 1e-170)).all(), m
+        with pytest.raises(ValueError, match="semigroup-chain integrals: trapezoid window"):
+            radial_power(gen, s, u, n + 1, 1e-170)
+
+
+@pytest.mark.parametrize("s", S_VALUES)
+def test_first_derivative_at_small_y(lap, s):
+    """``dU/dy`` from the kernel moments at ``y = 1e-3``, and by the chain route at ``1e-6``.
+
+    The moment combination ``2s M_0 - 2 M_1`` cancels as ``y -> 0`` (~1e-6
+    relative at ``y = 1e-6``, ``s = 2.7``), so tiny ``y`` goes through
+    ``dU/dy = (y/2) (2/y d/dy) U``.
+    """
+    gen, basis, lam, u = lap
+    coords = basis @ u
+    _, deriv = bessel_k_modes(s, lam, 1e-3)
+    assert relerr(y_derivatives_upto(gen, s, u, 1, 1e-3)[1], basis @ (deriv * coords)) <= 1e-10
+    _, deriv = bessel_k_modes(s, lam, 1e-6)
+    chain = 0.5e-6 * radial_power(gen, s, u, 1, 1e-6)
+    assert relerr(chain, basis @ (deriv * coords)) <= 1e-10
+
+
 def test_trace_neumann_raises_no_runtime_warning(lap256):
     gen, _, _, u = lap256
     with warnings.catch_warnings():
