@@ -13,8 +13,15 @@ paths:
   with no inverse and no SVD.
 * Any other ``L``: a general ``eig``, an explicit ``inv(V)`` and a 2-norm SVD.
 
+On either path a real ``L`` (no imaginary part, whatever its dtype) is factored
+in real arithmetic: ``eigh``/``eig``, the reconstruction check and the SVD run
+LAPACK's real drivers, and so does ``inv(V)`` when ``V`` comes back real (a
+real ``L`` with complex-conjugate eigenvalue pairs has a complex ``V``).  The
+stored factors are complex either way.
+
 :meth:`Generator.yosida` builds its regularized generator from the parent's
-``V`` and ``V^{-1}``, so it runs no new eigendecomposition.  Two further
+``V`` and ``V^{-1}``, so it runs no new eigendecomposition; with real ``V``
+and eigenvalues its matrix product and SVD are real.  Two further
 factors are computed on first use and then cached: the complex Schur form
 ``L = Z T Z^H`` that the Balakrishnan resolvents solve against, and the
 semigroup bound ``cond_2(V)``.  All operations are pure functions of this
@@ -50,6 +57,11 @@ def _format_complex(z):
     return f"{z.real:.17g}{z.imag:+.17g}i"
 
 
+def _real_if_real(arr):
+    """``arr`` as a real array when it has no imaginary part, so LAPACK runs its real drivers."""
+    return arr if arr.imag.any() else arr.real.copy()
+
+
 def _check_spectrum(lam):
     if np.any(lam.real >= 0.0):
         worst = lam[np.argmax(lam.real)]
@@ -70,6 +82,9 @@ class Generator:
         residual of ``1e-10``.  A Hermitian ``L`` is factored by ``eigh``
         (``V`` unitary, ``V^{-1} = V^H``, ``norm2 = max|lam|``); any other
         ``L``, near-Hermitian ones included, by ``eig``, ``inv(V)`` and an SVD.
+        A real ``L`` (no imaginary part, whatever its dtype) is factored with
+        real LAPACK calls, ``inv(V)`` whenever ``V`` is real; the results are
+        stored as complex arrays.
 
     Attributes
     ----------
@@ -96,10 +111,10 @@ class Generator:
         mat = np.array(matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"generator matrix must be square, got shape {mat.shape}")
+        mat = _real_if_real(mat)  # a real L runs LAPACK's real drivers
         hermitian = np.array_equal(mat, mat.conj().T)
         if hermitian:
             lam, vecs = np.linalg.eigh(mat)
-            lam = lam.astype(complex)
         else:
             lam, vecs = np.linalg.eig(mat)
         _check_spectrum(lam)
@@ -114,11 +129,14 @@ class Generator:
         self._set_factors(mat, lam, vecs, vecs_inv, hermitian)
 
     def _set_factors(self, mat, lam, vecs, vecs_inv, hermitian):
-        """Store ``L = V diag(lam) V^{-1}`` read-only and compute ``||L||_2``.
+        """Store ``L = V diag(lam) V^{-1}`` as read-only complex arrays and compute ``||L||_2``.
 
-        ``hermitian`` means ``V`` is unitary, so ``L`` is normal and its
-        2-norm is the spectral radius.
+        The arguments may be real; a real ``L`` gets its 2-norm from a real
+        SVD before the complex copies are made.  ``hermitian`` means ``V`` is
+        unitary, so ``L`` is normal and its 2-norm is the spectral radius.
         """
+        self.norm2 = float(np.max(np.abs(lam))) if hermitian else float(np.linalg.norm(mat, 2))
+        mat, lam, vecs, vecs_inv = (np.asarray(arr, dtype=complex) for arr in (mat, lam, vecs, vecs_inv))
         for arr in (mat, lam, vecs, vecs_inv):
             arr.setflags(write=False)
         self.dim = mat.shape[0]
@@ -127,12 +145,14 @@ class Generator:
         self.eigvecs = vecs
         self.eigvecs_inv = vecs_inv
         self._hermitian = hermitian
-        self.norm2 = float(np.max(np.abs(lam))) if hermitian else float(np.linalg.norm(mat, 2))
 
     @cached_property
     def bound_M(self):
         """``cond_2(V)``, a surrogate for ``sup_t ||e^{tL}||``."""
-        return float(np.linalg.norm(self.eigvecs, 2) * np.linalg.norm(self.eigvecs_inv, 2))
+        return float(
+            np.linalg.norm(_real_if_real(self.eigvecs), 2)
+            * np.linalg.norm(_real_if_real(self.eigvecs_inv), 2)
+        )
 
     @cached_property
     def schur(self):
@@ -229,12 +249,20 @@ class Generator:
         return (phases * coords) @ self.eigvecs.T
 
     def resolvent(self, mu, u):
-        """Apply ``(mu I - L)^{-1}`` by a dense solve (``mu`` off the spectrum)."""
+        """Apply ``(mu I - L)^{-1}`` by a dense solve (``mu`` off the spectrum).
+
+        For real ``L`` and real ``mu`` one real LU solves for the real and
+        imaginary parts of ``u`` as two columns; otherwise the solve is complex.
+        """
         u = self._check_vector(u)
         gap = np.min(np.abs(mu - self.eigenvalues))
         if gap < 1e-14 * max(1.0, abs(mu)):
             raise ValueError(f"mu={mu} coincides with an eigenvalue of L")
-        return np.linalg.solve(mu * np.eye(self.dim) - self.matrix, u)
+        if np.imag(mu) or self.matrix.imag.any():
+            return np.linalg.solve(mu * np.eye(self.dim) - self.matrix, u)
+        parts = np.linalg.solve(np.real(mu) * np.eye(self.dim) - self.matrix.real,
+                                np.column_stack((u.real, u.imag)))
+        return parts[:, 0] + 1j * parts[:, 1]
 
     def apply(self, u):
         """Apply ``L`` itself."""
@@ -280,7 +308,8 @@ class Generator:
         a = -self.eigenvalues
         lam = -(a / (1.0 + eps * a))
         _check_spectrum(lam)
-        mat = (self.eigvecs * lam) @ self.eigvecs_inv
+        # Real V and lam give a real product, so _set_factors takes a real SVD.
+        mat = (_real_if_real(self.eigvecs) * _real_if_real(lam)) @ _real_if_real(self.eigvecs_inv)
         # No reconstruction check: mat is built from these very factors.
         reg = Generator.__new__(Generator)
         reg._set_factors(mat, lam, self.eigvecs, self.eigvecs_inv, self._hermitian)

@@ -75,12 +75,22 @@ def gauss_legendre_rule(n):
     return x, w
 
 
+# Nodes closer to 1 than this are dropped: nearer 1 the floats are too coarse
+# to keep neighbouring nodes apart at steps down to h = 1/256.  The dropped
+# weights sum to about this value.
+_NEAR_ONE = 2.0**-49
+
+
 def _tanh_sinh_nodes(k, h):
-    """Nodes/weights of the step-``h`` tanh-sinh rule at the integers ``k``."""
+    """Nodes/weights of the step-``h`` tanh-sinh rule at the integers ``k``.
+
+    Which nodes are kept depends on ``t = k h`` alone, so a rule and its
+    odd-``k`` part drop the same nodes.
+    """
     z = 0.5 * np.pi * np.sinh(k * h)
     x = 1.0 / (1.0 + np.exp(-2.0 * z))
     w = h * (0.25 * np.pi) * np.cosh(k * h) / np.cosh(z) ** 2
-    keep = (x > 0.0) & (x < 1.0) & (w > 1e-300)
+    keep = (x > 0.0) & (x < 1.0 - _NEAR_ONE) & (w > 1e-300)
     x, w = x[keep], w[keep]
     x.setflags(write=False)
     w.setflags(write=False)
@@ -92,8 +102,9 @@ def tanh_sinh_rule(h, tmax=4.0):
     """Endpoint-stable tanh-sinh nodes/weights on ``(0, 1)``.
 
     Nodes near 0 are computed through ``1/(1 + e^{2z})`` so their distance to
-    the endpoint stays accurate down to ~1e-300; nodes that underflow to the
-    endpoints are dropped (their weights are negligible).
+    the endpoint stays accurate down to ~1e-300; nodes that underflow to 0,
+    or lie within ``2^-49`` of 1, where neighbours would round onto each
+    other, are dropped (their weights are negligible).
     """
     top = int(tmax / h)
     return _tanh_sinh_nodes(np.arange(-top, top + 1), h)

@@ -372,3 +372,118 @@ def test_yosida_laplacian_sine_oracle():
         oracle = basis @ (-(mu / (1 + eps * mu)) * (basis @ u))
         assert relerr(reg.matrix @ u, oracle) <= 1e-12
         assert reg.norm2 == np.max(np.abs(reg.eigenvalues))
+
+
+# -- real LAPACK for real generators ---------------------------------------------------
+
+
+def _spy(monkeypatch, *names):
+    """Record ``(name, dtype)`` of the first argument of each named ``np.linalg`` call."""
+    seen = []
+    for name in names:
+        def spy(a, *args, _call=getattr(np.linalg, name), _name=name, **kwargs):
+            seen.append((_name, np.asarray(a).dtype))
+            return _call(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    return seen
+
+
+def _complex_nonnormal(dim, seed):
+    rng = np.random.default_rng(seed)
+    vecs = np.eye(dim) + 0.25 * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    lam = -rng.uniform(0.5, 10.0, dim) + 1j * rng.uniform(-5.0, 5.0, dim)
+    return (vecs * lam) @ np.linalg.inv(vecs)
+
+
+def _rotation_blocks(pairs, seed):
+    """Real ``L`` with eigenvalues ``a_j +- i b_j``: damped 2x2 rotations conjugated by a real ``V``.
+
+    Returns ``L`` and its eigenpairs ``(lam, W)`` built without an eigensolver.
+    """
+    rng = np.random.default_rng(seed)
+    a, b = -rng.uniform(0.5, 10.0, pairs), rng.uniform(0.5, 5.0, pairs)
+    blocks = np.zeros((2 * pairs, 2 * pairs))
+    modes = np.zeros((2 * pairs, 2 * pairs), dtype=complex)
+    lam = np.empty(2 * pairs, dtype=complex)
+    for j in range(pairs):
+        i = 2 * j
+        blocks[i:i + 2, i:i + 2] = [[a[j], b[j]], [-b[j], a[j]]]
+        modes[i:i + 2, i:i + 2] = np.array([[1.0, 1.0], [1j, -1j]]) / np.sqrt(2.0)
+        lam[i:i + 2] = a[j] + 1j * b[j], a[j] - 1j * b[j]
+    vecs = np.eye(2 * pairs) + 0.25 * rng.standard_normal((2 * pairs, 2 * pairs))
+    return vecs @ blocks @ np.linalg.inv(vecs), lam, vecs @ modes
+
+
+@pytest.mark.parametrize("name, calls", [
+    ("random:64:1", {"eig", "inv", "norm"}),
+    ("laplacian1d:64", {"eigh", "norm"}),
+    ("diag-demo", {"eigh", "norm"}),
+])
+def test_real_generators_reach_lapack_as_float64(monkeypatch, name, calls):
+    mat = builtin_matrix(name).matrix
+    seen = _spy(monkeypatch, "eig", "eigh", "inv", "norm")
+    gen = Generator(mat)
+    gen.bound_M, gen.yosida(0.01)
+    assert {call for call, _ in seen} == calls
+    assert all(dtype == np.float64 for _, dtype in seen), seen
+    assert gen.matrix.dtype == gen.eigenvalues.dtype == gen.eigvecs.dtype == complex
+    assert gen.eigvecs_inv.dtype == complex and not gen.eigvecs.flags.writeable
+
+
+@pytest.mark.parametrize("build", [lambda: _complex_nonnormal(16, 40),
+                                   lambda: _complex_hermitian(12, 41)[0]])
+def test_complex_generators_stay_complex(monkeypatch, build):
+    mat = build()
+    seen = _spy(monkeypatch, "eig", "eigh", "inv", "norm")
+    gen = Generator(mat)
+    gen.bound_M, gen.yosida(0.01)
+    assert seen and all(dtype == np.complex128 for _, dtype in seen), seen
+
+
+def test_zero_imaginary_input_factors_bitwise_like_real(tmp_path):
+    gen = builtin_matrix("random:8:3")
+    path = tmp_path / "random8.txt"
+    gen.to_file(path)
+    back = Generator.from_file(path)
+    for attr in ("matrix", "eigenvalues", "eigvecs", "eigvecs_inv"):
+        assert np.array_equal(getattr(back, attr), getattr(gen, attr)), attr
+    assert back.norm2 == gen.norm2 and back.bound_M == gen.bound_M
+
+
+def test_real_generator_with_complex_pairs():
+    mat, lam, modes = _rotation_blocks(6, 42)
+    gen = Generator(mat)
+    assert mat.dtype == np.float64
+    nearest = np.min(np.abs(gen.eigenvalues[:, None] - lam[None, :]), axis=1)
+    assert np.max(nearest) <= 1e-12 * np.max(np.abs(lam))
+    assert gen.eigvecs.imag.any()
+    rng = np.random.default_rng(43)
+    u = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+    coords = np.linalg.solve(modes, u)
+    for s in (0.3, 1.5, -0.7):
+        assert relerr(gen.frac_power(s, u), modes @ ((-lam) ** s * coords)) <= 1e-12
+    for t in (1e-3, 0.1, 2.0):
+        assert relerr(gen.semigroup(t, u), modes @ (np.exp(t * lam) * coords)) <= 1e-12
+    ref = np.linalg.norm(mat.astype(complex), 2)
+    assert abs(gen.norm2 - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("parent", ["random:16:2", "laplacian1d:32"])
+def test_yosida_of_real_parent_is_exactly_real(parent):
+    assert not builtin_matrix(parent).yosida(0.01).matrix.imag.any()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: builtin_matrix("random:16:2").matrix,
+    lambda: _rotation_blocks(8, 45)[0],
+    lambda: _complex_nonnormal(16, 46),
+])
+def test_resolvent_real_and_complex_shifts(build):
+    mat = build()
+    gen = Generator(mat)
+    rng = np.random.default_rng(47)
+    u = rng.standard_normal(gen.dim) + 1j * rng.standard_normal(gen.dim)
+    for mu in (0.5, 50, np.float64(3.0), 5.0 + 5.0j, -2.0 + 0.5j, 2.0 + 0j):
+        ref = np.linalg.solve(mu * np.eye(gen.dim) - gen.matrix, u)
+        assert relerr(gen.resolvent(mu, u), ref) <= 1e-12, mu

@@ -85,10 +85,19 @@ def test_tanh_sinh_odd_part_completes_the_coarser_rule():
         fine_x, fine_w = tanh_sinh_rule(0.5 * h)
         x = np.concatenate([coarse_x, odd_x])
         w = np.concatenate([0.5 * coarse_w, odd_w])
-        # nodes next to 1 can round to equal values, so compare (node, weight) pairs
-        order, fine = np.lexsort((w, x)), np.lexsort((fine_w, fine_x))
-        assert np.array_equal(x[order], fine_x[fine]), h
-        assert np.array_equal(w[order], fine_w[fine]), h
+        order = np.argsort(x)
+        assert np.array_equal(x[order], fine_x), h
+        assert np.array_equal(w[order], fine_w), h
+
+
+def test_tanh_sinh_nodes_strictly_increase():
+    # nodes next to 1 that would round onto a neighbour are dropped, each evaluated once
+    for j in range(3, 9):
+        h = 2.0**-j
+        x, w = tanh_sinh_rule(h)
+        assert np.all(np.diff(x) > 0.0), h
+        assert np.all(np.diff(_tanh_sinh_odd(h)[0]) > 0.0), h
+        assert abs(np.sum(w) - 1.0) <= 1e-14, h
 
 
 def test_trapezoid_levels_evaluate_each_node_once():
