@@ -9,8 +9,7 @@ with method one of ``spectral``, ``balakrishnan``, ``bbw``, ``trace_neumann``,
 ``key = value`` text with ``#`` comments; see ``fracext --help`` for the key
 table and the CSV column layouts.  Exit codes: 0 success, 2 configuration or
 validation error, 3 numerical non-convergence (or a failed verification run).
-
-``FRACEXT_THREADS`` caps worker parallelism in grid evaluations.
+``extend`` evaluates its whole grid in one call, on one semigroup table.
 """
 
 import argparse

@@ -6,63 +6,58 @@
 
 and solves the degenerate second-order ODE ``L U + ((1-2s)/y) U' + U'' = 0``
 together with its higher-order companion.  This module evaluates ``U``, its
-derivatives (by exact symbolic differentiation of the kernel under the
-integral sign), the explicit representation through ``f = (-L)^s u``, the
-radial powers ``(2/y d/dy)^m U``, and the ODE residuals used to validate
-everything.
+plain derivatives ``d^m U/dy^m``, the radial powers ``(2/y d/dy)^m U``, the
+weighted boundary derivatives and the powers of the extension operator, the
+explicit representation through ``f = (-L)^s u``, and the ODE residuals used
+to validate everything.
+
+One calculus, the semigroup chain, moves every ``y``-derivative under the
+integral sign.  With ``d/dt e^{tL} = L e^{tL}`` each differential step maps
+``y^p I_j`` to terms ``y^{p'} I_{j'}`` with ``p' >= 0``, where
+
+    I_j = (1/Gamma(s)) int_0^inf r^{s-1-j} e^-r L^j e^{(y^2/(4r)) L} u dr
+
+integrates the bare semigroup and ``U = I_0``.  So no negative power of ``y``
+and no subtracted Taylor polynomial appears, and the integrals are accurate
+at every ``y``.  (Splitting off the Taylor polynomial of the semigroup, as an
+exact part plus remainder integrals, cancels catastrophically once
+``y^2 ||L||`` is large.)
 
 Every integral here is one subordination integral
 
     int_0^inf F_k(r) r^alpha e^{(y^2/(4r)) L} (.) dr/r,
 
-with ``F_-1(r) = e^-r`` or, for ``k >= 0``, the Taylor tail
-:func:`exp_tail` of ``e^-r``, and one private integrator,
-:func:`_subordinate`, evaluates all of them: a trapezoid rule on ``x = log r``,
-where the integrand decays double-exponentially on the left (through the
-semigroup factor ``e^{-c/r}``) and at least exponentially on the right, so a
-~60-node rule already reaches machine precision.  (A Gauss-Laguerre rule with
-weight ``r^{s-1} e^-r`` would converge poorly: the factor ``e^{-c/r}`` is not
-polynomial-like near ``r = 0``.)  One rule, :func:`_log_window`, reads every
-window off the weight's envelope (``r^{alpha+k+1}`` at ``0``, ``r^alpha e^-r``
-or ``r^{alpha+k}`` at infinity) and the semigroup's decay, with the single
-constant ``_KERNEL_DECAY``.  Integrals over the original ``t = y^2/(4r)``
-line need no rule of their own: in ``log t`` that line is the ``r``-line
-mirrored, ``log t = log(y^2/4) - log r``, so its trapezoid sums the same
-integrand at mirrored nodes.
+with ``F_-1(r) = e^-r`` or, for ``k >= 0``, the Taylor tail :func:`exp_tail`
+of ``e^-r``, and one private integrator, :func:`_subordinate`, evaluates all of
+them by the trapezoid rule on the log axis.  The integrand decays
+double-exponentially as ``r -> 0`` (through the semigroup factor
+``e^{-c/r}``) and at least exponentially as ``r -> inf``, so ~60 nodes already
+reach machine precision.  One rule, :func:`_log_window`, reads every window
+off the weight's envelope (``r^{alpha+k+1}`` at ``0``, ``r^alpha e^-r`` or
+``r^{alpha+k}`` at infinity) and the semigroup's decay, with the single
+constant ``_KERNEL_DECAY``.
 
-Every integrand is linear in ``u`` and ``L = V diag(lam) V^{-1}`` is
-factored once, so the integrands run per mode: on the eigencoordinates
-``c = V^{-1} u`` each node costs ``O(dim)`` (``e^{t lam} c``, in real
-arithmetic when the spectrum is real), the refinement driver sums
-eigencoordinate rows, and ``V`` is applied once to each finished integral.
+The semigroup factor depends on ``r`` and ``y`` only through
+``tau = log(y^2/(4r))``, the log of the semigroup time.  So one table
+``exp(e^tau lam)`` on a ``tau``-lattice serves every ``y`` of a call; the rule
+for each ``y`` is the trapezoid rule on that lattice shifted by
+``log(y^2/4)``, which keeps its geometric convergence (Trefethen & Weideman,
+"The exponentially convergent trapezoidal rule", SIAM Rev. 56, 2014).  Each
+refinement level reduces the weights of every ``y`` and ``alpha`` against
+the table in one matrix product, and each ``y`` stops refining on its own.
+Every public derivative function accepts a scalar ``y`` or a 1-d array of
+them, so a schedule or a profile grid is one call on one table.
 
-Two symbolic calculi drive the derivative machinery, each moving every
-``y``-derivative under the integral sign:
-
-* :class:`KernelDerivative` differentiates the kernel ``y^{2s} e^{-y^2/(4t)}``
-  itself and serves the plain derivatives ``d^m U/dy^m`` (``y_derivative``,
-  ``y_derivatives_upto``, ``build_profile``) through weighted moments of the
-  semigroup.  Those moments carry negative powers of ``y`` that nearly cancel
-  as ``y -> 0``, which plain derivatives tolerate and boundary limits do not.
-* The semigroup chain serves the radial powers ``(2/y d/dy)^m U``, the
-  weighted boundary derivatives and the higher extension operator.  With
-  ``d/dt e^{tL} = L e^{tL}`` each step maps ``y^p I_j`` to terms ``y^{p'}
-  I_{j'}`` with ``p' >= 0``, where ``I_j = (1/Gamma(s)) int r^{s-1-j} e^-r
-  L^j e^{(y^2/(4r))L} u dr`` integrates the bare semigroup; so no negative
-  power of ``y`` and no subtracted Taylor polynomial appears, and the
-  integrals are accurate at every ``y``.  (Splitting off the Taylor
-  polynomial of the semigroup, as an exact part plus remainder integrals,
-  cancels catastrophically once ``y^2 ||L||`` is large.)  The chain does not
-  replace the kernel moments for plain derivatives: up to order
-  ``2([s]+1)`` it needs ``I_j`` with ``j >> s``, whose integrands peak where
-  ``e^{t lam}`` oscillates on complex spectra, and ``build_profile`` on a
-  non-normal ``64 x 64`` complex spectrum ran several times slower through
-  it.
+Every integrand is linear in ``u`` and ``L = V diag(lam) V^{-1}`` is factored
+once, so the integrals run per mode: on the eigencoordinates ``c = V^{-1} u``
+(in real arithmetic when the spectrum is real), with ``V`` applied once to
+each finished integral.  Integrals over the original ``t = y^2/(4r)`` line
+need no rule of their own: in ``log t`` that line is the ``r``-line mirrored,
+so its trapezoid sums the same integrand at mirrored nodes.
 """
 
 import csv
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb
 
@@ -71,14 +66,13 @@ from scipy.special import gamma
 
 from .fracpow import FracOrder, as_order
 from .operators import Generator
-from .quadrature import QuadratureSpec, trapezoid_refine
+from .quadrature import QuadratureSpec, refine, trapezoid_lattice, trapezoid_refine
 
 __all__ = [
     "exp_tail",
     "explicit_poly_part",
     "extend_subordination",
     "extend_explicit",
-    "KernelDerivative",
     "y_derivative",
     "y_derivatives_upto",
     "radial_power",
@@ -202,151 +196,82 @@ def _log_window(alphas, k, depth=np.inf):
     return -float(lo), float(hi)
 
 
-def _subordinate(gen, lam, rows, alphas, y, quad, name, k=-1, offsets=0.0):
-    """``int_0^inf F_k(r) r^{alpha_i} e^{(y^2/(4r)) lam} row_i dr/r`` per mode, for every ``i``.
+def _subordinate(gen, lam, rows, alphas, ys, quad, name, k=-1, offsets=0.0):
+    """``sum_i int F_k(r) r^{alpha_i} e^{(y^2/(4r)) lam} rows[y, o, i] dr/r`` per mode.
 
-    ``rows`` holds eigencoordinate rows, one per ``alpha_i`` or a single row
-    shared by all; the result stays in eigencoordinates, shape
-    ``(len(alphas), dim)``, for the caller to map back with ``V`` once.  The
-    trapezoid rule runs on ``x = log r`` over :func:`_log_window`.  Row
-    scales ``e^{offsets_i}`` enter the exponent of the weight: at tiny ``y``
-    the left window edge sits at ``r ~ y^2``, where ``r^alpha`` alone
-    overflows for ``alpha < 0`` although its product with the scale is
-    moderate.
+    ``rows`` holds eigencoordinate rows, shape ``(len(ys), outputs,
+    len(alphas), dim)``; the result, shape ``(len(ys), outputs, dim)``, stays
+    in eigencoordinates for the caller to map back with ``V`` once.  The
+    semigroup table ``exp(e^tau lam)`` on the lattice ``tau = log(y^2/(4r))``
+    serves every ``y``: the lattice covers the union of the windows
+    :func:`_log_window` gives each ``y`` (mapped to ``tau``) at the finest of
+    their first steps, and each ``y`` weights only the nodes inside its own
+    window.  Per level one matrix product reduces the weights of every open
+    ``(y, alpha)`` against the table's new nodes, and one more their L1 mass;
+    each ``y`` passes the stopping rule of :func:`refine` on its own
+    ``(outputs, dim)`` block.  Scales ``e^{offsets[y, i]}`` enter the exponent
+    of the weight: at tiny ``y`` the left window edge sits at ``r ~ y^2``,
+    where ``r^alpha`` alone overflows for ``alpha < 0`` although its product
+    with the scale is moderate.
     """
     alphas = np.array(alphas, dtype=float, ndmin=1)
-    c_val = y * y / 4.0
+    offsets = np.broadcast_to(offsets, (ys.size, alphas.size))
+    log_c = 2.0 * np.log(ys) - np.log(4.0)  # log(y^2/4), finite where y^2 underflows
+    lo, hi = np.array([_log_window(alphas, k, _kernel_depth(gen, y)) for y in ys]).T
+    step = np.min(np.minimum(0.5, np.maximum(hi - lo, 1.0) / max(quad.nodes, 16)))
+    t_lo, t_hi = log_c - hi, log_c - lo
+    sizes = np.abs(rows).sum(axis=1)  # the mass of every output of a y counts towards its block
 
-    def g(x):
-        r = np.exp(x)
-        expo = np.multiply.outer(x, alphas) + offsets
-        weight = np.exp(expo - r[:, None]) if k < 0 else exp_tail(k, r)[:, None] * np.exp(expo)
-        states = np.exp(np.multiply.outer(c_val / r, lam))
-        # the real factors meet first and the (often complex) rows last, unless
-        # one row is shared by several alphas: then it scales the semigroup once
-        if len(rows) < len(alphas):
-            return weight[:, :, None] * (states * rows)[:, None, :]
-        return weight[:, :, None] * states[:, None, :] * rows
+    def levels():
+        raw = np.zeros((ys.size, alphas.size, lam.size), dtype=lam.dtype)
+        raw_mass = np.zeros(raw.shape)
+        open_ = np.ones(ys.size, dtype=bool)
+        for taus, weights in trapezoid_lattice(t_lo.min(), t_hi.max(), step, name):
+            keep = (taus >= t_lo[open_].min()) & (taus <= t_hi[open_].max())
+            taus, weights = taus[keep], weights[keep]
+            inside = (taus >= t_lo[open_, None]) & (taus <= t_hi[open_, None])
+            x = np.clip(log_c[open_, None] - taus, lo[open_, None], hi[open_, None])[:, None, :]
+            expo = alphas[:, None] * x + offsets[open_, :, None]
+            weight = np.exp(expo - np.exp(x)) if k < 0 else exp_tail(k, np.exp(x)) * np.exp(expo)
+            weight = np.where(inside[:, None, :], weight * weights, 0.0).reshape(-1, taus.size)
+            table = np.exp(np.multiply.outer(np.exp(taus), lam))
+            if np.iscomplexobj(table):  # two real products instead of one complex one
+                new = (weight @ table.view(float)).view(table.dtype)
+                new_mass = np.abs(weight) @ np.abs(table)
+            else:
+                new = weight @ table
+                new_mass = new if k < 0 else np.abs(weight) @ table  # e^-r weights are positive
+            shape = (-1,) + raw.shape[1:]
+            raw[open_] = 0.5 * raw[open_] + new.reshape(shape)
+            raw_mass[open_] = 0.5 * raw_mass[open_] + new_mass.reshape(shape)
+            open_ = yield (rows * raw[:, None]).sum(axis=2), (sizes * raw_mass).sum(axis=(1, 2))
 
-    lo, hi = _log_window(alphas, k, _kernel_depth(gen, y))
-    h0 = min(0.5, max(hi - lo, 1.0) / max(quad.nodes, 16))
-    return trapezoid_refine(g, lo, hi, quad.tol, h0=h0, name=name)
-
-
-def _semigroup_moments(gen, order, u, y, quad, powers):
-    """Moments ``M_b = int r^{s-1+b} e^-r e^{(y^2/(4r))L} u dr`` on a shared rule.
-
-    Returns ``{b: vector}``; the rule is refined, in eigencoordinates, until
-    all requested moments are stable to ``quad.tol``, and ``V`` maps the
-    finished moments back.
-    """
-    powers = sorted(set(int(b) for b in powers))
-    lam, coords = gen._modes(u)
-    alphas = [order.s + b for b in powers]
-    stacked = _subordinate(gen, lam, coords[None, :], alphas, y, quad, "subordination moments")
-    stacked = stacked @ gen.eigvecs.T
-    return {b: stacked[i] for i, b in enumerate(powers)}
-
-
-def extend_subordination(gen: Generator, s, u, y, quad=None):
-    """Evaluate ``U(y)`` by subordination quadrature on the log axis.
-
-    ``y = 0`` returns ``u`` (the continuous boundary value).
-    """
-    order = as_order(s)
-    quad = quad or QuadratureSpec()
-    u = gen._check_vector(u)
-    if y < 0:
-        raise ValueError(f"extension variable must be nonnegative, got {y}")
-    if y == 0:
-        return u.copy()
-    moments = _semigroup_moments(gen, order, u, y, quad, powers=[0])
-    return moments[0] / gamma(order.s)
+    return refine(levels(), quad.tol, f"{name}: trapezoid")
 
 
-# -- exact y-derivatives (kernel calculus) -------------------------------------------
+def _y_grid(y, message, allow_zero=False):
+    """``y`` as a nonempty 1-d float array, and whether it was a scalar."""
+    ys = np.asarray(y, dtype=float)
+    flat = np.atleast_1d(ys)
+    if ys.ndim > 1 or flat.size == 0:
+        raise ValueError(f"y must be a scalar or a nonempty 1-d array, got shape {ys.shape}")
+    bad = flat < 0.0 if allow_zero else flat <= 0.0
+    if bad.any():
+        raise ValueError(f"{message}, got {flat[bad][0]}")
+    return flat, ys.ndim == 0
 
 
-class KernelDerivative:
-    """Exact expansion of ``d^m/dy^m [y^{2s} e^{-y^2/(4t)}]``.
-
-    Terms are kept as a map ``(z, b) -> q`` meaning ``q y^{2s+z} t^{-b}
-    e^{-y^2/(4t)}``; one differentiation maps a term to
-
-        ``(q (2s+z), z-1, b)`` and ``(-q/2, z+1, b+1)``,
-
-    which is the product rule, exactly.  Under the subordination integral each
-    ``t^{-b}`` turns into the moment ``M_b`` with prefactor ``4^b y^{z-2b}``.
-    """
-
-    def __init__(self, s, m):
-        if m < 0:
-            raise ValueError(f"derivative order must be nonnegative, got {m}")
-        self.s = float(s)
-        self.order = int(m)
-        terms = {(0, 0): 1.0}
-        for _ in range(m):
-            new = {}
-            for (z, b), q in terms.items():
-                exp_y = 2.0 * self.s + z
-                if exp_y != 0.0:
-                    key = (z - 1, b)
-                    new[key] = new.get(key, 0.0) + q * exp_y
-                key = (z + 1, b + 1)
-                new[key] = new.get(key, 0.0) - 0.5 * q
-            terms = {key: q for key, q in new.items() if q != 0.0}
-        self.terms = terms
-
-    def moment_powers(self):
-        return sorted({b for (_, b) in self.terms})
-
-    def combine(self, y, moments, gamma_s):
-        """``d^m U / dy^m`` from the moments ``{b: M_b}`` at this ``y``."""
-        total = 0.0
-        for (z, b), q in self.terms.items():
-            total = total + q * 4.0**b * y ** (z - 2 * b) * moments[b]
-        return total / gamma_s
-
-
-def y_derivatives_upto(gen: Generator, s, u, mmax, y, quad=None):
-    """All derivatives ``d^m U/dy^m`` for ``m = 0..mmax`` on one shared rule.
-
-    The kernel moments lose digits as ``y -> 0``: already ``dU/dy`` combines
-    ``2s M_0 - 2 M_1``, whose terms cancel to ``O(y^2)``.  Against the
-    per-mode Bessel-K closed form on ``laplacian1d:64`` at ``s = 2.7`` the
-    first derivative is off by about 2e-6 relative at ``y = 1e-6``, 2e-10 at
-    ``1e-4`` and 1e-12 at ``1e-3``.  For small ``y`` use the chain route
-    ``dU/dy = (y/2) * radial_power(gen, s, u, 1, y)``, which stays near 1e-14.
-    """
-    order = as_order(s)
-    quad = quad or QuadratureSpec()
-    cap = 2 * (order.n + 2)
-    if mmax > cap:
-        raise ValueError(f"derivative order {mmax} above cap {cap} for s={order.s}")
-    if y <= 0:
-        raise ValueError(f"derivatives need y > 0, got {y}")
-    kds = [KernelDerivative(order.s, m) for m in range(mmax + 1)]
-    powers = sorted(set().union(*(kd.moment_powers() for kd in kds)))
-    moments = _semigroup_moments(gen, order, u, y, quad, powers)
-    gamma_s = gamma(order.s)
-    return [kd.combine(y, moments, gamma_s) for kd in kds]
-
-
-def y_derivative(gen: Generator, s, u, m, y, quad=None):
-    """Exact ``m``-th derivative of ``U`` at ``y > 0``."""
-    return y_derivatives_upto(gen, s, u, m, y, quad)[m]
-
-
-# -- semigroup chain calculus ---------------------------------------------------------
+# -- the semigroup chain ----------------------------------------------------------------
 #
 # A chain maps (p, j) -> coeff, meaning
 #
 #     coeff * y^p * I_j,   I_j = (1/Gamma(s)) int_0^inf r^{s-1-j} e^-r L^j e^{(y^2/(4r))L} u dr,
 #
 # and ``U`` itself is {(0, 0): 1}.  Each differential step moves the
-# y-derivative onto the semigroup, d/dy I_j = (y/2) I_{j+1}: the radial step
-# 2/y d/dy maps I_j to I_{j+1}, and the Bessel step (a/y) d/dy + d^2/dy^2
-# keeps p even, so p starts at 0 and never turns negative.
+# y-derivative onto the semigroup, d/dy I_j = (y/2) I_{j+1}: d/dy maps
+# y^p I_j to p y^{p-1} I_j + (1/2) y^{p+1} I_{j+1}, the radial step 2/y d/dy
+# maps I_j to I_{j+1}, and the Bessel step (a/y) d/dy + d^2/dy^2 keeps p even,
+# so p starts at 0 and never turns negative.
 
 
 def _chain_add(terms, key, val):
@@ -371,32 +296,39 @@ def _chain_bessel(chain, a):
     return out
 
 
-def _eval_chains(gen, order, u, parts, y, quad):
-    """``sum_i w_i L^{k_i} chain_i(y)`` for ``parts = [(k_i, w_i, chain_i), ...]``.
+def _eval_chains(gen, order, u, outputs, ys, quad):
+    """``sum_i w_i L^{k_i} chain_i(y)`` for each ``[(k_i, w_i, chain_i), ...]`` in ``outputs``.
 
-    Per mode every chain term is a scalar multiple of ``I_j``, so the terms
-    sharing a ``j`` collapse into one factor ``y^{p_j} sum w_i lam^{k_i}
-    coeff y^{p - p_j}``, with ``p_j`` the smallest ``p`` paired with ``j``,
-    and each distinct ``j`` is one integral, with weight ``r^{s-j} e^-r`` and
-    the scale ``y^{p_j}`` folded into its exponent.  All of them run on one
-    rule in eigencoordinates, and ``V`` maps the finished sum back once.
+    Returns shape ``(len(ys), len(outputs), dim)``.  Per mode every chain term
+    is a scalar multiple of ``I_j``, so in one output the terms sharing a
+    ``j`` collapse into one row ``y^{p_j} sum w_i lam^{k_i} coeff y^{p - p_j}``,
+    with ``p_j`` the smallest ``p`` paired with ``j`` in any output.  Each
+    distinct ``j`` is one integral, with weight ``r^{s-j} e^-r`` and the scale
+    ``y^{p_j}`` folded into its exponent; all of them, for every ``y``, run on
+    one table in eigencoordinates, and ``V`` maps the finished sums back once.
     """
     lam, coords = gen._modes(u)
     lowest = {}
-    for _, _, chain in parts:
-        for p, j in chain:
-            lowest[j] = min(p, lowest.get(j, p))
-    factors = {}
-    for k, w, chain in parts:
-        for (p, j), c in chain.items():
-            factors[j] = factors.get(j, 0.0) + (w * c * y ** (p - lowest[j])) * lam**k
-    js = sorted(factors)
-    rows = np.array([factors[j] * lam**j * coords for j in js])
+    for parts in outputs:
+        for _, _, chain in parts:
+            for p, j in chain:
+                lowest[j] = min(p, lowest.get(j, p))
+    js = sorted(lowest)
+    col = {j: i for i, j in enumerate(js)}
+    rows = np.zeros((ys.size, len(outputs), len(js), lam.size), dtype=np.result_type(lam, coords))
+    for o, parts in enumerate(outputs):
+        for k, w, chain in parts:
+            for (p, j), c in chain.items():
+                rows[:, o, col[j]] += np.multiply.outer(w * c * ys ** (p - lowest[j]), lam**k)
+    rows *= np.array([lam**j for j in js]) * coords
     alphas = order.s - np.array(js, dtype=float)
-    offsets = np.log(y) * np.array([lowest[j] for j in js], dtype=float)
-    stacked = _subordinate(gen, lam, rows, alphas, y, quad, "semigroup-chain integrals",
+    offsets = np.multiply.outer(np.log(ys), [float(lowest[j]) for j in js])
+    stacked = _subordinate(gen, lam, rows, alphas, ys, quad, "semigroup-chain integrals",
                            offsets=offsets)
-    return gen.eigvecs @ stacked.sum(axis=0) / gamma(order.s)
+    return stacked @ gen.eigvecs.T / gamma(order.s)
+
+
+_VALUE = {(0, 0): 1.0}  # U = I_0
 
 
 def _radial_chain(m):
@@ -407,17 +339,65 @@ def _radial_chain(m):
 def _operator_parts(m, a):
     """Terms ``(m-i, comb(m, i), B^i U)`` of ``(L + B)^m U``, ``B = (a/y) d/dy + d^2/dy^2``."""
     parts = []
-    chain = {(0, 0): 1.0}
+    chain = _VALUE
     for i in range(m + 1):
         parts.append((m - i, float(comb(m, i)), chain))
         chain = _chain_bessel(chain, a)
     return parts
 
 
+def extend_subordination(gen: Generator, s, u, y, quad=None):
+    """Evaluate ``U(y)`` by subordination quadrature on the log axis.
+
+    ``y = 0`` returns ``u`` (the continuous boundary value).  An array ``y``
+    returns one row per entry, all from one semigroup table.
+    """
+    order = as_order(s)
+    quad = quad or QuadratureSpec()
+    u = gen._check_vector(u)
+    ys, scalar = _y_grid(y, "extension variable must be nonnegative", allow_zero=True)
+    out = np.empty((ys.size, gen.dim), dtype=complex)
+    inner = ys > 0.0
+    out[~inner] = u
+    if inner.any():
+        out[inner] = _eval_chains(gen, order, u, [[(0, 1.0, _VALUE)]], ys[inner], quad)[:, 0]
+    return out[0] if scalar else out
+
+
+def y_derivatives_upto(gen: Generator, s, u, mmax, y, quad=None):
+    """All derivatives ``d^m U/dy^m`` for ``m = 0..mmax``, shape ``(mmax + 1, dim)``.
+
+    The ``m``-th derivative is the chain :func:`_chain_deriv` applied ``m``
+    times to ``U = I_0``, a sum of ``y^{2j-m} I_j`` with ``m/2 <= j <= m``;
+    every order runs on one semigroup table.  An array ``y`` returns shape
+    ``(len(y), mmax + 1, dim)``.  High orders lose digits where those terms
+    cancel: once ``y^2 ||L||`` reaches ~1e3 on complex spectra (about 6e-11
+    relative for ``d^6 U/dy^6`` at ``y = 5`` on a 32-mode spectrum with
+    ``|lam|`` up to 50), and at tiny ``y`` when ``2s`` is an integer.
+    """
+    order = as_order(s)
+    quad = quad or QuadratureSpec()
+    u = gen._check_vector(u)
+    cap = 2 * (order.n + 2)
+    if not 0 <= mmax <= cap:
+        raise ValueError(f"derivative order {mmax} outside 0..{cap} (the cap for s={order.s})")
+    ys, scalar = _y_grid(y, "derivatives need y > 0")
+    chains = [_VALUE]
+    for _ in range(mmax):
+        chains.append(_chain_deriv(chains[-1]))
+    out = _eval_chains(gen, order, u, [[(0, 1.0, chain)] for chain in chains], ys, quad)
+    return out[0] if scalar else out
+
+
+def y_derivative(gen: Generator, s, u, m, y, quad=None):
+    """Exact ``m``-th derivative of ``U`` at ``y > 0`` (one row per entry of an array ``y``)."""
+    return y_derivatives_upto(gen, s, u, m, y, quad)[..., m, :]
+
+
 # -- radial powers and the explicit representation ----------------------------------
 
 
-def _explicit_radial(gen, order, u, m, y, quad):
+def _explicit_radial(gen, order, u, m, ys, quad):
     """``(2/y d/dy)^m U`` through the representation driven by ``f = (-L)^s u``.
 
     The polynomial part :func:`explicit_poly_part` plus the Taylor-tail
@@ -426,16 +406,15 @@ def _explicit_radial(gen, order, u, m, y, quad):
     s = order.s
     lam, coords = gen._modes(u)
     f_coords = np.exp(s * np.log(-lam)) * coords  # f = (-L)^s u, as in Generator.frac_power
-    poly = explicit_poly_part(gen, order, u, m, order.n, y * y / 4.0)
-    tail = _subordinate(gen, lam, f_coords[None, :], m - s, y, quad, "explicit radial tail",
-                        k=order.n - m)
-    sign = (-1.0) ** m
-    integral = gen.eigvecs @ tail[0]
-    return sign * poly + sign * y ** (2.0 * (s - m)) / (4.0 ** (s - m) * gamma(s)) * integral
+    poly = np.array([explicit_poly_part(gen, order, u, m, order.n, y * y / 4.0) for y in ys])
+    rows = np.broadcast_to(f_coords, (ys.size, 1, 1, lam.size))
+    tail = _subordinate(gen, lam, rows, m - s, ys, quad, "explicit radial tail", k=order.n - m)
+    scale = ys ** (2.0 * (s - m)) / (4.0 ** (s - m) * gamma(s))
+    return (-1.0) ** m * (poly + scale[:, None] * (tail[:, 0] @ gen.eigvecs.T))
 
 
 def radial_power(gen: Generator, s, u, m, y, quad=None, mode="from_u"):
-    """``(2/y d/dy)^m U(y)`` for ``0 <= m <= [s] + 1``.
+    """``(2/y d/dy)^m U(y)`` for ``0 <= m <= [s] + 1``; one row per entry of an array ``y``.
 
     ``mode='from_u'`` pushes the radial composition under the subordination
     integral, where it becomes the single bare-semigroup integral ``I_m``
@@ -453,13 +432,14 @@ def radial_power(gen: Generator, s, u, m, y, quad=None, mode="from_u"):
     u = gen._check_vector(u)
     if not 0 <= m <= order.n + 1:
         raise ValueError(f"radial power {m} outside 0..{order.n + 1} for s={order.s}")
-    if y <= 0:
-        raise ValueError(f"radial powers need y > 0, got {y}")
+    ys, scalar = _y_grid(y, "radial powers need y > 0")
     if mode == "from_u":
-        return _eval_chains(gen, order, u, [(0, 1.0, _radial_chain(m))], y, quad)
-    if mode == "from_f":
-        return _explicit_radial(gen, order, u, m, y, quad)
-    raise ValueError(f"unknown mode {mode!r}; use 'from_u' or 'from_f'")
+        out = _eval_chains(gen, order, u, [[(0, 1.0, _radial_chain(m))]], ys, quad)[:, 0]
+    elif mode == "from_f":
+        out = _explicit_radial(gen, order, u, m, ys, quad)
+    else:
+        raise ValueError(f"unknown mode {mode!r}; use 'from_u' or 'from_f'")
+    return out[0] if scalar else out
 
 
 def weighted_extension_derivative(gen: Generator, s, u, m, y, quad=None, form="radial"):
@@ -468,16 +448,15 @@ def weighted_extension_derivative(gen: Generator, s, u, m, y, quad=None, form="r
     ``G_m`` is ``(2/y d/dy)^m`` for ``form='radial'`` or the full extension
     operator ``(L + (1-2 sigma)/y d/dy + d^2/dy^2)^m`` for ``form='operator'``.
     These are the left-hand sides of the initial-condition tables: zero limits
-    for ``m < [s]`` and the fractional-power trace at ``m = [s]``.
+    for ``m < [s]`` and the fractional-power trace at ``m = [s]``.  An array
+    ``y`` returns one row per entry.
     """
     order = as_order(s)
     quad = quad or QuadratureSpec()
     u = gen._check_vector(u)
     if not 0 <= m <= order.n:
         raise ValueError(f"weighted derivative index {m} outside 0..{order.n}")
-    if y <= 0:
-        raise ValueError(f"weighted derivatives need y > 0, got {y}")
-    weight = y ** (1.0 - 2.0 * order.sigma)
+    ys, scalar = _y_grid(y, "weighted derivatives need y > 0")
     if form == "radial":
         parts = [(0, 1.0, _chain_deriv(_radial_chain(m)))]
     elif form == "operator":
@@ -487,7 +466,9 @@ def weighted_extension_derivative(gen: Generator, s, u, m, y, quad=None, form="r
         ]
     else:
         raise ValueError(f"unknown form {form!r}; use 'radial' or 'operator'")
-    return weight * _eval_chains(gen, order, u, parts, y, quad)
+    weight = ys ** (1.0 - 2.0 * order.sigma)
+    out = weight[:, None] * _eval_chains(gen, order, u, [parts], ys, quad)[:, 0]
+    return out[0] if scalar else out
 
 
 def extension_operator_power(gen: Generator, s, u, m, y, quad=None, a=None):
@@ -495,18 +476,19 @@ def extension_operator_power(gen: Generator, s, u, m, y, quad=None, a=None):
 
     Expanded binomially over the commuting factors ``L`` and the scalar
     differential part; every term is a semigroup-chain integral, and all of
-    them run on one rule with ``L^{m-i}`` applied per mode.
+    them run on one table with ``L^{m-i}`` applied per mode.  An array ``y``
+    returns one row per entry.
     """
     order = as_order(s)
     quad = quad or QuadratureSpec()
     u = gen._check_vector(u)
     if m < 0:
         raise ValueError(f"operator power must be nonnegative, got {m}")
-    if y <= 0:
-        raise ValueError(f"operator powers need y > 0, got {y}")
+    ys, scalar = _y_grid(y, "operator powers need y > 0")
     if a is None:
         a = 1.0 - 2.0 * order.sigma
-    return _eval_chains(gen, order, u, _operator_parts(m, a), y, quad)
+    out = _eval_chains(gen, order, u, [_operator_parts(m, a)], ys, quad)[:, 0]
+    return out[0] if scalar else out
 
 
 def extend_explicit(gen: Generator, s, u, y, quad=None):
@@ -529,7 +511,7 @@ def extend_explicit(gen: Generator, s, u, y, quad=None):
         raise ValueError(f"extension variable must be nonnegative, got {y}")
     if y == 0:
         return u.copy()
-    return _explicit_radial(gen, order, u, 0, y, quad)
+    return _explicit_radial(gen, order, u, 0, np.array([float(y)]), quad)[0]
 
 
 # -- identities and residuals --------------------------------------------------------
@@ -629,23 +611,11 @@ class ExtensionProfile:
                 handle.close()
 
 
-def _worker_count(workers):
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get("FRACEXT_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+def build_profile(gen: Generator, s, u, ygrid, quad=None, max_deriv=None):
+    """``U`` and its derivatives up to ``max_deriv`` (default ``2([s]+1)``) on a grid.
 
-
-def build_profile(gen: Generator, s, u, ygrid, quad=None, max_deriv=None, workers=None):
-    """Evaluate ``U`` and its derivatives on a grid, optionally in parallel.
-
-    Grid entries are independent, so the result is identical for any worker
-    count; ``FRACEXT_THREADS`` caps the pool when ``workers`` is not given.
+    One :func:`y_derivatives_upto` call on the whole grid: every point shares
+    one semigroup table.
     """
     order = as_order(s)
     quad = quad or QuadratureSpec()
@@ -657,17 +627,7 @@ def build_profile(gen: Generator, s, u, ygrid, quad=None, max_deriv=None, worker
         raise ValueError("ygrid must be strictly increasing and positive")
     if max_deriv is None:
         max_deriv = 2 * (order.n + 1)
-
-    def at(y):
-        return y_derivatives_upto(gen, order, u, max_deriv, float(y), quad)
-
-    count = _worker_count(workers)
-    if count == 1:
-        all_derivs = [at(y) for y in ygrid]
-    else:
-        with ThreadPoolExecutor(max_workers=count) as pool:
-            all_derivs = list(pool.map(at, ygrid))
-    values = [d[0] for d in all_derivs]
+    derivs = y_derivatives_upto(gen, order, u, max_deriv, ygrid, quad)
     return ExtensionProfile(
-        ygrid=ygrid, values=values, derivs=all_derivs, order=order, source_u=u
+        ygrid=ygrid, values=list(derivs[:, 0]), derivs=list(derivs), order=order, source_u=u
     )

@@ -23,8 +23,9 @@ stored factors are complex either way.
 ``V`` and ``V^{-1}``, so it runs no new eigendecomposition; with real ``V``
 and eigenvalues its matrix product and SVD are real.  Two further
 factors are computed on first use and then cached: the complex Schur form
-``L = Z T Z^H`` that the Balakrishnan resolvents solve against, and the
-semigroup bound ``cond_2(V)``.  All operations are pure functions of this
+``L = Z T Z^H`` that the Balakrishnan resolvents solve against (for a real
+``L`` made complex from the real Schur form), and the semigroup bound
+``cond_2(V)``.  All operations are pure functions of this
 data and safe to call from multiple threads.
 """
 
@@ -158,11 +159,16 @@ class Generator:
     def schur(self):
         """Read-only complex Schur factors ``(T, Z)``: ``L = Z T Z^H``, ``T`` upper triangular.
 
-        Computed from ``L`` alone, independent of the eigendecomposition.
+        Computed from ``L`` alone, independent of the eigendecomposition.  A
+        real ``L`` takes LAPACK's real Schur form, whose 2x2 blocks
+        ``rsf2csf`` then rotates into the same complex layout.
         """
-        from scipy.linalg import schur  # deferred: importing scipy.linalg is slow
+        from scipy.linalg import rsf2csf, schur  # deferred: importing scipy.linalg is slow
 
-        tri, unitary = schur(self.matrix, output="complex")
+        if self.matrix.imag.any():
+            tri, unitary = schur(self.matrix, output="complex")
+        else:
+            tri, unitary = rsf2csf(*schur(self.matrix.real, output="real"))
         tri.setflags(write=False)
         unitary.setflags(write=False)
         return tri, unitary

@@ -22,6 +22,7 @@ Failure to meet the tolerance within the level budget raises
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -32,6 +33,7 @@ __all__ = [
     "tanh_sinh_rule",
     "integrate_unit",
     "refine",
+    "trapezoid_lattice",
     "trapezoid_refine",
     "richardson_table",
     "richardson",
@@ -150,22 +152,36 @@ def _refine_target(tol, current, mass):
 
 
 def refine(levels, tol, name):
-    """Consume successive ``(value, mass)`` estimates until two agree.
+    """Consume successive ``(values, masses)`` estimates until every block has two that agree.
 
-    ``levels`` yields one estimate per refinement level, coarsest first; the
-    first value whose change from its predecessor meets :func:`_refine_target`
-    is returned.  Running out of levels raises :class:`ConvergenceError` with
-    the last change (``inf`` when fewer than two levels were produced).
+    ``levels`` is a generator that yields, one refinement level at a time and
+    coarsest first, fresh arrays of the values of every block stacked on a
+    leading axis together with one L1 mass per block.  A block is done at the
+    first level whose change from its predecessor meets
+    :func:`_refine_target`, and keeps that level's value.  After each level
+    the generator is sent the mask of the blocks still open, so it may skip
+    the done ones (what it yields for them is ignored).  Running out of
+    levels raises :class:`ConvergenceError` with the largest last change of an
+    open block (``inf`` when fewer than two levels were produced).
     """
-    previous = None
-    achieved = np.inf
-    for current, mass in levels:
-        if previous is not None:
-            achieved = _norm(current - previous)
-            if achieved <= _refine_target(tol, current, mass):
-                return current
-        previous = current
-    raise ConvergenceError(f"{name} refinement stalled", achieved=achieved, required=tol)
+    values, masses = next(levels)
+    result = np.array(values)
+    open_ = np.ones(len(result), dtype=bool)
+    achieved = np.full(len(result), np.inf)
+    while True:
+        previous = values
+        try:
+            values, masses = levels.send(open_.copy())
+        except StopIteration:
+            raise ConvergenceError(f"{name} refinement stalled",
+                                   achieved=float(achieved[open_].max()), required=tol) from None
+        for b in np.flatnonzero(open_):
+            achieved[b] = _norm(values[b] - previous[b])
+            if achieved[b] <= _refine_target(tol, values[b], masses[b]):
+                result[b] = values[b]
+                open_[b] = False
+        if not open_.any():
+            return result
 
 
 def _weighted_sum(weights, vals):
@@ -176,6 +192,18 @@ def _weighted_sum(weights, vals):
     flat = vals.reshape(len(weights), -1)
     value = (weights @ flat).reshape(vals.shape[1:])
     return value[()], float(np.sum(weights @ np.abs(flat)))  # [()]: 0-d -> scalar
+
+
+def _nested(sums, scale=1.0):
+    """Levels of a nested rule for :func:`refine`, from the weighted sums each level adds.
+
+    A level's value is its sum plus half the previous level's value, times
+    ``scale``; the L1 mass likewise.
+    """
+    value = mass = 0.0
+    for new_value, new_mass in sums:
+        value, mass = 0.5 * value + new_value, 0.5 * mass + new_mass
+        yield np.asarray(scale * value)[None], (scale * mass,)
 
 
 _UNIT_LEVELS = 6
@@ -200,17 +228,34 @@ def integrate_unit(f, tol, singular_power=0.0, nodes0=64, name="integral"):
         x = w_nodes**q if q != 1.0 else w_nodes
         return _weighted_sum(weights, np.asarray(f(x)))
 
-    def levels():
-        h = min(0.5, 8.0 / max(nodes0, 16))
-        value, mass = part(*tanh_sinh_rule(h))
-        yield q * value, q * mass
-        for _ in range(_UNIT_LEVELS - 1):
-            h *= 0.5
-            new_value, new_mass = part(*_tanh_sinh_odd(h))
-            value, mass = 0.5 * value + new_value, 0.5 * mass + new_mass
-            yield q * value, q * mass
+    h = min(0.5, 8.0 / max(nodes0, 16))
+    rules = chain([tanh_sinh_rule(h)], (_tanh_sinh_odd(h * 0.5**i) for i in range(1, _UNIT_LEVELS)))
+    return refine(_nested((part(*rule) for rule in rules), q), tol, f"{name}: tanh-sinh")[0]
 
-    return refine(levels(), tol, f"{name}: tanh-sinh")
+
+def trapezoid_lattice(lo, hi, h0, name="integral"):
+    """Nested composite-trapezoid levels on ``[lo, hi]``: the nodes and weights each level adds.
+
+    The first level spans ``count`` steps of ``h0`` from ``lo``, ending within
+    ``h0/2`` of ``hi``, with half weights at both ends; the step then halves
+    over at most ``_TRAPEZOID_LEVELS`` levels, each yielding only the
+    midpoints of the previous level's intervals.  A level's rule value is its
+    weighted sum plus half the previous level's value (see :func:`_nested`).
+    """
+    if not (np.isfinite(lo) and np.isfinite(hi) and np.isfinite(h0) and h0 > 0.0):
+        raise ValueError(f"{name}: trapezoid window [{lo}, {hi}] with step {h0} "
+                         "needs finite edges and a positive finite step")
+    if hi <= lo:
+        raise ValueError(f"empty integration window [{lo}, {hi}]")
+    n, h = max(int(np.ceil((hi - lo) / h0 - 0.5)), 1), h0
+    weights = np.full(n + 1, h)
+    weights[0] *= 0.5
+    weights[-1] *= 0.5
+    yield lo + h * np.arange(n + 1), weights
+    for _ in range(_TRAPEZOID_LEVELS - 1):
+        h *= 0.5
+        yield lo + h * (2 * np.arange(n) + 1), np.full(n, h)
+        n *= 2
 
 
 def trapezoid_refine(g, lo, hi, tol, h0=0.25, name="integral"):
@@ -218,33 +263,12 @@ def trapezoid_refine(g, lo, hi, tol, h0=0.25, name="integral"):
 
     Intended for integrands that decay (near) to zero at both window edges,
     where the trapezoid rule on an exponentially decaying smooth function
-    converges geometrically in ``1/h``.  The first level spans ``count``
-    steps of ``h0`` from ``lo``, ending within ``h0/2`` of ``hi``; the step
-    then halves over at most ``_TRAPEZOID_LEVELS`` levels, each evaluating
-    only the midpoints of the previous level's intervals.
+    converges geometrically in ``1/h``.  The levels are those of
+    :func:`trapezoid_lattice`, so each evaluates ``g`` only at new nodes.
     """
-    if not (np.isfinite(lo) and np.isfinite(hi) and np.isfinite(h0) and h0 > 0.0):
-        raise ValueError(f"{name}: trapezoid window [{lo}, {hi}] with step {h0} "
-                         "needs finite edges and a positive finite step")
-    if hi <= lo:
-        raise ValueError(f"empty integration window [{lo}, {hi}]")
-
-    def levels():
-        n, h = max(int(np.ceil((hi - lo) / h0 - 0.5)), 1), h0
-        weights = np.full(n + 1, h)
-        weights[0] *= 0.5
-        weights[-1] *= 0.5
-        value, mass = _weighted_sum(weights, np.asarray(g(lo + h * np.arange(n + 1))))
-        yield value, mass
-        for _ in range(_TRAPEZOID_LEVELS - 1):
-            h *= 0.5
-            mids = lo + h * (2 * np.arange(n) + 1)
-            new_value, new_mass = _weighted_sum(np.full(n, h), np.asarray(g(mids)))
-            value, mass = 0.5 * value + new_value, 0.5 * mass + new_mass
-            n *= 2
-            yield value, mass
-
-    return refine(levels(), tol, f"{name}: trapezoid")
+    lattice = trapezoid_lattice(lo, hi, h0, name)
+    sums = (_weighted_sum(weights, np.asarray(g(nodes))) for nodes, weights in lattice)
+    return refine(_nested(sums), tol, f"{name}: trapezoid")[0]
 
 
 # -- Richardson extrapolation ----------------------------------------------------

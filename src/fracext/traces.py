@@ -212,10 +212,7 @@ def trace_neumann(gen: Generator, s, u, quad=None, ysched=None, form="radial",
     if ysched is None:
         ysched = default_ysched(neumann_y0(gen))
     ysched, ratio = _check_sched(ysched)
-    raws = [
-        weighted_extension_derivative(gen, order, u, order.n, float(y), quad, form=form)
-        for y in ysched
-    ]
+    raws = weighted_extension_derivative(gen, order, u, order.n, ysched, quad, form=form)
     ladder = _merged_ladder([2.0, 2.0 * (1.0 - order.sigma)], len(ysched) - 1)
     constant = trace_constants(order).c_s
     if form == "operator":
@@ -246,10 +243,8 @@ def trace_incremental(gen: Generator, s, u, quad=None, ysched=None,
         ysched, ratio = _check_sched(
             ysched if ysched is not None else default_ysched(neumann_y0(gen))
         )
-        raws = [
-            (extend_subordination(gen, order, u, float(y), quad) - u) / y ** (2 * s_val)
-            for y in ysched
-        ]
+        values = extend_subordination(gen, order, u, ysched, quad)
+        raws = (values - u) / ysched[:, None] ** (2 * s_val)
         ladder = _merged_ladder([2.0, 2.0 * (1.0 - s_val)], len(ysched) - 1)
         constant = trace_constants(order).c_s / (2.0 * s_val)
         return _finish_estimate(
@@ -259,15 +254,9 @@ def trace_incremental(gen: Generator, s, u, quad=None, ysched=None,
         ysched, ratio = _check_sched(
             ysched if ysched is not None else default_ysched(neumann_y0(gen), count=8)
         )
-        raws = [
-            (
-                extend_subordination(gen, order, u, 2.0 * float(y), quad)
-                - 4.0 * extend_subordination(gen, order, u, float(y), quad)
-                + 3.0 * u
-            )
-            / y ** (2 * s_val)
-            for y in ysched
-        ]
+        both = extend_subordination(gen, order, u, np.concatenate([ysched, 2.0 * ysched]), quad)
+        near, far = np.split(both, 2)  # U(y) and U(2y), from one table
+        raws = (far - 4.0 * near + 3.0 * u) / ysched[:, None] ** (2 * s_val)
         ladder = _merged_ladder([2.0, 4.0 - 2.0 * s_val], len(ysched) - 1)
         constant = d_constant(order)
         return _finish_estimate(
@@ -332,7 +321,7 @@ def initial_condition_suite(gen: Generator, s, u, quad=None, ysched=None,
         expected = _gamma_ratio(s_val, m) * lpow[m]
         scale = max(np.linalg.norm(expected), _TINY)
         ladder = _merged_ladder([2.0, 2.0 * (s_val - m)], count)
-        raws = [radial_power(gen, order, u, m, float(y), quad) for y in ysched]
+        raws = radial_power(gen, order, u, m, ysched, quad)
         est = richardson_table(raws, ladder, ratio)[-1][-1]
         err = float(np.linalg.norm(est - expected) / scale)
         report.lines.append(
@@ -340,9 +329,7 @@ def initial_condition_suite(gen: Generator, s, u, quad=None, ysched=None,
                    "(2/y d/dy)^m U -> G(s-m)/G(s) L^m u")
         )
         factor = factorial(n) / factorial(n - m)
-        raws_op = [
-            extension_operator_power(gen, order, u, m, float(y), quad) for y in ysched
-        ]
+        raws_op = extension_operator_power(gen, order, u, m, ysched, quad)
         est_op = richardson_table(raws_op, ladder, ratio)[-1][-1]
         err_op = float(np.linalg.norm(est_op - factor * expected) / (factor * scale))
         report.lines.append(
@@ -351,10 +338,7 @@ def initial_condition_suite(gen: Generator, s, u, quad=None, ysched=None,
         )
 
     for m in range(n):
-        raws = [
-            weighted_extension_derivative(gen, order, u, m, float(y), quad)
-            for y in ysched
-        ]
+        raws = weighted_extension_derivative(gen, order, u, m, ysched, quad)
         ladder = _merged_ladder([2.0 - 2.0 * sig, 2.0 * (n - m)], count)
         est = richardson_table(raws, ladder, ratio)[-1][-1]
         err = float(np.linalg.norm(est))
@@ -365,10 +349,7 @@ def initial_condition_suite(gen: Generator, s, u, quad=None, ysched=None,
 
     oracle = gen.frac_power(s_val, u)
     c_s = trace_constants(order).c_s
-    raws = [
-        weighted_extension_derivative(gen, order, u, n, float(y), quad)
-        for y in ysched
-    ]
+    raws = weighted_extension_derivative(gen, order, u, n, ysched, quad)
     ladder = _merged_ladder([2.0, 2.0 * (1.0 - sig)], count)
     est = richardson_table(raws, ladder, ratio)[-1][-1] / c_s
     err = float(np.linalg.norm(est - oracle) / max(np.linalg.norm(oracle), _TINY))

@@ -109,6 +109,40 @@ def test_profile_matches_bessel_k_on_nonnormal_complex_spectrum(nonnormal32, s, 
     assert relerr(derivs[1], ref_deriv) <= 1e-9
 
 
+def plain_modes(s, m, lam, y):
+    """Per-mode ``d^m U/dy^m = 2^{1-s}/Gamma(s) sqrt(a)^m d^m/dz^m [z^s K_s(z)]``, ``a = -lam``.
+
+    ``z = sqrt(a) y``.  With ``G_nu = z^nu K_nu``, ``d/dz G_nu = -z G_{nu-1}``
+    (DLMF 10.29.4), so a term ``(p, nu) -> c``, standing for ``c z^p G_nu``,
+    differentiates to ``(p - 1, nu) -> p c`` and ``(p + 1, nu - 1) -> -c``.
+    """
+    root = np.sqrt(-np.asarray(lam, dtype=complex))
+    z = root * y
+    terms = {(0, s): 1.0}
+    for _ in range(m):
+        new = {}
+        for (p, nu), c in terms.items():
+            if p:
+                new[(p - 1, nu)] = new.get((p - 1, nu), 0.0) + p * c
+            new[(p + 1, nu - 1)] = new.get((p + 1, nu - 1), 0.0) - c
+        terms = new
+    total = sum(c * z ** (p + nu) * kv(nu, z) for (p, nu), c in terms.items())
+    return 2.0 ** (1.0 - s) / gamma(s) * root**m * total
+
+
+@pytest.mark.parametrize("s", (1.5, 2.7))
+@pytest.mark.parametrize("y", (0.05, 0.3))
+def test_higher_plain_derivatives_match_bessel_k_on_nonnormal_complex_spectrum(nonnormal32, s, y):
+    """Every order up to ``2([s]+1)``, which ``build_profile`` writes by default."""
+    gen, vecs, lam, u = nonnormal32
+    coords = np.linalg.solve(vecs, u)
+    mmax = 2 * (int(s) + 1)
+    derivs = y_derivatives_upto(gen, s, u, mmax, y)
+    for m in range(mmax + 1):
+        ref = vecs @ (plain_modes(s, m, lam, y) * coords)
+        assert relerr(derivs[m], ref) <= 1e-10, m
+
+
 @pytest.mark.parametrize("s", S_VALUES)
 @pytest.mark.parametrize("y", (0.005, 0.05))
 def test_radial_power_representations_agree_on_stiff_laplacian(lap256, s, y):
@@ -207,6 +241,63 @@ def test_operator_family_matches_bessel_k(lap, s, y):
 
 
 @pytest.mark.parametrize("s", S_VALUES)
+def test_batched_y_matches_bessel_k_row_by_row(lap, s):
+    """One call on the whole ``WIDE_Y`` grid: every row meets the per-mode closed forms."""
+    gen, basis, lam, u = lap
+    coords = basis @ u
+    ys = np.array(WIDE_Y)
+    values = extend_subordination(gen, s, u, ys)
+    derivs = y_derivatives_upto(gen, s, u, 1, ys)
+    radial = [radial_power(gen, s, u, m, ys) for m in range(int(s) + 2)]
+    operator = [extension_operator_power(gen, s, u, m, ys) for m in range(int(s) + 1)]
+    weighted = [weighted_extension_derivative(gen, s, u, m, ys, form="operator")
+                for m in range(int(s) + 1)]
+    for i, y in enumerate(ys):
+        value, deriv = bessel_k_modes(s, lam, y)
+        ref = basis @ (value * coords)
+        assert relerr(values[i], ref) <= 1e-10, y
+        assert relerr(derivs[i, 0], ref) <= 1e-10, y
+        assert relerr(derivs[i, 1], basis @ (deriv * coords)) <= 1e-10, y
+        for m, rows in enumerate(radial):
+            assert relerr(rows[i], basis @ (radial_modes(s, m, lam, y) * coords)) <= 1e-10, (y, m)
+        for m, (op_rows, w_rows) in enumerate(zip(operator, weighted)):
+            ref = basis @ (operator_modes(s, m, lam, y) * coords)
+            assert relerr(op_rows[i], ref) <= 1e-9, (y, m)
+            ref = basis @ (operator_modes(s, m, lam, y, weighted=True) * coords)
+            assert relerr(w_rows[i], ref) <= 1e-9, (y, m)
+
+
+@pytest.mark.parametrize("s", S_VALUES)
+def test_batched_y_rows_match_scalar_calls(nonnormal32, s):
+    """An array ``y`` shares one table, yet each row equals its own scalar call."""
+    gen, _, _, u = nonnormal32
+    n = int(s)
+    ys = np.array([1e-6, 1e-3, 0.05, 0.3, 1.0, 5.0])
+    routes = {
+        "value": lambda y: extend_subordination(gen, s, u, y),
+        "radial": lambda y: radial_power(gen, s, u, n + 1, y),
+        "weighted": lambda y: weighted_extension_derivative(gen, s, u, n, y),
+        # the operator forms and from_f subtract terms far larger than their
+        # result at large y, where rounding alone moves them by more than 1e-12
+        "operator": lambda y: extension_operator_power(gen, s, u, n, y),
+        "from_f": lambda y: radial_power(gen, s, u, n, y, mode="from_f"),
+    }
+    for name, route in routes.items():
+        grid = ys[:3] if name in ("operator", "from_f") else ys
+        rows = route(grid)
+        assert rows.shape == (grid.size, u.size), name
+        for y, row in zip(grid, rows):
+            assert relerr(row, route(float(y))) <= 1e-12, (name, y)
+    # orders above 2 subtract chain terms far larger than their result at y = 1e-6
+    # when 2s is an integer, and at y = 5
+    derivs = y_derivatives_upto(gen, s, u, 2, ys)
+    for y, block in zip(ys, derivs):
+        single = y_derivatives_upto(gen, s, u, 2, float(y))
+        for m in range(3):
+            assert relerr(block[m], single[m]) <= 1e-12, ("derivs", y, m)
+
+
+@pytest.mark.parametrize("s", S_VALUES)
 @pytest.mark.parametrize("y", (1e-60, 1e-100))
 def test_chain_families_at_tiny_y(s, y):
     """At ``y -> 0`` the chain routes reach the initial-condition limits without overflow.
@@ -272,19 +363,12 @@ def test_radial_power_where_y_squared_underflows(s):
 
 @pytest.mark.parametrize("s", S_VALUES)
 def test_first_derivative_at_small_y(lap, s):
-    """``dU/dy`` from the kernel moments at ``y = 1e-3``, and by the chain route at ``1e-6``.
-
-    The moment combination ``2s M_0 - 2 M_1`` cancels as ``y -> 0`` (~1e-6
-    relative at ``y = 1e-6``, ``s = 2.7``), so tiny ``y`` goes through
-    ``dU/dy = (y/2) (2/y d/dy) U``.
-    """
+    """``dU/dy = (y/2) I_1`` stays accurate where a kernel-moment combination would cancel."""
     gen, basis, lam, u = lap
     coords = basis @ u
-    _, deriv = bessel_k_modes(s, lam, 1e-3)
-    assert relerr(y_derivatives_upto(gen, s, u, 1, 1e-3)[1], basis @ (deriv * coords)) <= 1e-10
-    _, deriv = bessel_k_modes(s, lam, 1e-6)
-    chain = 0.5e-6 * radial_power(gen, s, u, 1, 1e-6)
-    assert relerr(chain, basis @ (deriv * coords)) <= 1e-10
+    for y in (1e-3, 1e-6):
+        _, deriv = bessel_k_modes(s, lam, y)
+        assert relerr(y_derivatives_upto(gen, s, u, 1, y)[1], basis @ (deriv * coords)) <= 1e-10, y
 
 
 def test_trace_neumann_raises_no_runtime_warning(lap256):
