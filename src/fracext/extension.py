@@ -44,7 +44,8 @@ for each ``y`` is the trapezoid rule on that lattice shifted by
 ``log(y^2/4)``, which keeps its geometric convergence (Trefethen & Weideman,
 "The exponentially convergent trapezoidal rule", SIAM Rev. 56, 2014).  Each
 refinement level reduces the weights of every ``y`` and ``alpha`` against
-the table in one matrix product, and each ``y`` stops refining on its own.
+the table in one matrix product, each ``y`` stops refining on its own, and
+each mode leaves the table once its changes can no longer matter.
 Every public derivative function accepts a scalar ``y`` or a 1-d array of
 them, so a schedule or a profile grid is one call on one table.
 
@@ -56,7 +57,6 @@ need no rule of their own: in ``log t`` that line is the ``r``-line mirrored,
 so its trapezoid sums the same integrand at mirrored nodes.
 """
 
-import csv
 import os
 from dataclasses import dataclass
 from math import comb
@@ -66,7 +66,14 @@ from scipy.special import gamma
 
 from .fracpow import FracOrder, as_order
 from .operators import Generator
-from .quadrature import QuadratureSpec, refine, trapezoid_lattice, trapezoid_refine
+from .quadrature import (
+    QuadratureSpec,
+    _refine_target,
+    _roundoff_floor,
+    refine,
+    trapezoid_lattice,
+    trapezoid_refine,
+)
 
 __all__ = [
     "exp_tail",
@@ -86,6 +93,12 @@ __all__ = [
 
 _TAIL_TERMS = 26  # where r <= 1 the first omitted tail term is below 1/27! of the first
 _KERNEL_DECAY = 55.0  # windows end where weight or semigroup factor is below e^-55 ~ 1e-24
+# Semigroup factors below e^-600 ~ 3e-261 are set to zero instead of evaluated: they
+# move no sum by more than e^-600 times its L1 mass, far below the eps floor of the
+# stopping rule, and their exponentials and products with the weights would run in
+# the subnormal range, where the arithmetic is several times slower.
+_FACTOR_FLOOR = -600.0
+_MODE_SETTLED = 1e-3  # a mode stops refining once its changes are below this share of the target
 
 
 # -- scalar helpers --------------------------------------------------------------
@@ -209,10 +222,14 @@ def _subordinate(gen, lam, rows, alphas, ys, quad, name, k=-1, offsets=0.0):
     window.  Per level one matrix product reduces the weights of every open
     ``(y, alpha)`` against the table's new nodes, and one more their L1 mass;
     each ``y`` passes the stopping rule of :func:`refine` on its own
-    ``(outputs, dim)`` block.  Scales ``e^{offsets[y, i]}`` enter the exponent
-    of the weight: at tiny ``y`` the left window edge sits at ``r ~ y^2``,
-    where ``r^alpha`` alone overflows for ``alpha < 0`` although its product
-    with the scale is moderate.
+    ``(outputs, dim)`` block.  From the third level on the table holds only
+    the modes that have not settled (:func:`_settled`): the few slowly
+    converging modes of a non-normal complex spectrum no longer pull every
+    mode through the finest levels, so one level more or less costs a few
+    columns instead of doubling the call.  Scales ``e^{offsets[y, i]}``
+    enter the exponent of the weight: at tiny ``y`` the left window edge sits
+    at ``r ~ y^2``, where ``r^alpha`` alone overflows for ``alpha < 0``
+    although its product with the scale is moderate.
     """
     alphas = np.array(alphas, dtype=float, ndmin=1)
     offsets = np.broadcast_to(offsets, (ys.size, alphas.size))
@@ -223,9 +240,11 @@ def _subordinate(gen, lam, rows, alphas, ys, quad, name, k=-1, offsets=0.0):
     sizes = np.abs(rows).sum(axis=1)  # the mass of every output of a y counts towards its block
 
     def levels():
-        raw = np.zeros((ys.size, alphas.size, lam.size), dtype=lam.dtype)
+        raw = np.zeros((ys.size * alphas.size, lam.size), dtype=lam.dtype)  # one row per (y, alpha)
         raw_mass = np.zeros(raw.shape)
         open_ = np.ones(ys.size, dtype=bool)
+        live = np.ones(lam.size, dtype=bool)  # the modes still in the table
+        last = np.inf  # no mode settles on the first level
         for taus, weights in trapezoid_lattice(t_lo.min(), t_hi.max(), step, name):
             keep = (taus >= t_lo[open_].min()) & (taus <= t_hi[open_].max())
             taus, weights = taus[keep], weights[keep]
@@ -234,19 +253,43 @@ def _subordinate(gen, lam, rows, alphas, ys, quad, name, k=-1, offsets=0.0):
             expo = alphas[:, None] * x + offsets[open_, :, None]
             weight = np.exp(expo - np.exp(x)) if k < 0 else exp_tail(k, np.exp(x)) * np.exp(expo)
             weight = np.where(inside[:, None, :], weight * weights, 0.0).reshape(-1, taus.size)
-            table = np.exp(np.multiply.outer(np.exp(taus), lam))
+            arg = np.multiply.outer(np.exp(taus), lam[live])
+            table = np.exp(arg, out=np.zeros_like(arg), where=arg.real > _FACTOR_FLOOR)
             if np.iscomplexobj(table):  # two real products instead of one complex one
                 new = (weight @ table.view(float)).view(table.dtype)
                 new_mass = np.abs(weight) @ np.abs(table)
             else:
                 new = weight @ table
                 new_mass = new if k < 0 else np.abs(weight) @ table  # e^-r weights are positive
-            shape = (-1,) + raw.shape[1:]
-            raw[open_] = 0.5 * raw[open_] + new.reshape(shape)
-            raw_mass[open_] = 0.5 * raw_mass[open_] + new_mass.reshape(shape)
-            open_ = yield (rows * raw[:, None]).sum(axis=2), (sizes * raw_mass).sum(axis=(1, 2))
+            at = np.ix_(np.repeat(open_, alphas.size), live)
+            raw[at] = 0.5 * raw[at] + new
+            raw_mass[at] = 0.5 * raw_mass[at] + new_mass
+            values = np.einsum("yoam,yam->yom", rows, raw.reshape(sizes.shape))
+            mode_masses = (sizes * raw_mass.reshape(sizes.shape)).sum(axis=1)
+            open_ = yield values, mode_masses.sum(axis=1)
+            live &= ~_settled((values - last)[open_], values[open_], mode_masses[open_], quad.tol)
+            last = values
 
     return refine(levels(), quad.tol, f"{name}: trapezoid")
+
+
+def _settled(change, values, mode_masses, tol):
+    """Modes whose last change no further level can matter for, in every block.
+
+    ``change`` and ``values`` have shape ``(blocks, outputs, dim)`` and
+    ``mode_masses`` ``(blocks, dim)``.  A mode is settled in a block when its
+    change is within its own roundoff floor, or below ``_MODE_SETTLED /
+    sqrt(dim)`` of the block's :func:`refine` target: a mode's change shrinks
+    at least geometrically from level to level, so the changes settled modes
+    would still make add up to less than ``_MODE_SETTLED`` of the target, or
+    are rounding noise the target already allows for.  Leaving them at their
+    current values moves no stopping decision.
+    """
+    targets = np.array([_refine_target(tol, v, m) for v, m in zip(values, mode_masses.sum(axis=1))])
+    bound = np.maximum(_MODE_SETTLED / np.sqrt(change.shape[-1]) * targets[:, None],
+                       _roundoff_floor(mode_masses))
+    # 2-norm over the outputs, through hypot: squares of values near 1e200 overflow
+    return (np.hypot.reduce(np.abs(change), axis=1) <= bound).all(axis=0)
 
 
 def _y_grid(y, message, allow_zero=False):
@@ -569,6 +612,18 @@ def pde_residual(gen: Generator, s, u, y, quad=None, kind="second"):
 # -- profiles ---------------------------------------------------------------------
 
 
+def _csv_complex(vectors):
+    """``re,im`` of every entry of ``vectors`` in ``%.17g``, comma-separated.
+
+    One format operation per row instead of one per number.  The profile and
+    trace CSVs write their rows with it, each ended by CR LF as
+    ``csv.writer`` ends them: no field holds a comma or a quote, so the bytes
+    are those ``csv.writer`` wrote.
+    """
+    parts = np.concatenate([np.column_stack((np.real(v), np.imag(v))).ravel() for v in vectors])
+    return ",".join(["%.17g"] * parts.size) % tuple(parts.tolist())
+
+
 @dataclass
 class ExtensionProfile:
     """Values and exact derivatives of ``U`` on an increasing positive grid."""
@@ -592,20 +647,14 @@ class ExtensionProfile:
             dim = self.source_u.size
             nder = len(self.derivs[0]) if self.derivs else 1
             handle.write(f"# s={self.order.s}, dim={dim}\n")
-            writer = csv.writer(handle)
             header = ["y"]
             for m in range(nder):
                 tag = "U" if m == 0 else ("dU" if m == 1 else f"d{m}U")
                 for i in range(1, dim + 1):
                     header += [f"re_{tag}{i}", f"im_{tag}{i}"]
-            writer.writerow(header)
+            handle.write(",".join(header) + "\r\n")
             for j, y in enumerate(self.ygrid):
-                row = [f"{y:.17g}"]
-                for m in range(nder):
-                    vec = self.derivs[j][m]
-                    for z in vec:
-                        row += [f"{z.real:.17g}", f"{z.imag:.17g}"]
-                writer.writerow(row)
+                handle.write(f"{y:.17g},{_csv_complex(self.derivs[j][:nder])}\r\n")
         finally:
             if own:
                 handle.close()

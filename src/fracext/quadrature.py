@@ -141,6 +141,11 @@ def _norm(value):
 _EPS = float(np.finfo(float).eps)
 
 
+def _roundoff_floor(mass):
+    """Change a sum of L1 size ``mass`` can show from rounding alone (elementwise)."""
+    return 32.0 * _EPS * mass
+
+
 def _refine_target(tol, current, mass):
     """Stopping threshold: the requested tolerance, floored by roundoff.
 
@@ -148,7 +153,7 @@ def _refine_target(tol, current, mass):
     integral's value the achievable absolute accuracy is ``eps * mass`` and
     further refinement cannot improve on it.
     """
-    return max(tol * max(1.0, _norm(current)), 32.0 * _EPS * mass)
+    return max(tol * max(1.0, _norm(current)), _roundoff_floor(mass))
 
 
 def refine(levels, tol, name):

@@ -13,7 +13,6 @@ cover ``0 < s < 1`` and ``1 < s < 2``, and the initial-condition suite checks
 the full data tables of the uniqueness problems.
 """
 
-import csv
 import os
 from dataclasses import dataclass, field
 from math import factorial
@@ -22,6 +21,7 @@ import numpy as np
 from scipy.special import gamma
 
 from .extension import (
+    _csv_complex,
     _gamma_ratio,
     extend_subordination,
     extension_operator_power,
@@ -156,21 +156,15 @@ class TraceEstimate:
         scale = self.constant if self.constant else 1.0
         try:
             dim = np.atleast_1d(self.value).size
-            writer = csv.writer(handle)
-            writer.writerow(
-                ["level", "y"]
-                + [f"{part}_{i}" for i in range(1, dim + 1) for part in ("re", "im")]
-                + ["diff_norm"]
-            )
+            header = [f"{part}_{i}" for i in range(1, dim + 1) for part in ("re", "im")]
+            handle.write(",".join(["level", "y", *header, "diff_norm"]) + "\r\n")
             for level, entries in enumerate(self.extrapolant_table):
                 prev = None
                 for i, entry in enumerate(entries):
                     vec = np.atleast_1d(entry) / scale
                     diff = "" if prev is None else f"{np.linalg.norm(vec - prev):.6e}"
-                    row = [level, f"{self.y_sequence[i + level]:.10g}"]
-                    for z in vec:
-                        row += [f"{complex(z).real:.17g}", f"{complex(z).imag:.17g}"]
-                    writer.writerow(row + [diff])
+                    y = f"{self.y_sequence[i + level]:.10g}"
+                    handle.write(f"{level},{y},{_csv_complex([vec])},{diff}\r\n")
                     prev = vec
         finally:
             if own:

@@ -1,3 +1,5 @@
+import csv
+import io
 from math import factorial
 
 import numpy as np
@@ -284,6 +286,23 @@ class TestProfile:
         first = lines[2].split(",")
         assert abs(float(first[0]) - 0.25) < 1e-15
         assert abs(float(first[1]) - profile.values[0][0].real) < 1e-12
+
+    def test_csv_bytes_are_those_of_csv_writer(self, diag_gen):
+        """Rows formatted in one operation each match per-number ``csv.writer`` fields."""
+        u = np.array([1.0, 0.5], dtype=complex)
+        profile = build_profile(diag_gen, 1.5, u, np.array([0.25, 0.5]), max_deriv=2)
+        profile.derivs[0][1] = np.array([complex(-0.0, np.nan), complex(np.inf, 5e-324)])
+        reference = io.StringIO(newline="")
+        reference.write("# s=1.5, dim=2\n")
+        writer = csv.writer(reference)
+        tags = ("U", "dU", "d2U")
+        writer.writerow(["y"] + [f"{p}_{t}{i}" for t in tags for i in (1, 2) for p in ("re", "im")])
+        for y, derivs in zip(profile.ygrid, profile.derivs):
+            numbers = [f"{part:.17g}" for vec in derivs for z in vec for part in (z.real, z.imag)]
+            writer.writerow([f"{y:.17g}"] + numbers)
+        written = io.StringIO(newline="")
+        profile.to_csv(written)
+        assert written.getvalue() == reference.getvalue()
 
     def test_grid_validation(self, diag_gen):
         u = np.ones(2, dtype=complex)

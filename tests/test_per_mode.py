@@ -30,6 +30,7 @@ from fracext import (
     trace_neumann,
     y_derivatives_upto,
 )
+from fracext import extension
 from fracext.cli import builtin_matrix
 from fracext.extension import (
     exp_tail,
@@ -387,6 +388,40 @@ def test_initial_condition_suite_raises_no_runtime_warning():
         warnings.simplefilter("error", RuntimeWarning)
         report = initial_condition_suite(gen, 2.7, u)
     assert report.lines
+
+
+def test_settled_modes_leave_values_unchanged(monkeypatch):
+    """Modes that leave the table change no value beyond the refinement target.
+
+    The spectrum is a lattice with ``|arg(-lam)|`` up to 88 degrees, whose
+    slow modes need the finest levels; the reference keeps every mode in
+    the table, and both sides must agree within the default ``tol = 1e-12``.
+    Settling every mode after two levels (``_MODE_SETTLED = 1e4``) misses
+    that by 5e-12.
+    """
+    rng = np.random.default_rng(7)
+    m = 32
+    cells = (np.arange(m) + 0.5) / m
+    lam = (-10.0 + 9.5 * cells) + 1j * (-20.0 + 40.0 * cells)[(5 * np.arange(m)) % m]
+    vecs = np.eye(m) + 0.25 * (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+    gen = Generator((vecs * lam) @ np.linalg.inv(vecs))
+    u = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    ygrid = np.geomspace(0.05, 2.0, 6)
+    settled = []
+    keep_rule = extension._settled
+
+    def recording(*args):
+        out = keep_rule(*args)
+        settled.append(int(out.sum()))
+        return out
+
+    monkeypatch.setattr(extension, "_settled", recording)
+    got = y_derivatives_upto(gen, 1.5, u, 4, ygrid)
+    assert max(settled) > 0
+    monkeypatch.setattr(extension, "_settled", lambda change, *_: np.zeros(m, dtype=bool))
+    full = y_derivatives_upto(gen, 1.5, u, 4, ygrid)
+    for row, ref in zip(got.reshape(-1, m), full.reshape(-1, m)):
+        assert relerr(row, ref) <= 1e-12
 
 
 def test_extension_never_applies_dense_semigroup(lap256, monkeypatch):

@@ -187,6 +187,30 @@ class TestSerialization:
         assert relerr(vec, est.value) <= 1e-14
         assert any(r["diff_norm"] for r in rows)
 
+    def test_csv_bytes_are_those_of_csv_writer(self, rand8, rand8_u):
+        """Rows formatted in one operation each match per-number ``csv.writer`` fields."""
+        est = trace_neumann(rand8, 1.5, rand8_u)
+        special = [-0.0, -0.0j, 5e-324, -1.5e150, 0.1, 1 / 3, 1e-5, 2j]
+        est.extrapolant_table[0][0] = np.array(special)
+        scale = est.constant if est.constant else 1.0
+        reference = io.StringIO(newline="")
+        writer = csv.writer(reference)
+        parts = [f"{p}_{i}" for i in range(1, rand8_u.size + 1) for p in ("re", "im")]
+        writer.writerow(["level", "y", *parts, "diff_norm"])
+        for level, entries in enumerate(est.extrapolant_table):
+            prev = None
+            for i, entry in enumerate(entries):
+                vec = np.atleast_1d(entry) / scale
+                diff = "" if prev is None else f"{np.linalg.norm(vec - prev):.6e}"
+                row = [level, f"{est.y_sequence[i + level]:.10g}"]
+                for z in vec:
+                    row += [f"{complex(z).real:.17g}", f"{complex(z).imag:.17g}"]
+                writer.writerow(row + [diff])
+                prev = vec
+        written = io.StringIO(newline="")
+        est.to_csv(written)
+        assert written.getvalue() == reference.getvalue()
+
     def test_bbw_estimate_table(self, diag_gen):
         u = np.array([1.0, 1.0], dtype=complex)
         est = bbw_estimate(diag_gen, 1.5, 2, u)
