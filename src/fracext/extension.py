@@ -293,11 +293,13 @@ def _settled(change, values, mode_masses, tol):
 
 
 def _y_grid(y, message, allow_zero=False):
-    """``y`` as a nonempty 1-d float array, and whether it was a scalar."""
+    """``y`` as a nonempty finite 1-d float array, and whether it was a scalar."""
     ys = np.asarray(y, dtype=float)
     flat = np.atleast_1d(ys)
     if ys.ndim > 1 or flat.size == 0:
         raise ValueError(f"y must be a scalar or a nonempty 1-d array, got shape {ys.shape}")
+    if not np.isfinite(flat).all():
+        raise ValueError(f"y must be finite, got {flat[~np.isfinite(flat)][0]}")
     bad = flat < 0.0 if allow_zero else flat <= 0.0
     if bad.any():
         raise ValueError(f"{message}, got {flat[bad][0]}")
@@ -387,6 +389,16 @@ def _operator_parts(m, a):
         parts.append((m - i, float(comb(m, i)), chain))
         chain = _chain_bessel(chain, a)
     return parts
+
+
+def _weighted_parts(order, m, form):
+    """Chain terms of ``d/dy G_m U``, ``G_m`` as in :func:`weighted_extension_derivative`."""
+    if form == "radial":
+        return [(0, 1.0, _chain_deriv(_radial_chain(m)))]
+    if form == "operator":
+        parts = _operator_parts(m, 1.0 - 2.0 * order.sigma)
+        return [(k, w, _chain_deriv(chain)) for k, w, chain in parts]
+    raise ValueError(f"unknown form {form!r}; use 'radial' or 'operator'")
 
 
 def extend_subordination(gen: Generator, s, u, y, quad=None):
@@ -500,15 +512,7 @@ def weighted_extension_derivative(gen: Generator, s, u, m, y, quad=None, form="r
     if not 0 <= m <= order.n:
         raise ValueError(f"weighted derivative index {m} outside 0..{order.n}")
     ys, scalar = _y_grid(y, "weighted derivatives need y > 0")
-    if form == "radial":
-        parts = [(0, 1.0, _chain_deriv(_radial_chain(m)))]
-    elif form == "operator":
-        parts = [
-            (k, w, _chain_deriv(chain))
-            for k, w, chain in _operator_parts(m, 1.0 - 2.0 * order.sigma)
-        ]
-    else:
-        raise ValueError(f"unknown form {form!r}; use 'radial' or 'operator'")
+    parts = _weighted_parts(order, m, form)
     weight = ys ** (1.0 - 2.0 * order.sigma)
     out = weight[:, None] * _eval_chains(gen, order, u, [parts], ys, quad)[:, 0]
     return out[0] if scalar else out
@@ -550,11 +554,10 @@ def extend_explicit(gen: Generator, s, u, y, quad=None):
     order = as_order(s)
     quad = quad or QuadratureSpec()
     u = gen._check_vector(u)
-    if y < 0:
-        raise ValueError(f"extension variable must be nonnegative, got {y}")
-    if y == 0:
+    ys, _ = _y_grid(float(y), "extension variable must be nonnegative", allow_zero=True)
+    if ys[0] == 0:
         return u.copy()
-    return _explicit_radial(gen, order, u, 0, np.array([float(y)]), quad)[0]
+    return _explicit_radial(gen, order, u, 0, ys, quad)[0]
 
 
 # -- identities and residuals --------------------------------------------------------
@@ -570,8 +573,7 @@ def normalization_check(s, y, quad=None):
     """
     order = as_order(s)
     quad = quad or QuadratureSpec()
-    if y <= 0:
-        raise ValueError(f"normalization check needs y > 0, got {y}")
+    _y_grid(float(y), "normalization check needs y > 0")
     s_val = order.s
     c = y * y / 4.0
 

@@ -22,15 +22,17 @@ from scipy.special import gamma
 
 from .extension import (
     _csv_complex,
+    _eval_chains,
     _gamma_ratio,
+    _operator_parts,
+    _radial_chain,
+    _weighted_parts,
     extend_subordination,
-    extension_operator_power,
-    radial_power,
     weighted_extension_derivative,
 )
 from .fracpow import as_order, bbw_frac_power
 from .operators import Generator
-from .quadrature import QuadratureSpec, extrapolation_spread, richardson_table
+from .quadrature import QuadratureSpec, extrapolation_spread, richardson, richardson_table
 
 __all__ = [
     "Constants",
@@ -112,12 +114,19 @@ def neumann_y0(gen: Generator):
 
 def _check_sched(ysched):
     y = np.asarray(ysched, dtype=float)
+    if not np.isfinite(y).all():
+        raise ValueError(f"y-schedule entries must be finite, got {y[~np.isfinite(y)][0]}")
     if y.ndim != 1 or y.size < 2 or np.any(y <= 0) or np.any(np.diff(y) >= 0):
         raise ValueError("y-schedule must be a decreasing positive sequence")
     ratios = y[:-1] / y[1:]
     if np.max(np.abs(ratios - ratios[0])) > 1e-9 * ratios[0]:
         raise ValueError("y-schedule must be geometric")
     return y, float(ratios[0])
+
+
+def _schedule(gen, ysched, count=11):
+    """``ysched``, or ``default_ysched(neumann_y0(gen), count=count)``, checked; and its ratio."""
+    return _check_sched(default_ysched(neumann_y0(gen), count=count) if ysched is None else ysched)
 
 
 def _merged_ladder(families, count):
@@ -203,9 +212,7 @@ def trace_neumann(gen: Generator, s, u, quad=None, ysched=None, form="radial",
     order = as_order(s)
     quad = quad or QuadratureSpec()
     u = gen._check_vector(u)
-    if ysched is None:
-        ysched = default_ysched(neumann_y0(gen))
-    ysched, ratio = _check_sched(ysched)
+    ysched, ratio = _schedule(gen, ysched)
     raws = weighted_extension_derivative(gen, order, u, order.n, ysched, quad, form=form)
     ladder = _merged_ladder([2.0, 2.0 * (1.0 - order.sigma)], len(ysched) - 1)
     constant = trace_constants(order).c_s
@@ -234,9 +241,7 @@ def trace_incremental(gen: Generator, s, u, quad=None, ysched=None,
     s_val = order.s
     oracle = gen.frac_power(s_val, u)
     if order.n == 0:
-        ysched, ratio = _check_sched(
-            ysched if ysched is not None else default_ysched(neumann_y0(gen))
-        )
+        ysched, ratio = _schedule(gen, ysched)
         values = extend_subordination(gen, order, u, ysched, quad)
         raws = (values - u) / ysched[:, None] ** (2 * s_val)
         ladder = _merged_ladder([2.0, 2.0 * (1.0 - s_val)], len(ysched) - 1)
@@ -245,9 +250,7 @@ def trace_incremental(gen: Generator, s, u, quad=None, ysched=None,
             raws, ysched, ratio, ladder, "incremental_s01", constant, oracle, conv_tol
         )
     if order.n == 1:
-        ysched, ratio = _check_sched(
-            ysched if ysched is not None else default_ysched(neumann_y0(gen), count=8)
-        )
+        ysched, ratio = _schedule(gen, ysched, count=8)
         both = extend_subordination(gen, order, u, np.concatenate([ysched, 2.0 * ysched]), quad)
         near, far = np.split(both, 2)  # U(y) and U(2y), from one table
         raws = (far - 4.0 * near + 3.0 * u) / ysched[:, None] ** (2 * s_val)
@@ -292,65 +295,53 @@ def initial_condition_suite(gen: Generator, s, u, quad=None, ysched=None,
     Gamma(s-m)/Gamma(s) L^m u`` and their extension-operator variants, which
     carry the extra factor ``[s]!/([s]-m)!``.  For ``0 <= m < [s]``: the
     weighted-derivative limits vanish.  For ``m = [s]``: the Neumann limit
-    recovers ``c_s (-L)^s u``.  Each line reports its extrapolated error
-    against the stated tolerance.  Without ``ysched`` the schedule is
-    ``default_ysched(neumann_y0(gen))``, so ``y^2 ||L||`` starts small on
-    stiff generators too.
+    recovers ``c_s (-L)^s u``.  Every line is one output of a single chain
+    evaluation, so the whole table runs on one semigroup table.  Each line
+    reports its extrapolated error against the stated tolerance, relative to
+    its own scale: the norm of its limit, or for a vanishing line the norm of
+    ``(-L)^{m+sigma} u``, with which its quantity scales (per mode
+    ``a^{m+sigma}`` times a bounded function of ``y sqrt(a)``, ``a = -lam``).
+    So no verdict depends on the size of ``u`` or ``L``.  Without ``ysched``
+    the schedule is ``default_ysched(neumann_y0(gen))``, so ``y^2 ||L||``
+    starts small on stiff generators too.
     """
     order = as_order(s)
     quad = quad or QuadratureSpec()
     u = gen._check_vector(u)
-    ysched, ratio = _check_sched(
-        ysched if ysched is not None else default_ysched(neumann_y0(gen))
-    )
+    ysched, ratio = _schedule(gen, ysched)
     n, sig, s_val = order.n, order.sigma, order.s
-    count = len(ysched) - 1
-    report = ICReport(s=s_val, tol=tol)
-
-    lpow = [u]
-    for _ in range(n):
-        lpow.append(gen.matrix @ lpow[-1])
-
+    # one chain output and one record (m, kind, limit, scale, ladder families, detail) per line
+    outputs, lines = [], []
+    power = u  # L^m u
     for m in range(n + 1):
-        expected = _gamma_ratio(s_val, m) * lpow[m]
-        scale = max(np.linalg.norm(expected), _TINY)
-        ladder = _merged_ladder([2.0, 2.0 * (s_val - m)], count)
-        raws = radial_power(gen, order, u, m, ysched, quad)
-        est = richardson_table(raws, ladder, ratio)[-1][-1]
-        err = float(np.linalg.norm(est - expected) / scale)
-        report.lines.append(
-            ICLine(m, "radial_value", err, err <= tol,
-                   "(2/y d/dy)^m U -> G(s-m)/G(s) L^m u")
-        )
+        limit = _gamma_ratio(s_val, m) * power
         factor = factorial(n) / factorial(n - m)
-        raws_op = extension_operator_power(gen, order, u, m, ysched, quad)
-        est_op = richardson_table(raws_op, ladder, ratio)[-1][-1]
-        err_op = float(np.linalg.norm(est_op - factor * expected) / (factor * scale))
-        report.lines.append(
-            ICLine(m, "operator_value", err_op, err_op <= tol,
-                   "extension-operator^m U -> [s]!/([s]-m)! times the radial limit")
-        )
+        families = [2.0, 2.0 * (s_val - m)]
+        outputs += [[(0, 1.0, _radial_chain(m))], _operator_parts(m, 1.0 - 2.0 * sig)]
+        lines += [
+            (m, "radial_value", limit, np.linalg.norm(limit), families,
+             "(2/y d/dy)^m U -> G(s-m)/G(s) L^m u"),
+            (m, "operator_value", factor * limit, factor * np.linalg.norm(limit), families,
+             "extension-operator^m U -> [s]!/([s]-m)! times the radial limit"),
+        ]
+        power = gen.matrix @ power
+    for m in range(n):  # the weighted rows, y^{1-2 sig} d/dy (2/y d/dy)^m U, come last
+        outputs.append(_weighted_parts(order, m, "radial"))
+        lines.append((m, "weighted_derivative_zero", 0.0,
+                      np.linalg.norm(gen.frac_power(m + sig, u)),
+                      [2.0 - 2.0 * sig, 2.0 * (n - m)], "y^{1-2sig} d/dy (2/y d/dy)^m U -> 0"))
+    outputs.append(_weighted_parts(order, n, "radial"))
+    neumann = trace_constants(order).c_s * gen.frac_power(s_val, u)
+    lines.append((n, "neumann", neumann, np.linalg.norm(neumann), [2.0, 2.0 * (1.0 - sig)],
+                  "y^{1-2sig} d/dy (2/y d/dy)^{[s]} U -> c_s (-L)^s u"))
 
-    for m in range(n):
-        raws = weighted_extension_derivative(gen, order, u, m, ysched, quad)
-        ladder = _merged_ladder([2.0 - 2.0 * sig, 2.0 * (n - m)], count)
-        est = richardson_table(raws, ladder, ratio)[-1][-1]
-        err = float(np.linalg.norm(est))
-        report.lines.append(
-            ICLine(m, "weighted_derivative_zero", err, err <= tol,
-                   "y^{1-2sig} d/dy (2/y d/dy)^m U -> 0")
-        )
-
-    oracle = gen.frac_power(s_val, u)
-    c_s = trace_constants(order).c_s
-    raws = weighted_extension_derivative(gen, order, u, n, ysched, quad)
-    ladder = _merged_ladder([2.0, 2.0 * (1.0 - sig)], count)
-    est = richardson_table(raws, ladder, ratio)[-1][-1] / c_s
-    err = float(np.linalg.norm(est - oracle) / max(np.linalg.norm(oracle), _TINY))
-    report.lines.append(
-        ICLine(n, "neumann", err, err <= tol,
-               "y^{1-2sig} d/dy (2/y d/dy)^{[s]} U -> c_s (-L)^s u")
-    )
+    raws = _eval_chains(gen, order, u, outputs, ysched, quad)
+    raws[:, 2 * (n + 1):] *= ysched[:, None, None] ** (1.0 - 2.0 * sig)
+    report = ICReport(s=s_val, tol=tol)
+    for o, (m, kind, limit, scale, families, detail) in enumerate(lines):
+        est = richardson(raws[:, o], _merged_ladder(families, len(ysched) - 1), ratio)
+        err = float(np.linalg.norm(est - limit) / max(scale, _TINY))
+        report.lines.append(ICLine(m, kind, err, err <= tol, detail))
     return report
 
 

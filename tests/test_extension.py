@@ -17,6 +17,7 @@ from fracext import (
     normalization_check,
     pde_residual,
     radial_power,
+    trace_neumann,
     y_derivative,
     y_derivatives_upto,
 )
@@ -323,6 +324,25 @@ def test_y_arrays_validated(diag_gen):
     rows = extend_subordination(diag_gen, 0.5, u, [0.0, 0.7])
     assert np.array_equal(rows[0], u)
     assert relerr(rows[1], extend_subordination(diag_gen, 0.5, u, 0.7)) <= 1e-12
+
+
+@pytest.mark.parametrize("bad", (np.nan, np.inf))
+def test_non_finite_y_rejected(diag_gen, bad):
+    # NaN must not take the y = 0 branch (which returns u), nor inf reach the window rule
+    u = np.array([1.0, -0.5], dtype=complex)
+    calls = (
+        lambda: extend_subordination(diag_gen, 0.5, u, bad),
+        lambda: extend_subordination(diag_gen, 0.5, u, [0.0, 0.5, bad]),
+        lambda: extend_explicit(diag_gen, 0.5, u, bad),
+        lambda: normalization_check(0.5, bad),
+        lambda: radial_power(diag_gen, 1.5, u, 1, bad),
+        lambda: build_profile(diag_gen, 1.5, u, [0.1, 0.5, bad]),
+        lambda: trace_neumann(diag_gen, 0.5, u, ysched=[bad, 1.0]),
+        lambda: trace_neumann(diag_gen, 0.5, u, ysched=[0.4, 0.2, bad]),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="finite"):
+            call()
 
 
 def test_derivatives_shared_rule_consistency(rand8, rand8_u):

@@ -467,3 +467,43 @@ def test_initial_condition_suite_default_schedule_on_stiff_laplacian(s):
     u = np.random.default_rng(7).standard_normal(128) + 0j
     report = initial_condition_suite(gen, s, u)
     assert report.all_passed, [(line.m, line.kind, line.error) for line in report.lines]
+
+
+@pytest.mark.parametrize("s", S_VALUES)
+def test_initial_condition_suite_runs_on_one_table(monkeypatch, s):
+    """Every line of the suite is one output of a single subordination call."""
+    gen = builtin_matrix("laplacian1d:128")
+    u = np.random.default_rng(7).standard_normal(128) + 0j
+    calls = []
+    real = extension._subordinate
+
+    def spy(*args, **kwargs):
+        calls.append(args[2].shape)  # (len(ysched), outputs, integrals, dim)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(extension, "_subordinate", spy)
+    report = initial_condition_suite(gen, s, u)
+    n = int(s)
+    assert len(report.lines) == 3 * n + 3
+    assert len(calls) == 1 and calls[0][1] == 3 * n + 3
+    assert report.all_passed
+
+
+@pytest.mark.parametrize("s", S_VALUES)
+def test_initial_condition_suite_does_not_depend_on_the_size_of_u(s):
+    """Each line's error is relative to its own scale, the vanishing lines too."""
+    gen = builtin_matrix("laplacian1d:128")
+    u = np.random.default_rng(7).standard_normal(128) + 0j
+    u /= np.linalg.norm(u)
+    unit = initial_condition_suite(gen, s, u)
+    large = initial_condition_suite(gen, s, 1e3 * u)
+    for a, b in zip(unit.lines, large.lines):
+        assert (a.m, a.kind, a.passed) == (b.m, b.kind, b.passed)
+        assert b.error == pytest.approx(a.error, rel=0.5, abs=1e-14), (a.m, a.kind)
+
+
+def test_initial_condition_suite_passes_on_laplacian_1024():
+    gen = builtin_matrix("laplacian1d:1024")
+    u = np.random.default_rng(7).standard_normal(1024) + 0j
+    report = initial_condition_suite(gen, 2.7, u)
+    assert report.all_passed, [(line.m, line.kind, line.error) for line in report.lines]
