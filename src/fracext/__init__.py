@@ -15,9 +15,11 @@ from .extension import (
     explicit_poly_part,
     extend_explicit,
     extend_subordination,
+    extension_operator_power,
     normalization_check,
     pde_residual,
     radial_power,
+    weighted_extension_derivative,
     y_derivative,
     y_derivatives_upto,
 )
@@ -77,6 +79,7 @@ __all__ = [
     "explicit_poly_part",
     "extend_explicit",
     "extend_subordination",
+    "extension_operator_power",
     "initial_condition_suite",
     "ivp_classify",
     "load_vector",
@@ -93,6 +96,7 @@ __all__ = [
     "trace_constants",
     "trace_incremental",
     "trace_neumann",
+    "weighted_extension_derivative",
     "y_derivative",
     "y_derivatives_upto",
 ]

@@ -224,7 +224,8 @@ def ode_cross_solve(gen: Generator, a, u0, v0, y, p: BesselParams = None):
     u0 = gen._check_vector(u0)
     v0 = gen._check_vector(v0)
     budget = gen.norm2 * y * y
-    if budget > 100.0:
-        raise ValueError(f"||L|| y^2 = {budget:.1f} exceeds the series budget 100")
+    if not budget <= 100.0:
+        raise ValueError(f"||L|| y^2 = {budget:.1f} must be finite and within the series "
+                         "budget 100")
     mat = -gen.matrix
     return phi_op(1, y, mat, a, u0, p) + phi_op(2, y, mat, a, v0, p)

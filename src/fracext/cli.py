@@ -286,25 +286,16 @@ def run(config: RunConfig) -> int:
             reference = gen.frac_power(order.s, u)
             err = np.linalg.norm(value - reference) / max(np.linalg.norm(reference), 1e-300)
             summary = f"|result| = {np.linalg.norm(value):.6e}, oracle rel err {err:.2e}"
-        elif config.method == "bbw":
-            k = config.k if config.k is not None else order.n + 1
-            estimate = bbw_estimate(gen, order, k, u, quad)
-            _atomic_write(out, estimate.to_csv)
-            summary = f"oracle rel err {estimate.oracle_err:.2e} (k={k})"
-        elif config.method == "trace_neumann":
-            estimate = trace_neumann(gen, order, u, quad, ysched=config.ysched(neumann_y0(gen)))
-            _atomic_write(out, estimate.to_csv)
-            if not estimate.converged:
-                print("trace_neumann: extrapolation did not converge", file=sys.stderr)
-                return 3
-            summary = f"converged, oracle rel err {estimate.oracle_err:.2e}"
-        elif config.method == "trace_incremental":
-            estimate = trace_incremental(
-                gen, order, u, quad, ysched=config.ysched(neumann_y0(gen))
-            )
+        elif config.method in ("bbw", "trace_neumann", "trace_incremental"):
+            if config.method == "bbw":
+                k = config.k if config.k is not None else order.n + 1
+                estimate = bbw_estimate(gen, order, k, u, quad)
+            else:
+                route = trace_neumann if config.method == "trace_neumann" else trace_incremental
+                estimate = route(gen, order, u, quad, ysched=config.ysched(neumann_y0(gen)))
             _atomic_write(out, estimate.to_csv)
             if not estimate.converged:
-                print("trace_incremental: extrapolation did not converge", file=sys.stderr)
+                print(f"{config.method}: extrapolation did not converge", file=sys.stderr)
                 return 3
             summary = f"converged, oracle rel err {estimate.oracle_err:.2e}"
         elif config.method == "extend":

@@ -98,6 +98,7 @@ _KERNEL_DECAY = 55.0  # windows end where weight or semigroup factor is below e^
 # stopping rule, and their exponentials and products with the weights would run in
 # the subnormal range, where the arithmetic is several times slower.
 _FACTOR_FLOOR = -600.0
+_LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))  # ~709.78
 _MODE_SETTLED = 1e-3  # a mode stops refining once its changes are below this share of the target
 
 
@@ -129,11 +130,11 @@ def exp_tail(n, r):
             tail = tail * z / k
         out[near] = tail
         z = -r[~near]
-        term = np.ones_like(z)  # z^k / k!
-        direct = out[~near]
-        for k in range(n + 1):
+        term = np.ones_like(z)  # z^k / k!, up to the last subtracted term only
+        direct = out[~near] - term
+        for k in range(1, n + 1):
+            term = term * z / k
             direct = direct - term
-            term = term * z / (k + 1)
         out[~near] = direct
     return out[0] if scalar else out
 
@@ -209,6 +210,21 @@ def _log_window(alphas, k, depth=np.inf):
     return -float(lo), float(hi)
 
 
+def _check_tail_reach(k, hi, sigma):
+    """Refuse a window whose right edge ``r = e^hi`` overflows the weight ``F_k(r) ~ r^k``.
+
+    A Taylor-tail window ends at ``hi = _KERNEL_DECAY / sigma``
+    (:func:`_log_window`), so it grows without bound as ``sigma = s - [s]``
+    nears 0; beyond ``k hi = log(float max)`` the weight is ``inf`` and the
+    window needs ``hi / step`` nodes.
+    """
+    if k * hi > _LOG_FLOAT_MAX:
+        raise ValueError(
+            f"Taylor-tail weight F_{k}(r) overflows on its window up to r = e^{hi:.4g}: "
+            f"sigma = s - [s] = {sigma:.3g} is too close to 0 for this representation"
+        )
+
+
 def _subordinate(gen, lam, rows, alphas, ys, quad, name, k=-1, offsets=0.0):
     """``sum_i int F_k(r) r^{alpha_i} e^{(y^2/(4r)) lam} rows[y, o, i] dr/r`` per mode.
 
@@ -235,6 +251,7 @@ def _subordinate(gen, lam, rows, alphas, ys, quad, name, k=-1, offsets=0.0):
     offsets = np.broadcast_to(offsets, (ys.size, alphas.size))
     log_c = 2.0 * np.log(ys) - np.log(4.0)  # log(y^2/4), finite where y^2 underflows
     lo, hi = np.array([_log_window(alphas, k, _kernel_depth(gen, y)) for y in ys]).T
+    _check_tail_reach(k, hi.max(), -(alphas.max() + k))  # a no-op for the e^-r weight
     step = np.min(np.minimum(0.5, np.maximum(hi - lo, 1.0) / max(quad.nodes, 16)))
     t_lo, t_hi = log_c - hi, log_c - lo
     sizes = np.abs(rows).sum(axis=1)  # the mass of every output of a y counts towards its block

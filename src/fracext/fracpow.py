@@ -11,13 +11,15 @@ spectral evaluation in tests:
   triangular solves with ``eps I - T`` and, for the fractional part, the
   same resolvent integral with its resolvent shifted by ``eps``;
 * the Berens-Butzer-Westphal limit of ``(e^{tL} - I)^k`` integrals with a
-  Richardson-extrapolated truncation parameter.
+  Richardson-extrapolated truncation parameter, normalized by the closed
+  form of ``c(s, k)``.
 """
 
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, expm1, fsum, log
 
 import numpy as np
+from scipy.special import gamma
 
 from .operators import Generator
 from .quadrature import (
@@ -55,8 +57,8 @@ class FracOrder:
 
     def __post_init__(self):
         s = float(self.s)
-        if s <= 0.0:
-            raise ValueError(f"fractional order must be positive, got {s}")
+        if not 0.0 < s < np.inf:
+            raise ValueError(f"fractional order must be positive and finite, got {s}")
         if abs(s - round(s)) < _NONINTEGER_TOL:
             raise ValueError(f"fractional order must be noninteger, got {s}")
         object.__setattr__(self, "s", s)
@@ -269,9 +271,11 @@ def c_constant_expsum(s, k, quad=None):
     Taylor-regularized difference ``F_n(jt)`` with ``n = [s]``, and rescaling
     collapses everything onto the single universal integral
     ``int_0^inf F_n(r) r^{-1-s} dr``, evaluated on the log axis where the
-    integrand decays exponentially both ways.
+    integrand decays exponentially both ways.  Where ``sigma = s - [s]`` is
+    too small for ``F_n`` to stay finite on that window, a ``ValueError``
+    naming ``sigma`` is raised instead.
     """
-    from .extension import _log_window, exp_tail
+    from .extension import _check_tail_reach, _log_window, exp_tail
 
     order = as_order(s)
     k = _check_bbw_exponent(order, k)
@@ -281,59 +285,62 @@ def c_constant_expsum(s, k, quad=None):
     def g(x):
         return exp_tail(n, np.exp(x)) * np.exp(-s_val * x)
 
-    universal = trapezoid_refine(g, *_log_window(-s_val, n), quad.tol, name="c(s,k) universal")
+    lo, hi = _log_window(-s_val, n)
+    _check_tail_reach(n, hi, order.sigma)
+    universal = trapezoid_refine(g, lo, hi, quad.tol, name="c(s,k) universal")
     weights = sum(comb(k, j) * (-1.0) ** (k - j) * j**s_val for j in range(1, k + 1))
     return float(universal * weights)
 
 
-def c_constant(s, k, quad=None):
-    """Normalization constant ``c(s, k)``, cross-checked between both strategies.
+def c_constant(s, k):
+    """Normalization constant ``c(s, k) = int_0^inf (e^{-t} - 1)^k t^{-1-s} dt`` in closed form.
 
-    Returns the direct split-quadrature value after verifying that the
-    exponential-sum evaluation agrees with it; disagreement is reported as a
-    convergence failure.
+    ``c(s, k) = Gamma(-s) sum_{j=1..k} C(k,j) (-1)^{k-j} j^s``: expanding the
+    power binomially and integrating each Taylor-regularized exponential
+    against ``t^{-1-s}`` leaves one ``Gamma(-s) j^s`` per term.  For
+    ``1 <= m = round(s) < k`` the sum with ``j^m`` in place of ``j^s``
+    vanishes, so the terms are summed as ``j^m expm1((s - m) log j)``: near an
+    integer the plain sum would cancel to the distance ``s - m``, against
+    which ``Gamma(-s)`` is large.  No quadrature runs; :func:`c_constant_direct`
+    and :func:`c_constant_expsum` are the quadrature references.
     """
-    quad = quad or QuadratureSpec()
-    direct = c_constant_direct(s, k, quad)
-    expsum = c_constant_expsum(s, k, quad)
-    gap = abs(direct - expsum)
-    if gap > max(1e-9, 100.0 * quad.tol) * max(1.0, abs(direct)):
-        raise ConvergenceError(
-            "c(s,k): the two quadrature strategies disagree", achieved=gap, required=1e-9
-        )
-    return direct
+    order = as_order(s)
+    k = _check_bbw_exponent(order, k)
+    s_val, m = order.s, round(order.s)
+    near = 1 <= m < k  # then the sum with j^m is 0: drop j^m from every term
+    powers = [j**m * expm1((s_val - m) * log(j)) if near else j**s_val for j in range(1, k + 1)]
+    terms = (comb(k, j) * (-1.0) ** (k - j) * p for j, p in enumerate(powers, 1))
+    return float(gamma(-s_val) * fsum(terms))
 
 
 # -- the Berens-Butzer-Westphal limit ----------------------------------------------
 
 
-def bbw_frac_power(gen: Generator, s, k, u, quad=None, eps0=None, levels=13,
-                   conv_tol=1e-5, return_table=False):
-    """``(-L)^s u`` as the extrapolated Berens-Butzer-Westphal limit.
+_BBW_LEVELS = 13  # cut-offs eps_j = eps0 2^-j, j < 13
+_BBW_CONV_TOL = 1e-5  # relative spread of the extrapolants that counts as converged
 
-    Computes ``(1/c(s,k)) int_eps^inf (e^{tL} - I)^k u t^{-1-s} dt`` along
-    ``eps_j = eps0 * 2^{-j}`` and Richardson-extrapolates in ``eps``.  The
-    truncated mass below ``eps`` scales like ``eps^{k-s}``, so the first two
-    elimination exponents are ``k - s`` and ``k - s + 1``.  The tail integrals
-    are assembled once: a base integral over ``[eps0, inf)`` plus
-    Gauss-Legendre panels over each ``[eps_{j+1}, eps_j]``.
 
-    The default ``eps0 = min(0.1, 1/||L||_2)`` puts the first cut-off at the
-    decay time ``1/||L||_2`` of the stiffest mode instead of far past it, so
-    the extrapolated truncation error is in its asymptotic regime; the cap
-    keeps ``eps0 < 1``, which the base interval ``[eps0, 1]`` needs, and
-    leaves every generator with ``||L||_2 <= 10`` at ``0.1``.
+def _bbw_ladder(gen: Generator, s, k, u, quad=None):
+    """The truncated BBW integrals along the cut-offs: ``(eps_seq, estimates, exponents)``.
 
-    A non-Cauchy extrapolant sequence (spread above ``conv_tol`` relative)
-    raises :class:`ConvergenceError`.  With ``return_table=True`` also returns
-    the per-level ``(eps_j, estimate_j)`` rows for diagnostics.
+    ``estimates[j] = (1/c(s,k)) int_{eps_j}^inf (e^{tL} - I)^k u t^{-1-s} dt``
+    along ``eps_j = eps0 2^{-j}``.  The truncated mass below ``eps`` scales
+    like ``eps^{k-s}``, so the first two Richardson elimination exponents are
+    ``k - s`` and ``k - s + 1``.  The tail integrals are assembled once: a
+    base integral over ``[eps0, inf)`` plus Gauss-Legendre panels over each
+    ``[eps_{j+1}, eps_j]``.
+
+    ``eps0 = min(0.1, 1/||L||_2)`` puts the first cut-off at the decay time
+    ``1/||L||_2`` of the stiffest mode instead of far past it, so the
+    extrapolated truncation error is in its asymptotic regime; the cap keeps
+    ``eps0 < 1``, which the base interval ``[eps0, 1]`` needs, and leaves
+    every generator with ``||L||_2 <= 10`` at ``0.1``.
     """
     order = as_order(s)
     k = _check_bbw_exponent(order, k)
     quad = quad or QuadratureSpec()
     u = gen._check_vector(u)
-    if eps0 is None:
-        eps0 = min(0.1, 1.0 / gen.norm2)
+    eps0 = min(0.1, 1.0 / gen.norm2)
     s_val = order.s
     lam, coords = gen._modes(u)  # on a real spectrum a real expm1 is several times cheaper
 
@@ -347,7 +354,6 @@ def bbw_frac_power(gen: Generator, s, k, u, quad=None, eps0=None, levels=13,
 
     def integrand(ts):
         # (e^{tL} - I)^k u in eigencoordinates, times t^{-1-s}
-        ts = np.asarray(ts, dtype=float)
         return expm1_power(ts) * coords * (ts ** (-1.0 - s_val))[:, None]
 
     def inner_base(x):
@@ -364,26 +370,36 @@ def bbw_frac_power(gen: Generator, s, k, u, quad=None, eps0=None, levels=13,
     base = base + integrate_unit(outer_base, quad.tol, singular_power=s_val - 1.0,
                                  nodes0=quad.nodes, name="bbw tail")
 
-    eps_seq = [eps0 * 2.0 ** (-j) for j in range(levels)]
+    eps_seq = [eps0 * 2.0 ** (-j) for j in range(_BBW_LEVELS)]
     glx, glw = gauss_legendre_rule(32)
     tails = [base]
-    for j in range(levels - 1):
+    for j in range(_BBW_LEVELS - 1):
         lo, hi = eps_seq[j + 1], eps_seq[j]
         t = 0.5 * (hi - lo) * glx + 0.5 * (hi + lo)
         seg = (0.5 * (hi - lo)) * (glw[:, None] * integrand(t)).sum(axis=0)
         tails.append(tails[-1] + seg)
 
-    norm_const = c_constant(order, k, quad)
+    norm_const = c_constant(order, k)
     estimates = [gen.eigvecs @ (tail / norm_const) for tail in tails]
-    exponents = [k - s_val, k - s_val + 1.0]
-    levels_table = richardson_table(estimates, exponents)
-    value = levels_table[-1][-1]
-    spread = extrapolation_spread(levels_table)
+    return eps_seq, estimates, [k - s_val, k - s_val + 1.0]
+
+
+def bbw_frac_power(gen: Generator, s, k, u, quad=None, conv_tol=_BBW_CONV_TOL):
+    """``(-L)^s u`` as the extrapolated Berens-Butzer-Westphal limit.
+
+    Richardson-extrapolates the truncated integrals
+    ``(1/c(s,k)) int_eps^inf (e^{tL} - I)^k u t^{-1-s} dt`` of
+    :func:`_bbw_ladder` in ``eps``.  A non-Cauchy extrapolant sequence (spread
+    above ``conv_tol`` relative) raises :class:`ConvergenceError`;
+    :func:`fracext.traces.bbw_estimate` reports the same ladder with its table
+    and a ``converged`` flag instead.
+    """
+    _, estimates, exponents = _bbw_ladder(gen, s, k, u, quad)
+    levels = richardson_table(estimates, exponents)
+    value = levels[-1][-1]
+    spread = extrapolation_spread(levels)
     if spread > conv_tol * max(1.0, float(np.linalg.norm(value))):
         raise ConvergenceError(
             "BBW limit: eps-sequence is not Cauchy", achieved=spread, required=conv_tol
         )
-    if return_table:
-        rows = list(zip(eps_seq, estimates))
-        return value, rows
     return value

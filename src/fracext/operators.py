@@ -237,8 +237,8 @@ class Generator:
 
     def semigroup(self, t, u):
         """Apply ``e^{tL}`` for ``t >= 0``."""
-        if t < 0:
-            raise ValueError(f"semigroup time must be nonnegative, got {t}")
+        if not 0.0 <= t < np.inf:
+            raise ValueError(f"semigroup time must be nonnegative and finite, got {t}")
         return self.spectral_apply(np.exp(t * self.eigenvalues), u)
 
     def semigroup_batch(self, ts, u):
@@ -248,8 +248,8 @@ class Generator:
         row order matches the input order.
         """
         ts = np.asarray(ts, dtype=float)
-        if ts.size and ts.min() < 0:
-            raise ValueError("semigroup times must be nonnegative")
+        if not np.all((ts >= 0.0) & (ts < np.inf)):
+            raise ValueError("semigroup times must be nonnegative and finite")
         coords = self.eigvecs_inv @ self._check_vector(u)
         phases = np.exp(np.multiply.outer(ts, self.eigenvalues))
         return (phases * coords) @ self.eigvecs.T

@@ -61,8 +61,8 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.nodes < 8:
             raise ValueError(f"need at least 8 nodes, got {self.nodes}")
-        if self.tol <= 0.0:
-            raise ValueError(f"tolerance must be positive, got {self.tol}")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError(f"tolerance must be positive and finite, got {self.tol}")
 
 
 # -- fixed rules ---------------------------------------------------------------

@@ -30,7 +30,7 @@ from .extension import (
     extend_subordination,
     weighted_extension_derivative,
 )
-from .fracpow import as_order, bbw_frac_power
+from .fracpow import _BBW_CONV_TOL, _bbw_ladder, as_order
 from .operators import Generator
 from .quadrature import QuadratureSpec, extrapolation_spread, richardson, richardson_table
 
@@ -357,21 +357,14 @@ def domain_membership(gen: Generator, s, u, quad=None, ysched=None):
 
 
 def bbw_estimate(gen: Generator, s, k, u, quad=None) -> TraceEstimate:
-    """Berens-Butzer-Westphal limit packaged with its extrapolation table."""
+    """Berens-Butzer-Westphal limit packaged with its extrapolation table.
+
+    The ``eps``-ladder of :func:`fracext.fracpow.bbw_frac_power`, extrapolated
+    by the same rule, so ``value`` equals that function's result bit for bit;
+    ``y_sequence`` holds the cut-offs ``eps_j``.  Where ``bbw_frac_power``
+    raises on a non-Cauchy sequence, this returns ``converged=False``.
+    """
     order = as_order(s)
-    value, rows = bbw_frac_power(gen, order, k, u, quad, return_table=True)
-    eps_seq = np.array([row[0] for row in rows])
-    estimates = [row[1] for row in rows]
-    levels = richardson_table(estimates, [k - order.s, k - order.s + 1.0])
+    eps_seq, estimates, exponents = _bbw_ladder(gen, order, k, u, quad)
     oracle = gen.frac_power(order.s, u)
-    err = float(np.linalg.norm(value - oracle) / max(np.linalg.norm(oracle), _TINY))
-    return TraceEstimate(
-        value=value,
-        method="bbw",
-        y_sequence=eps_seq,
-        extrapolant_table=levels,
-        converged=True,
-        oracle_err=err,
-        raw_limit=value,
-        constant=1.0,
-    )
+    return _finish_estimate(estimates, eps_seq, 2.0, exponents, "bbw", 1.0, oracle, _BBW_CONV_TOL)

@@ -208,6 +208,12 @@ class TestCrossSolve:
         with pytest.raises(ValueError, match="budget"):
             ode_cross_solve(diag_gen, 0.2, u, u, 6.0)
 
+    @pytest.mark.parametrize("y", [np.nan, np.inf])
+    def test_non_finite_y_rejected(self, diag_gen, y):
+        u = np.ones(2, dtype=complex)
+        with pytest.raises(ValueError, match="finite"):
+            ode_cross_solve(diag_gen, 0.2, u, u, y)
+
     def test_reconstructs_extension_profile(self, diag_gen):
         s = 0.4
         order = FracOrder(s)

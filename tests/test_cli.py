@@ -76,6 +76,19 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="key = value"):
             parse_config(path, "spectral")
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_order_exits_2_at_its_line(self, tmp_path, capsys, value):
+        path = write_config(tmp_path, f"matrix = diag-demo\ns = {value}\n")
+        assert main(["spectral", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert ":2:" in err and "must be positive and finite" in err
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_tolerance_exits_2(self, tmp_path, capsys, value):
+        path = write_config(tmp_path, f"matrix = diag-demo\ns = 0.5\ntol = {value}\n")
+        assert main(["spectral", "--config", path]) == 2
+        assert "must be positive and finite" in capsys.readouterr().err
+
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, "matrix = diag-demo\n")  # missing s
         status = main(["spectral", "--config", path])
@@ -191,6 +204,14 @@ class TestRuns:
         out = tmp_path / "bbw.csv"
         path = write_config(tmp_path, f"matrix = diag-demo\ns = 0.5\nk = 1\nout = {out}\n")
         assert main(["bbw", "--config", path]) == 0
+
+    def test_bbw_not_converged_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("fracext.traces._BBW_CONV_TOL", 1e-16)
+        out = tmp_path / "bbw.csv"
+        path = write_config(tmp_path, f"matrix = diag-demo\ns = 0.5\nk = 1\nout = {out}\n")
+        assert main(["bbw", "--config", path]) == 3
+        assert "bbw: extrapolation did not converge" in capsys.readouterr().err
+        assert out.read_text().startswith("level,y")
 
     def test_extend_run(self, tmp_path):
         out = tmp_path / "profile.csv"

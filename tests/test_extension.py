@@ -1,15 +1,18 @@
 import csv
 import io
+import warnings
 from math import factorial
 
 import numpy as np
 import pytest
 from scipy.special import gamma, kv
 
+import fracext
 from fracext import (
     FracOrder,
     Generator,
     build_profile,
+    c_constant_expsum,
     exp_tail,
     explicit_poly_part,
     extend_explicit,
@@ -65,6 +68,14 @@ class TestExpTail:
         r = 1e-5
         two_terms = (-r) ** 4 / factorial(4) + (-r) ** 5 / factorial(5)
         assert abs(exp_tail(3, r) - two_terms) <= 1e-10 * abs(two_terms)
+
+    def test_no_overflow_past_the_last_subtracted_term(self):
+        # at r = e^300 the first omitted term r^3/3! overflows; F_2 itself is about -r^2/2
+        r = np.exp(300.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = exp_tail(2, np.array([r]))[0]
+        assert abs(got + r * r / 2.0) <= 1e-15 * r * r / 2.0
 
 
 def _log_weight(k, alpha, x):
@@ -216,6 +227,22 @@ class TestRadialPower:
             from_u = radial_power(diag_gen, 2.5, u, m, 0.5, mode="from_u")
             from_f = radial_power(diag_gen, 2.5, u, m, 0.5, mode="from_f")
             assert relerr(from_u, from_f) <= 1e-7
+
+    @pytest.mark.parametrize("s", [1.1, 2.2])
+    def test_from_f_taylor_tail_is_warning_free(self, diag_gen, s):
+        u = np.array([1.0, 1.0], dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            from_f = radial_power(diag_gen, s, u, 0, 0.5, mode="from_f")
+        assert relerr(from_f, radial_power(diag_gen, s, u, 0, 0.5)) <= 1e-10
+
+    @pytest.mark.parametrize("s", [1.07, 2.03])
+    def test_taylor_tail_overflow_names_sigma(self, diag_gen, s):
+        """The window of F_[s] reaches r = e^{55/sigma}, where r^[s] overflows."""
+        with pytest.raises(ValueError, match="sigma"):
+            radial_power(diag_gen, s, np.ones(2, dtype=complex), 0, 0.5, mode="from_f")
+        with pytest.raises(ValueError, match="sigma"):
+            c_constant_expsum(s, int(s) + 1)
 
     def test_small_y_limit(self, scalar_gen):
         # limit Gamma(s-m)/Gamma(s) L^m u = -2/3 at s=2.5, m=1, L=-1
@@ -455,3 +482,9 @@ def test_radial_power_top_order_modes_agree(diag_gen):
     from_u = radial_power(diag_gen, 2.5, u, 3, 0.5, mode="from_u")
     from_f = radial_power(diag_gen, 2.5, u, 3, 0.5, mode="from_f")
     assert relerr(from_u, from_f) <= 1e-7
+
+
+@pytest.mark.parametrize("name", ["weighted_extension_derivative", "extension_operator_power"])
+def test_package_exports_extension_route(name):
+    assert name in fracext.__all__
+    assert getattr(fracext, name) is getattr(fracext.extension, name)

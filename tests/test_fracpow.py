@@ -1,11 +1,14 @@
+import warnings
 from math import comb
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gamma
 
+import fracext.fracpow
 from fracext import (
     ConvergenceError,
     FracOrder,
@@ -13,6 +16,7 @@ from fracext import (
     balakrishnan,
     balakrishnan_general,
     balakrishnan_second_kind,
+    bbw_estimate,
     bbw_frac_power,
     c_constant,
     c_constant_direct,
@@ -295,6 +299,30 @@ class TestCConstant:
         k = order.n + extra
         assert (-1.0) ** k * c_constant_direct(order, k) > 0.0
 
+    @pytest.mark.parametrize(
+        "s", [0.05, 0.3, 0.5, 1 - 1e-6, 1 + 1e-6, 1.5, 2 - 1e-6, 2 + 1e-6, 2.7, 3 - 1e-6, 4.5]
+    )
+    def test_closed_form_matches_mpmath(self, s, monkeypatch):
+        """Near integers too, where the plain sum cancels against the pole of ``Gamma(-s)``.
+
+        The constant runs no quadrature: a quadrature window for ``c(1 + 1e-6, 2)``
+        would need about 2e8 nodes, so the drivers are made to refuse first.
+        """
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("c_constant ran a quadrature")
+
+        monkeypatch.setattr(fracext.fracpow, "integrate_unit", refuse)
+        monkeypatch.setattr(fracext.fracpow, "trapezoid_refine", refuse)
+        with mpmath.workdps(60):
+            s_mp = mpmath.mpf(s)
+            for k in (int(s) + 1, int(s) + 2):
+                ref = mpmath.gamma(-s_mp) * mpmath.fsum(
+                    mpmath.binomial(k, j) * (-1) ** (k - j) * mpmath.mpf(j) ** s_mp
+                    for j in range(1, k + 1)
+                )
+                assert abs(c_constant(s, k) - ref) <= 1e-12 * abs(ref), (s, k)
+
     def test_rejects_small_k(self):
         with pytest.raises(ValueError, match="k > s"):
             c_constant(1.5, 1)
@@ -327,10 +355,18 @@ class TestBBW:
 
     def test_default_eps0_scales_with_norm(self, diag_gen):
         lap = builtin_matrix("laplacian1d:128")
-        _, rows = bbw_frac_power(lap, 0.5, 1, np.ones(128, dtype=complex), return_table=True)
-        assert rows[0][0] == 1.0 / lap.norm2
-        _, rows = bbw_frac_power(diag_gen, 0.5, 1, np.ones(2, dtype=complex), return_table=True)
-        assert rows[0][0] == 0.1
+        head = bbw_estimate(lap, 0.5, 1, np.ones(128, dtype=complex)).y_sequence[0]
+        assert head == 1.0 / lap.norm2
+        assert bbw_estimate(diag_gen, 0.5, 1, np.ones(2, dtype=complex)).y_sequence[0] == 0.1
+
+    @pytest.mark.parametrize("s", [1.07, 2.1, 3.2])
+    def test_orders_just_above_an_integer(self, diag_gen, s):
+        """The constant is exact here, where its old quadrature stalled on an overflowing window."""
+        u = np.ones(2, dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = bbw_frac_power(diag_gen, s, int(s) + 1, u)
+        assert relerr(got, diag_gen.frac_power(s, u)) <= 1e-4
 
     @pytest.mark.parametrize("s", [0.3, 1.5, 2.7])
     def test_stiff_laplacian(self, s):

@@ -76,6 +76,15 @@ def test_semigroup_rejects_negative_time(diag_gen):
         diag_gen.semigroup(-0.1, np.ones(2, dtype=complex))
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf])
+def test_semigroup_rejects_non_finite_time(diag_gen, t):
+    u = np.ones(2, dtype=complex)
+    with pytest.raises(ValueError, match="finite"):
+        diag_gen.semigroup(t, u)
+    with pytest.raises(ValueError, match="finite"):
+        diag_gen.semigroup_batch([0.5, t], u)
+
+
 def test_resolvent_scalar():
     gen = Generator(np.diag([-1.0]))
     out = gen.resolvent(1.0, np.ones(1, dtype=complex))

@@ -26,6 +26,12 @@ def test_spec_validation():
         QuadratureSpec(32, -1.0)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf])
+def test_spec_rejects_non_finite_tolerance(tol):
+    with pytest.raises(ValueError, match="finite"):
+        QuadratureSpec(32, tol)
+
+
 def test_tanh_sinh_nodes_inside_interval():
     x, w = tanh_sinh_rule(0.125)
     assert np.all(x > 0) and np.all(x < 1) and np.all(w > 0)

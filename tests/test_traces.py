@@ -8,10 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gamma
 
+import fracext.fracpow
+import fracext.quadrature
+import fracext.traces
 from fracext import (
+    ConvergenceError,
     FracOrder,
     Generator,
     bbw_estimate,
+    bbw_frac_power,
     d_constant,
     default_ysched,
     domain_membership,
@@ -220,6 +225,36 @@ class TestSerialization:
         buffer = io.StringIO()
         est.to_csv(buffer)
         assert buffer.getvalue().startswith("level,y")
+
+
+class TestBBWEstimate:
+    @pytest.mark.parametrize("s", [0.3, 1.5, 2.7])
+    def test_value_is_bbw_frac_power_bitwise(self, rand8, rand8_u, s):
+        est = bbw_estimate(rand8, s, int(s) + 1, rand8_u)
+        assert np.array_equal(est.value, bbw_frac_power(rand8, s, int(s) + 1, rand8_u))
+        assert est.converged and est.oracle_err <= 1e-4
+
+    def test_one_richardson_table_per_estimate(self, diag_gen, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return fracext.quadrature.richardson_table(*args, **kwargs)
+
+        monkeypatch.setattr(fracext.traces, "richardson_table", spy)
+        monkeypatch.setattr(fracext.fracpow, "richardson_table", spy)
+        bbw_estimate(diag_gen, 1.5, 2, np.ones(2, dtype=complex))
+        assert len(calls) == 1
+
+    def test_non_cauchy_ladder_reports_not_converged(self, diag_gen, monkeypatch):
+        """Where bbw_frac_power raises, the estimate carries converged=False."""
+        u = np.ones(2, dtype=complex)
+        with pytest.raises(ConvergenceError, match="Cauchy"):
+            bbw_frac_power(diag_gen, 0.5, 1, u, conv_tol=1e-16)
+        monkeypatch.setattr(fracext.traces, "_BBW_CONV_TOL", 1e-16)
+        est = bbw_estimate(diag_gen, 0.5, 1, u)
+        assert not est.converged
+        assert est.oracle_err <= 1e-4
 
 
 def test_oracle_equivalence_sweep():
