@@ -387,7 +387,7 @@ def _eval_chains(gen, order, u, outputs, ys, quad):
     offsets = np.multiply.outer(np.log(ys), [float(lowest[j]) for j in js])
     stacked = _subordinate(gen, lam, rows, alphas, ys, quad, "semigroup-chain integrals",
                            offsets=offsets)
-    return stacked @ gen.eigvecs.T / gamma(order.s)
+    return gen._from_modes(stacked) / gamma(order.s)
 
 
 _VALUE = {(0, 0): 1.0}  # U = I_0
@@ -482,7 +482,7 @@ def _explicit_radial(gen, order, u, m, ys, quad):
     rows = np.broadcast_to(f_coords, (ys.size, 1, 1, lam.size))
     tail = _subordinate(gen, lam, rows, m - s, ys, quad, "explicit radial tail", k=order.n - m)
     scale = ys ** (2.0 * (s - m)) / (4.0 ** (s - m) * gamma(s))
-    return (-1.0) ** m * (poly + scale[:, None] * (tail[:, 0] @ gen.eigvecs.T))
+    return (-1.0) ** m * (poly + scale[:, None] * gen._from_modes(tail[:, 0]))
 
 
 def radial_power(gen: Generator, s, u, m, y, quad=None, mode="from_u"):

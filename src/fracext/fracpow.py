@@ -12,11 +12,14 @@ spectral evaluation in tests:
   same resolvent integral with its resolvent shifted by ``eps``;
 * the Berens-Butzer-Westphal limit of ``(e^{tL} - I)^k`` integrals with a
   Richardson-extrapolated truncation parameter, normalized by the closed
-  form of ``c(s, k)``.
+  form of ``c(s, k)``.  It runs per mode on the eigencoordinates; its tail
+  over ``[1, inf)`` puts each exponential of the binomial expansion on its
+  steepest-descent ray, where it no longer oscillates, and integrates there
+  with a double-exponential trapezoid rule.
 """
 
 from dataclasses import dataclass, field
-from math import comb, expm1, fsum, log
+from math import comb, expm1, factorial, fsum, log
 
 import numpy as np
 from scipy.special import gamma
@@ -320,15 +323,69 @@ _BBW_LEVELS = 13  # cut-offs eps_j = eps0 2^-j, j < 13
 _BBW_CONV_TOL = 1e-5  # relative spread of the extrapolants that counts as converged
 
 
+def _bbw_tail(lam, s, k, quad):
+    """``T(lam) = int_1^inf t^{-1-s} (e^{t lam} - 1)^k dt`` per mode (``Re lam < 0``).
+
+    Binomially ``T = (-1)^k / s + sum_{j=1..k} C(k,j) (-1)^{k-j} I(j lam)``
+    with ``I(z) = int_1^inf t^{-1-s} e^{zt} dt``.  On the steepest-descent ray
+    ``t = 1 - u/z``, ``u >= 0``, the exponential no longer oscillates:
+    ``I(z) = (e^z / -z) int_0^inf (1 - u/z)^{-1-s} e^-u du``, and
+    ``Re(1 - u/z) >= 1`` keeps the power bounded (real for real ``lam``).
+    Takahasi and Mori's double-exponential map ``u = exp(x - e^-x)`` makes
+    the integrand decay double-exponentially at both ends of the ``x``-axis,
+    so one trapezoid lattice on ``[-log D, log D]`` (``D = _KERNEL_DECAY``)
+    serves every mode and every ``j``.
+
+    Where ``rho = k |lam| < 1`` the binomial terms cancel.  There ``t = r/rho``
+    gives ``T(lam) = rho^s [T(mu) + int_rho^1 r^{-1-s} (e^{r mu} - 1)^k dr]``
+    with ``mu = lam/rho`` on the circle ``k |mu| = 1``, where the ray rule is
+    accurate, and the inner integral is the series
+    ``sum_{n>=k} D_n mu^n (1 - rho^{n-s}) / (n! (n - s))``,
+    ``D_n = sum_j C(k,j) (-1)^{k-j} j^n``, whose terms shrink like ``1/n!``.
+    ``expm1`` forms ``1 - rho^{n-s}``, so the ``n = k`` term keeps its digits
+    even for ``s`` just below ``k``.
+    """
+    from .extension import _KERNEL_DECAY, _TAIL_TERMS
+
+    lam = np.asarray(lam)
+    rho = np.minimum(k * np.abs(lam), 1.0)
+    mu = lam / rho
+    z = np.multiply.outer(np.arange(1.0, k + 1.0), mu)
+    weights = np.array([comb(k, j) * (-1.0) ** (k - j) for j in range(1, k + 1)])
+    scale = weights[:, None] * np.exp(z) / -z
+
+    def ray(x):
+        shrink = np.exp(-x)
+        u = np.exp(x - shrink)
+        du = u * (1.0 + shrink) * np.exp(-u)
+        powers = (1.0 - np.multiply.outer(u, 1.0 / z)) ** (-1.0 - s)
+        return du[:, None] * (powers * scale).sum(axis=1)
+
+    reach = log(_KERNEL_DECAY)
+    tail = (-1.0) ** k / s + trapezoid_refine(ray, -reach, reach, quad.tol, name="bbw tail")
+    small = rho < 1.0
+    if small.any():
+        n = np.arange(k, k + _TAIL_TERMS)
+        # D_n / n!, exact in integers and then rounded once
+        coeffs = [sum(comb(k, j) * (-1) ** (k - j) * j**m for j in range(1, k + 1)) / factorial(m)
+                  for m in n.tolist()]
+        rs, ms = rho[small], mu[small]
+        terms = -np.expm1(np.multiply.outer(n - s, np.log(rs))) * ms ** n[:, None]
+        tail[small] = rs**s * (tail[small] + (np.array(coeffs) / (n - s)) @ terms)
+    return tail
+
+
 def _bbw_ladder(gen: Generator, s, k, u, quad=None):
     """The truncated BBW integrals along the cut-offs: ``(eps_seq, estimates, exponents)``.
 
     ``estimates[j] = (1/c(s,k)) int_{eps_j}^inf (e^{tL} - I)^k u t^{-1-s} dt``
     along ``eps_j = eps0 2^{-j}``.  The truncated mass below ``eps`` scales
     like ``eps^{k-s}``, so the first two Richardson elimination exponents are
-    ``k - s`` and ``k - s + 1``.  The tail integrals are assembled once: a
-    base integral over ``[eps0, inf)`` plus Gauss-Legendre panels over each
-    ``[eps_{j+1}, eps_j]``.
+    ``k - s`` and ``k - s + 1``.  Everything runs per mode on the
+    eigencoordinates, and one ``V`` product maps every ladder entry back.
+    The integrals are assembled once: tanh-sinh over ``[eps0, 1]``, the tail
+    over ``[1, inf)`` by :func:`_bbw_tail` on each mode's steepest-descent
+    rays, and Gauss-Legendre panels over each ``[eps_{j+1}, eps_j]``.
 
     ``eps0 = min(0.1, 1/||L||_2)`` puts the first cut-off at the decay time
     ``1/||L||_2`` of the stiffest mode instead of far past it, so the
@@ -344,31 +401,22 @@ def _bbw_ladder(gen: Generator, s, k, u, quad=None):
     s_val = order.s
     lam, coords = gen._modes(u)  # on a real spectrum a real expm1 is several times cheaper
 
-    def expm1_power(ts):
-        # (e^{t lam} - 1)^k by products: pow() of a negative real base is slow
+    def integrand(ts):
+        # (e^{tL} - I)^k u in eigencoordinates, times t^{-1-s}; products, as pow()
+        # of a negative real base is slow
         base = np.expm1(np.multiply.outer(ts, lam))
         factors = base
         for _ in range(k - 1):
             factors = factors * base
-        return factors
-
-    def integrand(ts):
-        # (e^{tL} - I)^k u in eigencoordinates, times t^{-1-s}
-        return expm1_power(ts) * coords * (ts ** (-1.0 - s_val))[:, None]
+        return factors * coords * (ts ** (-1.0 - s_val))[:, None]
 
     def inner_base(x):
         t = eps0 + (1.0 - eps0) * x
         return integrand(t) * (1.0 - eps0)
 
-    def outer_base(v):
-        with np.errstate(divide="ignore"):
-            t = 1.0 / np.maximum(v, 1e-300)
-        return expm1_power(t) * coords
-
     base = integrate_unit(inner_base, quad.tol, singular_power=0.0, nodes0=quad.nodes,
                           name="bbw base")
-    base = base + integrate_unit(outer_base, quad.tol, singular_power=s_val - 1.0,
-                                 nodes0=quad.nodes, name="bbw tail")
+    base = base + _bbw_tail(lam, s_val, k, quad) * coords
 
     eps_seq = [eps0 * 2.0 ** (-j) for j in range(_BBW_LEVELS)]
     glx, glw = gauss_legendre_rule(32)
@@ -379,9 +427,8 @@ def _bbw_ladder(gen: Generator, s, k, u, quad=None):
         seg = (0.5 * (hi - lo)) * (glw[:, None] * integrand(t)).sum(axis=0)
         tails.append(tails[-1] + seg)
 
-    norm_const = c_constant(order, k)
-    estimates = [gen.eigvecs @ (tail / norm_const) for tail in tails]
-    return eps_seq, estimates, [k - s_val, k - s_val + 1.0]
+    estimates = gen._from_modes(np.array(tails) / c_constant(order, k))
+    return eps_seq, list(estimates), [k - s_val, k - s_val + 1.0]
 
 
 def bbw_frac_power(gen: Generator, s, k, u, quad=None, conv_tol=_BBW_CONV_TOL):

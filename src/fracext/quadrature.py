@@ -5,9 +5,10 @@ Two rule families cover every adaptive integral in the package:
 * tanh-sinh rules on ``(0, 1)`` combined with exact power substitutions, for
   integrands with an algebraic endpoint singularity ``x^p * smooth`` (the
   resolvent integrals of the Balakrishnan routes and the inverse fractional
-  powers, and the BBW integrals);
+  powers, and the BBW integrals over ``[eps0, 1]``);
 * trapezoid rules on the log axis, whose transformed integrands decay
-  exponentially (or double-exponentially) in both directions.
+  exponentially (or double-exponentially) in both directions (the
+  subordination integrals and the BBW tail).
 
 Both rule families are nested: halving the step keeps every node of the
 previous level, so each level evaluates the integrand only at the new nodes

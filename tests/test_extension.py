@@ -24,6 +24,7 @@ from fracext import (
     y_derivative,
     y_derivatives_upto,
 )
+from fracext.cli import builtin_matrix
 from fracext.extension import _log_window, extension_operator_power
 
 from conftest import relerr
@@ -439,6 +440,17 @@ def test_quadrature_results_bitwise_deterministic(rand8, rand8_u):
     a = extend_subordination(rand8, 1.5, rand8_u, 0.7)
     b = extend_subordination(rand8, 1.5, rand8_u, 0.7)
     assert np.array_equal(a, b)
+
+
+def test_chains_real_eigvecs_match_complex_product():
+    """``_eval_chains`` maps back with the real ``V`` of a real symmetric ``L``; forcing the complex product agrees."""
+    u = np.random.default_rng(9).standard_normal(64) + 0j
+    ys = np.array([0.01, 0.3, 2.0])
+    real_v = builtin_matrix("laplacian1d:64")
+    complex_v = builtin_matrix("laplacian1d:64")
+    complex_v.__dict__["_real_eigvecs"] = None  # the cached property's slot
+    got = y_derivatives_upto(real_v, 2.7, u, 4, ys)
+    assert relerr(got, y_derivatives_upto(complex_v, 2.7, u, 4, ys)) <= 1e-14
 
 
 def test_y_marching_oracle_reproduces_profile(diag_gen):

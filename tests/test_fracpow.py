@@ -26,7 +26,8 @@ from fracext import (
 )
 
 from fracext.cli import builtin_matrix
-from fracext.fracpow import _shifted_triangular_solve
+from fracext.fracpow import _bbw_tail, _shifted_triangular_solve
+from fracext.quadrature import QuadratureSpec
 from fracext.verify import _sine_modes, dirichlet_sine_power
 
 from conftest import relerr
@@ -374,6 +375,56 @@ class TestBBW:
         u = np.random.default_rng(22).standard_normal(128) + 0j
         got = bbw_frac_power(lap, s, int(s) + 1, u)
         assert relerr(got, dirichlet_sine_power(128, s, u)) <= 1e-4
+
+
+# Oscillatory modes: at -0.5+9.9j, e^{t lam} advances 19.8 radians of phase per decay length.
+OSCILLATORY = np.diag([-0.5 + 9.9j, -0.5 - 9.9j, -2.0, -5.0 + 3.0j])
+
+
+def bbw_tail_oracle(lam, s, k):
+    """``int_1^inf t^{-1-s} (e^{t lam} - 1)^k dt`` from ``int_1^inf t^{-1-s} e^{zt} dt = (-z)^s Gamma(-s, -z)``."""
+    with mpmath.workdps(50):
+        s = mpmath.mpf(s)
+        total = (-1) ** k / s
+        for j in range(1, k + 1):
+            z = j * mpmath.mpc(lam)
+            total += comb(k, j) * (-1) ** (k - j) * (-z) ** s * mpmath.gammainc(-s, -z)
+        return complex(total)
+
+
+class TestBBWTail:
+    LAMS = [-9.96 + 9.8j, -0.5 + 9.9j, -5.0 - 3.0j, -0.54, -4e6, -1e-3, -1e-3 + 1e-2j]
+
+    @pytest.mark.parametrize("s", [0.05, 0.3, 1.5, 2.7, 3.999])
+    def test_matches_incomplete_gamma(self, s):
+        k = int(s) + 1
+        got = _bbw_tail(np.array(self.LAMS), s, k, QuadratureSpec())
+        for lam, value in zip(self.LAMS, got):
+            ref = bbw_tail_oracle(lam, s, k)
+            assert abs(value - ref) <= 1e-13 * abs(ref), (lam, value, ref)
+
+    def test_real_spectrum_stays_real(self):
+        got = _bbw_tail(np.array([-0.54, -1e-3, -4e6]), 1.5, 2, QuadratureSpec())
+        assert got.dtype == np.float64
+
+    @pytest.mark.parametrize("s", [0.3, 0.7, 1.5])
+    def test_oscillatory_spectrum(self, s):
+        """The tanh-sinh tail this rule replaced stalled on these modes."""
+        gen = Generator(OSCILLATORY)
+        u = np.array([1.0, 0.5, -0.3, 0.2 + 0.1j])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = bbw_frac_power(gen, s, int(s) + 1, u)
+        assert relerr(got, gen.frac_power(s, u)) <= 1e-4
+
+    # Errors of the tanh-sinh tail this rule replaced, on the same inputs.
+    @pytest.mark.parametrize("scale, previous", [(1e-6, 3.47e-15), (1e-4, 1.79e-11), (1.0, 2.42e-8)])
+    def test_scaled_laplacian_small_modes(self, scale, previous):
+        """Modes with ``k |lam| < 1`` take the scaled series, where the binomial terms would cancel."""
+        gen = Generator(scale * builtin_matrix("laplacian1d:32").matrix)
+        u = np.random.default_rng(7).standard_normal(32) + 0j
+        got = bbw_frac_power(gen, 2.7, 3, u)
+        assert relerr(got, gen.frac_power(2.7, u)) <= max(10.0 * previous, 1e-12)
 
 
 def test_method_agreement_sweep():

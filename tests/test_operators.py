@@ -71,6 +71,21 @@ def test_semigroup_batch_matches_single(rand8, rand8_u):
         assert np.allclose(row, rand8.semigroup(t, rand8_u), rtol=1e-13, atol=0)
 
 
+def test_from_modes_real_eigvecs_match_complex_product(rand8):
+    """A real ``V`` maps eigencoordinate rows back in real arithmetic, to the complex product's digits."""
+    lap = builtin_matrix("laplacian1d:64")
+    nonnormal = Generator(np.array([[-1.0 + 2.0j, 0.5], [0.0, -3.0 - 1.0j]]))
+    assert lap._real_eigvecs is not None and rand8._real_eigvecs is not None
+    assert nonnormal._real_eigvecs is None
+    rng = np.random.default_rng(5)
+    for gen in (lap, rand8, nonnormal):
+        real_rows = rng.standard_normal((3, 4, gen.dim))
+        for rows in (real_rows, real_rows + 1j * rng.standard_normal(real_rows.shape)):
+            got = gen._from_modes(rows)
+            assert got.dtype == complex
+            assert relerr(got, rows @ gen.eigvecs.T) <= 1e-14
+
+
 def test_semigroup_rejects_negative_time(diag_gen):
     with pytest.raises(ValueError):
         diag_gen.semigroup(-0.1, np.ones(2, dtype=complex))
