@@ -67,6 +67,7 @@ from scipy.special import gamma
 from .fracpow import FracOrder, as_order
 from .operators import Generator
 from .quadrature import (
+    _TRAPEZOID_LEVELS,
     QuadratureSpec,
     _refine_target,
     _roundoff_floor,
@@ -210,17 +211,19 @@ def _log_window(alphas, k, depth=np.inf):
     return -float(lo), float(hi)
 
 
-def _check_tail_reach(k, hi, sigma):
-    """Refuse a window whose right edge ``r = e^hi`` overflows the weight ``F_k(r) ~ r^k``.
+def _check_tail_reach(k, hi, steps, nodes, sigma):
+    """Refuse a Taylor-tail window up to ``r = e^hi`` that ``F_k(r) ~ r^k`` cannot span.
 
     A Taylor-tail window ends at ``hi = _KERNEL_DECAY / sigma``
     (:func:`_log_window`), so it grows without bound as ``sigma = s - [s]``
-    nears 0; beyond ``k hi = log(float max)`` the weight is ``inf`` and the
-    window needs ``hi / step`` nodes.
+    nears 0.  Beyond ``k hi = log(float max)`` the weight is ``inf``; and a
+    first level of more ``steps`` than ``nodes * 2^(_TRAPEZOID_LEVELS - 1)``,
+    the finest level a call may reach, would lay gigabytes of nodes (at
+    ``k = 0`` the weight never overflows).
     """
-    if k * hi > _LOG_FLOAT_MAX:
+    if k * hi > _LOG_FLOAT_MAX or steps > nodes * 2 ** (_TRAPEZOID_LEVELS - 1):
         raise ValueError(
-            f"Taylor-tail weight F_{k}(r) overflows on its window up to r = e^{hi:.4g}: "
+            f"Taylor-tail weight F_{k}(r) cannot be integrated on its window up to r = e^{hi:.4g}: "
             f"sigma = s - [s] = {sigma:.3g} is too close to 0 for this representation"
         )
 
@@ -251,9 +254,11 @@ def _subordinate(gen, lam, rows, alphas, ys, quad, name, k=-1, offsets=0.0):
     offsets = np.broadcast_to(offsets, (ys.size, alphas.size))
     log_c = 2.0 * np.log(ys) - np.log(4.0)  # log(y^2/4), finite where y^2 underflows
     lo, hi = np.array([_log_window(alphas, k, _kernel_depth(gen, y)) for y in ys]).T
-    _check_tail_reach(k, hi.max(), -(alphas.max() + k))  # a no-op for the e^-r weight
     step = np.min(np.minimum(0.5, np.maximum(hi - lo, 1.0) / max(quad.nodes, 16)))
     t_lo, t_hi = log_c - hi, log_c - lo
+    if k >= 0:
+        steps = (t_hi.max() - t_lo.min()) / step
+        _check_tail_reach(k, hi.max(), steps, quad.nodes, -(alphas.max() + k))
     sizes = np.abs(rows).sum(axis=1)  # the mass of every output of a y counts towards its block
 
     def levels():

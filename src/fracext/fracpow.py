@@ -142,10 +142,10 @@ def resolvent_frac_power(gen: Generator, eps, alpha, u, quad=None):
     ``Z`` is applied once to the result; the cached eigensystem is not used.
     """
     quad = quad or QuadratureSpec()
-    if eps < 0:
-        raise ValueError(f"shift must be nonnegative, got {eps}")
-    if alpha <= 0:
-        raise ValueError(f"power must be positive, got {alpha}")
+    if not 0 <= eps < np.inf:
+        raise ValueError(f"shift must be nonnegative and finite, got {eps}")
+    if not 0 < alpha < np.inf:
+        raise ValueError(f"power must be positive and finite, got {alpha}")
     tri, unitary = gen.schur
     w = unitary.conj().T @ gen._check_vector(u)
     whole = int(np.floor(alpha))
@@ -289,8 +289,9 @@ def c_constant_expsum(s, k, quad=None):
         return exp_tail(n, np.exp(x)) * np.exp(-s_val * x)
 
     lo, hi = _log_window(-s_val, n)
-    _check_tail_reach(n, hi, order.sigma)
-    universal = trapezoid_refine(g, lo, hi, quad.tol, name="c(s,k) universal")
+    h0 = 0.25
+    _check_tail_reach(n, hi, (hi - lo) / h0, quad.nodes, order.sigma)
+    universal = trapezoid_refine(g, lo, hi, quad.tol, h0=h0, name="c(s,k) universal")
     weights = sum(comb(k, j) * (-1.0) ** (k - j) * j**s_val for j in range(1, k + 1))
     return float(universal * weights)
 

@@ -64,8 +64,9 @@ def _real_if_real(arr):
 
 
 def _check_spectrum(lam):
-    if np.any(lam.real >= 0.0):
-        worst = lam[np.argmax(lam.real)]
+    bad = lam[~((lam.real < 0.0) & np.isfinite(lam))]  # NaN eigenvalues fail too
+    if bad.size:
+        worst = bad[np.argmax(bad.real)]
         raise ValueError(
             f"generator spectrum must lie in the open left half-plane; "
             f"found eigenvalue {worst}"
@@ -281,6 +282,8 @@ class Generator:
         imaginary parts of ``u`` as two columns; otherwise the solve is complex.
         """
         u = self._check_vector(u)
+        if not np.isfinite(mu):
+            raise ValueError(f"resolvent point must be finite, got mu={mu}")
         gap = np.min(np.abs(mu - self.eigenvalues))
         if gap < 1e-14 * max(1.0, abs(mu)):
             raise ValueError(f"mu={mu} coincides with an eigenvalue of L")
@@ -329,8 +332,8 @@ class Generator:
         eigendecomposition; its Schur factors and ``bound_M`` are computed
         afresh from its own matrix on first use.
         """
-        if eps <= 0:
-            raise ValueError(f"regularization parameter must be positive, got {eps}")
+        if not 0 < eps < np.inf:
+            raise ValueError(f"regularization parameter must be positive and finite, got {eps}")
         a = -self.eigenvalues
         lam = -(a / (1.0 + eps * a))
         _check_spectrum(lam)

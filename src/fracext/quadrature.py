@@ -1,29 +1,29 @@
 """Quadrature engines and extrapolation utilities.
 
-Two rule families cover every adaptive integral in the package:
+Every adaptive integral in the package runs on one nested lattice, the
+composite trapezoid levels of :func:`trapezoid_lattice`, under one of two
+maps:
 
-* tanh-sinh rules on ``(0, 1)`` combined with exact power substitutions, for
-  integrands with an algebraic endpoint singularity ``x^p * smooth`` (the
-  resolvent integrals of the Balakrishnan routes and the inverse fractional
-  powers, and the BBW integrals over ``[eps0, 1]``);
-* trapezoid rules on the log axis, whose transformed integrands decay
-  exponentially (or double-exponentially) in both directions (the
-  subordination integrals and the BBW tail).
+* the log axis (or a double-exponential ray), on which the subordination
+  integrals and the BBW tail decay exponentially or faster at both ends
+  (:func:`trapezoid_refine`);
+* the tanh-sinh map ``x = 1/(1 + e^{-pi sinh t})`` onto ``(0, 1)`` (Takahasi
+  & Mori, Publ. RIMS 9, 1974) after an exact power substitution, for the
+  algebraic endpoint singularities ``x^p * smooth`` of the resolvent
+  integrals and the BBW integrals over ``[eps0, 1]`` (:func:`integrate_unit`).
 
-Both rule families are nested: halving the step keeps every node of the
-previous level, so each level evaluates the integrand only at the new nodes
-and adds their weighted sum to half the previous value.  Every node is
-evaluated once.  Every adaptive rule feeds one driver, :func:`refine`, which
-compares successive levels and stops at the requested tolerance or at the
-roundoff floor set by the integrand's L1 mass.  Summation order over nodes
-is fixed, so results are deterministic for a fixed :class:`QuadratureSpec`.
-Failure to meet the tolerance within the level budget raises
-:class:`ConvergenceError` carrying the achieved residual.
+Halving the step keeps every node of the previous level, so each level
+evaluates the integrand only at the new nodes, once each, and adds their
+weighted sum to half the previous value.  Every adaptive rule feeds one
+driver, :func:`refine`, which compares successive levels and stops at the
+requested tolerance or at the roundoff floor set by the integrand's L1
+mass.  Summation order over nodes is fixed, so results are deterministic for
+a fixed :class:`QuadratureSpec`.  Failure to meet the tolerance within the
+level budget raises :class:`ConvergenceError` carrying the achieved residual.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 
 import numpy as np
 
@@ -31,7 +31,6 @@ __all__ = [
     "QuadratureSpec",
     "ConvergenceError",
     "gauss_legendre_rule",
-    "tanh_sinh_rule",
     "integrate_unit",
     "refine",
     "trapezoid_lattice",
@@ -76,54 +75,6 @@ def gauss_legendre_rule(n):
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
-
-
-# Nodes closer to 1 than this are dropped: nearer 1 the floats are too coarse
-# to keep neighbouring nodes apart at steps down to h = 1/256.  The dropped
-# weights sum to about this value.
-_NEAR_ONE = 2.0**-49
-
-
-def _tanh_sinh_nodes(k, h):
-    """Nodes/weights of the step-``h`` tanh-sinh rule at the integers ``k``.
-
-    Which nodes are kept depends on ``t = k h`` alone, so a rule and its
-    odd-``k`` part drop the same nodes.
-    """
-    z = 0.5 * np.pi * np.sinh(k * h)
-    x = 1.0 / (1.0 + np.exp(-2.0 * z))
-    w = h * (0.25 * np.pi) * np.cosh(k * h) / np.cosh(z) ** 2
-    keep = (x > 0.0) & (x < 1.0 - _NEAR_ONE) & (w > 1e-300)
-    x, w = x[keep], w[keep]
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
-
-
-@lru_cache(maxsize=64)
-def tanh_sinh_rule(h, tmax=4.0):
-    """Endpoint-stable tanh-sinh nodes/weights on ``(0, 1)``.
-
-    Nodes near 0 are computed through ``1/(1 + e^{2z})`` so their distance to
-    the endpoint stays accurate down to ~1e-300; nodes that underflow to 0,
-    or lie within ``2^-49`` of 1, where neighbours would round onto each
-    other, are dropped (their weights are negligible).
-    """
-    top = int(tmax / h)
-    return _tanh_sinh_nodes(np.arange(-top, top + 1), h)
-
-
-@lru_cache(maxsize=64)
-def _tanh_sinh_odd(h, tmax=4.0):
-    """The odd-``k`` part of :func:`tanh_sinh_rule` ``(h, tmax)``.
-
-    Its even-``k`` nodes are those of the step-``2h`` rule (``2k h == k (2h)``
-    exactly) with half their weights, so this part is all a refinement from
-    ``2h`` to ``h`` has to evaluate.
-    """
-    top = int(tmax / h)
-    k = np.arange(-top, top + 1)
-    return _tanh_sinh_nodes(k[k % 2 != 0], h)
 
 
 # -- adaptive drivers ----------------------------------------------------------
@@ -200,43 +151,19 @@ def _weighted_sum(weights, vals):
     return value[()], float(np.sum(weights @ np.abs(flat)))  # [()]: 0-d -> scalar
 
 
-def _nested(sums, scale=1.0):
+def _nested(sums):
     """Levels of a nested rule for :func:`refine`, from the weighted sums each level adds.
 
-    A level's value is its sum plus half the previous level's value, times
-    ``scale``; the L1 mass likewise.
+    A level's value is its sum plus half the previous level's value; the L1
+    mass likewise.
     """
     value = mass = 0.0
     for new_value, new_mass in sums:
         value, mass = 0.5 * value + new_value, 0.5 * mass + new_mass
-        yield np.asarray(scale * value)[None], (scale * mass,)
+        yield np.asarray(value)[None], (mass,)
 
 
-_UNIT_LEVELS = 6
 _TRAPEZOID_LEVELS = 7
-
-
-def integrate_unit(f, tol, singular_power=0.0, nodes0=64, name="integral"):
-    """Adaptive ``int_0^1 x^p f(x) dx`` with ``p = singular_power > -1``.
-
-    The power substitution ``x = w^{1/(1+p)}`` removes the endpoint
-    singularity exactly, after which tanh-sinh handles the remaining
-    (derivative-level) endpoint behavior.  ``f`` must be vectorized, bounded
-    on ``(0, 1]``, and may return arrays of shape ``(len(x), ...)``; the node
-    axis is reduced.  The step halves over at most ``_UNIT_LEVELS`` levels;
-    each level evaluates only the nodes the previous one lacks.
-    """
-    if singular_power <= -1.0:
-        raise ValueError(f"endpoint power must exceed -1, got {singular_power}")
-    q = 1.0 / (1.0 + singular_power)
-
-    def part(w_nodes, weights):
-        x = w_nodes**q if q != 1.0 else w_nodes
-        return _weighted_sum(weights, np.asarray(f(x)))
-
-    h = min(0.5, 8.0 / max(nodes0, 16))
-    rules = chain([tanh_sinh_rule(h)], (_tanh_sinh_odd(h * 0.5**i) for i in range(1, _UNIT_LEVELS)))
-    return refine(_nested((part(*rule) for rule in rules), q), tol, f"{name}: tanh-sinh")[0]
 
 
 def trapezoid_lattice(lo, hi, h0, name="integral"):
@@ -275,6 +202,42 @@ def trapezoid_refine(g, lo, hi, tol, h0=0.25, name="integral"):
     lattice = trapezoid_lattice(lo, hi, h0, name)
     sums = (_weighted_sum(weights, np.asarray(g(nodes))) for nodes, weights in lattice)
     return refine(_nested(sums), tol, f"{name}: trapezoid")[0]
+
+
+# Nodes closer to 1 than this are dropped: nearer 1 the floats are too coarse
+# to keep neighbouring nodes apart at steps down to h = 1/256.  The dropped
+# weights sum to about this value.
+_NEAR_ONE = 2.0**-49
+
+
+def integrate_unit(f, tol, singular_power=0.0, nodes0=64, name="integral"):
+    """Adaptive ``int_0^1 x^p f(x) dx`` with ``p = singular_power > -1``.
+
+    The power substitution ``x = w^{1/(1+p)}`` removes the endpoint
+    singularity exactly, and the tanh-sinh map ``w = 1/(1 + e^{-pi sinh t})``
+    of ``t in [-4, 4]`` handles the remaining (derivative-level) endpoint
+    behavior.  The levels are those of :func:`trapezoid_lattice` in ``t``
+    from step ``8/nodes0`` (at most ``1/2``), with both Jacobians in the
+    weights.  Which nodes are dropped depends on ``t`` alone: those where
+    ``w`` underflows to 0 or lies within ``2^-49`` of 1, where neighbours
+    would round onto each other.  ``f`` must be vectorized, bounded on
+    ``(0, 1]``, and may return arrays of shape ``(len(x), ...)``; the node
+    axis is reduced.
+    """
+    if singular_power <= -1.0:
+        raise ValueError(f"endpoint power must exceed -1, got {singular_power}")
+    q = 1.0 / (1.0 + singular_power)
+
+    def part(t, weights):
+        z = 0.5 * np.pi * np.sinh(t)
+        w = 1.0 / (1.0 + np.exp(-2.0 * z))
+        jacobian = (0.25 * np.pi) * np.cosh(t) / np.cosh(z) ** 2
+        keep = (w > 0.0) & (w < 1.0 - _NEAR_ONE) & (jacobian > 1e-300)
+        return _weighted_sum(q * jacobian[keep] * weights[keep], np.asarray(f(w[keep] ** q)))
+
+    h = min(0.5, 8.0 / max(nodes0, 16))
+    lattice = trapezoid_lattice(-4.0, 4.0, h, name)
+    return refine(_nested(part(*level) for level in lattice), tol, f"{name}: tanh-sinh")[0]
 
 
 # -- Richardson extrapolation ----------------------------------------------------

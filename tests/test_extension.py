@@ -1,5 +1,6 @@
 import csv
 import io
+import time
 import warnings
 from math import factorial
 
@@ -244,6 +245,18 @@ class TestRadialPower:
             radial_power(diag_gen, s, np.ones(2, dtype=complex), 0, 0.5, mode="from_f")
         with pytest.raises(ValueError, match="sigma"):
             c_constant_expsum(s, int(s) + 1)
+
+    @pytest.mark.parametrize("call", [
+        lambda gen, u: radial_power(gen, 1.000001, u, 1, 0.5, mode="from_f"),
+        lambda gen, u: extend_explicit(gen, 1e-6, u, 0.5),
+        lambda gen, u: c_constant_expsum(1e-6, 1),
+    ], ids=["radial_power", "extend_explicit", "c_constant_expsum"])
+    def test_wide_taylor_tail_window_names_sigma(self, diag_gen, call):
+        """F_0 never overflows, but its window up to r = e^{55/sigma} would need ~1e8 nodes."""
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="sigma"):
+            call(diag_gen, np.ones(2, dtype=complex))
+        assert time.perf_counter() - start < 1.0
 
     def test_small_y_limit(self, scalar_gen):
         # limit Gamma(s-m)/Gamma(s) L^m u = -2/3 at s=2.5, m=1, L=-1

@@ -95,6 +95,11 @@ class TestResolventFracPower:
         with pytest.raises(ValueError):
             resolvent_frac_power(diag_gen, 0.0, -0.5, u)
 
+    @pytest.mark.parametrize("eps, alpha", [(np.nan, 2.0), (np.inf, 2.0), (0.0, np.nan), (0.0, np.inf)])
+    def test_rejects_non_finite_arguments(self, diag_gen, eps, alpha):
+        with pytest.raises(ValueError, match="finite"):
+            resolvent_frac_power(diag_gen, eps, alpha, np.ones(2, dtype=complex))
+
 
 class TestBalakrishnan:
     def test_scalar_sqrt2(self):

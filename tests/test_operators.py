@@ -11,7 +11,7 @@ from scipy.linalg import expm
 import fracext
 from fracext import Generator, load_vector, random_generator
 from fracext.cli import builtin_matrix
-from fracext.operators import parse_complex
+from fracext.operators import _check_spectrum, parse_complex
 from fracext.verify import dirichlet_sine_power
 
 from conftest import relerr
@@ -125,6 +125,12 @@ def test_resolvent_rejects_eigenvalue(diag_gen):
         diag_gen.resolvent(-1.0, np.ones(2, dtype=complex))
 
 
+@pytest.mark.parametrize("mu", [np.nan, np.inf, complex(1.0, np.nan)])
+def test_resolvent_rejects_non_finite_point(diag_gen, mu):
+    with pytest.raises(ValueError, match="finite"):
+        diag_gen.resolvent(mu, np.ones(2, dtype=complex))
+
+
 def test_frac_power_diagonal(diag_gen):
     out = diag_gen.frac_power(0.5, np.array([1.0, 1.0], dtype=complex))
     assert np.allclose(out, [1.0, 2.0], rtol=1e-14)
@@ -193,6 +199,18 @@ def test_construction_rejects_unstable_spectrum():
         Generator(np.diag([1.0, -2.0]))
     with pytest.raises(ValueError, match="left half-plane"):
         Generator(np.diag([0.0, -2.0]))
+
+
+@pytest.mark.parametrize("eps", [np.nan, np.inf])
+def test_yosida_rejects_non_finite_parameter(diag_gen, eps):
+    with pytest.raises(ValueError, match="finite"):
+        diag_gen.yosida(eps)
+
+
+@pytest.mark.parametrize("bad", [np.nan, complex(-1.0, np.nan)])
+def test_spectrum_check_rejects_nan_eigenvalues(bad):
+    with pytest.raises(ValueError, match="left half-plane.*nan"):
+        _check_spectrum(np.array([-2.0, bad, -1.0], dtype=complex))
 
 
 def test_construction_rejects_jordan_block():

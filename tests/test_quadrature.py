@@ -3,15 +3,15 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import fracext.fracpow
+from fracext.cli import builtin_matrix
 from fracext.quadrature import (
     ConvergenceError,
     QuadratureSpec,
-    _tanh_sinh_odd,
     extrapolation_spread,
     integrate_unit,
     richardson,
     richardson_table,
-    tanh_sinh_rule,
     trapezoid_refine,
 )
 
@@ -30,11 +30,6 @@ def test_spec_validation():
 def test_spec_rejects_non_finite_tolerance(tol):
     with pytest.raises(ValueError, match="finite"):
         QuadratureSpec(32, tol)
-
-
-def test_tanh_sinh_nodes_inside_interval():
-    x, w = tanh_sinh_rule(0.125)
-    assert np.all(x > 0) and np.all(x < 1) and np.all(w > 0)
 
 
 def test_integrate_unit_power_singularities():
@@ -84,26 +79,61 @@ def recording(f):
     return g, calls
 
 
-def test_tanh_sinh_odd_part_completes_the_coarser_rule():
-    for h in (0.5, 0.125, 0.1, 1.0 / 48.0):
-        coarse_x, coarse_w = tanh_sinh_rule(h)
-        odd_x, odd_w = _tanh_sinh_odd(0.5 * h)
-        fine_x, fine_w = tanh_sinh_rule(0.5 * h)
-        x = np.concatenate([coarse_x, odd_x])
-        w = np.concatenate([0.5 * coarse_w, odd_w])
-        order = np.argsort(x)
-        assert np.array_equal(x[order], fine_x), h
-        assert np.array_equal(w[order], fine_w), h
+def tanh_sinh_reference(h):
+    """The step-``h`` tanh-sinh rule on ``(0, 1)``, laid at once: nodes and weights."""
+    t = h * np.arange(-round(4.0 / h), round(4.0 / h) + 1)
+    z = 0.5 * np.pi * np.sinh(t)
+    x = 1.0 / (1.0 + np.exp(-2.0 * z))
+    w = h * (0.25 * np.pi) * np.cosh(t) / np.cosh(z) ** 2
+    w[[0, -1]] *= 0.5
+    keep = (x > 0.0) & (x < 1.0 - 2.0**-49)
+    return x[keep], w[keep]
+
+
+def test_tanh_sinh_nodes_inside_interval():
+    for p in (0.0, -0.5, 0.7):
+        g, calls = recording(np.cos)
+        integrate_unit(g, 1e-14, singular_power=p)
+        x = np.concatenate(calls)
+        assert np.all(x > 0.0) and np.all(x < 1.0), p
 
 
 def test_tanh_sinh_nodes_strictly_increase():
     # nodes next to 1 that would round onto a neighbour are dropped, each evaluated once
     for j in range(3, 9):
         h = 2.0**-j
-        x, w = tanh_sinh_rule(h)
-        assert np.all(np.diff(x) > 0.0), h
-        assert np.all(np.diff(_tanh_sinh_odd(h)[0]) > 0.0), h
-        assert abs(np.sum(w) - 1.0) <= 1e-14, h
+        g, calls = recording(np.ones_like)
+        total = integrate_unit(g, 1e-14, nodes0=2 ** (j + 2))  # first step 2h
+        assert all(np.all(np.diff(x) > 0.0) for x in calls), h
+        assert np.all(np.diff(np.sort(np.concatenate(calls))) > 0.0), h
+        assert abs(total - 1.0) <= 1e-14, h  # the finest weights sum to 1
+
+
+@pytest.mark.parametrize("f, p", [(np.cos, 0.0), (np.ones_like, -0.999), (np.sin, 0.7)])
+def test_integrate_unit_level_sizes(f, p):
+    g, calls = recording(f)
+    integrate_unit(g, 1e-14, singular_power=p, nodes0=16)
+    assert [len(x) for x in calls] == [15, 14, 28, 57]
+
+
+@pytest.mark.parametrize("matrix, outer_sizes", [("random:128:7", [114, 113]),
+                                                 ("laplacian1d:128", [114, 113, 226])])
+def test_resolvent_and_bbw_level_sizes(monkeypatch, matrix, outer_sizes):
+    sizes = {}
+
+    def sized(f, *args, name, **kwargs):
+        g, calls = recording(f)
+        value = integrate_unit(g, *args, name=name, **kwargs)
+        sizes[name] = [len(x) for x in calls]
+        return value
+
+    monkeypatch.setattr(fracext.fracpow, "integrate_unit", sized)
+    gen = builtin_matrix(matrix)
+    u = np.random.default_rng(1).standard_normal(gen.dim) + 0j
+    fracext.fracpow.balakrishnan(gen, 0.3, u)
+    fracext.fracpow.bbw_frac_power(gen, 0.3, 1, u)
+    assert sizes == {"balakrishnan inner": [114, 113], "balakrishnan outer": outer_sizes,
+                     "bbw base": outer_sizes}
 
 
 def test_trapezoid_levels_evaluate_each_node_once():
@@ -128,9 +158,9 @@ def test_integrate_unit_levels_evaluate_each_node_once():
     val = integrate_unit(g, 1e-14, nodes0=16)
     assert len(calls) >= 3
     nodes = np.concatenate(calls)
-    finest_x, finest_w = tanh_sinh_rule(0.5 / 2 ** (len(calls) - 1))
+    finest_x, finest_w = tanh_sinh_reference(0.5 / 2 ** (len(calls) - 1))
     assert len(nodes) == len(finest_x)
-    assert np.array_equal(np.sort(nodes), np.sort(finest_x))
+    assert np.array_equal(np.sort(nodes), finest_x)
     reference = np.sum(finest_w * np.cos(finest_x))
     assert abs(val - reference) <= 1e-15 * abs(reference)
 
@@ -153,7 +183,7 @@ def test_nested_vector_values_match_the_direct_sum():
     g, calls = recording(lambda x: f(x).reshape(-1, 3, 1))
     val = integrate_unit(g, 1e-13, singular_power=-0.5, nodes0=16)
     assert len(calls) >= 3
-    w_nodes, weights = tanh_sinh_rule(0.5 / 2 ** (len(calls) - 1))
+    w_nodes, weights = tanh_sinh_reference(0.5 / 2 ** (len(calls) - 1))
     reference = 2.0 * (weights @ f(w_nodes**2))
     assert val.shape == (3, 1)
     assert np.linalg.norm(val[:, 0] - reference) <= 1e-15 * np.linalg.norm(reference)
