@@ -140,6 +140,15 @@ def exp_tail(n, r):
     return out[0] if scalar else out
 
 
+def _exp_tail_log(k, x):
+    """``F_k(e^x)``, with ``x`` clipped at ``log(float max)`` so that ``e^x`` cannot overflow.
+
+    Only ``k = 0`` windows reach past the clip (:func:`_check_tail_reach`
+    refuses the others), and there ``F_0(r) = e^-r - 1`` is ``-1`` exactly.
+    """
+    return exp_tail(k, np.exp(np.minimum(x, _LOG_FLOAT_MAX)))
+
+
 def _gamma_ratio(s, k):
     """``Gamma(s - k) / Gamma(s) = 1 / prod_{i=1..k} (s - i)`` for integer ``k >= 0``."""
     out = 1.0
@@ -273,7 +282,7 @@ def _subordinate(gen, lam, rows, alphas, ys, quad, name, k=-1, offsets=0.0):
             inside = (taus >= t_lo[open_, None]) & (taus <= t_hi[open_, None])
             x = np.clip(log_c[open_, None] - taus, lo[open_, None], hi[open_, None])[:, None, :]
             expo = alphas[:, None] * x + offsets[open_, :, None]
-            weight = np.exp(expo - np.exp(x)) if k < 0 else exp_tail(k, np.exp(x)) * np.exp(expo)
+            weight = np.exp(expo - np.exp(x)) if k < 0 else _exp_tail_log(k, x) * np.exp(expo)
             weight = np.where(inside[:, None, :], weight * weights, 0.0).reshape(-1, taus.size)
             arg = np.multiply.outer(np.exp(taus), lam[live])
             table = np.exp(arg, out=np.zeros_like(arg), where=arg.real > _FACTOR_FLOOR)

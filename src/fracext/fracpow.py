@@ -6,8 +6,12 @@ spectral evaluation in tests:
 * the Balakrishnan integral over the resolvent, split at ``mu = 1`` with
   exact power substitutions on both halves; ``L`` is reduced once to its
   complex Schur form, so each quadrature node costs one ``O(d^2)``
-  triangular solve and the route stays independent of the eigensystem;
-* inverse fractional powers ``(eps I - L)^{-alpha}``: ``[alpha]``
+  triangular solve and the route stays independent of the eigensystem.  The
+  two halves are blocks of one :func:`~fracext.quadrature.integrate_unit`
+  call, so each level solves the nodes of both in one back-substitution
+  sweep; on the diagonal Schur factor of a Hermitian ``L`` a node costs one
+  division per mode;
+* inverse fractional powers ``(eps I - L)^{-alpha}``: ``[alpha]`` LAPACK
   triangular solves with ``eps I - T`` and, for the fractional part, the
   same resolvent integral with its resolvent shifted by ``eps``;
 * the Berens-Butzer-Westphal limit of ``(e^{tL} - I)^k`` integrals with a
@@ -83,15 +87,52 @@ def _shifted_triangular_solve(alpha, beta, tri, rhs):
     ``T`` is upper triangular.  ``alpha`` and ``beta`` are scalars or arrays of
     shape ``(m,)``, at least one of them an array; ``rhs`` is ``(d,)`` (shared
     by every node) or ``(m, d)``.  One back-substitution sweep over the ``d``
-    rows solves all ``m`` systems at once, at ``O(m d)`` per row.
+    rows solves all ``m`` systems at once, at ``O(m d)`` per row.  A diagonal
+    ``T`` (the Schur factor of a Hermitian ``L``) needs no sweep: one division
+    per node and mode, in real arithmetic when ``T``, ``alpha`` and ``beta``
+    are real.
     """
+    dim = tri.shape[0]
+    # the d^2 - 1 entries after T[0, 0]: d - 1 rows of d off the diagonal and one on it
+    if not tri.ravel()[1:].reshape(dim - 1, dim + 1)[:, :dim].any():
+        eig = tri.diagonal()
+        eig = eig if eig.imag.any() else eig.real
+        den = np.reshape(alpha, (-1, 1)) + np.reshape(beta, (-1, 1)) * eig
+        x = np.empty(den.shape, dtype=complex)
+        if np.iscomplexobj(den):
+            return np.divide(rhs, den, out=x)
+        x.real, x.imag = np.real(rhs) / den, np.imag(rhs) / den
+        return x
     diag = alpha + beta * tri.diagonal()[:, None]
-    dim, m = diag.shape
+    m = diag.shape[1]
     b = np.broadcast_to(rhs, (m, dim)).T
     x = np.empty((dim, m), dtype=complex)
     for i in range(dim - 1, -1, -1):
         x[i] = (b[i] - beta * (tri[i, i + 1:] @ x[i + 1:])) / diag[i]
     return x.T
+
+
+def _joint_solve(tri, systems):
+    """Solve the systems of every open block in one :func:`_shifted_triangular_solve` sweep.
+
+    ``systems`` holds one ``(alpha, beta, rhs)`` per block, or ``None`` for a
+    block that :func:`~fracext.quadrature.integrate_unit` has closed:
+    ``alpha`` and ``beta`` broadcast to the block's ``(m,)`` nodes and
+    ``rhs`` to ``(m, d)``; a ``(d,)`` vector that every block shares stays
+    one vector, not a copy per node.  Returns one ``(m, d)`` solution per block, and ``None`` for a
+    closed one.
+    """
+    live = [system for system in systems if system is not None]
+    alphas, betas = zip(*(np.broadcast_arrays(alpha, beta) for alpha, beta, _ in live))
+    sizes = [len(alpha) for alpha in alphas]
+    rhs = [system[2] for system in live]
+    if all(r is rhs[0] and np.ndim(r) == 1 for r in rhs):
+        rhs = rhs[0]
+    else:
+        rhs = np.concatenate([np.broadcast_to(r, (m, tri.shape[0])) for r, m in zip(rhs, sizes)])
+    x = _shifted_triangular_solve(np.concatenate(alphas), np.concatenate(betas), tri, rhs)
+    parts = iter(np.split(x, np.cumsum(sizes)[:-1]))
+    return [None if system is None else next(parts) for system in systems]
 
 
 def _resolvent_integral(tri, w, sig, shift, quad, name):
@@ -101,27 +142,23 @@ def _resolvent_integral(tri, w, sig, shift, quad, name):
     basis.  The integral is split at ``mu = 1``; ``mu = 1/v`` maps the outer
     half onto ``v^{sig-1} ((1 + shift v) I - v T)^{-1} w`` on ``(0, 1)``.
     Both halves carry a pure power endpoint singularity that the unit-interval
-    driver removes exactly, and each node costs one triangular back
-    substitution.  ``sig`` is first rounded so that both endpoint powers
-    ``-sig`` and ``sig - 1`` are exact, and the prefactor is formed from the
-    smaller of ``sig`` and ``1 - sig``: then the ``1/sig`` or ``1/(1-sig)``
-    the driver integrates and the prefactor cancel to full relative accuracy
-    even for ``sig`` within ``1e-9`` of ``0`` or ``1``.
+    driver removes exactly; they are its two blocks, so each level solves the
+    nodes of both in one triangular sweep.  ``sig`` is first rounded so that
+    both endpoint powers ``-sig`` and ``sig - 1`` are exact, and the
+    prefactor is formed from the smaller of ``sig`` and ``1 - sig``: then the
+    ``1/sig`` or ``1/(1-sig)`` the driver integrates and the prefactor cancel
+    to full relative accuracy even for ``sig`` within ``1e-9`` of ``0`` or
+    ``1``.
     """
     sig = 1.0 + (sig - 1.0)
 
-    def inner_half(mu):
-        return _shifted_triangular_solve(mu + shift, -1.0, tri, w)
+    def halves(nodes):
+        mu, v = nodes
+        return _joint_solve(tri, [None if mu is None else (mu + shift, -1.0, w),
+                                  None if v is None else (1.0 + shift * v, -v, w)])
 
-    def outer_half(v):
-        return _shifted_triangular_solve(1.0 + shift * v, -v, tri, w)
-
-    inner = integrate_unit(
-        inner_half, quad.tol, singular_power=-sig, nodes0=quad.nodes, name=f"{name} inner"
-    )
-    outer = integrate_unit(
-        outer_half, quad.tol, singular_power=sig - 1.0, nodes0=quad.nodes, name=f"{name} outer"
-    )
+    inner, outer = integrate_unit(halves, quad.tol, singular_power=[-sig, sig - 1.0],
+                                  nodes0=quad.nodes, name=name)
     return np.sin(np.pi * min(sig, 1.0 - sig)) / np.pi * (inner + outer)
 
 
@@ -131,7 +168,7 @@ def _resolvent_integral(tri, w, sig, shift, quad, name):
 def resolvent_frac_power(gen: Generator, eps, alpha, u, quad=None):
     """Apply ``(eps I - L)^{-alpha}`` in the cached Schur basis ``L = Z T Z^H``.
 
-    The integer part ``[alpha]`` is that many triangular solves with
+    The integer part ``[alpha]`` is that many LAPACK triangular solves with
     ``eps I - T``; the fractional part ``sigma = alpha - [alpha]``, when
     nonzero, is the Balakrishnan-type resolvent integral
 
@@ -146,11 +183,13 @@ def resolvent_frac_power(gen: Generator, eps, alpha, u, quad=None):
         raise ValueError(f"shift must be nonnegative and finite, got {eps}")
     if not 0 < alpha < np.inf:
         raise ValueError(f"power must be positive and finite, got {alpha}")
+    from scipy.linalg import solve_triangular  # deferred: importing scipy.linalg is slow
+
     tri, unitary = gen.schur
     w = unitary.conj().T @ gen._check_vector(u)
     whole = int(np.floor(alpha))
     for _ in range(whole):
-        w = _shifted_triangular_solve(np.full(1, eps), -1.0, tri, w)[0]
+        w = solve_triangular(eps * np.eye(gen.dim) - tri, w, check_finite=False)
     sig = alpha - whole
     if sig > 0.0:
         w = _resolvent_integral(tri, w, sig, eps, quad, "inverse fractional power")
@@ -207,21 +246,15 @@ def balakrishnan_second_kind(gen: Generator, s, u, quad=None):
     au = -(tri @ (unitary.conj().T @ gen._check_vector(u)))
     a2u = -(tri @ au)
 
-    def inner_half(mu):
-        return _shifted_triangular_solve(mu, -1.0, tri, au) - (mu / (1.0 + mu**2))[:, None] * au
+    def halves(nodes):
+        mu, v = nodes
+        inner, outer = _joint_solve(tri, [None if mu is None else (mu, -1.0, au),
+                                          None if v is None else (1.0, -v, v[:, None] * au - a2u)])
+        return [None if mu is None else inner - (mu / (1.0 + mu**2))[:, None] * au,
+                None if v is None else outer / (1.0 + v**2)[:, None]]
 
-    def outer_half(v):
-        rhs = v[:, None] * au - a2u
-        return _shifted_triangular_solve(1.0, -v, tri, rhs) / (1.0 + v**2)[:, None]
-
-    inner = integrate_unit(
-        inner_half, quad.tol, singular_power=s_val - 1.0, nodes0=quad.nodes,
-        name="balakrishnan-II inner",
-    )
-    outer = integrate_unit(
-        outer_half, quad.tol, singular_power=1.0 - s_val, nodes0=quad.nodes,
-        name="balakrishnan-II outer",
-    )
+    inner, outer = integrate_unit(halves, quad.tol, singular_power=[s_val - 1.0, 1.0 - s_val],
+                                  nodes0=quad.nodes, name="balakrishnan-II")
     return unitary @ (np.sin(s_val * np.pi) / np.pi * (inner + outer)
                       + np.sin(s_val * np.pi / 2.0) * au)
 
@@ -276,9 +309,10 @@ def c_constant_expsum(s, k, quad=None):
     ``int_0^inf F_n(r) r^{-1-s} dr``, evaluated on the log axis where the
     integrand decays exponentially both ways.  Where ``sigma = s - [s]`` is
     too small for ``F_n`` to stay finite on that window, a ``ValueError``
-    naming ``sigma`` is raised instead.
+    naming ``sigma`` is raised instead; ``F_0`` stays finite, and where its
+    window passes ``r = float max`` it is ``-1`` exactly.
     """
-    from .extension import _check_tail_reach, _log_window, exp_tail
+    from .extension import _check_tail_reach, _exp_tail_log, _log_window
 
     order = as_order(s)
     k = _check_bbw_exponent(order, k)
@@ -286,7 +320,7 @@ def c_constant_expsum(s, k, quad=None):
     s_val, n = order.s, order.n
 
     def g(x):
-        return exp_tail(n, np.exp(x)) * np.exp(-s_val * x)
+        return _exp_tail_log(n, x) * np.exp(-s_val * x)
 
     lo, hi = _log_window(-s_val, n)
     h0 = 0.25

@@ -24,7 +24,8 @@ stored factors are complex either way.
 and eigenvalues its matrix product and SVD are real.  Two further
 factors are computed on first use and then cached: the complex Schur form
 ``L = Z T Z^H`` that the Balakrishnan resolvents solve against (for a real
-``L`` made complex from the real Schur form), and the semigroup bound
+``L`` made complex from the real Schur form; for a Hermitian ``L`` with a
+diagonal ``T``, so its solves are divisions), and the semigroup bound
 ``cond_2(V)``.  All operations are pure functions of this
 data and safe to call from multiple threads.
 """
@@ -162,7 +163,12 @@ class Generator:
 
         Computed from ``L`` alone, independent of the eigendecomposition.  A
         real ``L`` takes LAPACK's real Schur form, whose 2x2 blocks
-        ``rsf2csf`` then rotates into the same complex layout.
+        ``rsf2csf`` then rotates into the same complex layout.  A Hermitian
+        ``L`` keeps only the real part of ``T``'s diagonal: its Schur form is
+        diagonal and real (Golub & Van Loan, *Matrix Computations*, 7.1), so
+        what LAPACK leaves above the diagonal or in the imaginary parts is
+        rounding, and ``(T, Z)`` stays a Schur form with the same backward
+        error.  The resolvent solves then need no back substitution.
         """
         from scipy.linalg import rsf2csf, schur  # deferred: importing scipy.linalg is slow
 
@@ -170,6 +176,8 @@ class Generator:
             tri, unitary = schur(self.matrix, output="complex")
         else:
             tri, unitary = rsf2csf(*schur(self.matrix.real, output="real"))
+        if self._hermitian:
+            tri = np.diag(tri.diagonal().real).astype(complex)
         tri.setflags(write=False)
         unitary.setflags(write=False)
         return tri, unitary

@@ -210,6 +210,14 @@ def trapezoid_refine(g, lo, hi, tol, h0=0.25, name="integral"):
 _NEAR_ONE = 2.0**-49
 
 
+def _merge_zeros(x, weights):
+    """Nodes that underflowed to ``x = 0`` as one node carrying their summed weight."""
+    zeros = np.count_nonzero(x == 0.0)  # a prefix: x rises with t
+    if zeros < 2:
+        return x, weights
+    return x[zeros - 1:], np.concatenate(([weights[:zeros].sum()], weights[zeros:]))
+
+
 def integrate_unit(f, tol, singular_power=0.0, nodes0=64, name="integral"):
     """Adaptive ``int_0^1 x^p f(x) dx`` with ``p = singular_power > -1``.
 
@@ -220,24 +228,54 @@ def integrate_unit(f, tol, singular_power=0.0, nodes0=64, name="integral"):
     from step ``8/nodes0`` (at most ``1/2``), with both Jacobians in the
     weights.  Which nodes are dropped depends on ``t`` alone: those where
     ``w`` underflows to 0 or lies within ``2^-49`` of 1, where neighbours
-    would round onto each other.  ``f`` must be vectorized, bounded on
-    ``(0, 1]``, and may return arrays of shape ``(len(x), ...)``; the node
-    axis is reduced.
+    would round onto each other.  ``f`` must be vectorized and bounded on
+    ``[0, 1]`` (for ``p`` near -1 nodes underflow to ``x = 0``), and may
+    return arrays of shape ``(len(x), ...)``; the node axis is reduced.
+
+    A sequence of powers integrates one block per power against one
+    integrand, so that work shared between blocks runs once per level.  All
+    blocks share the ``t``-lattice and the drop rule, and :func:`refine`
+    closes each on its own.  ``f`` is then called once per level with a list
+    of one node array per block, ``None`` for a closed block, and returns a
+    list of one value array per block (anything for a closed one); the
+    result stacks the blocks on a leading axis.  In this form the nodes
+    where ``x = w^{1/(1+p)}`` underflows to 0, about half of them for ``p``
+    near -1, are evaluated once per block and level with their summed
+    weight.  A scalar power keeps the plain form: ``f`` takes and returns
+    one array and sees every node.
     """
-    if singular_power <= -1.0:
-        raise ValueError(f"endpoint power must exceed -1, got {singular_power}")
-    q = 1.0 / (1.0 + singular_power)
+    scalar = np.ndim(singular_power) == 0
+    if scalar:
+        f, singular_power = (lambda x, g=f: [g(x[0])]), [singular_power]
+    powers = np.asarray(singular_power, dtype=float)
+    if np.any(powers <= -1.0):
+        raise ValueError(f"endpoint power must exceed -1, got {powers.min()}")
+    exponents = 1.0 / (1.0 + powers)
 
-    def part(t, weights):
-        z = 0.5 * np.pi * np.sinh(t)
-        w = 1.0 / (1.0 + np.exp(-2.0 * z))
-        jacobian = (0.25 * np.pi) * np.cosh(t) / np.cosh(z) ** 2
-        keep = (w > 0.0) & (w < 1.0 - _NEAR_ONE) & (jacobian > 1e-300)
-        return _weighted_sum(q * jacobian[keep] * weights[keep], np.asarray(f(w[keep] ** q)))
+    def levels():
+        values, masses = [0.0] * len(powers), np.zeros(len(powers))
+        open_ = np.ones(len(powers), dtype=bool)
+        h = min(0.5, 8.0 / max(nodes0, 16))
+        for t, weights in trapezoid_lattice(-4.0, 4.0, h, name):
+            z = 0.5 * np.pi * np.sinh(t)
+            w = 1.0 / (1.0 + np.exp(-2.0 * z))
+            jacobian = (0.25 * np.pi) * np.cosh(t) / np.cosh(z) ** 2
+            keep = (w > 0.0) & (w < 1.0 - _NEAR_ONE) & (jacobian > 1e-300)
+            w, jacobian, weights = w[keep], jacobian[keep], weights[keep]
+            rules = [None] * len(powers)
+            for b in np.flatnonzero(open_):
+                q = exponents[b]
+                rules[b] = (w**q, q * jacobian * weights)
+                if not scalar:
+                    rules[b] = _merge_zeros(*rules[b])
+            blocks = f([None if rule is None else rule[0] for rule in rules])
+            for b in np.flatnonzero(open_):
+                value, mass = _weighted_sum(rules[b][1], np.asarray(blocks[b]))
+                values[b], masses[b] = 0.5 * values[b] + value, 0.5 * masses[b] + mass
+            open_ = yield np.array(values), masses
 
-    h = min(0.5, 8.0 / max(nodes0, 16))
-    lattice = trapezoid_lattice(-4.0, 4.0, h, name)
-    return refine(_nested(part(*level) for level in lattice), tol, f"{name}: tanh-sinh")[0]
+    result = refine(levels(), tol, f"{name}: tanh-sinh")
+    return result[0] if scalar else result
 
 
 # -- Richardson extrapolation ----------------------------------------------------

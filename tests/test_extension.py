@@ -258,6 +258,16 @@ class TestRadialPower:
             call(diag_gen, np.ones(2, dtype=complex))
         assert time.perf_counter() - start < 1.0
 
+    def test_zero_index_tail_past_float_max_is_warning_free(self, diag_gen):
+        """At sigma = 0.05 the F_0 window passes r = e^709.8, where e^r overflows and F_0 = -1."""
+        u = np.ones(2, dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            constant = c_constant_expsum(0.05, 1)
+            explicit = extend_explicit(diag_gen, 0.05, u, 0.5)
+        assert abs(constant - fracext.c_constant(0.05, 1)) <= 1e-13 * abs(constant)
+        assert relerr(explicit, extend_subordination(diag_gen, 0.05, u, 0.5)) <= 1e-14
+
     def test_small_y_limit(self, scalar_gen):
         # limit Gamma(s-m)/Gamma(s) L^m u = -2/3 at s=2.5, m=1, L=-1
         got = radial_power(scalar_gen, 2.5, np.ones(1, dtype=complex), 1, 1e-3)

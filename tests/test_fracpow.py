@@ -181,6 +181,37 @@ class TestShiftedTriangularSolve:
         assert relerr(got[0], rhs) <= 1e-15
 
 
+class TestDiagonalTriangularSolve:
+    """A diagonal ``T`` (the Schur factor of a Hermitian ``L``) is solved without a sweep."""
+
+    @pytest.fixture(params=["real", "complex"])
+    def tri(self, request):
+        rng = np.random.default_rng(10)
+        eig = -rng.uniform(0.5, 4e6, 16) + 0j
+        if request.param == "complex":
+            eig += 1j * rng.uniform(-5.0, 5.0, 16)
+        return np.diag(eig)
+
+    def test_resolvent_form_per_node_rhs(self, tri):
+        mu = np.geomspace(1e-6, 1e12, 19)
+        rhs = np.random.default_rng(8).standard_normal((mu.size, tri.shape[0])) + 0.5j
+        got = _shifted_triangular_solve(mu, -1.0, tri, rhs)
+        expected = TestShiftedTriangularSolve.dense(mu, -np.ones_like(mu), tri, rhs)
+        for row, ref in zip(got, expected):
+            assert relerr(row, ref) <= 1e-15
+
+    def test_reciprocal_form_shared_rhs(self, tri):
+        v = np.geomspace(1e-300, 1.0, 23)
+        rhs = np.random.default_rng(9).standard_normal(tri.shape[0]) - 2.0j
+        got = _shifted_triangular_solve(1.0, -v, tri, rhs)
+        expected = TestShiftedTriangularSolve.dense(np.ones_like(v), -v, tri,
+                                                    np.broadcast_to(rhs, got.shape))
+        assert got.shape == (v.size, tri.shape[0]) and got.dtype == complex
+        for row, ref in zip(got, expected):
+            assert relerr(row, ref) <= 1e-15
+        assert np.array_equal(got[0], rhs)
+
+
 def nonnormal_factors():
     """``V`` and ``lam`` of the 48 x 48 non-normal complex generator ``V diag(lam) V^{-1}``."""
     rng = np.random.default_rng(12)

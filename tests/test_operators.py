@@ -282,6 +282,23 @@ def test_schur_factor_reconstructs_and_is_cached(rand8):
     assert rand8.schur is rand8.schur
 
 
+def test_hermitian_schur_factor_is_diagonal(rand8):
+    """A Hermitian ``L`` keeps a diagonal ``T``; any other keeps LAPACK's triangle."""
+    rng = np.random.default_rng(38)
+    noise = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    for gen in (builtin_matrix("laplacian1d:64"),
+                Generator(-(noise @ noise.conj().T) - np.eye(12))):
+        assert gen._hermitian
+        tri, unitary = gen.schur
+        assert np.array_equal(tri, np.diag(tri.diagonal().real))
+        recon = unitary @ tri @ unitary.conj().T
+        assert np.linalg.norm(recon - gen.matrix) <= 1e-13 * np.linalg.norm(gen.matrix, 2)
+    from scipy.linalg import rsf2csf, schur
+
+    tri, _ = rsf2csf(*schur(rand8.matrix.real, output="real"))
+    assert np.array_equal(rand8.schur[0], tri) and np.triu(tri, 1).any()
+
+
 def test_bound_m_is_lazy(rand8):
     assert "bound_M" not in vars(rand8)
     cond = np.linalg.cond(rand8.eigvecs, 2)

@@ -79,6 +79,17 @@ def recording(f):
     return g, calls
 
 
+def recording_blocks(f):
+    """Block-form ``f`` wrapped to keep a copy of every list of node arrays it is called on."""
+    calls = []
+
+    def g(xs):
+        calls.append([None if x is None else np.array(x) for x in xs])
+        return f(xs)
+
+    return g, calls
+
+
 def tanh_sinh_reference(h):
     """The step-``h`` tanh-sinh rule on ``(0, 1)``, laid at once: nodes and weights."""
     t = h * np.arange(-round(4.0 / h), round(4.0 / h) + 1)
@@ -119,21 +130,69 @@ def test_integrate_unit_level_sizes(f, p):
 @pytest.mark.parametrize("matrix, outer_sizes", [("random:128:7", [114, 113]),
                                                  ("laplacian1d:128", [114, 113, 226])])
 def test_resolvent_and_bbw_level_sizes(monkeypatch, matrix, outer_sizes):
-    sizes = {}
+    # both halves of the resolvent integral are blocks of one call, solved in one sweep per level
+    sizes, sweeps = {}, []
 
     def sized(f, *args, name, **kwargs):
-        g, calls = recording(f)
+        g, calls = recording_blocks(f)
         value = integrate_unit(g, *args, name=name, **kwargs)
-        sizes[name] = [len(x) for x in calls]
+        sizes[name] = calls
         return value
 
+    def counted(alpha, beta, tri, rhs):
+        x = solve(alpha, beta, tri, rhs)
+        sweeps.append(len(x))
+        return x
+
+    solve = fracext.fracpow._shifted_triangular_solve
     monkeypatch.setattr(fracext.fracpow, "integrate_unit", sized)
+    monkeypatch.setattr(fracext.fracpow, "_shifted_triangular_solve", counted)
     gen = builtin_matrix(matrix)
     u = np.random.default_rng(1).standard_normal(gen.dim) + 0j
     fracext.fracpow.balakrishnan(gen, 0.3, u)
     fracext.fracpow.bbw_frac_power(gen, 0.3, 1, u)
-    assert sizes == {"balakrishnan inner": [114, 113], "balakrishnan outer": outer_sizes,
-                     "bbw base": outer_sizes}
+    assert sweeps == {"random:128:7": [228, 226], "laplacian1d:128": [228, 226, 226]}[matrix]
+    inner, outer = ([len(x[b]) for x in sizes["balakrishnan"] if x[b] is not None] for b in (0, 1))
+    assert inner == [114, 113] and outer == outer_sizes
+    assert [len(x) for x in sizes["bbw base"]] == outer_sizes
+
+
+def test_integrate_unit_blocks_match_single_calls():
+    # one f call per level for both blocks; a closed block is passed None from then on
+    funcs = [np.cos, lambda x: np.exp(-40.0 * x)]
+    powers = [0.0, -0.5]
+    g, calls = recording_blocks(lambda xs: [None if x is None else f(x) for f, x in zip(funcs, xs)])
+    both = integrate_unit(g, 1e-14, singular_power=powers, nodes0=16)
+    assert both.shape == (2,)
+    for b, (f, p) in enumerate(zip(funcs, powers)):
+        single, single_calls = recording(f)
+        value = integrate_unit(single, 1e-14, singular_power=p, nodes0=16)
+        assert abs(both[b] - value) <= 1e-15 * abs(value)
+        nodes = [x[b] for x in calls]
+        assert all(x is None for x in nodes[len(single_calls):])
+        assert all(np.array_equal(x, y) for x, y in zip(nodes, single_calls))
+    closed = [len([x for x in nodes if x is not None]) for nodes in zip(*calls)]
+    assert len(calls) == max(closed) and min(closed) < len(calls)
+
+
+def test_integrate_unit_blocks_merge_zero_nodes():
+    # near p = -1 about half the nodes underflow to x = 0: each level evaluates it once per block
+    def f(x):
+        return np.stack([np.cos(x), 1.0 + x], axis=1)
+
+    powers = [-0.999, -0.99]
+    g, calls = recording_blocks(lambda xs: [None if x is None else f(x) for x in xs])
+    both = integrate_unit(g, 1e-12, singular_power=powers, nodes0=128)
+    assert all(np.count_nonzero(x == 0.0) <= 1 for xs in calls for x in xs if x is not None)
+    for b, p in enumerate(powers):
+        single, single_calls = recording(f)
+        value = integrate_unit(single, 1e-12, singular_power=p, nodes0=128)
+        assert np.linalg.norm(both[b] - value) <= 1e-15 * np.linalg.norm(value)
+        merged = [x[b] for x in calls if x[b] is not None]
+        assert len(merged) == len(single_calls)
+        for x, y in zip(merged, single_calls):
+            assert np.count_nonzero(y == 0.0) > 1 and np.array_equal(x[1:], y[y > 0.0])
+    assert [[len(x) for x in xs] for xs in calls] == [[51, 76], [51, 76]]  # of [114, 113] nodes
 
 
 def test_trapezoid_levels_evaluate_each_node_once():
