@@ -16,12 +16,19 @@ paths:
 On either path a real ``L`` (no imaginary part, whatever its dtype) is factored
 in real arithmetic: ``eigh``/``eig``, the reconstruction check and the SVD run
 LAPACK's real drivers, and so does ``inv(V)`` when ``V`` comes back real (a
-real ``L`` with complex-conjugate eigenvalue pairs has a complex ``V``).  The
-stored factors are complex either way.
+real ``L`` with complex-conjugate eigenvalue pairs has a complex ``V``).
+
+``V`` and ``V^{-1}`` are stored in their own dtype: real whenever they have no
+imaginary part, as owned, C-contiguous, read-only arrays, and the spectrum is
+kept real too when it is.  Every spectral product (:meth:`Generator.spectral_apply`,
+the semigroup, the fractional powers and the per-mode routes' eigencoordinates)
+goes through one kernel, :func:`_apply`: a real factor meets a complex vector
+in one real GEMM on the vector's interleaved (real, imaginary) pairs, half the
+work of the complex product and with no complex copy of the factor.
 
 :meth:`Generator.yosida` builds its regularized generator from the parent's
-``V`` and ``V^{-1}``, so it runs no new eigendecomposition; with real ``V``
-and eigenvalues its matrix product and SVD are real.  Two further
+stored ``V`` and ``V^{-1}``, so it runs no new eigendecomposition; with real
+``V`` and eigenvalues its matrix product and SVD are real.  Two further
 factors are computed on first use and then cached: the complex Schur form
 ``L = Z T Z^H`` that the Balakrishnan resolvents solve against (for a real
 ``L`` made complex from the real Schur form; for a Hermitian ``L`` with a
@@ -42,6 +49,10 @@ __all__ = [
 ]
 
 _RECON_TOL = 1e-10
+# Spectral weights below this are flushed to zero: each would only make
+# subnormal products inside the map-back, and all of them together change the
+# result by less than ``n * _FLUSH * max|V|`` absolute.
+_FLUSH = np.finfo(float).tiny / np.finfo(float).eps
 
 
 def parse_complex(token):
@@ -61,7 +72,38 @@ def _format_complex(z):
 
 def _real_if_real(arr):
     """``arr`` as a real array when it has no imaginary part, so LAPACK runs its real drivers."""
-    return arr if arr.imag.any() else arr.real.copy()
+    return arr.real.copy() if np.iscomplexobj(arr) and not arr.imag.any() else arr
+
+
+def _frozen(arr):
+    """``arr`` as an owned, C-contiguous, read-only copy; real when it has no imaginary part."""
+    arr = np.array(_real_if_real(arr), order="C")
+    arr.setflags(write=False)
+    return arr
+
+
+def _complex_copy(arr):
+    out = arr.astype(complex)
+    out.setflags(write=False)
+    return out
+
+
+def _apply(mat, x):
+    """``mat`` applied to every vector along the last axis of ``x``: ``x @ mat.T``.
+
+    A real ``mat`` and a complex ``x`` run one real GEMM on the interleaved
+    (real, imaginary) pairs of ``x``, half the flops of the complex product
+    and with no complex copy of ``mat``; for a single contiguous vector the
+    pairs are a view of ``x``, ``(mat @ x.view(float).reshape(-1, 2))``.
+    """
+    lead, size = x.shape[:-1], x.shape[-1]
+    rows = x.reshape(-1, size)
+    if np.iscomplexobj(mat) or not np.iscomplexobj(x):
+        return (rows @ mat.T).reshape(lead + (mat.shape[0],))
+    pairs = np.ascontiguousarray(rows).view(float).reshape(-1, size, 2)
+    out = mat @ pairs.transpose(1, 0, 2).reshape(size, -1)
+    out = out.reshape(mat.shape[0], -1, 2).transpose(1, 0, 2)
+    return np.ascontiguousarray(out).view(complex).reshape(lead + (mat.shape[0],))
 
 
 def _check_spectrum(lam):
@@ -86,8 +128,7 @@ class Generator:
         (``V`` unitary, ``V^{-1} = V^H``, ``norm2 = max|lam|``); any other
         ``L``, near-Hermitian ones included, by ``eig``, ``inv(V)`` and an SVD.
         A real ``L`` (no imaginary part, whatever its dtype) is factored with
-        real LAPACK calls, ``inv(V)`` whenever ``V`` is real; the results are
-        stored as complex arrays.
+        real LAPACK calls, ``inv(V)`` whenever ``V`` is real.
 
     Attributes
     ----------
@@ -96,9 +137,13 @@ class Generator:
     matrix : ndarray
         The matrix ``L`` (complex, read-only).
     eigenvalues : ndarray
-        Eigenvalues ``lam_i`` with ``Re(lam_i) < 0`` (complex on both paths).
+        Eigenvalues ``lam_i`` with ``Re(lam_i) < 0`` (complex, read-only).
     eigvecs, eigvecs_inv : ndarray
-        Factor pair ``V``, ``V^{-1}`` with ``L = V diag(lam) V^{-1}``.
+        Factor pair ``V``, ``V^{-1}`` with ``L = V diag(lam) V^{-1}``, as
+        complex read-only copies made on first read.  The library itself
+        computes with the stored factors ``_v`` and ``_vinv`` (and the
+        spectrum ``_lam``), which are real whenever they have no imaginary
+        part.
     norm2 : float
         ``||L||_2``.
     bound_M : float
@@ -129,33 +174,43 @@ class Generator:
                 "matrix is not reliably diagonalizable: eigendecomposition "
                 f"residual {residual:.3e} exceeds {_RECON_TOL:.0e} * ||L||"
             )
-        self._set_factors(mat, lam, vecs, vecs_inv, hermitian)
+        self._set_factors(mat, lam, _frozen(vecs), _frozen(vecs_inv), hermitian)
 
     def _set_factors(self, mat, lam, vecs, vecs_inv, hermitian):
-        """Store ``L = V diag(lam) V^{-1}`` as read-only complex arrays and compute ``||L||_2``.
+        """Store ``L = V diag(lam) V^{-1}`` and compute ``||L||_2``.
 
-        The arguments may be real; a real ``L`` gets its 2-norm from a real
-        SVD before the complex copies are made.  ``hermitian`` means ``V`` is
+        ``vecs`` and ``vecs_inv`` are stored as given, so they must already be
+        :func:`_frozen`.  ``mat`` is real exactly when ``L`` is, and a real
+        ``L`` gets its 2-norm from a real SVD.  ``hermitian`` means ``V`` is
         unitary, so ``L`` is normal and its 2-norm is the spectral radius.
         """
         self.norm2 = float(np.max(np.abs(lam))) if hermitian else float(np.linalg.norm(mat, 2))
-        mat, lam, vecs, vecs_inv = (np.asarray(arr, dtype=complex) for arr in (mat, lam, vecs, vecs_inv))
-        for arr in (mat, lam, vecs, vecs_inv):
+        self._real = not np.iscomplexobj(mat)
+        mat, eigenvalues = (np.asarray(arr, dtype=complex) for arr in (mat, lam))
+        for arr in (mat, eigenvalues):
             arr.setflags(write=False)
         self.dim = mat.shape[0]
         self.matrix = mat
-        self.eigenvalues = lam
-        self.eigvecs = vecs
-        self.eigvecs_inv = vecs_inv
+        self.eigenvalues = eigenvalues
+        self._lam = _frozen(lam)
+        self._v = vecs
+        self._vinv = vecs_inv
         self._hermitian = hermitian
+
+    @cached_property
+    def eigvecs(self):
+        """``V`` as a complex read-only array."""
+        return _complex_copy(self._v)
+
+    @cached_property
+    def eigvecs_inv(self):
+        """``V^{-1}`` as a complex read-only array."""
+        return _complex_copy(self._vinv)
 
     @cached_property
     def bound_M(self):
         """``cond_2(V)``, a surrogate for ``sup_t ||e^{tL}||``."""
-        return float(
-            np.linalg.norm(_real_if_real(self.eigvecs), 2)
-            * np.linalg.norm(_real_if_real(self.eigvecs_inv), 2)
-        )
+        return float(np.linalg.norm(self._v, 2) * np.linalg.norm(self._vinv, 2))
 
     @cached_property
     def schur(self):
@@ -172,10 +227,10 @@ class Generator:
         """
         from scipy.linalg import rsf2csf, schur  # deferred: importing scipy.linalg is slow
 
-        if self.matrix.imag.any():
-            tri, unitary = schur(self.matrix, output="complex")
-        else:
+        if self._real:
             tri, unitary = rsf2csf(*schur(self.matrix.real, output="real"))
+        else:
+            tri, unitary = schur(self.matrix, output="complex")
         if self._hermitian:
             tri = np.diag(tri.diagonal().real).astype(complex)
         tri.setflags(write=False)
@@ -233,34 +288,28 @@ class Generator:
         ``L`` has a real spectrum), so per-mode integrands run in real
         arithmetic wherever they can.
         """
-        lam = self.eigenvalues
-        coords = self.eigvecs_inv @ u
-        return (lam if lam.imag.any() else lam.real), (coords if coords.imag.any() else coords.real)
-
-    @cached_property
-    def _real_eigvecs(self):
-        """``V`` as a real array, or ``None`` when it has an imaginary part."""
-        return None if self.eigvecs.imag.any() else self.eigvecs.real.copy()
+        coords = _apply(self._vinv, u)
+        return self._lam, (coords if coords.imag.any() else coords.real)
 
     def _from_modes(self, rows):
         """``V`` applied to each row of eigencoordinates: ``rows @ V^T``, complex.
 
-        A real ``V`` multiplies the real and imaginary parts of ``rows`` in real
-        arithmetic, half the work of the complex product (a quarter for real
-        ``rows``).
+        A real ``V`` runs in real arithmetic, half the work of the complex
+        product (a quarter for real ``rows``).
         """
-        real_v = self._real_eigvecs
-        if real_v is None:
-            return rows @ self.eigvecs.T
-        out = np.empty(rows.shape[:-1] + (self.dim,), dtype=complex)
-        out.real = rows.real @ real_v.T
-        out.imag = rows.imag @ real_v.T if np.iscomplexobj(rows) else 0.0
-        return out
+        return _apply(self._v, rows).astype(complex, copy=False)
 
     def spectral_apply(self, fvals, u):
-        """Apply ``V diag(fvals) V^{-1}`` to ``u``."""
-        u = self._check_vector(u)
-        return self.eigvecs @ (np.asarray(fvals) * (self.eigvecs_inv @ u))
+        """Apply ``V diag(fvals) V^{-1}`` to ``u``.
+
+        Weights ``|fvals_i (V^{-1} u)_i|`` below ``tiny/eps`` (about 1e-292)
+        are flushed to zero first: they could only make subnormal products,
+        which are slow, and change the result by less than
+        ``n * 1e-292 * max|V|`` absolute.
+        """
+        weights = np.asarray(fvals) * _apply(self._vinv, self._check_vector(u))
+        weights[np.abs(weights) < _FLUSH] = 0.0
+        return _apply(self._v, weights)
 
     # -- semigroup and resolvent ----------------------------------------------
 
@@ -268,7 +317,7 @@ class Generator:
         """Apply ``e^{tL}`` for ``t >= 0``."""
         if not 0.0 <= t < np.inf:
             raise ValueError(f"semigroup time must be nonnegative and finite, got {t}")
-        return self.spectral_apply(np.exp(t * self.eigenvalues), u)
+        return self.spectral_apply(np.exp(t * self._lam), u)
 
     def semigroup_batch(self, ts, u):
         """Apply ``e^{t_j L} u`` for a batch of times; shape ``(len(ts), dim)``.
@@ -279,9 +328,8 @@ class Generator:
         ts = np.asarray(ts, dtype=float)
         if not np.all((ts >= 0.0) & (ts < np.inf)):
             raise ValueError("semigroup times must be nonnegative and finite")
-        coords = self.eigvecs_inv @ self._check_vector(u)
-        phases = np.exp(np.multiply.outer(ts, self.eigenvalues))
-        return (phases * coords) @ self.eigvecs.T
+        coords = _apply(self._vinv, self._check_vector(u))
+        return self._from_modes(np.exp(np.multiply.outer(ts, self._lam)) * coords)
 
     def resolvent(self, mu, u):
         """Apply ``(mu I - L)^{-1}`` by a dense solve (``mu`` off the spectrum).
@@ -292,10 +340,10 @@ class Generator:
         u = self._check_vector(u)
         if not np.isfinite(mu):
             raise ValueError(f"resolvent point must be finite, got mu={mu}")
-        gap = np.min(np.abs(mu - self.eigenvalues))
+        gap = np.min(np.abs(mu - self._lam))
         if gap < 1e-14 * max(1.0, abs(mu)):
             raise ValueError(f"mu={mu} coincides with an eigenvalue of L")
-        if np.imag(mu) or self.matrix.imag.any():
+        if np.imag(mu) or not self._real:
             return np.linalg.solve(mu * np.eye(self.dim) - self.matrix, u)
         parts = np.linalg.solve(np.real(mu) * np.eye(self.dim) - self.matrix.real,
                                 np.column_stack((u.real, u.imag)))
@@ -321,13 +369,12 @@ class Generator:
         ``-lam`` lies in the open right half-plane.  Any real ``s`` is
         accepted; negative ``s`` gives the corresponding negative power.
         """
-        powers = np.exp(s * np.log(-self.eigenvalues))
-        return self.spectral_apply(powers, u)
+        return self.spectral_apply(np.exp(s * np.log(-self._lam)), u)
 
     def frac_power_matrix(self, s):
-        """Dense matrix of ``(-L)^s`` (for inspection and tests)."""
-        powers = np.exp(s * np.log(-self.eigenvalues))
-        return (self.eigvecs * powers) @ self.eigvecs_inv
+        """Dense matrix of ``(-L)^s`` (for inspection and tests), complex."""
+        powers = np.exp(s * np.log(-self._lam))
+        return _apply(self._vinv.T, self._v * powers).astype(complex, copy=False)
 
     # -- regularization ---------------------------------------------------------
 
@@ -343,13 +390,13 @@ class Generator:
         if not 0 < eps < np.inf:
             raise ValueError(f"regularization parameter must be positive and finite, got {eps}")
         a = -self.eigenvalues
-        lam = -(a / (1.0 + eps * a))
+        lam = _frozen(-(a / (1.0 + eps * a)))
         _check_spectrum(lam)
         # Real V and lam give a real product, so _set_factors takes a real SVD.
-        mat = (_real_if_real(self.eigvecs) * _real_if_real(lam)) @ _real_if_real(self.eigvecs_inv)
+        mat = _apply(self._vinv.T, self._v * lam)
         # No reconstruction check: mat is built from these very factors.
         reg = Generator.__new__(Generator)
-        reg._set_factors(mat, lam, self.eigvecs, self.eigvecs_inv, self._hermitian)
+        reg._set_factors(mat, lam, self._v, self._vinv, self._hermitian)
         return reg
 
 

@@ -263,7 +263,7 @@ class TestBalakrishnanStiffAndIndependent:
         gen = random_generator(16, 5)
         u = np.random.default_rng(24).standard_normal(16) + 0j
         oracles = {s: gen.frac_power(s, u) for s in (0.3, 1.5)}
-        gen.eigvecs = gen.eigvecs_inv = None
+        gen.eigvecs = gen.eigvecs_inv = gen._v = gen._vinv = None
         assert relerr(balakrishnan(gen, 0.3, u), oracles[0.3]) <= 1e-7
         assert relerr(balakrishnan_general(gen, 1.5, u), oracles[1.5]) <= 1e-7
         assert relerr(balakrishnan_second_kind(gen, 1.5, u), oracles[1.5]) <= 1e-7
@@ -280,14 +280,14 @@ class TestResolventFracPowerStiffAndIndependent:
     @pytest.fixture(scope="class")
     def lap128(self):
         gen = builtin_matrix("laplacian1d:128")
-        gen.eigvecs = gen.eigvecs_inv = None
+        gen.eigvecs = gen.eigvecs_inv = gen._v = gen._vinv = None
         return gen
 
     @pytest.fixture(scope="class")
     def nonnormal(self):
         vecs, lam = nonnormal_factors()
         gen = Generator((vecs * lam) @ np.linalg.inv(vecs))
-        gen.eigvecs = gen.eigvecs_inv = None
+        gen.eigvecs = gen.eigvecs_inv = gen._v = gen._vinv = None
         return gen, vecs, lam
 
     @pytest.mark.parametrize("eps", [0.0, 0.5])

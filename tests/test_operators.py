@@ -1,3 +1,4 @@
+import copy
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from scipy.linalg import expm
 import fracext
 from fracext import Generator, load_vector, random_generator
 from fracext.cli import builtin_matrix
-from fracext.operators import _check_spectrum, parse_complex
+from fracext.operators import _FLUSH, _apply, _check_spectrum, parse_complex
 from fracext.verify import dirichlet_sine_power
 
 from conftest import relerr
@@ -75,15 +76,18 @@ def test_from_modes_real_eigvecs_match_complex_product(rand8):
     """A real ``V`` maps eigencoordinate rows back in real arithmetic, to the complex product's digits."""
     lap = builtin_matrix("laplacian1d:64")
     nonnormal = Generator(np.array([[-1.0 + 2.0j, 0.5], [0.0, -3.0 - 1.0j]]))
-    assert lap._real_eigvecs is not None and rand8._real_eigvecs is not None
-    assert nonnormal._real_eigvecs is None
+    assert lap._v.dtype == rand8._v.dtype == np.float64
+    assert nonnormal._v.dtype == complex
     rng = np.random.default_rng(5)
     for gen in (lap, rand8, nonnormal):
+        forced = copy.copy(gen)
+        forced._v = gen.eigvecs  # a complex V takes the complex product
         real_rows = rng.standard_normal((3, 4, gen.dim))
         for rows in (real_rows, real_rows + 1j * rng.standard_normal(real_rows.shape)):
             got = gen._from_modes(rows)
             assert got.dtype == complex
             assert relerr(got, rows @ gen.eigvecs.T) <= 1e-14
+            assert relerr(got, forced._from_modes(rows)) <= 1e-14
 
 
 def test_semigroup_rejects_negative_time(diag_gen):
@@ -405,7 +409,8 @@ def test_yosida_reuses_factors(monkeypatch, parent):
     _forbid(monkeypatch, "eig", "eigh")
     eps = 0.01
     reg = gen.yosida(eps)
-    assert reg.eigvecs is gen.eigvecs and reg.eigvecs_inv is gen.eigvecs_inv
+    assert reg._v is gen._v and reg._vinv is gen._vinv
+    assert np.array_equal(reg.eigvecs, gen.eigvecs)
     a = -gen.eigenvalues
     assert np.array_equal(reg.eigenvalues, -a / (1 + eps * a))
     assert "bound_M" not in vars(reg) and "schur" not in vars(reg)
@@ -416,7 +421,7 @@ def test_yosida_reuses_factors(monkeypatch, parent):
     ref = np.linalg.norm(reg.matrix, 2)
     assert abs(reg.norm2 - ref) <= 1e-12 * ref
     twice = reg.yosida(0.02)  # A/(1 + 0.01 A) regularized again is A/(1 + 0.03 A)
-    assert twice.eigvecs is gen.eigvecs
+    assert twice._v is gen._v
     assert relerr(twice.eigenvalues, gen.yosida(0.03).eigenvalues) <= 1e-14
     u = np.random.default_rng(36).standard_normal(gen.dim) + 0j
     assert relerr(twice.matrix @ u, gen.yosida(0.03).matrix @ u) <= 1e-12
@@ -546,3 +551,79 @@ def test_resolvent_real_and_complex_shifts(build):
     for mu in (0.5, 50, np.float64(3.0), 5.0 + 5.0j, -2.0 + 0.5j, 2.0 + 0j):
         ref = np.linalg.solve(mu * np.eye(gen.dim) - gen.matrix, u)
         assert relerr(gen.resolvent(mu, u), ref) <= 1e-12, mu
+
+
+# -- stored factors and the real spectral kernel ----------------------------------------
+
+
+def _stored_factor_cases():
+    rotation = _rotation_blocks(6, 44)[0]
+    return {
+        "laplacian1d:64": (builtin_matrix("laplacian1d:64"), np.float64),
+        "random:8:3": (builtin_matrix("random:8:3"), np.float64),
+        "complex-nonnormal": (Generator(_complex_nonnormal(16, 45)), complex),
+        "real-with-pairs": (Generator(rotation), complex),
+        "complex-diagonal": (Generator(np.diag([-1.0 + 2.0j, -3.0, -0.5 - 4.0j])), np.float64),
+    }
+
+
+@pytest.mark.parametrize("case", list(_stored_factor_cases()))
+def test_stored_factors_own_dtype_contiguous_read_only(case):
+    gen, dtype = _stored_factor_cases()[case]
+    for arr in (gen._v, gen._vinv):
+        assert arr.dtype == dtype
+        assert arr.flags.c_contiguous and arr.flags.owndata and not arr.flags.writeable
+    for public, stored in ((gen.eigvecs, gen._v), (gen.eigvecs_inv, gen._vinv)):
+        assert public.dtype == complex and not public.flags.writeable
+        assert np.array_equal(public, stored)
+    assert gen.eigenvalues.dtype == complex and np.array_equal(gen._lam, gen.eigenvalues)
+    assert gen._lam.dtype == (complex if gen.eigenvalues.imag.any() else np.float64)
+
+
+@pytest.mark.parametrize("case", list(_stored_factor_cases()))
+def test_spectral_reads_match_complex_product(case):
+    """Every spectral read agrees with the complex product ``V diag(f) V^{-1} u`` for any ``u``."""
+    gen, _ = _stored_factor_cases()[case]
+    vecs, vecs_inv, lam = gen.eigvecs, gen.eigvecs_inv, gen.eigenvalues
+    rng = np.random.default_rng(46)
+    real_u = rng.standard_normal(gen.dim)
+    wide = rng.standard_normal(2 * gen.dim) + 1j * rng.standard_normal(2 * gen.dim)
+    for u in (real_u + 1j * rng.standard_normal(gen.dim), real_u, wide[::2]):
+        coords = vecs_inv @ u
+        fvals = 1.0 / (0.3 - lam)
+        assert relerr(gen.spectral_apply(fvals, u), vecs @ (fvals * coords)) <= 1e-14
+        for t in (0.01, 1.0):
+            got = gen.semigroup(t, u)
+            assert got.dtype == complex
+            assert relerr(got, vecs @ (np.exp(t * lam) * coords)) <= 1e-14
+        for s in (0.3, 1.5, -0.7):
+            assert relerr(gen.frac_power(s, u), vecs @ (np.exp(s * np.log(-lam)) * coords)) <= 1e-14
+        ts = np.array([0.0, 0.2, 3.0])
+        ref = (np.exp(np.multiply.outer(ts, lam)) * coords) @ vecs.T
+        assert relerr(gen.semigroup_batch(ts, u), ref) <= 1e-14
+    for s in (0.3, 1.5):
+        got = gen.frac_power_matrix(s)
+        assert got.dtype == complex
+        assert relerr(got, (vecs * np.exp(s * np.log(-lam))) @ vecs_inv) <= 1e-14
+
+
+def test_semigroup_flush_keeps_digits_on_stiff_laplacian():
+    """At ``t = 1e-3`` the fast modes of ``laplacian1d:512`` give weights far below ``tiny/eps``.
+
+    Flushing them to zero changes the result by less than ``n * tiny/eps``
+    absolute against the unflushed product, and the result still matches the
+    complex product and the sine-basis oracle.
+    """
+    n, t = 512, 1e-3
+    gen = builtin_matrix("laplacian1d:512")
+    u = np.random.default_rng(47).standard_normal(n) + 0j
+    weights = np.exp(t * gen._lam) * _apply(gen._vinv, u)
+    tiny = (weights != 0.0) & (np.abs(weights) < _FLUSH)
+    assert tiny.any()  # the flush has work to do
+    assert not gen.spectral_apply(np.full(n, 1e-300), u).any()
+    got = gen.semigroup(t, u)
+    assert np.max(np.abs(got - _apply(gen._v, weights))) <= n * _FLUSH
+    reference = gen.eigvecs @ (np.exp(t * gen.eigenvalues) * (gen.eigvecs_inv @ u))
+    assert relerr(got, reference) <= 1e-14
+    basis, mu = _sine_modes(n)
+    assert relerr(got, basis @ (np.exp(-t * mu) * (basis @ u))) <= 1e-10
