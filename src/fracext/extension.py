@@ -275,7 +275,7 @@ def _subordinate(gen, lam, rows, alphas, ys, quad, name, k=-1, offsets=0.0):
         raw_mass = np.zeros(raw.shape)
         open_ = np.ones(ys.size, dtype=bool)
         live = np.ones(lam.size, dtype=bool)  # the modes still in the table
-        last = np.inf  # no mode settles on the first level
+        last = None  # no mode can settle on the first level: there is no change yet
         for taus, weights in trapezoid_lattice(t_lo.min(), t_hi.max(), step, name):
             keep = (taus >= t_lo[open_].min()) & (taus <= t_hi[open_].max())
             taus, weights = taus[keep], weights[keep]
@@ -298,7 +298,8 @@ def _subordinate(gen, lam, rows, alphas, ys, quad, name, k=-1, offsets=0.0):
             values = np.einsum("yoam,yam->yom", rows, raw.reshape(sizes.shape))
             mode_masses = (sizes * raw_mass.reshape(sizes.shape)).sum(axis=1)
             open_ = yield values, mode_masses.sum(axis=1)
-            live &= ~_settled((values - last)[open_], values[open_], mode_masses[open_], quad.tol)
+            if last is not None:
+                live &= ~_settled((values - last)[open_], values[open_], mode_masses[open_], quad.tol)
             last = values
 
     return refine(levels(), quad.tol, f"{name}: trapezoid")

@@ -396,6 +396,38 @@ def invariant_semigroup():
     )
 
 
+def invariant_resolvent():
+    """Both resolvent paths: the Hermitian spectral solve and the dense LU.
+
+    ``laplacian1d:256`` takes the spectral solve through its unitary ``V``
+    with one refinement step; its oracle is the sine basis, ``1/(mu + a_k)``
+    per mode, independent of any eigensolver.  ``random_generator(8, 23)``
+    takes the LU, checked by the round trip ``mu x - L x = u``.
+    """
+    from .cli import builtin_matrix
+
+    size = 256
+    lap = builtin_matrix(f"laplacian1d:{size}")
+    basis, a = _sine_modes(size)
+    rng = np.random.default_rng(258)
+    u = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    coords = basis @ u
+    shifts = (0.5, 5.0 + 5.0j, 50.0)
+    spectral = max(_rel(lap.resolvent(mu, u), basis @ (coords / (mu + a))) for mu in shifts)
+    gen = random_generator(8, 23)
+    v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    roundtrip = 0.0
+    for mu in shifts:
+        x = gen.resolvent(mu, v)
+        roundtrip = max(roundtrip, _rel(mu * x - gen.apply(x), v))
+    passed = spectral <= 1e-12 and roundtrip <= 1e-12
+    return CheckResult(
+        "invariant: resolvent paths",
+        passed,
+        f"Hermitian vs sine basis {spectral:.1e}/1e-12, LU round trip {roundtrip:.1e}/1e-12",
+    )
+
+
 def invariant_yosida():
     """Bounded regularization: inverse convergence and the defect identity."""
     gen = random_generator(6, 9)
@@ -614,6 +646,7 @@ CRITERIA = (
 
 INVARIANTS = (
     invariant_semigroup,
+    invariant_resolvent,
     invariant_yosida,
     invariant_inverse_law,
     invariant_extension_bounds,

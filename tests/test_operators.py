@@ -627,3 +627,117 @@ def test_semigroup_flush_keeps_digits_on_stiff_laplacian():
     assert relerr(got, reference) <= 1e-14
     basis, mu = _sine_modes(n)
     assert relerr(got, basis @ (np.exp(-t * mu) * (basis @ u))) <= 1e-10
+
+
+# -- Hermitian resolvent through the unitary eigenbasis, and the lazy 2-norm ------------
+
+
+def _hermitian_case(case):
+    """A Hermitian generator and its oracle ``(basis, a)``: ``-L = basis diag(a) basis^H``."""
+    if case == "complex-hermitian":
+        mat, q, lam = _complex_hermitian(12, 48)
+        return Generator(mat), q, -lam
+    return (builtin_matrix(case), *_sine_modes(int(case.split(":")[1])))
+
+
+@pytest.mark.parametrize("case", ["laplacian1d:64", "laplacian1d:512", "laplacian1d:1024",
+                                  "complex-hermitian"])
+def test_hermitian_resolvent_matches_solve_and_eigenbasis(monkeypatch, case):
+    """The spectral solve with one refinement step agrees with the LU and the eigenbasis, with no solver.
+
+    What one fixed-precision step leaves is the rounding of the residual
+    ``mu x - L x``, the same size as the LU's backward error: on
+    ``laplacian1d:1024`` at ``mu = -2+0.5j`` both solves were up to 1.5e-12
+    and 4.7e-13 from the sine basis over 20 vectors, so the two may differ by
+    more than 1e-12.  Without the step the spectral solve is up to 3.9e-11 off.
+    """
+    gen, basis, a = _hermitian_case(case)
+    assert gen._hermitian
+    rng = np.random.default_rng(49)
+    u = rng.standard_normal(gen.dim) + 1j * rng.standard_normal(gen.dim)
+    shifts = (0.5, 50, 5.0 + 5.0j, -2.0 + 0.5j)
+    refs = [np.linalg.solve(mu * np.eye(gen.dim) - gen.matrix, u) for mu in shifts]
+    seen = _spy(monkeypatch, "solve", "inv")
+    for mu, ref in zip(shifts, refs):
+        got = gen.resolvent(mu, u)
+        assert relerr(got, ref) <= 2e-12, mu
+        assert relerr(got, basis @ ((basis.conj().T @ u) / (mu + a))) <= 2e-12, mu
+    assert not seen
+
+
+def test_hermitian_resolvent_needs_its_refinement_step():
+    """On ``laplacian1d:1024`` at ``mu = 0.5`` the bare spectral solve loses digits; one step restores them."""
+    n, mu = 1024, 0.5
+    gen = builtin_matrix(f"laplacian1d:{n}")
+    basis, a = _sine_modes(n)
+    u = np.random.default_rng(50).standard_normal(n) + 0j
+    oracle = basis @ ((basis @ u) / (mu + a))
+    bare = gen.spectral_apply(1.0 / (mu - gen._lam), u)
+    assert relerr(bare, oracle) > 5e-12
+    assert relerr(gen.resolvent(mu, u), oracle) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["laplacian1d:64", "random:8:3"])
+def test_resolvent_refusals_on_both_paths(name):
+    gen = builtin_matrix(name)
+    u = np.ones(gen.dim, dtype=complex)
+    with pytest.raises(ValueError, match="coincides"):
+        gen.resolvent(gen.eigenvalues[3], u)
+    for mu in (np.nan, np.inf, complex(1.0, np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            gen.resolvent(mu, u)
+
+
+def _spy_two_norms(monkeypatch):
+    """Count 2-norm SVDs: ``np.linalg.norm(..., 2)`` and direct ``np.linalg.svd`` calls."""
+    calls = []
+    norm, svd = np.linalg.norm, np.linalg.svd
+
+    def spy_norm(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            calls.append("norm")
+        return norm(x, ord, *args, **kwargs)
+
+    def spy_svd(*args, **kwargs):
+        calls.append("svd")
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", spy_norm)
+    monkeypatch.setattr(np.linalg, "svd", spy_svd)
+    return calls
+
+
+@pytest.mark.parametrize("build", [
+    lambda: builtin_matrix("random:64:1").matrix.real.copy(),
+    lambda: _rotation_blocks(6, 51)[0],
+    lambda: _complex_nonnormal(16, 52),
+])
+def test_norm2_is_computed_on_first_read(monkeypatch, build):
+    """A non-Hermitian ``L`` and its ``yosida`` child each take their own SVD, only when read."""
+    mat = build()
+    ref = np.linalg.norm(mat, 2)
+    calls = _spy_two_norms(monkeypatch)
+    gen = Generator(mat)
+    reg = gen.yosida(0.01)
+    assert not calls and "norm2" not in vars(gen) and "norm2" not in vars(reg)
+    assert gen.norm2 == ref
+    assert calls == ["norm"] and "norm2" not in vars(reg)
+    got = reg.norm2
+    assert calls == ["norm", "norm"]
+    monkeypatch.undo()
+    own = reg.matrix.real.copy() if reg._real else reg.matrix  # real V and lam: a real child
+    assert got == np.linalg.norm(own, 2) and got < gen.norm2
+
+
+@pytest.mark.parametrize("build", [
+    lambda: builtin_matrix("laplacian1d:64").matrix.real.copy(),
+    lambda: _complex_hermitian(12, 53)[0],
+])
+def test_hermitian_norm2_is_the_spectral_radius(monkeypatch, build):
+    mat = build()
+    calls = _spy_two_norms(monkeypatch)
+    gen = Generator(mat)
+    reg = gen.yosida(0.01)
+    for g in (gen, reg):
+        assert g.norm2 == np.max(np.abs(g.eigenvalues))
+    assert not calls
