@@ -30,8 +30,6 @@ from .fracpow import (
     balakrishnan_second_kind,
     bbw_frac_power,
     c_constant,
-    c_constant_direct,
-    c_constant_expsum,
     resolvent_frac_power,
 )
 from .operators import Generator, load_vector, random_generator
@@ -70,8 +68,6 @@ __all__ = [
     "bbw_frac_power",
     "build_profile",
     "c_constant",
-    "c_constant_direct",
-    "c_constant_expsum",
     "d_constant",
     "default_ysched",
     "domain_membership",

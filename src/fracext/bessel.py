@@ -64,10 +64,10 @@ def _deriv_factor(power, y, deriv):
     if deriv == 0:
         return y**power
     if deriv == 1:
-        return 0.0 if power == 0.0 else power * y ** (power - 1.0)
+        return 0.0 * y if power == 0.0 else power * y ** (power - 1.0)
     if deriv == 2:
         if power in (0.0, 1.0):
-            return 0.0
+            return 0.0 * y
         return power * (power - 1.0) * y ** (power - 2.0)
     raise ValueError(f"derivative order must be 0, 1 or 2, got {deriv}")
 
@@ -114,6 +114,8 @@ def _phi_series_cols(kind, ys, mat, a, cols, p: BesselParams, deriv=0):
     ys = np.asarray(ys, dtype=float)
     if deriv not in (0, 1, 2):
         raise ValueError(f"derivative order must be 0, 1 or 2, got {deriv}")
+    if not (np.all(ys >= 0.0) and np.all(np.isfinite(ys))):
+        raise ValueError(f"series arguments must be nonnegative and finite, got {ys}")
     if deriv > 0 and np.any(ys <= 0.0):
         raise ValueError("series derivatives need y > 0")
     work = np.array(cols, dtype=complex)
@@ -122,17 +124,8 @@ def _phi_series_cols(kind, ys, mat, a, cols, p: BesselParams, deriv=0):
     col_scale = np.zeros(work.shape[1])
     for k in range(p.max_terms):
         power = p0 + 2.0 * k
-        if deriv == 0:
-            factors = np.where(ys > 0.0, ys**power, 1.0 if power == 0.0 else 0.0)
-        elif deriv == 1:
-            factors = 0.0 * ys if power == 0.0 else power * ys ** (power - 1.0)
-        else:
-            factors = (
-                0.0 * ys if power in (0.0, 1.0) else power * (power - 1.0) * ys ** (power - 2.0)
-            )
-        total = total + coeff * factors[None, :] * work
-        sizes = abs(coeff) * np.where(ys > 0.0, ys**power, 1.0 if power == 0.0 else 0.0)
-        sizes = sizes * np.linalg.norm(work, axis=0)
+        total = total + coeff * _deriv_factor(power, ys, deriv)[None, :] * work
+        sizes = abs(coeff) * ys**power * np.linalg.norm(work, axis=0)
         col_scale = np.maximum(col_scale, np.linalg.norm(total, axis=0))
         if k >= 4 and np.all(sizes <= p.trunc_tol * np.maximum(col_scale, 1e-300)):
             return total

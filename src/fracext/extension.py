@@ -67,6 +67,8 @@ from scipy.special import gamma
 from .fracpow import FracOrder, as_order
 from .operators import Generator
 from .quadrature import (
+    _KERNEL_DECAY,
+    _TAIL_TERMS,
     _TRAPEZOID_LEVELS,
     QuadratureSpec,
     _refine_target,
@@ -92,8 +94,6 @@ __all__ = [
     "build_profile",
 ]
 
-_TAIL_TERMS = 26  # where r <= 1 the first omitted tail term is below 1/27! of the first
-_KERNEL_DECAY = 55.0  # windows end where weight or semigroup factor is below e^-55 ~ 1e-24
 # Semigroup factors below e^-600 ~ 3e-261 are set to zero instead of evaluated: they
 # move no sum by more than e^-600 times its L1 mass, far below the eps floor of the
 # stopping rule, and their exponentials and products with the weights would run in

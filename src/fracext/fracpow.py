@@ -16,10 +16,10 @@ spectral evaluation in tests:
   same resolvent integral with its resolvent shifted by ``eps``;
 * the Berens-Butzer-Westphal limit of ``(e^{tL} - I)^k`` integrals with a
   Richardson-extrapolated truncation parameter, normalized by the closed
-  form of ``c(s, k)``.  It runs per mode on the eigencoordinates; its tail
-  over ``[1, inf)`` puts each exponential of the binomial expansion on its
-  steepest-descent ray, where it no longer oscillates, and integrates there
-  with a double-exponential trapezoid rule.
+  form of ``c(s, k)``, which runs no quadrature.  It runs per mode on the
+  eigencoordinates; its tail over ``[1, inf)`` puts each exponential of the
+  binomial expansion on its steepest-descent ray, where it no longer
+  oscillates, and integrates there with a double-exponential trapezoid rule.
 """
 
 from dataclasses import dataclass, field
@@ -30,6 +30,8 @@ from scipy.special import gamma
 
 from .operators import Generator
 from .quadrature import (
+    _KERNEL_DECAY,
+    _TAIL_TERMS,
     ConvergenceError,
     QuadratureSpec,
     extrapolation_spread,
@@ -46,8 +48,6 @@ __all__ = [
     "balakrishnan_general",
     "balakrishnan_second_kind",
     "c_constant",
-    "c_constant_direct",
-    "c_constant_expsum",
     "bbw_frac_power",
 ]
 
@@ -270,66 +270,6 @@ def _check_bbw_exponent(order, k):
     return int(k)
 
 
-def c_constant_direct(s, k, quad=None):
-    """``int_0^inf (e^{-t} - 1)^k t^{-1-s} dt`` by split tanh-sinh quadrature.
-
-    On ``(0, 1]`` the integrand is ``t^{k-1-s}`` times the smooth factor
-    ``(expm1(-t)/t)^k``; on ``[1, inf)`` the substitution ``t = 1/v`` gives
-    ``v^{s-1} (expm1(-1/v))^k``.
-    """
-    order = as_order(s)
-    k = _check_bbw_exponent(order, k)
-    quad = quad or QuadratureSpec()
-    s_val = order.s
-
-    def inner(t):
-        tt = np.maximum(t, 1e-300)
-        return (np.expm1(-tt) / tt) ** k
-
-    def outer(v):
-        with np.errstate(divide="ignore"):
-            return np.expm1(-1.0 / np.maximum(v, 1e-300)) ** k
-
-    part_inner = integrate_unit(
-        inner, quad.tol, singular_power=k - 1.0 - s_val, nodes0=quad.nodes, name="c(s,k) inner"
-    )
-    part_outer = integrate_unit(
-        outer, quad.tol, singular_power=s_val - 1.0, nodes0=quad.nodes, name="c(s,k) outer"
-    )
-    return float(part_inner + part_outer)
-
-
-def c_constant_expsum(s, k, quad=None):
-    """Exponential-sum evaluation of ``int_0^inf (e^{-t} - 1)^k t^{-1-s} dt``.
-
-    Expands ``(e^{-t} - 1)^k`` binomially; since the weights annihilate
-    polynomials of degree below ``k``, each ``e^{-jt}`` may be replaced by the
-    Taylor-regularized difference ``F_n(jt)`` with ``n = [s]``, and rescaling
-    collapses everything onto the single universal integral
-    ``int_0^inf F_n(r) r^{-1-s} dr``, evaluated on the log axis where the
-    integrand decays exponentially both ways.  Where ``sigma = s - [s]`` is
-    too small for ``F_n`` to stay finite on that window, a ``ValueError``
-    naming ``sigma`` is raised instead; ``F_0`` stays finite, and where its
-    window passes ``r = float max`` it is ``-1`` exactly.
-    """
-    from .extension import _check_tail_reach, _exp_tail_log, _log_window
-
-    order = as_order(s)
-    k = _check_bbw_exponent(order, k)
-    quad = quad or QuadratureSpec()
-    s_val, n = order.s, order.n
-
-    def g(x):
-        return _exp_tail_log(n, x) * np.exp(-s_val * x)
-
-    lo, hi = _log_window(-s_val, n)
-    h0 = 0.25
-    _check_tail_reach(n, hi, (hi - lo) / h0, quad.nodes, order.sigma)
-    universal = trapezoid_refine(g, lo, hi, quad.tol, h0=h0, name="c(s,k) universal")
-    weights = sum(comb(k, j) * (-1.0) ** (k - j) * j**s_val for j in range(1, k + 1))
-    return float(universal * weights)
-
-
 def c_constant(s, k):
     """Normalization constant ``c(s, k) = int_0^inf (e^{-t} - 1)^k t^{-1-s} dt`` in closed form.
 
@@ -339,8 +279,9 @@ def c_constant(s, k):
     ``1 <= m = round(s) < k`` the sum with ``j^m`` in place of ``j^s``
     vanishes, so the terms are summed as ``j^m expm1((s - m) log j)``: near an
     integer the plain sum would cancel to the distance ``s - m``, against
-    which ``Gamma(-s)`` is large.  No quadrature runs; :func:`c_constant_direct`
-    and :func:`c_constant_expsum` are the quadrature references.
+    which ``Gamma(-s)`` is large.  No quadrature runs;
+    :func:`fracext.verify.check_bbw_constant` compares the result with SciPy's
+    QUADPACK.
     """
     order = as_order(s)
     k = _check_bbw_exponent(order, k)
@@ -380,8 +321,6 @@ def _bbw_tail(lam, s, k, quad):
     ``expm1`` forms ``1 - rho^{n-s}``, so the ``n = k`` term keeps its digits
     even for ``s`` just below ``k``.
     """
-    from .extension import _KERNEL_DECAY, _TAIL_TERMS
-
     lam = np.asarray(lam)
     rho = np.minimum(k * np.abs(lam), 1.0)
     mu = lam / rho
@@ -466,13 +405,13 @@ def _bbw_ladder(gen: Generator, s, k, u, quad=None):
     return eps_seq, list(estimates), [k - s_val, k - s_val + 1.0]
 
 
-def bbw_frac_power(gen: Generator, s, k, u, quad=None, conv_tol=_BBW_CONV_TOL):
+def bbw_frac_power(gen: Generator, s, k, u, quad=None):
     """``(-L)^s u`` as the extrapolated Berens-Butzer-Westphal limit.
 
     Richardson-extrapolates the truncated integrals
     ``(1/c(s,k)) int_eps^inf (e^{tL} - I)^k u t^{-1-s} dt`` of
     :func:`_bbw_ladder` in ``eps``.  A non-Cauchy extrapolant sequence (spread
-    above ``conv_tol`` relative) raises :class:`ConvergenceError`;
+    above ``_BBW_CONV_TOL`` relative) raises :class:`ConvergenceError`;
     :func:`fracext.traces.bbw_estimate` reports the same ladder with its table
     and a ``converged`` flag instead.
     """
@@ -480,8 +419,8 @@ def bbw_frac_power(gen: Generator, s, k, u, quad=None, conv_tol=_BBW_CONV_TOL):
     levels = richardson_table(estimates, exponents)
     value = levels[-1][-1]
     spread = extrapolation_spread(levels)
-    if spread > conv_tol * max(1.0, float(np.linalg.norm(value))):
+    if spread > _BBW_CONV_TOL * max(1.0, float(np.linalg.norm(value))):
         raise ConvergenceError(
-            "BBW limit: eps-sequence is not Cauchy", achieved=spread, required=conv_tol
+            "BBW limit: eps-sequence is not Cauchy", achieved=spread, required=_BBW_CONV_TOL
         )
     return value

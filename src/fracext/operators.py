@@ -441,19 +441,16 @@ def load_vector(path, dim=None):
     return vec
 
 
-def random_generator(dim, seed, spectrum=(-10.0, -0.5), mix=0.25):
-    """Seeded random diagonalizable generator with real spectrum in ``spectrum``.
+def random_generator(dim, seed):
+    """Seeded random diagonalizable generator with real spectrum in ``[-10, -0.5)``.
 
     Built as a similarity transform ``V diag(d) V^{-1}`` of a random negative
-    diagonal, with ``V = I + mix * N`` for a standard-normal ``N`` so the
+    diagonal, with ``V = I + 0.25 N`` for a standard-normal ``N`` so the
     eigenbasis is mildly non-orthogonal but far from defective.  Bitwise
     reproducible for a fixed seed.
     """
-    lo, hi = spectrum
-    if not (lo < hi < 0):
-        raise ValueError(f"spectrum interval must be negative, got {spectrum}")
     rng = np.random.default_rng(seed)
-    diag = rng.uniform(lo, hi, size=dim)
-    vecs = np.eye(dim) + mix * rng.standard_normal((dim, dim))
+    diag = rng.uniform(-10.0, -0.5, size=dim)
+    vecs = np.eye(dim) + 0.25 * rng.standard_normal((dim, dim))
     mat = (vecs * diag) @ np.linalg.inv(vecs)
     return Generator(mat)

@@ -164,6 +164,8 @@ def _nested(sums):
 
 
 _TRAPEZOID_LEVELS = 7
+_TAIL_TERMS = 26  # where r <= 1 the first omitted tail term is below 1/27! of the first
+_KERNEL_DECAY = 55.0  # windows end where weight or semigroup factor is below e^-55 ~ 1e-24
 
 
 def trapezoid_lattice(lo, hi, h0, name="integral"):

@@ -51,6 +51,9 @@ __all__ = [
 ]
 
 _TINY = 1e-300
+_NEUMANN_CONV_TOL = 1e-6  # relative extrapolant spread that counts as converged
+_INCREMENTAL_CONV_TOL = 1e-3  # the same for the incremental quotients
+_IC_TOL = 1e-4  # relative error within which an initial-condition line passes
 
 
 # -- trace constants ---------------------------------------------------------------
@@ -199,15 +202,16 @@ def _finish_estimate(raws, ysched, ratio, ladder, method, constant, oracle, conv
     )
 
 
-def trace_neumann(gen: Generator, s, u, quad=None, ysched=None, form="radial",
-                  conv_tol=1e-6) -> TraceEstimate:
+def trace_neumann(gen: Generator, s, u, quad=None, ysched=None, form="radial") -> TraceEstimate:
     """Extract ``(-L)^s u`` from the weighted Neumann boundary limit.
 
     Evaluates ``y^{1-2 sigma} d/dy (2/y d/dy)^{[s]} U(y)`` (or the variant
     with the full extension operator in place of the radial one, via
     ``form='operator'``, which carries an extra factor ``[s]!``) along the
     schedule, extrapolates, and divides by the trace constant.  Without
-    ``ysched`` the schedule is ``default_ysched(neumann_y0(gen))``.
+    ``ysched`` the schedule is ``default_ysched(neumann_y0(gen))``.  The
+    estimate is ``converged`` when the extrapolants spread by at most
+    ``_NEUMANN_CONV_TOL = 1e-6`` relative.
     """
     order = as_order(s)
     quad = quad or QuadratureSpec()
@@ -220,12 +224,11 @@ def trace_neumann(gen: Generator, s, u, quad=None, ysched=None, form="radial",
         constant = constant * factorial(order.n)
     oracle = gen.frac_power(order.s, u)
     return _finish_estimate(
-        raws, ysched, ratio, ladder, "neumann_general", constant, oracle, conv_tol
+        raws, ysched, ratio, ladder, "neumann_general", constant, oracle, _NEUMANN_CONV_TOL
     )
 
 
-def trace_incremental(gen: Generator, s, u, quad=None, ysched=None,
-                      conv_tol=1e-3) -> TraceEstimate:
+def trace_incremental(gen: Generator, s, u, quad=None, ysched=None) -> TraceEstimate:
     """Extract ``(-L)^s u`` from incremental quotients of ``U``.
 
     For ``0 < s < 1`` this is ``(2s/c_s)(U(y) - u)/y^{2s}``; for ``1 < s < 2``
@@ -233,7 +236,9 @@ def trace_incremental(gen: Generator, s, u, quad=None, ysched=None,
     stencil cancels the ``y^2`` branch.  Without ``ysched`` the schedule is
     ``default_ysched(neumann_y0(gen))``, the head ``trace_neumann`` uses; the
     three-point quotient loses ``y^{2s}`` digits to cancellation, so its
-    default schedule stops at 8 levels.
+    default schedule stops at 8 levels.  The estimate is ``converged`` when
+    the extrapolants spread by at most ``_INCREMENTAL_CONV_TOL = 1e-3``
+    relative.
     """
     order = as_order(s)
     quad = quad or QuadratureSpec()
@@ -247,7 +252,7 @@ def trace_incremental(gen: Generator, s, u, quad=None, ysched=None,
         ladder = _merged_ladder([2.0, 2.0 * (1.0 - s_val)], len(ysched) - 1)
         constant = trace_constants(order).c_s / (2.0 * s_val)
         return _finish_estimate(
-            raws, ysched, ratio, ladder, "incremental_s01", constant, oracle, conv_tol
+            raws, ysched, ratio, ladder, "incremental_s01", constant, oracle, _INCREMENTAL_CONV_TOL
         )
     if order.n == 1:
         ysched, ratio = _schedule(gen, ysched, count=8)
@@ -257,7 +262,7 @@ def trace_incremental(gen: Generator, s, u, quad=None, ysched=None,
         ladder = _merged_ladder([2.0, 4.0 - 2.0 * s_val], len(ysched) - 1)
         constant = d_constant(order)
         return _finish_estimate(
-            raws, ysched, ratio, ladder, "incremental_s12", constant, oracle, conv_tol
+            raws, ysched, ratio, ladder, "incremental_s12", constant, oracle, _INCREMENTAL_CONV_TOL
         )
     raise ValueError(f"incremental quotients cover s in (0,1) or (1,2), got s={order.s}")
 
@@ -287,8 +292,7 @@ class ICReport:
         return all(line.passed for line in self.lines)
 
 
-def initial_condition_suite(gen: Generator, s, u, quad=None, ysched=None,
-                            tol=1e-4) -> ICReport:
+def initial_condition_suite(gen: Generator, s, u, quad=None, ysched=None) -> ICReport:
     """Verify the full initial-condition table of the uniqueness problems.
 
     For ``0 <= m <= [s]``: the radial value limits ``(2/y d/dy)^m U ->
@@ -297,8 +301,8 @@ def initial_condition_suite(gen: Generator, s, u, quad=None, ysched=None,
     weighted-derivative limits vanish.  For ``m = [s]``: the Neumann limit
     recovers ``c_s (-L)^s u``.  Every line is one output of a single chain
     evaluation, so the whole table runs on one semigroup table.  Each line
-    reports its extrapolated error against the stated tolerance, relative to
-    its own scale: the norm of its limit, or for a vanishing line the norm of
+    reports its extrapolated error against ``_IC_TOL = 1e-4`` (the report's
+    ``tol``), relative to its own scale: the norm of its limit, or for a vanishing line the norm of
     ``(-L)^{m+sigma} u``, with which its quantity scales (per mode
     ``a^{m+sigma}`` times a bounded function of ``y sqrt(a)``, ``a = -lam``).
     So no verdict depends on the size of ``u`` or ``L``.  Without ``ysched``
@@ -337,11 +341,11 @@ def initial_condition_suite(gen: Generator, s, u, quad=None, ysched=None,
 
     raws = _eval_chains(gen, order, u, outputs, ysched, quad)
     raws[:, 2 * (n + 1):] *= ysched[:, None, None] ** (1.0 - 2.0 * sig)
-    report = ICReport(s=s_val, tol=tol)
+    report = ICReport(s=s_val, tol=_IC_TOL)
     for o, (m, kind, limit, scale, families, detail) in enumerate(lines):
         est = richardson(raws[:, o], _merged_ladder(families, len(ysched) - 1), ratio)
         err = float(np.linalg.norm(est - limit) / max(scale, _TINY))
-        report.lines.append(ICLine(m, kind, err, err <= tol, detail))
+        report.lines.append(ICLine(m, kind, err, err <= _IC_TOL, detail))
     return report
 
 

@@ -46,6 +46,13 @@ def test_criterion_08_bbw_constant():
     _run(verify.check_bbw_constant)
 
 
+def test_criterion_08_rejects_a_constant_off_by_1e_10(monkeypatch):
+    """A closed form 1e-10 relative off its value fails the QUADPACK comparison."""
+    exact = verify.c_constant
+    monkeypatch.setattr(verify, "c_constant", lambda s, k: (1.0 + 1e-10) * exact(s, k))
+    assert not verify.check_bbw_constant().passed
+
+
 def test_criterion_09_cross_representation():
     _run(verify.check_cross_representation)
 

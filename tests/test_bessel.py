@@ -123,6 +123,13 @@ class TestOperatorSeries:
         with pytest.raises(ValueError, match="mismatch"):
             phi_op(1, 0.5, np.eye(3), 0.5, np.ones(2, dtype=complex), p)
 
+    @pytest.mark.parametrize("y", [-0.5, np.nan, np.inf])
+    def test_rejects_negative_and_non_finite_y(self, y):
+        """The scalar series refuses ``y < 0``; the operator series does the same."""
+        p = BesselParams(a=0.4)
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            phi_op(1, y, np.diag([1.0, 4.0]), 0.4, np.ones(2, dtype=complex), p)
+
 
 class TestParticular:
     def test_zero_forcing(self):
@@ -208,7 +215,7 @@ class TestCrossSolve:
         with pytest.raises(ValueError, match="budget"):
             ode_cross_solve(diag_gen, 0.2, u, u, 6.0)
 
-    @pytest.mark.parametrize("y", [np.nan, np.inf])
+    @pytest.mark.parametrize("y", [np.nan, np.inf, -0.5])
     def test_non_finite_y_rejected(self, diag_gen, y):
         u = np.ones(2, dtype=complex)
         with pytest.raises(ValueError, match="finite"):

@@ -13,7 +13,6 @@ from fracext import (
     FracOrder,
     Generator,
     build_profile,
-    c_constant_expsum,
     exp_tail,
     explicit_poly_part,
     extend_explicit,
@@ -243,14 +242,11 @@ class TestRadialPower:
         """The window of F_[s] reaches r = e^{55/sigma}, where r^[s] overflows."""
         with pytest.raises(ValueError, match="sigma"):
             radial_power(diag_gen, s, np.ones(2, dtype=complex), 0, 0.5, mode="from_f")
-        with pytest.raises(ValueError, match="sigma"):
-            c_constant_expsum(s, int(s) + 1)
 
     @pytest.mark.parametrize("call", [
         lambda gen, u: radial_power(gen, 1.000001, u, 1, 0.5, mode="from_f"),
         lambda gen, u: extend_explicit(gen, 1e-6, u, 0.5),
-        lambda gen, u: c_constant_expsum(1e-6, 1),
-    ], ids=["radial_power", "extend_explicit", "c_constant_expsum"])
+    ], ids=["radial_power", "extend_explicit"])
     def test_wide_taylor_tail_window_names_sigma(self, diag_gen, call):
         """F_0 never overflows, but its window up to r = e^{55/sigma} would need ~1e8 nodes."""
         start = time.perf_counter()
@@ -263,9 +259,7 @@ class TestRadialPower:
         u = np.ones(2, dtype=complex)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            constant = c_constant_expsum(0.05, 1)
             explicit = extend_explicit(diag_gen, 0.05, u, 0.5)
-        assert abs(constant - fracext.c_constant(0.05, 1)) <= 1e-13 * abs(constant)
         assert relerr(explicit, extend_subordination(diag_gen, 0.05, u, 0.5)) <= 1e-14
 
     def test_small_y_limit(self, scalar_gen):

@@ -13,7 +13,7 @@ import fracext
 from fracext import Generator, load_vector, random_generator
 from fracext.cli import builtin_matrix
 from fracext.operators import _FLUSH, _apply, _check_spectrum, parse_complex
-from fracext.verify import dirichlet_sine_power
+from fracext.verify import _sine_modes, dirichlet_sine_power
 
 from conftest import relerr
 
@@ -329,14 +329,6 @@ def _forbid(monkeypatch, *names):
 
     for name in names:
         monkeypatch.setattr(np.linalg, name, refuse)
-
-
-def _sine_modes(size):
-    """Orthonormal Dirichlet sine basis and the eigenvalues of ``-L``, no eigensolver."""
-    k = np.arange(1, size + 1)
-    basis = np.sin(np.outer(k, k) * np.pi / (size + 1)) * np.sqrt(2.0 / (size + 1))
-    mu = 4.0 * (size + 1) ** 2 * np.sin(k * np.pi / (2.0 * (size + 1))) ** 2
-    return basis, mu
 
 
 def _complex_hermitian(dim, seed):

@@ -37,20 +37,12 @@ from fracext.extension import (
     extension_operator_power,
     weighted_extension_derivative,
 )
-from fracext.verify import dirichlet_sine_power
+from fracext.verify import _sine_modes, dirichlet_sine_power
 
 from conftest import relerr
 
 S_VALUES = (0.3, 1.5, 2.7)
 Y_VALUES = (0.005, 0.05, 0.5)
-
-
-def sine_modes(n):
-    """Orthonormal sine basis and eigenvalues of ``laplacian1d:n``, in closed form."""
-    k = np.arange(1, n + 1)
-    basis = np.sin(np.outer(k, k) * np.pi / (n + 1)) * np.sqrt(2.0 / (n + 1))
-    lam = -4.0 * (n + 1) ** 2 * np.sin(k * np.pi / (2.0 * (n + 1))) ** 2
-    return basis, lam
 
 
 def bessel_k_modes(s, lam, y):
@@ -64,11 +56,11 @@ def bessel_k_modes(s, lam, y):
 
 @pytest.fixture(scope="module")
 def lap256():
-    basis, lam = sine_modes(256)
+    basis, mu = _sine_modes(256)
     gen = builtin_matrix("laplacian1d:256")
     rng = np.random.default_rng(17)
     u = rng.standard_normal(256) + 1j * rng.standard_normal(256)
-    return gen, basis, lam, u
+    return gen, basis, -mu, u
 
 
 @pytest.fixture(scope="module")
@@ -160,10 +152,10 @@ WIDE_Y = (1e-6, 1e-3, 0.1, 1.0, 5.0)
 @pytest.fixture(scope="module", params=(64, 256), ids=lambda n: f"laplacian1d:{n}")
 def lap(request):
     n = request.param
-    basis, lam = sine_modes(n)
+    basis, mu = _sine_modes(n)
     rng = np.random.default_rng(n)
     u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return builtin_matrix(f"laplacian1d:{n}"), basis, lam, u
+    return builtin_matrix(f"laplacian1d:{n}"), basis, -mu, u
 
 
 def radial_modes(s, m, lam, y):
@@ -311,7 +303,8 @@ def test_chain_families_at_tiny_y(s, y):
     """
     n = int(s)
     gen = builtin_matrix("laplacian1d:64")
-    basis, lam = sine_modes(64)
+    basis, mu = _sine_modes(64)
+    lam = -mu
     u = np.random.default_rng(3).standard_normal(64) + 0j
     coords = basis @ u
     neumann = trace_constants(FracOrder(s)).c_s * dirichlet_sine_power(64, s, u)
@@ -338,7 +331,8 @@ def test_chain_families_at_tiny_y(s, y):
 def test_radial_power_beyond_squared_norm_range(y):
     """Chain values near ``1e210``, whose squares overflow, pass the refinement driver."""
     gen = builtin_matrix("laplacian1d:64")
-    basis, lam = sine_modes(64)
+    basis, mu = _sine_modes(64)
+    lam = -mu
     u = np.random.default_rng(3).standard_normal(64) + 0j
     ref = basis @ (radial_modes(0.3, 1, lam, y) * (basis @ u))
     with warnings.catch_warnings():

@@ -249,8 +249,9 @@ class TestBBWEstimate:
     def test_non_cauchy_ladder_reports_not_converged(self, diag_gen, monkeypatch):
         """Where bbw_frac_power raises, the estimate carries converged=False."""
         u = np.ones(2, dtype=complex)
+        monkeypatch.setattr(fracext.fracpow, "_BBW_CONV_TOL", 1e-16)
         with pytest.raises(ConvergenceError, match="Cauchy"):
-            bbw_frac_power(diag_gen, 0.5, 1, u, conv_tol=1e-16)
+            bbw_frac_power(diag_gen, 0.5, 1, u)
         monkeypatch.setattr(fracext.traces, "_BBW_CONV_TOL", 1e-16)
         est = bbw_estimate(diag_gen, 0.5, 1, u)
         assert not est.converged
