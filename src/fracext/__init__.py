@@ -7,7 +7,7 @@ Westphal limits, Bessel-series reconstruction) that are cross-validated
 against the exact spectral evaluation.
 """
 
-from .bessel import BesselParams, ivp_classify, ode_cross_solve, phi, phi_op, phi_particular
+from .bessel import BesselParams, ivp_classify, ode_cross_solve, phi, phi_op
 from .extension import (
     ExtensionProfile,
     build_profile,
@@ -85,7 +85,6 @@ __all__ = [
     "pde_residual",
     "phi",
     "phi_op",
-    "phi_particular",
     "radial_power",
     "random_generator",
     "resolvent_frac_power",

@@ -10,17 +10,17 @@ per term).
 """
 
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
 from .operators import Generator
-from .quadrature import ConvergenceError, QuadratureSpec, integrate_unit
+from .quadrature import ConvergenceError
 
 __all__ = [
     "BesselParams",
     "phi",
     "phi_op",
-    "phi_particular",
     "ivp_classify",
     "ode_cross_solve",
 ]
@@ -122,15 +122,24 @@ def _phi_series_cols(kind, ys, mat, a, cols, p: BesselParams, deriv=0):
     total = np.zeros_like(work)
     coeff = c0
     col_scale = np.zeros(work.shape[1])
-    for k in range(p.max_terms):
-        power = p0 + 2.0 * k
-        total = total + coeff * _deriv_factor(power, ys, deriv)[None, :] * work
-        sizes = abs(coeff) * ys**power * np.linalg.norm(work, axis=0)
-        col_scale = np.maximum(col_scale, np.linalg.norm(total, axis=0))
-        if k >= 4 and np.all(sizes <= p.trunc_tol * np.maximum(col_scale, 1e-300)):
-            return total
-        work = mat @ work
-        coeff = coeff / (4.0 * (k + 1.0) * (k + 1.0 + shift))
+    # T^k u grows like ||T||^k while coeff shrinks.  Once T^k u or y^power overflows,
+    # the partial sums turn inf or nan and so do their norms: the series stops there
+    # instead of warning its way through the budget
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(p.max_terms):
+            power = p0 + 2.0 * k
+            total = total + coeff * _deriv_factor(power, ys, deriv)[None, :] * work
+            sizes = abs(coeff) * ys**power * np.linalg.norm(work, axis=0)
+            col_scale = np.maximum(col_scale, np.linalg.norm(total, axis=0))
+            if not isfinite(col_scale.sum()):
+                raise ConvergenceError(
+                    f"phi_{kind} operator series: term {k} overflows "
+                    f"(||T|| y^2 too large for the series)"
+                )
+            if k >= 4 and np.all(sizes <= p.trunc_tol * np.maximum(col_scale, 1e-300)):
+                return total
+            work = mat @ work
+            coeff = coeff / (4.0 * (k + 1.0) * (k + 1.0 + shift))
     raise ConvergenceError(
         f"phi_{kind} operator series: {p.max_terms}-term budget exhausted "
         f"(||T|| y^2 too large for the requested tolerance)"
@@ -150,37 +159,6 @@ def phi_op(kind, y, mat, a, u, p: BesselParams, deriv=0):
         raise ValueError(f"operator/vector shape mismatch: {mat.shape} vs {u.shape}")
     out = _phi_series_cols(kind, np.array([y], dtype=float), mat, a, u[:, None], p, deriv)
     return out[:, 0]
-
-
-def phi_particular(y, mat, a, g, p: BesselParams, quad=None):
-    """Variation-of-parameters solution of ``phi'' + (a/y)phi' = T phi + g``.
-
-    ``int_0^y (phi_2(y,T) phi_1(t,T) - phi_1(y,T) phi_2(t,T)) g(t) t^a dt``
-    for continuous ``g`` and ``-1 < a < 1``.  Both the value and the weighted
-    derivative ``y^a phi_p'`` vanish at the origin.
-    """
-    if not -1.0 < a < 1.0:
-        raise ValueError(f"variation of parameters needs -1 < a < 1, got {a}")
-    if y <= 0:
-        raise ValueError(f"upper limit must be positive, got {y}")
-    quad = quad or QuadratureSpec(nodes=64)
-    mat = np.asarray(mat, dtype=complex)
-
-    def integrand(xs):
-        ts = y * xs
-        cols = np.stack([np.asarray(g(t), dtype=complex) for t in ts], axis=1)
-        inner1 = _phi_series_cols(1, ts, mat, a, cols, p)
-        inner2 = _phi_series_cols(2, ts, mat, a, cols, p)
-        ys = np.full(ts.shape, y)
-        outer = _phi_series_cols(2, ys, mat, a, inner1, p) - _phi_series_cols(
-            1, ys, mat, a, inner2, p
-        )
-        return outer.T
-
-    integral = integrate_unit(
-        integrand, quad.tol, singular_power=a, nodes0=quad.nodes, name="variation of parameters"
-    )
-    return y ** (1.0 + a) * integral
 
 
 def ivp_classify(a, b):

@@ -17,8 +17,8 @@ spectral evaluation in tests:
 * the Berens-Butzer-Westphal limit of ``(e^{tL} - I)^k`` integrals with a
   Richardson-extrapolated truncation parameter, normalized by the closed
   form of ``c(s, k)``, which runs no quadrature.  It runs per mode on the
-  eigencoordinates; its tail over ``[1, inf)`` puts each exponential of the
-  binomial expansion on its steepest-descent ray, where it no longer
+  eigencoordinates; its integral over ``[eps0, inf)`` puts each exponential
+  of the binomial expansion on its steepest-descent ray, where it no longer
   oscillates, and integrates there with a double-exponential trapezoid rule.
 """
 
@@ -299,8 +299,12 @@ _BBW_LEVELS = 13  # cut-offs eps_j = eps0 2^-j, j < 13
 _BBW_CONV_TOL = 1e-5  # relative spread of the extrapolants that counts as converged
 
 
-def _bbw_tail(lam, s, k, quad):
+def _bbw_ray_integral(lam, s, k, quad):
     """``T(lam) = int_1^inf t^{-1-s} (e^{t lam} - 1)^k dt`` per mode (``Re lam < 0``).
+
+    ``t = eps r`` scales any lower limit to 1:
+    ``int_eps^inf t^{-1-s} (e^{t lam} - 1)^k dt = eps^{-s} T(eps lam)``, so
+    :func:`_bbw_ladder` calls this at ``eps0 lam``.
 
     Binomially ``T = (-1)^k / s + sum_{j=1..k} C(k,j) (-1)^{k-j} I(j lam)``
     with ``I(z) = int_1^inf t^{-1-s} e^{zt} dt``.  On the steepest-descent ray
@@ -336,7 +340,7 @@ def _bbw_tail(lam, s, k, quad):
         return du[:, None] * (powers * scale).sum(axis=1)
 
     reach = log(_KERNEL_DECAY)
-    tail = (-1.0) ** k / s + trapezoid_refine(ray, -reach, reach, quad.tol, name="bbw tail")
+    tail = (-1.0) ** k / s + trapezoid_refine(ray, -reach, reach, quad.tol, name="bbw rays")
     small = rho < 1.0
     if small.any():
         n = np.arange(k, k + _TAIL_TERMS)
@@ -357,15 +361,17 @@ def _bbw_ladder(gen: Generator, s, k, u, quad=None):
     like ``eps^{k-s}``, so the first two Richardson elimination exponents are
     ``k - s`` and ``k - s + 1``.  Everything runs per mode on the
     eigencoordinates, and one ``V`` product maps every ladder entry back.
-    The integrals are assembled once: tanh-sinh over ``[eps0, 1]``, the tail
-    over ``[1, inf)`` by :func:`_bbw_tail` on each mode's steepest-descent
-    rays, and Gauss-Legendre panels over each ``[eps_{j+1}, eps_j]``.
+    The integrals are assembled once: ``[eps0, inf)`` by
+    :func:`_bbw_ray_integral` on each mode's steepest-descent rays, and
+    Gauss-Legendre panels over each ``[eps_{j+1}, eps_j]``, where
+    ``|t lam| <= 1`` leaves nothing to oscillate.
 
     ``eps0 = min(0.1, 1/||L||_2)`` puts the first cut-off at the decay time
     ``1/||L||_2`` of the stiffest mode instead of far past it, so the
-    extrapolated truncation error is in its asymptotic regime; the cap keeps
-    ``eps0 < 1``, which the base interval ``[eps0, 1]`` needs, and leaves
-    every generator with ``||L||_2 <= 10`` at ``0.1``.
+    extrapolated truncation error is in its asymptotic regime.  The cap bounds
+    ``eps0 |lam|`` by ``0.1 ||L||_2``, so on a mild generator the ladder starts
+    where the truncated mass already follows its first two powers of ``eps``;
+    every generator with ``||L||_2 <= 10`` starts at ``0.1``.
     """
     order = as_order(s)
     k = _check_bbw_exponent(order, k)
@@ -384,13 +390,7 @@ def _bbw_ladder(gen: Generator, s, k, u, quad=None):
             factors = factors * base
         return factors * coords * (ts ** (-1.0 - s_val))[:, None]
 
-    def inner_base(x):
-        t = eps0 + (1.0 - eps0) * x
-        return integrand(t) * (1.0 - eps0)
-
-    base = integrate_unit(inner_base, quad.tol, singular_power=0.0, nodes0=quad.nodes,
-                          name="bbw base")
-    base = base + _bbw_tail(lam, s_val, k, quad) * coords
+    base = eps0**-s_val * _bbw_ray_integral(eps0 * lam, s_val, k, quad) * coords
 
     eps_seq = [eps0 * 2.0 ** (-j) for j in range(_BBW_LEVELS)]
     glx, glw = gauss_legendre_rule(32)

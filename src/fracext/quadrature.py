@@ -5,12 +5,12 @@ composite trapezoid levels of :func:`trapezoid_lattice`, under one of two
 maps:
 
 * the log axis (or a double-exponential ray), on which the subordination
-  integrals and the BBW tail decay exponentially or faster at both ends
-  (:func:`trapezoid_refine`);
+  integrals and the BBW ray integrals decay exponentially or faster at both
+  ends (:func:`trapezoid_refine`);
 * the tanh-sinh map ``x = 1/(1 + e^{-pi sinh t})`` onto ``(0, 1)`` (Takahasi
   & Mori, Publ. RIMS 9, 1974) after an exact power substitution, for the
   algebraic endpoint singularities ``x^p * smooth`` of the resolvent
-  integrals and the BBW integrals over ``[eps0, 1]`` (:func:`integrate_unit`).
+  integrals (:func:`integrate_unit`).
 
 Halving the step keeps every node of the previous level, so each level
 evaluates the integrand only at the new nodes, once each, and adds their
@@ -36,7 +36,6 @@ __all__ = [
     "trapezoid_lattice",
     "trapezoid_refine",
     "richardson_table",
-    "richardson",
 ]
 
 
@@ -301,11 +300,6 @@ def richardson_table(values, exponents, ratio=2.0):
             [(prev[i + 1] - factor * prev[i]) / (1.0 - factor) for i in range(len(prev) - 1)]
         )
     return levels
-
-
-def richardson(values, exponents, ratio=2.0):
-    """Deepest Richardson extrapolant (last entry of the last level)."""
-    return richardson_table(values, exponents, ratio)[-1][-1]
 
 
 def extrapolation_spread(levels):

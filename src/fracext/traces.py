@@ -32,7 +32,7 @@ from .extension import (
 )
 from .fracpow import _BBW_CONV_TOL, _bbw_ladder, as_order
 from .operators import Generator
-from .quadrature import QuadratureSpec, extrapolation_spread, richardson, richardson_table
+from .quadrature import QuadratureSpec, extrapolation_spread, richardson_table
 
 __all__ = [
     "Constants",
@@ -343,7 +343,8 @@ def initial_condition_suite(gen: Generator, s, u, quad=None, ysched=None) -> ICR
     raws[:, 2 * (n + 1):] *= ysched[:, None, None] ** (1.0 - 2.0 * sig)
     report = ICReport(s=s_val, tol=_IC_TOL)
     for o, (m, kind, limit, scale, families, detail) in enumerate(lines):
-        est = richardson(raws[:, o], _merged_ladder(families, len(ysched) - 1), ratio)
+        ladder = _merged_ladder(families, len(ysched) - 1)
+        est = richardson_table(raws[:, o], ladder, ratio)[-1][-1]
         err = float(np.linalg.norm(est - limit) / max(scale, _TINY))
         report.lines.append(ICLine(m, kind, err, err <= _IC_TOL, detail))
     return report

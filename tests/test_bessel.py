@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,9 +15,9 @@ from fracext import (
     ode_cross_solve,
     phi,
     phi_op,
-    phi_particular,
     trace_constants,
 )
+from fracext.cli import builtin_matrix
 
 from conftest import relerr
 
@@ -130,44 +132,22 @@ class TestOperatorSeries:
         with pytest.raises(ValueError, match="nonnegative and finite"):
             phi_op(1, y, np.diag([1.0, 4.0]), 0.4, np.ones(2, dtype=complex), p)
 
-
-class TestParticular:
-    def test_zero_forcing(self):
-        p = BesselParams(a=0.3)
-        mat = np.diag([1.0, 2.0])
-        out = phi_particular(0.8, mat, 0.3, lambda t: np.zeros(2, dtype=complex), p)
-        assert np.linalg.norm(out) == 0.0
-
-    def test_ode_residual_by_finite_differences(self):
-        a = 0.3
-        p = BesselParams(a=a)
-        mat = np.diag([1.0, 2.0])
-        w = np.array([1.0, -1.0], dtype=complex)
-        force = lambda t: np.exp(-t) * w
-        y, h = 0.5, 1e-4
-        vals = {k: phi_particular(y + k * h, mat, a, force, p) for k in (-1, 0, 1)}
-        d1 = (vals[1] - vals[-1]) / (2 * h)
-        d2 = (vals[1] - 2 * vals[0] + vals[-1]) / (h * h)
-        residual = d2 + (a / y) * d1 - mat @ vals[0] - force(y)
-        assert np.linalg.norm(residual) <= 1e-6
-
-    def test_vanishing_boundary_data(self):
-        a = 0.3
-        p = BesselParams(a=a)
-        mat = np.diag([1.0, 2.0])
-        w = np.array([1.0, -1.0], dtype=complex)
-        force = lambda t: np.exp(-t) * w
-        sup = np.linalg.norm(w)
-        y, h = 1e-3, 1e-5
-        val = phi_particular(y, mat, a, force, p)
-        deriv = (phi_particular(y + h, mat, a, force, p) - phi_particular(y - h, mat, a, force, p)) / (2 * h)
-        assert np.linalg.norm(val) <= 1e-4 * sup
-        assert np.linalg.norm(y**a * deriv) <= 1e-4 * sup
-
-    def test_domain_validation(self):
-        p = BesselParams(a=0.3)
-        with pytest.raises(ValueError, match="-1 < a < 1"):
-            phi_particular(0.5, np.eye(2), -1.2, lambda t: np.zeros(2), p)
+    @pytest.mark.parametrize("y", [0.05, 0.4, 3.0])
+    def test_stiff_operator_converges_or_raises_without_warnings(self, y):
+        """``||T|| y^2`` is 42, 2.7e3 and 1.5e5: ``T^k u`` overflows on the last two, and the
+        series must stop with ``ConvergenceError`` instead of warning its way to the budget."""
+        mat = -builtin_matrix("laplacian1d:64").matrix
+        u = np.ones(64, dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                got = phi_op(1, y, mat, 0.4, u, BesselParams(a=0.4))
+            except ConvergenceError:
+                assert y > 0.05
+                return
+        lam, vec = np.linalg.eigh(mat)
+        modes = np.array([phi(1, y, BesselParams(a=0.4, lam=mu)) for mu in lam])
+        assert relerr(got, vec @ (modes * (vec.T @ u))) <= 1e-10
 
 
 class TestClassifier:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import fractional_matrix_power
 from scipy.special import gamma
 
 import fracext.fracpow
@@ -24,7 +25,7 @@ from fracext import (
 )
 
 from fracext.cli import builtin_matrix
-from fracext.fracpow import _bbw_tail, _shifted_triangular_solve
+from fracext.fracpow import _bbw_ray_integral, _shifted_triangular_solve
 from fracext.quadrature import QuadratureSpec
 from fracext.verify import _sine_modes, dirichlet_sine_power
 
@@ -427,13 +428,13 @@ class TestBBWTail:
     @pytest.mark.parametrize("s", [0.05, 0.3, 1.5, 2.7, 3.999])
     def test_matches_incomplete_gamma(self, s):
         k = int(s) + 1
-        got = _bbw_tail(np.array(self.LAMS), s, k, QuadratureSpec())
+        got = _bbw_ray_integral(np.array(self.LAMS), s, k, QuadratureSpec())
         for lam, value in zip(self.LAMS, got):
             ref = bbw_tail_oracle(lam, s, k)
             assert abs(value - ref) <= 1e-13 * abs(ref), (lam, value, ref)
 
     def test_real_spectrum_stays_real(self):
-        got = _bbw_tail(np.array([-0.54, -1e-3, -4e6]), 1.5, 2, QuadratureSpec())
+        got = _bbw_ray_integral(np.array([-0.54, -1e-3, -4e6]), 1.5, 2, QuadratureSpec())
         assert got.dtype == np.float64
 
     @pytest.mark.parametrize("s", [0.3, 0.7, 1.5])
@@ -454,6 +455,37 @@ class TestBBWTail:
         u = np.random.default_rng(7).standard_normal(32) + 0j
         got = bbw_frac_power(gen, 2.7, 3, u)
         assert relerr(got, gen.frac_power(2.7, u)) <= max(10.0 * previous, 1e-12)
+
+
+def oscillatory_family(seed, d):
+    """``V diag(lam) V^{-1}``: ``Re lam`` log-uniform in ``-[1e-2, 1e4]``, ``|Im/Re|`` up to 50
+    (a third of the modes real), ``V = I + c N/||N||`` with ``c`` log-uniform in ``[1e-2, 2]``."""
+    rng = np.random.default_rng(seed)
+    re = -10.0 ** rng.uniform(-2.0, 4.0, d)
+    ratio = 10.0 ** rng.uniform(-2.0, np.log10(50.0), d)
+    ratio[rng.random(d) < 1 / 3] = 0.0
+    lam = re * (1.0 + 1j * rng.choice([-1.0, 1.0], d) * ratio)
+    n = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    v = np.eye(d) + 10.0 ** rng.uniform(-2.0, np.log10(2.0)) * n / np.linalg.norm(n, 2)
+    return v @ np.diag(lam) @ np.linalg.inv(v)
+
+
+class TestBBWStiffOscillatory:
+    """Stiff oscillatory modes, ``|lam|`` of 3.5e4 and 3.1e5 at ``|Im/Re|`` near 50: ``e^{t lam}``
+    turns thousands of times over ``[eps0, 1]``, so only its steepest-descent rays integrate it."""
+
+    @pytest.mark.parametrize("s", [0.3, 1.5, 2.7])
+    @pytest.mark.parametrize("case", ["diagonal", "family:4:12"])
+    def test_matches_schur_pade(self, case, s):
+        if case == "diagonal":
+            mat = np.diag([-704.0 + 35109.0j, -1.0, -0.05 + 0.3j])
+        else:
+            mat = oscillatory_family(4, 12)
+        u = np.random.default_rng(7).standard_normal(len(mat)) + 0j
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = bbw_frac_power(Generator(mat), s, int(s) + 1, u)
+        assert relerr(got, fractional_matrix_power(-mat, s) @ u) <= 1e-5
 
 
 def test_method_agreement_sweep():
