@@ -14,7 +14,7 @@ from math import isfinite
 
 import numpy as np
 
-from .operators import Generator
+from .operators import Generator, _apply
 from .quadrature import ConvergenceError
 
 __all__ = [
@@ -77,7 +77,8 @@ def phi(kind, y, p: BesselParams, deriv=0):
 
     ``kind=1`` is the solution with ``phi(0) = 1``; ``kind=2`` behaves like
     ``y^{1-a}/(1-a)`` at the origin.  Derivatives are exact term-by-term
-    differentiations of the series.
+    differentiations of the series.  Raises :class:`ConvergenceError` once a
+    term overflows, as the operator series does.
     """
     p0, c0, shift = _series_start(kind, p.a)
     if y == 0.0:
@@ -93,6 +94,10 @@ def phi(kind, y, p: BesselParams, deriv=0):
         power = p0 + 2.0 * k
         contrib = coeff * _deriv_factor(power, y, deriv)
         total += contrib
+        if not isfinite(total):  # Python floats overflow to inf silently
+            raise ConvergenceError(
+                f"phi_{kind} series: term {k} overflows at y={y}, lam={p.lam}"
+            )
         size = abs(coeff) * y**power
         scale = max(scale, abs(total), 1e-300)
         if k >= 4 and size <= p.trunc_tol * scale:
@@ -103,12 +108,12 @@ def phi(kind, y, p: BesselParams, deriv=0):
     )
 
 
-def _phi_series_cols(kind, ys, mat, a, cols, p: BesselParams, deriv=0):
-    """Operator series applied to stacked columns, with per-column arguments.
+def _phi_series_rows(kind, ys, mat, a, rows, p: BesselParams, deriv=0):
+    """Operator series applied to stacked rows, with per-row arguments.
 
-    ``cols`` has shape ``(dim, m)`` and ``ys`` length ``m``; column ``j``
+    ``rows`` has shape ``(m, dim)`` and ``ys`` length ``m``; row ``j``
     receives the series at ``ys[j]``.  Shared powers ``T^k`` are built once
-    per term.
+    per term, through :func:`_apply`, so a real ``T`` runs in real arithmetic.
     """
     p0, c0, shift = _series_start(kind, a)
     ys = np.asarray(ys, dtype=float)
@@ -118,27 +123,27 @@ def _phi_series_cols(kind, ys, mat, a, cols, p: BesselParams, deriv=0):
         raise ValueError(f"series arguments must be nonnegative and finite, got {ys}")
     if deriv > 0 and np.any(ys <= 0.0):
         raise ValueError("series derivatives need y > 0")
-    work = np.array(cols, dtype=complex)
+    work = np.array(rows, dtype=complex)
     total = np.zeros_like(work)
     coeff = c0
-    col_scale = np.zeros(work.shape[1])
+    row_scale = np.zeros(work.shape[0])
     # T^k u grows like ||T||^k while coeff shrinks.  Once T^k u or y^power overflows,
     # the partial sums turn inf or nan and so do their norms: the series stops there
     # instead of warning its way through the budget
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(p.max_terms):
             power = p0 + 2.0 * k
-            total = total + coeff * _deriv_factor(power, ys, deriv)[None, :] * work
-            sizes = abs(coeff) * ys**power * np.linalg.norm(work, axis=0)
-            col_scale = np.maximum(col_scale, np.linalg.norm(total, axis=0))
-            if not isfinite(col_scale.sum()):
+            total = total + coeff * _deriv_factor(power, ys, deriv)[:, None] * work
+            sizes = abs(coeff) * ys**power * np.linalg.norm(work, axis=1)
+            row_scale = np.maximum(row_scale, np.linalg.norm(total, axis=1))
+            if not isfinite(row_scale.sum()):
                 raise ConvergenceError(
                     f"phi_{kind} operator series: term {k} overflows "
                     f"(||T|| y^2 too large for the series)"
                 )
-            if k >= 4 and np.all(sizes <= p.trunc_tol * np.maximum(col_scale, 1e-300)):
+            if k >= 4 and np.all(sizes <= p.trunc_tol * np.maximum(row_scale, 1e-300)):
                 return total
-            work = mat @ work
+            work = _apply(mat, work)
             coeff = coeff / (4.0 * (k + 1.0) * (k + 1.0 + shift))
     raise ConvergenceError(
         f"phi_{kind} operator series: {p.max_terms}-term budget exhausted "
@@ -150,15 +155,15 @@ def phi_op(kind, y, mat, a, u, p: BesselParams, deriv=0):
     """Operator-valued Frobenius solution applied to a vector.
 
     ``mat`` is the bounded map substituted for the spectral parameter (pass
-    ``-gen.matrix`` to solve the extension equation).  Boundary data:
-    ``phi_1(y, T) u -> u`` and ``y^a d/dy phi_2(y, T) v -> v`` as ``y -> 0``.
+    ``-L`` to solve the extension equation); a real ``mat`` stays real.
+    Boundary data: ``phi_1(y, T) u -> u`` and ``y^a d/dy phi_2(y, T) v -> v``
+    as ``y -> 0``.
     """
-    mat = np.asarray(mat, dtype=complex)
+    mat = np.asarray(mat, dtype=complex if np.iscomplexobj(mat) else float)
     u = np.asarray(u, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] != u.shape[0]:
         raise ValueError(f"operator/vector shape mismatch: {mat.shape} vs {u.shape}")
-    out = _phi_series_cols(kind, np.array([y], dtype=float), mat, a, u[:, None], p, deriv)
-    return out[:, 0]
+    return _phi_series_rows(kind, np.array([y], dtype=float), mat, a, u[None, :], p, deriv)[0]
 
 
 def ivp_classify(a, b):
@@ -198,5 +203,5 @@ def ode_cross_solve(gen: Generator, a, u0, v0, y, p: BesselParams = None):
     if not budget <= 100.0:
         raise ValueError(f"||L|| y^2 = {budget:.1f} must be finite and within the series "
                          "budget 100")
-    mat = -gen.matrix
+    mat = -gen._mat
     return phi_op(1, y, mat, a, u0, p) + phi_op(2, y, mat, a, v0, p)

@@ -174,7 +174,7 @@ def explicit_poly_part(gen: Generator, s, u, start, stop, r):
     coeff = 1.0
     for k in range(start, stop + 1):
         total = total + coeff * _gamma_ratio(order.s, k) * power
-        power = -(gen.matrix @ power)
+        power = -gen.apply(power)
         coeff = coeff * (-r) / (k - start + 1)
     return total
 

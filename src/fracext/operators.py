@@ -18,13 +18,16 @@ with complex-conjugate eigenvalue pairs has a complex ``V``).
 
 The 2-norm ``||L||_2`` is computed on first read: ``max|lam|`` for a
 Hermitian ``L``, otherwise one SVD of ``L`` in its own dtype (real for a real
-``L``).  :meth:`Generator.resolvent` of a Hermitian ``L`` runs in ``O(d^2)``
-through the unitary ``V`` plus one step of iterative refinement against ``L``;
-any other ``L`` takes a dense LU per shift.
+``L``).  :meth:`Generator.resolvent` runs in ``O(d^2)`` for every ``L``: a
+solve through the stored ``V`` and ``V^{-1}`` plus iterative refinement
+against ``L`` itself, with one dense solve kept for the shifts where the
+refinement does not converge.
 
-``V`` and ``V^{-1}`` are stored in their own dtype: real whenever they have no
-imaginary part, as owned, C-contiguous, read-only arrays, and the spectrum is
-kept real too when it is.  Every spectral product (:meth:`Generator.spectral_apply`,
+``L``, ``V`` and ``V^{-1}`` are stored in their own dtype: real whenever they
+have no imaginary part, as owned, C-contiguous, read-only arrays, and the
+spectrum is kept real too when it is.  Every product with ``L``
+(:meth:`Generator.apply`, :meth:`Generator.apply_minus_power`, the
+resolvent's residual) and every spectral product (:meth:`Generator.spectral_apply`,
 the semigroup, the fractional powers and the per-mode routes' eigencoordinates)
 goes through one kernel, :func:`_apply`: a real factor meets a complex vector
 in one real GEMM on the vector's interleaved (real, imaginary) pairs, half the
@@ -53,6 +56,8 @@ __all__ = [
 ]
 
 _RECON_TOL = 1e-10
+# Refinement steps a resolvent takes before it falls back to a dense solve.
+_REFINE_STEPS = 4
 # Spectral weights below this are flushed to zero: each would only make
 # subnormal products inside the map-back, and all of them together change the
 # result by less than ``n * _FLUSH * max|V|`` absolute.
@@ -139,7 +144,9 @@ class Generator:
     dim : int
         Size of the matrix.
     matrix : ndarray
-        The matrix ``L`` (complex, read-only).
+        The matrix ``L``, as a complex read-only copy made on first read.  The
+        library itself computes with the stored ``_mat``, real whenever ``L``
+        has no imaginary part.
     eigenvalues : ndarray
         Eigenvalues ``lam_i`` with ``Re(lam_i) < 0`` (complex, read-only).
     eigvecs, eigvecs_inv : ndarray
@@ -185,21 +192,28 @@ class Generator:
         """Store ``L = V diag(lam) V^{-1}``.
 
         ``vecs`` and ``vecs_inv`` are stored as given, so they must already be
-        :func:`_frozen`.  ``mat`` is real exactly when ``L`` is.  ``hermitian``
-        means ``V`` is unitary, so ``L`` is normal: its 2-norm is the spectral
-        radius, and :meth:`resolvent` solves through ``V^H``.
+        :func:`_frozen`; ``mat`` is frozen here.  ``hermitian`` means ``V`` is
+        unitary, so ``L`` is normal and its 2-norm is the spectral radius.
         """
-        self._real = not np.iscomplexobj(mat)
-        mat, eigenvalues = (np.asarray(arr, dtype=complex) for arr in (mat, lam))
-        for arr in (mat, eigenvalues):
-            arr.setflags(write=False)
-        self.dim = mat.shape[0]
-        self.matrix = mat
+        eigenvalues = np.asarray(lam, dtype=complex)
+        eigenvalues.setflags(write=False)
+        self._mat = _frozen(mat)
+        self.dim = self._mat.shape[0]
         self.eigenvalues = eigenvalues
         self._lam = _frozen(lam)
         self._v = vecs
         self._vinv = vecs_inv
         self._hermitian = hermitian
+
+    @property
+    def _real(self):
+        """Whether ``L`` has no imaginary part, so ``_mat`` is real."""
+        return not np.iscomplexobj(self._mat)
+
+    @cached_property
+    def matrix(self):
+        """``L`` as a complex read-only array."""
+        return _complex_copy(self._mat)
 
     @cached_property
     def eigvecs(self):
@@ -219,7 +233,7 @@ class Generator:
         """
         if self._hermitian:
             return float(np.max(np.abs(self._lam)))
-        return float(np.linalg.norm(self.matrix.real if self._real else self.matrix, 2))
+        return float(np.linalg.norm(self._mat, 2))
 
     @cached_property
     def bound_M(self):
@@ -242,9 +256,9 @@ class Generator:
         from scipy.linalg import rsf2csf, schur  # deferred: importing scipy.linalg is slow
 
         if self._real:
-            tri, unitary = rsf2csf(*schur(self.matrix.real, output="real"))
+            tri, unitary = rsf2csf(*schur(self._mat, output="real"))
         else:
-            tri, unitary = schur(self.matrix, output="complex")
+            tri, unitary = schur(self._mat, output="complex")
         if self._hermitian:
             tri = np.diag(tri.diagonal().real).astype(complex)
         tri.setflags(write=False)
@@ -282,7 +296,7 @@ class Generator:
         """Write the matrix in the plain-text format accepted by :meth:`from_file`."""
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(f"{self.dim}\n")
-            for row in self.matrix:
+            for row in self._mat:
                 handle.write(" ".join(_format_complex(z) for z in row) + "\n")
 
     # -- internals ------------------------------------------------------------
@@ -346,21 +360,20 @@ class Generator:
         return self._from_modes(np.exp(np.multiply.outer(ts, self._lam)) * coords)
 
     def resolvent(self, mu, u):
-        """Apply ``(mu I - L)^{-1}`` (``mu`` finite and off the spectrum).
+        """Apply ``(mu I - L)^{-1}`` (``mu`` finite and off the spectrum) in ``O(d^2)``.
 
-        A Hermitian ``L`` solves through its unitary ``V`` in ``O(d^2)``:
-        ``x = V diag(1/(mu - lam)) V^H u``, then one step of iterative
-        refinement against ``L`` itself, ``x + V diag(1/(mu - lam)) V^H r``
+        ``x = V diag(1/(mu - lam)) V^{-1} u``, then steps of iterative
+        refinement against ``L`` itself, ``x += V diag(1/(mu - lam)) V^{-1} r``
         with ``r = u - (mu x - L x)`` (Higham, *Accuracy and Stability of
-        Numerical Algorithms*, 2nd ed., 12.2).  Without that step the
-        eigendecomposition's rounding costs up to two digits on
-        ``laplacian1d:1024``; with it the error is that of the rounded
-        residual, as for an LU.
-
-        Any other ``L`` takes a dense LU, whose accuracy does not depend on
-        ``cond(V)``.  For real ``L`` and real ``mu`` one real LU solves for
-        the real and imaginary parts of ``u`` as two columns; otherwise the
-        solve is complex.
+        Numerical Algorithms*, 2nd ed., 12.2), until a correction is at most
+        ``1e-10 ||x||``, the tolerance of the factorization's reconstruction
+        check.  Without refinement the eigendecomposition's rounding costs up
+        to two digits on ``laplacian1d:1024``; with it the error is that of
+        the rounded residual, as for an LU.  Each step shrinks the error by a
+        factor that grows with ``cond(V)`` and as ``mu`` nears the spectrum,
+        so one step is usually enough.  Where that factor is not small (``mu``
+        next to an eigenvalue of an ill-conditioned ``V``) a correction fails
+        to halve, or four steps run out, and one dense solve answers instead.
         """
         u = self._check_vector(u)
         if not np.isfinite(mu):
@@ -368,25 +381,29 @@ class Generator:
         gap = np.min(np.abs(mu - self._lam))
         if gap < 1e-14 * max(1.0, abs(mu)):
             raise ValueError(f"mu={mu} coincides with an eigenvalue of L")
-        if self._hermitian:
-            fvals = 1.0 / (mu - self._lam)
-            x = self.spectral_apply(fvals, u)
-            return x + self.spectral_apply(fvals, u - (mu * x - self.matrix @ x))
-        if np.imag(mu) or not self._real:
-            return np.linalg.solve(mu * np.eye(self.dim) - self.matrix, u)
-        parts = np.linalg.solve(np.real(mu) * np.eye(self.dim) - self.matrix.real,
-                                np.column_stack((u.real, u.imag)))
-        return parts[:, 0] + 1j * parts[:, 1]
+        fvals = 1.0 / (mu - self._lam)
+        x = self.spectral_apply(fvals, u)
+        last = np.linalg.norm(x)
+        for _ in range(_REFINE_STEPS):
+            step = self.spectral_apply(fvals, u - (mu * x - _apply(self._mat, x)))
+            x = x + step
+            size = np.linalg.norm(step)
+            if size <= _RECON_TOL * np.linalg.norm(x):
+                return x
+            if not size <= 0.5 * last:  # stalled, or not finite
+                break
+            last = size
+        return np.linalg.solve(mu * np.eye(self.dim) - self._mat, u)
 
     def apply(self, u):
         """Apply ``L`` itself."""
-        return self.matrix @ self._check_vector(u)
+        return _apply(self._mat, self._check_vector(u))
 
     def apply_minus_power(self, k, u):
         """Apply ``(-L)^k = A^k`` for integer ``k >= 0`` by repeated products."""
         w = self._check_vector(u).copy()
         for _ in range(k):
-            w = -(self.matrix @ w)
+            w = -_apply(self._mat, w)
         return w
 
     # -- fractional powers (the spectral oracle) -------------------------------

@@ -328,7 +328,7 @@ def initial_condition_suite(gen: Generator, s, u, quad=None, ysched=None) -> ICR
             (m, "operator_value", factor * limit, factor * np.linalg.norm(limit), families,
              "extension-operator^m U -> [s]!/([s]-m)! times the radial limit"),
         ]
-        power = gen.matrix @ power
+        power = gen.apply(power)
     for m in range(n):  # the weighted rows, y^{1-2 sig} d/dy (2/y d/dy)^m U, come last
         outputs.append(_weighted_parts(order, m, "radial"))
         lines.append((m, "weighted_derivative_zero", 0.0,

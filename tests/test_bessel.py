@@ -79,6 +79,15 @@ class TestScalarSeries:
         with pytest.raises(ConvergenceError, match="budget"):
             phi(1, 10.0, p)
 
+    @pytest.mark.parametrize("kind, deriv", [(1, 0), (2, 1)])
+    def test_overflow_raises_instead_of_returning_inf(self, kind, deriv):
+        """At ``lam y^2 = 1.5e7`` the terms pass the float range; the series raises, as ``phi_op`` does."""
+        p = BesselParams(a=0.4, lam=16900.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match=f"phi_{kind} series: term \\d+ overflows"):
+                phi(kind, 30.0, p, deriv=deriv)
+
     def test_boundary_data_matrix_is_identity(self):
         a = 0.5
         p = BesselParams(a=a, lam=1.0)

@@ -535,14 +535,106 @@ def test_yosida_of_real_parent_is_exactly_real(parent):
     lambda: _rotation_blocks(8, 45)[0],
     lambda: _complex_nonnormal(16, 46),
 ])
-def test_resolvent_real_and_complex_shifts(build):
+def test_resolvent_real_and_complex_shifts(monkeypatch, build):
+    """Non-Hermitian ``L`` solve through ``V`` and ``V^{-1}`` with refinement, and run no solver."""
     mat = build()
     gen = Generator(mat)
     rng = np.random.default_rng(47)
     u = rng.standard_normal(gen.dim) + 1j * rng.standard_normal(gen.dim)
-    for mu in (0.5, 50, np.float64(3.0), 5.0 + 5.0j, -2.0 + 0.5j, 2.0 + 0j):
-        ref = np.linalg.solve(mu * np.eye(gen.dim) - gen.matrix, u)
+    shifts = (0.5, 50, np.float64(3.0), 5.0 + 5.0j, -2.0 + 0.5j, 2.0 + 0j)
+    refs = [np.linalg.solve(mu * np.eye(gen.dim) - gen.matrix, u) for mu in shifts]
+    seen = _spy(monkeypatch, "solve", "inv")
+    for mu, ref in zip(shifts, refs):
         assert relerr(gen.resolvent(mu, u), ref) <= 1e-12, mu
+    assert not seen
+
+
+def _convection_diffusion(n, pe):
+    """Central-difference ``L = D2 - pe D1`` on ``n`` interior points of ``(0, 1)``: real, non-normal."""
+    h = 1.0 / (n + 1)
+    off = np.ones(n - 1)
+    d2 = (np.diag(np.full(n, -2.0)) + np.diag(off, 1) + np.diag(off, -1)) / h**2
+    d1 = (np.diag(off, 1) - np.diag(off, -1)) / (2.0 * h)
+    return d2 - pe * d1
+
+
+def _spy_corrections(monkeypatch):
+    """Record the norm of each ``spectral_apply`` result: a resolvent's first solve, then its corrections."""
+    sizes = []
+    spectral_apply = Generator.spectral_apply
+
+    def spy(self, fvals, u):
+        out = spectral_apply(self, fvals, u)
+        sizes.append(np.linalg.norm(out))
+        return out
+
+    monkeypatch.setattr(Generator, "spectral_apply", spy)
+    return sizes
+
+
+class TestIllConditionedResolvent:
+    """Convection-diffusion at ``n = 64``, ``pe = 30``: ``cond(V)`` about 2.7e6.
+
+    Each refinement step shrinks the error by a factor that grows with
+    ``cond(V)`` and as ``mu`` nears the spectrum.  Next to the eigenvalue of
+    largest modulus, ``lam0``, at a relative gap of 1e-6 two steps converge
+    (corrections 6e-6, then 4e-11, relative); at 1e-10 each step gains only
+    about a factor of 16, the steps run out and the dense solve answers.
+    """
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        gen = Generator(_convection_diffusion(64, 30.0))
+        assert 1e6 < gen.bound_M < 1e7 and gen._real and not gen._lam.imag.any()
+        lam0 = gen._lam[np.argmax(np.abs(gen._lam))]
+        u = np.random.default_rng(54).standard_normal(gen.dim) + 0j
+        return gen, lam0, u
+
+    def test_two_steps_converge_near_the_spectrum(self, monkeypatch, case):
+        gen, lam0, u = case
+        calls = _spy(monkeypatch, "solve", "inv")
+        sizes = _spy_corrections(monkeypatch)
+        x = gen.resolvent(lam0 * (1.0 + 1e-6), u)
+        assert not calls
+        assert len(sizes) == 3  # the spectral solve and two corrections
+        assert sizes[1] > 1e-7 * np.linalg.norm(x) and sizes[2] <= 1e-10 * np.linalg.norm(x)
+
+    def test_dense_solve_answers_where_refinement_does_not_converge(self, monkeypatch, case):
+        gen, lam0, u = case
+        mu = lam0 * (1.0 + 1e-10)
+        ref = np.linalg.solve(mu * np.eye(gen.dim) - gen.matrix, u)
+        calls = _spy(monkeypatch, "solve", "inv")
+        assert relerr(gen.resolvent(mu, u), ref) <= 1e-14
+        assert [name for name, _ in calls] == ["solve"]
+
+    @pytest.mark.parametrize("mu", [0.5, 5.0 + 5.0j])
+    def test_far_shifts_match_solve(self, case, mu):
+        gen, _, u = case
+        ref = np.linalg.solve(mu * np.eye(gen.dim) - gen.matrix, u)
+        assert relerr(gen.resolvent(mu, u), ref) <= 1e-13
+
+
+@pytest.mark.parametrize("build, dtype", [
+    (lambda: builtin_matrix("laplacian1d:64").matrix.real.copy(), np.float64),
+    (lambda: builtin_matrix("random:16:2").matrix.real.copy(), np.float64),
+    (lambda: _complex_nonnormal(16, 55), complex),
+])
+def test_matrix_stored_once_in_its_own_dtype(build, dtype):
+    """``L`` is kept once as ``_mat``; the complex ``matrix`` is made only when read."""
+    mat = build()
+    gen = Generator(mat)
+    assert gen._mat.dtype == dtype and gen._real == (dtype == np.float64)
+    assert gen._mat.flags.c_contiguous and gen._mat.flags.owndata and not gen._mat.flags.writeable
+    u = np.random.default_rng(56).standard_normal(gen.dim) + 0j
+    gen.resolvent(0.5, u), gen.resolvent(5.0 + 5.0j, u), gen.apply(u)
+    gen.apply_minus_power(3, u), gen.frac_power(0.3, u), gen.norm2, gen.schur
+    fracext.ode_cross_solve(gen, 0.4, u, u, 0.5 / np.sqrt(gen.norm2))
+    reg = gen.yosida(0.01)
+    reg.apply(u), reg.resolvent(0.5, u)
+    assert "matrix" not in gen.__dict__ and "matrix" not in reg.__dict__
+    public = gen.matrix
+    assert public.dtype == complex and not public.flags.writeable
+    assert np.array_equal(public, mat) and gen.matrix is public
 
 
 # -- stored factors and the real spectral kernel ----------------------------------------
