@@ -92,13 +92,16 @@ def phi(kind, y, p: BesselParams, deriv=0):
     scale = 0.0
     for k in range(p.max_terms):
         power = p0 + 2.0 * k
-        contrib = coeff * _deriv_factor(power, y, deriv)
+        try:
+            contrib = coeff * _deriv_factor(power, y, deriv)
+            size = abs(coeff) * y**power
+        except OverflowError:  # a Python float power raises where a product turns inf
+            contrib = size = np.inf
         total += contrib
-        if not isfinite(total):  # Python floats overflow to inf silently
+        if not isfinite(total):
             raise ConvergenceError(
                 f"phi_{kind} series: term {k} overflows at y={y}, lam={p.lam}"
             )
-        size = abs(coeff) * y**power
         scale = max(scale, abs(total), 1e-300)
         if k >= 4 and size <= p.trunc_tol * scale:
             return total

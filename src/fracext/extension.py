@@ -42,10 +42,14 @@ The semigroup factor depends on ``r`` and ``y`` only through
 ``exp(e^tau lam)`` on a ``tau``-lattice serves every ``y`` of a call; the rule
 for each ``y`` is the trapezoid rule on that lattice shifted by
 ``log(y^2/4)``, which keeps its geometric convergence (Trefethen & Weideman,
-"The exponentially convergent trapezoidal rule", SIAM Rev. 56, 2014).  Each
-refinement level reduces the weights of every ``y`` and ``alpha`` against
-the table in one matrix product, each ``y`` stops refining on its own, and
-each mode leaves the table once its changes can no longer matter.
+"The exponentially convergent trapezoidal rule", SIAM Rev. 56, 2014).  That
+rate depends on the integrand's strip of analyticity, not on the window's
+length, so the lattice's first step lays ``QuadratureSpec.nodes`` steps
+across the union of the windows.  Each refinement level reduces the weights
+of every ``y`` and ``alpha`` against the table in one matrix product, and
+the outputs are batched products of their scalar chain coefficients with
+those sums; each ``y`` stops refining on its own, and each mode leaves the
+table once its changes can no longer matter.
 Every public derivative function accepts a scalar ``y`` or a 1-d array of
 them, so a schedule or a profile grid is one call on one table.
 
@@ -71,7 +75,8 @@ from .quadrature import (
     _TAIL_TERMS,
     _TRAPEZOID_LEVELS,
     QuadratureSpec,
-    _refine_target,
+    _norm,
+    _refine_targets,
     _roundoff_floor,
     refine,
     trapezoid_lattice,
@@ -191,15 +196,18 @@ def _upper_cutoff(power):
     return float(r_hi)
 
 
-def _kernel_depth(gen, y):
-    """Depth ``d >= 1`` with ``e^{-c_min/r} <= e^-_KERNEL_DECAY`` for every ``r <= e^-d``.
+def _kernel_depth(gen, ys):
+    """Depths ``d >= 1`` with ``e^{-c_min/r} <= e^-_KERNEL_DECAY`` for every ``r <= e^-d``, per ``y``.
 
     ``c_min = y^2 min Re(-lam) / 4`` bounds the semigroup's decay rate at
     ``t = y^2/(4r)``; when it is zero (``y^2`` underflows) nothing cuts the
     window and the depth is infinite.
     """
-    c_min = y * y * float((-gen.eigenvalues).real.min()) / 4.0
-    return max(np.log(_KERNEL_DECAY / c_min), 1.0) if c_min > 0 else np.inf
+    c_min = ys * ys * float((-gen.eigenvalues).real.min()) / 4.0
+    depth = np.full(c_min.shape, np.inf)
+    cut = c_min > 0
+    depth[cut] = np.maximum(np.log(_KERNEL_DECAY / c_min[cut]), 1.0)
+    return depth
 
 
 def _log_window(alphas, k, depth=np.inf):
@@ -211,13 +219,14 @@ def _log_window(alphas, k, depth=np.inf):
     when that is nearer or the power is not positive.  On the right
     ``r^alpha e^-r`` (``k = -1``) ends at :func:`_upper_cutoff`, and the Taylor
     tail ``F_k(r) ~ r^k`` (``k >= 0``, needing ``alpha + k < 0``) where
-    ``r^{alpha+k}`` has decayed.
+    ``r^{alpha+k}`` has decayed.  An array of depths gives one ``lo`` per
+    depth; ``hi`` does not depend on the depth.
     """
     left = np.min(alphas) + k + 1
-    lo = min(depth, _KERNEL_DECAY / left) if left > 0 else depth
+    lo = np.minimum(depth, _KERNEL_DECAY / left) if left > 0 else np.asarray(depth, dtype=float)
     top = np.max(alphas)
     hi = np.log(_upper_cutoff(top)) if k < 0 else _KERNEL_DECAY / -(top + k)
-    return -float(lo), float(hi)
+    return -lo, float(hi)
 
 
 def _check_tail_reach(k, hi, steps, nodes, sigma):
@@ -237,24 +246,30 @@ def _check_tail_reach(k, hi, steps, nodes, sigma):
         )
 
 
-def _subordinate(gen, lam, rows, alphas, ys, quad, name, k=-1, offsets=0.0):
-    """``sum_i int F_k(r) r^{alpha_i} e^{(y^2/(4r)) lam} rows[y, o, i] dr/r`` per mode.
+def _subordinate(gen, lam, coef, kpows, base, alphas, ys, quad, name, k=-1, offsets=0.0):
+    """``sum_{i,a} coef[y, o, i, a] lam^kpows[i] base[a] int F_k(r) r^{alpha_a} e^{(y^2/(4r)) lam} dr/r``.
 
-    ``rows`` holds eigencoordinate rows, shape ``(len(ys), outputs,
-    len(alphas), dim)``; the result, shape ``(len(ys), outputs, dim)``, stays
-    in eigencoordinates for the caller to map back with ``V`` once.  The
-    semigroup table ``exp(e^tau lam)`` on the lattice ``tau = log(y^2/(4r))``
-    serves every ``y``: the lattice covers the union of the windows
-    :func:`_log_window` gives each ``y`` (mapped to ``tau``) at the finest of
-    their first steps, and each ``y`` weights only the nodes inside its own
-    window.  Per level one matrix product reduces the weights of every open
-    ``(y, alpha)`` against the table's new nodes, and one more their L1 mass;
+    Per mode: ``coef`` (real, shape ``(len(ys), outputs, len(kpows),
+    len(alphas))``) weights each power ``lam^kpows[i]`` of the eigencoordinate
+    row ``base[a]`` (shape ``(len(alphas), dim)``) that integral ``a`` carries.
+    The result, shape ``(len(ys), outputs, dim)``, stays in eigencoordinates
+    for the caller to map back with ``V`` once.  The semigroup table
+    ``exp(e^tau lam)`` on the lattice ``tau = log(y^2/(4r))`` serves every
+    ``y``: the lattice covers the union of the windows :func:`_log_window`
+    gives each ``y`` (mapped to ``tau``), with ``quad.nodes`` steps across
+    that union on its first level, and each ``y`` weights only the nodes
+    inside its own window.  The trapezoid rate depends on the integrand's
+    strip of analyticity, not on the window's length, so a ``y`` with a
+    narrow window needs no finer step than the union's.  Per level one matrix
+    product reduces the weights of every open ``(y, alpha)`` against the
+    table's new nodes, one more their L1 mass, and one batched product of
+    ``coef`` with the sums times ``lam^kpows[i] base[a]`` gives every output;
     each ``y`` passes the stopping rule of :func:`refine` on its own
     ``(outputs, dim)`` block.  From the third level on the table holds only
     the modes that have not settled (:func:`_settled`): the few slowly
     converging modes of a non-normal complex spectrum no longer pull every
     mode through the finest levels, so one level more or less costs a few
-    columns instead of doubling the call.  Scales ``e^{offsets[y, i]}``
+    columns instead of doubling the call.  Scales ``e^{offsets[y, a]}``
     enter the exponent of the weight: at tiny ``y`` the left window edge sits
     at ``r ~ y^2``, where ``r^alpha`` alone overflows for ``alpha < 0``
     although its product with the scale is moderate.
@@ -262,29 +277,35 @@ def _subordinate(gen, lam, rows, alphas, ys, quad, name, k=-1, offsets=0.0):
     alphas = np.array(alphas, dtype=float, ndmin=1)
     offsets = np.broadcast_to(offsets, (ys.size, alphas.size))
     log_c = 2.0 * np.log(ys) - np.log(4.0)  # log(y^2/4), finite where y^2 underflows
-    lo, hi = np.array([_log_window(alphas, k, _kernel_depth(gen, y)) for y in ys]).T
-    step = np.min(np.minimum(0.5, np.maximum(hi - lo, 1.0) / max(quad.nodes, 16)))
+    lo, hi = _log_window(alphas, k, _kernel_depth(gen, ys))
     t_lo, t_hi = log_c - hi, log_c - lo
+    start, stop = t_lo.min(), t_hi.max()
+    step = min(0.5, max(stop - start, 1.0) / max(quad.nodes, 16))
     if k >= 0:
-        steps = (t_hi.max() - t_lo.min()) / step
-        _check_tail_reach(k, hi.max(), steps, quad.nodes, -(alphas.max() + k))
-    sizes = np.abs(rows).sum(axis=1)  # the mass of every output of a y counts towards its block
+        _check_tail_reach(k, hi, (stop - start) / step, quad.nodes, -(alphas.max() + k))
+    powers = lam ** np.asarray(kpows)[:, None]
+    factors = powers[:, None, :] * base  # lam^kpows[i] base[a], shape (len(kpows), len(alphas), dim)
+    # L1 size of the terms the outputs of each y sum, per integral and mode: every output's
+    # mass counts towards its block
+    sizes = np.swapaxes(np.abs(coef).sum(axis=1), 1, 2) @ np.abs(powers) * np.abs(base)
+    coef = coef.reshape(ys.size, coef.shape[1], -1)
 
     def levels():
         raw = np.zeros((ys.size * alphas.size, lam.size), dtype=lam.dtype)  # one row per (y, alpha)
         raw_mass = np.zeros(raw.shape)
         open_ = np.ones(ys.size, dtype=bool)
         live = np.ones(lam.size, dtype=bool)  # the modes still in the table
-        last = None  # no mode can settle on the first level: there is no change yet
-        for taus, weights in trapezoid_lattice(t_lo.min(), t_hi.max(), step, name):
+        values = last = None  # no mode can settle on the first level: there is no change yet
+        for taus, weights in trapezoid_lattice(start, stop, step, name):
+            every, full = open_.all(), live.all()
             keep = (taus >= t_lo[open_].min()) & (taus <= t_hi[open_].max())
             taus, weights = taus[keep], weights[keep]
             inside = (taus >= t_lo[open_, None]) & (taus <= t_hi[open_, None])
-            x = np.clip(log_c[open_, None] - taus, lo[open_, None], hi[open_, None])[:, None, :]
+            x = np.clip(log_c[open_, None] - taus, lo[open_, None], hi)[:, None, :]
             expo = alphas[:, None] * x + offsets[open_, :, None]
             weight = np.exp(expo - np.exp(x)) if k < 0 else _exp_tail_log(k, x) * np.exp(expo)
             weight = np.where(inside[:, None, :], weight * weights, 0.0).reshape(-1, taus.size)
-            arg = np.multiply.outer(np.exp(taus), lam[live])
+            arg = np.multiply.outer(np.exp(taus), lam if full else lam[live])
             table = np.exp(arg, out=np.zeros_like(arg), where=arg.real > _FACTOR_FLOOR)
             if np.iscomplexobj(table):  # two real products instead of one complex one
                 new = (weight @ table.view(float)).view(table.dtype)
@@ -292,17 +313,38 @@ def _subordinate(gen, lam, rows, alphas, ys, quad, name, k=-1, offsets=0.0):
             else:
                 new = weight @ table
                 new_mass = new if k < 0 else np.abs(weight) @ table  # e^-r weights are positive
-            at = np.ix_(np.repeat(open_, alphas.size), live)
-            raw[at] = 0.5 * raw[at] + new
-            raw_mass[at] = 0.5 * raw_mass[at] + new_mass
-            values = np.einsum("yoam,yam->yom", rows, raw.reshape(sizes.shape))
-            mode_masses = (sizes * raw_mass.reshape(sizes.shape)).sum(axis=1)
+            if every and full:
+                raw = 0.5 * raw + new
+                raw_mass = 0.5 * raw_mass + new_mass
+            else:
+                at = np.ix_(np.repeat(open_, alphas.size), live)
+                raw[at] = 0.5 * raw[at] + new
+                raw_mass[at] = 0.5 * raw_mass[at] + new_mass
+            sums = raw.reshape(ys.size, alphas.size, lam.size)
+            if every:
+                values = _chain_products(coef, factors, sums)
+            else:  # a closed y keeps its last values
+                values = values.copy()
+                values[open_] = _chain_products(coef[open_], factors, sums[open_])
+            mode_masses = np.einsum("yam,yam->ym", sizes, raw_mass.reshape(sizes.shape))
             open_ = yield values, mode_masses.sum(axis=1)
             if last is not None:
                 live &= ~_settled((values - last)[open_], values[open_], mode_masses[open_], quad.tol)
             last = values
 
     return refine(levels(), quad.tol, f"{name}: trapezoid")
+
+
+def _chain_products(coef, factors, sums):
+    """``sum_{i,a} coef[y, o, i, a] factors[i, a] sums[y, a]``: one real matrix product per ``y``.
+
+    ``coef`` comes flattened to ``(len(sums), outputs, len(factors) *
+    alphas)``; a complex right factor runs as real products on its float view.
+    """
+    stacked = (factors * sums[:, None]).reshape(len(sums), -1, sums.shape[-1])
+    if np.iscomplexobj(stacked):
+        return (coef @ stacked.view(float)).view(stacked.dtype)
+    return coef @ stacked
 
 
 def _settled(change, values, mode_masses, tol):
@@ -317,7 +359,7 @@ def _settled(change, values, mode_masses, tol):
     are rounding noise the target already allows for.  Leaving them at their
     current values moves no stopping decision.
     """
-    targets = np.array([_refine_target(tol, v, m) for v, m in zip(values, mode_masses.sum(axis=1))])
+    targets = _refine_targets(tol, _norm(values), mode_masses.sum(axis=1))
     bound = np.maximum(_MODE_SETTLED / np.sqrt(change.shape[-1]) * targets[:, None],
                        _roundoff_floor(mode_masses))
     # 2-norm over the outputs, through hypot: squares of values near 1e200 overflow
@@ -378,11 +420,13 @@ def _eval_chains(gen, order, u, outputs, ys, quad):
 
     Returns shape ``(len(ys), len(outputs), dim)``.  Per mode every chain term
     is a scalar multiple of ``I_j``, so in one output the terms sharing a
-    ``j`` collapse into one row ``y^{p_j} sum w_i lam^{k_i} coeff y^{p - p_j}``,
-    with ``p_j`` the smallest ``p`` paired with ``j`` in any output.  Each
-    distinct ``j`` is one integral, with weight ``r^{s-j} e^-r`` and the scale
-    ``y^{p_j}`` folded into its exponent; all of them, for every ``y``, run on
-    one table in eigencoordinates, and ``V`` maps the finished sums back once.
+    ``j`` collapse into ``y^{p_j} lam^j c sum_k lam^k sum_i w_i coeff y^{p -
+    p_j}`` (``c`` the eigencoordinates), with ``p_j`` the smallest ``p``
+    paired with ``j`` in any output and ``k`` over the powers of ``L`` in use.
+    Each distinct ``j`` is one integral, with weight ``r^{s-j} e^-r`` and the
+    scale ``y^{p_j}`` folded into its exponent; all of them, for every ``y``,
+    run on one table in eigencoordinates from the scalar coefficients alone,
+    and ``V`` maps the finished sums back once.
     """
     lam, coords = gen._modes(u)
     lowest = {}
@@ -392,16 +436,18 @@ def _eval_chains(gen, order, u, outputs, ys, quad):
                 lowest[j] = min(p, lowest.get(j, p))
     js = sorted(lowest)
     col = {j: i for i, j in enumerate(js)}
-    rows = np.zeros((ys.size, len(outputs), len(js), lam.size), dtype=np.result_type(lam, coords))
+    kpows = sorted({k for parts in outputs for k, _, _ in parts})
+    row = {k: i for i, k in enumerate(kpows)}
+    coef = np.zeros((ys.size, len(outputs), len(kpows), len(js)))
     for o, parts in enumerate(outputs):
         for k, w, chain in parts:
             for (p, j), c in chain.items():
-                rows[:, o, col[j]] += np.multiply.outer(w * c * ys ** (p - lowest[j]), lam**k)
-    rows *= np.array([lam**j for j in js]) * coords
+                coef[:, o, row[k], col[j]] += w * c * ys ** (p - lowest[j])
+    base = np.array([lam**j for j in js]) * coords
     alphas = order.s - np.array(js, dtype=float)
     offsets = np.multiply.outer(np.log(ys), [float(lowest[j]) for j in js])
-    stacked = _subordinate(gen, lam, rows, alphas, ys, quad, "semigroup-chain integrals",
-                           offsets=offsets)
+    stacked = _subordinate(gen, lam, coef, kpows, base, alphas, ys, quad,
+                           "semigroup-chain integrals", offsets=offsets)
     return gen._from_modes(stacked) / gamma(order.s)
 
 
@@ -494,8 +540,9 @@ def _explicit_radial(gen, order, u, m, ys, quad):
     lam, coords = gen._modes(u)
     f_coords = np.exp(s * np.log(-lam)) * coords  # f = (-L)^s u, as in Generator.frac_power
     poly = np.array([explicit_poly_part(gen, order, u, m, order.n, y * y / 4.0) for y in ys])
-    rows = np.broadcast_to(f_coords, (ys.size, 1, 1, lam.size))
-    tail = _subordinate(gen, lam, rows, m - s, ys, quad, "explicit radial tail", k=order.n - m)
+    coef = np.ones((ys.size, 1, 1, 1))
+    tail = _subordinate(gen, lam, coef, [0], f_coords[None], m - s, ys, quad,
+                        "explicit radial tail", k=order.n - m)
     scale = ys ** (2.0 * (s - m)) / (4.0 ** (s - m) * gamma(s))
     return (-1.0) ** m * (poly + scale[:, None] * gen._from_modes(tail[:, 0]))
 

@@ -52,7 +52,12 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """First-level node budget and refinement tolerance of the adaptive rules."""
+    """First-level node budget and refinement tolerance of the adaptive rules.
+
+    A subordination call on several ``y`` shares one lattice across the union
+    of their windows, and ``nodes`` counts the first-level steps across that
+    union (each ``y``'s own window holds a share of them).
+    """
 
     nodes: int = 128
     tol: float = 1e-12
@@ -79,14 +84,21 @@ def gauss_legendre_rule(n):
 # -- adaptive drivers ----------------------------------------------------------
 
 
-def _norm(value):
-    """2-norm, scaled by the largest magnitude so that squaring cannot overflow."""
-    size = np.abs(value).ravel()
-    peak = size.max()
-    if not 0.0 < peak < np.inf:
-        return float(peak)
-    size = size / peak
-    return float(peak * np.sqrt(size @ size))
+def _norm(rows):
+    """2-norm of each row (entry on the leading axis), scaled by its largest magnitude.
+
+    Scaling keeps the squares from overflowing; a row whose largest magnitude
+    is ``0``, ``inf`` or ``nan`` has that as its norm, and is zeroed before
+    the squares so that none of them warns.
+    """
+    size = np.abs(rows).reshape(len(rows), -1)
+    peak = size.max(axis=1)
+    scaled = (0.0 < peak) & (peak < np.inf)
+    if not scaled.all():
+        size[~scaled] = 0.0
+    scale = np.where(scaled, peak, 1.0)
+    size /= scale[:, None]
+    return np.where(scaled, scale * np.sqrt((size[:, None, :] @ size[:, :, None]).ravel()), peak)
 
 
 _EPS = float(np.finfo(float).eps)
@@ -97,14 +109,15 @@ def _roundoff_floor(mass):
     return 32.0 * _EPS * mass
 
 
-def _refine_target(tol, current, mass):
-    """Stopping threshold: the requested tolerance, floored by roundoff.
+def _refine_targets(tol, sizes, masses):
+    """Stopping threshold of each block: the requested tolerance, floored by roundoff.
 
-    ``mass`` is the L1 size of the weighted integrand; when it dwarfs the
-    integral's value the achievable absolute accuracy is ``eps * mass`` and
-    further refinement cannot improve on it.
+    ``sizes`` holds the norms of the blocks' values and ``masses`` their L1
+    sizes of the weighted integrand; when a mass dwarfs its integral's value
+    the achievable absolute accuracy is ``eps * mass`` and further refinement
+    cannot improve on it.
     """
-    return max(tol * max(1.0, _norm(current)), _roundoff_floor(mass))
+    return np.maximum(tol * np.maximum(1.0, sizes), _roundoff_floor(masses))
 
 
 def refine(levels, tol, name):
@@ -114,7 +127,7 @@ def refine(levels, tol, name):
     coarsest first, fresh arrays of the values of every block stacked on a
     leading axis together with one L1 mass per block.  A block is done at the
     first level whose change from its predecessor meets
-    :func:`_refine_target`, and keeps that level's value.  After each level
+    :func:`_refine_targets`, and keeps that level's value.  After each level
     the generator is sent the mask of the blocks still open, so it may skip
     the done ones (what it yields for them is ignored).  Running out of
     levels raises :class:`ConvergenceError` with the largest last change of an
@@ -131,11 +144,14 @@ def refine(levels, tol, name):
         except StopIteration:
             raise ConvergenceError(f"{name} refinement stalled",
                                    achieved=float(achieved[open_].max()), required=tol) from None
-        for b in np.flatnonzero(open_):
-            achieved[b] = _norm(values[b] - previous[b])
-            if achieved[b] <= _refine_target(tol, values[b], masses[b]):
-                result[b] = values[b]
-                open_[b] = False
+        blocks = np.flatnonzero(open_)
+        open_blocks = slice(None) if blocks.size == open_.size else blocks  # views while all are open
+        current = values[open_blocks]
+        change, sizes = _norm(np.concatenate((current - previous[open_blocks], current))).reshape(2, -1)
+        achieved[blocks] = change
+        done = blocks[change <= _refine_targets(tol, sizes, np.asarray(masses)[open_blocks])]
+        result[done] = values[done]
+        open_[done] = False
         if not open_.any():
             return result
 
@@ -285,20 +301,20 @@ def integrate_unit(f, tol, singular_power=0.0, nodes0=64, name="integral"):
 def richardson_table(values, exponents, ratio=2.0):
     """Richardson table for values sampled along ``y_j = y_0 ratio^{-j}``.
 
-    ``values[j]`` is the quantity at ``y_j`` (scalars or arrays); the error is
-    modeled as ``sum_k C_k y^{p_k}`` with ``p_k`` given by ``exponents`` in
-    the order they are eliminated.  Returns the list of levels; ``levels[0]``
-    is the input and each further level is one elimination deeper.
+    ``values[j]`` is the quantity at ``y_j`` (scalars or arrays of one shape);
+    the error is modeled as ``sum_k C_k y^{p_k}`` with ``p_k`` given by
+    ``exponents`` in the order they are eliminated.  Returns the list of
+    levels, each one array with its entries stacked on the leading axis;
+    ``levels[0]`` is the input and each further level is one elimination
+    deeper, one entry shorter.
     """
-    levels = [[np.asarray(v) for v in values]]
+    levels = [np.asarray(values)]
     for p in exponents:
         prev = levels[-1]
         if len(prev) < 2:
             break
         factor = ratio ** (-p)
-        levels.append(
-            [(prev[i + 1] - factor * prev[i]) / (1.0 - factor) for i in range(len(prev) - 1)]
-        )
+        levels.append((prev[1:] - factor * prev[:-1]) / (1.0 - factor))
     return levels
 
 

@@ -88,6 +88,16 @@ class TestScalarSeries:
             with pytest.raises(ConvergenceError, match=f"phi_{kind} series: term \\d+ overflows"):
                 phi(kind, 30.0, p, deriv=deriv)
 
+    @pytest.mark.parametrize("kind", [1, 2])
+    @pytest.mark.parametrize("deriv", [0, 1, 2])
+    def test_power_overflow_raises_instead_of_overflow_error(self, kind, deriv):
+        """A tiny ``lam`` and a huge ``y``: ``y**power`` leaves the float range before the sum does."""
+        p = BesselParams(a=0.4, lam=1e-300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match=f"phi_{kind} series: term \\d+ overflows"):
+                phi(kind, 1e200, p, deriv=deriv)
+
     def test_boundary_data_matrix_is_identity(self):
         a = 0.5
         p = BesselParams(a=a, lam=1.0)

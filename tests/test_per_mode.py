@@ -30,13 +30,16 @@ from fracext import (
     trace_neumann,
     y_derivatives_upto,
 )
-from fracext import extension
+from fracext import extension, traces
 from fracext.cli import builtin_matrix
 from fracext.extension import (
+    _kernel_depth,
+    _log_window,
     exp_tail,
     extension_operator_power,
     weighted_extension_derivative,
 )
+from fracext.quadrature import QuadratureSpec
 from fracext.verify import _sine_modes, dirichlet_sine_power
 
 from conftest import relerr
@@ -472,7 +475,7 @@ def test_initial_condition_suite_runs_on_one_table(monkeypatch, s):
     real = extension._subordinate
 
     def spy(*args, **kwargs):
-        calls.append(args[2].shape)  # (len(ysched), outputs, integrals, dim)
+        calls.append(args[2].shape)  # coef: (len(ysched), outputs, powers of L, integrals)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(extension, "_subordinate", spy)
@@ -501,3 +504,116 @@ def test_initial_condition_suite_passes_on_laplacian_1024():
     u = np.random.default_rng(7).standard_normal(1024) + 0j
     report = initial_condition_suite(gen, 2.7, u)
     assert report.all_passed, [(line.m, line.kind, line.error) for line in report.lines]
+
+
+def first_levels(monkeypatch):
+    """Record ``(first step, first-level node count)`` of every subordination lattice."""
+    seen = []
+    real = extension.trapezoid_lattice
+
+    def spy(lo, hi, h0, name="integral"):
+        levels = real(lo, hi, h0, name)
+        nodes, weights = next(levels)
+        seen.append((h0, nodes.size))
+        yield nodes, weights
+        yield from levels
+
+    monkeypatch.setattr(extension, "trapezoid_lattice", spy)
+    return seen
+
+
+@pytest.mark.parametrize("nodes", (64, 128))
+def test_multi_y_first_level_spans_the_shared_lattice(monkeypatch, nodes):
+    """A call on many ``y`` lays ``quad.nodes`` steps across the union of their windows."""
+    gen = builtin_matrix("laplacian1d:128")
+    u = np.random.default_rng(3).standard_normal(128) + 0j
+    quad = QuadratureSpec(nodes=nodes)
+    seen = first_levels(monkeypatch)
+    y_derivatives_upto(gen, 1.5, u, 3, np.geomspace(1e-3, 2.0, 12), quad)
+    trace_neumann(gen, 2.7, u, quad)
+    initial_condition_suite(gen, 0.3, u, quad)
+    assert len(seen) == 3
+    assert all(count <= nodes + 1 for _, count in seen), seen
+
+
+@pytest.mark.parametrize("s", S_VALUES)
+@pytest.mark.parametrize("y", (1e-4, 0.3, 5.0))
+def test_one_y_first_step_is_that_of_its_own_window(monkeypatch, s, y):
+    """``min(0.5, max(hi - lo, 1) / max(nodes, 16))`` on the window of the one ``y``."""
+    gen = builtin_matrix("laplacian1d:128")
+    u = np.random.default_rng(3).standard_normal(128) + 0j
+    seen = first_levels(monkeypatch)
+    extend_subordination(gen, s, u, y)
+    radial_power(gen, s, u, 1, y)
+    for (h0, _), alpha in zip(seen, (s, s - 1.0)):
+        lo, hi = _log_window(alpha, -1, _kernel_depth(gen, np.array([y]))[0])
+        assert h0 == pytest.approx(min(0.5, max(hi - lo, 1.0) / 128), rel=1e-14)
+
+
+def explicit_rows(gen, u, outputs, ys):
+    """The ``(y, output, integral, mode)`` rows ``sum_k w c y^{p - p_j} lam^k lam^j c_m`` in full."""
+    lam, coords = gen._modes(u)
+    lowest = {}
+    for parts in outputs:
+        for _, _, chain in parts:
+            for p, j in chain:
+                lowest[j] = min(p, lowest.get(j, p))
+    js = sorted(lowest)
+    rows = np.zeros((ys.size, len(outputs), len(js), lam.size), dtype=np.result_type(lam, coords))
+    for o, parts in enumerate(outputs):
+        for k, w, chain in parts:
+            for (p, j), c in chain.items():
+                rows[:, o, js.index(j)] += np.multiply.outer(w * c * ys ** (p - lowest[j]), lam**k)
+    return rows * np.array([lam**j for j in js]) * coords
+
+
+def suite_outputs(monkeypatch, gen, s, u):
+    """The output list :func:`initial_condition_suite` hands to ``_eval_chains``."""
+    captured = []
+    real = traces._eval_chains
+
+    def spy(gen, order, u, outputs, ys, quad):
+        captured.append(outputs)
+        return real(gen, order, u, outputs, ys, quad)
+
+    monkeypatch.setattr(traces, "_eval_chains", spy)
+    initial_condition_suite(gen, s, u)
+    monkeypatch.undo()
+    return captured[0]
+
+
+@pytest.mark.parametrize("s", S_VALUES)
+@pytest.mark.parametrize("case", ("laplacian1d:64", "nonnormal32"))
+def test_chain_products_match_the_explicit_rows(monkeypatch, nonnormal32, case, s):
+    """Every level's batched products equal the ``(y, o, a, m)`` row contraction to 1e-14.
+
+    Relative to the L1 size of the contracted terms, on the output sets of the
+    initial-condition suite and of ``form='operator'``.
+    """
+    if case == "nonnormal32":
+        gen, _, _, u = nonnormal32
+    else:
+        gen = builtin_matrix(case)
+        u = np.array([1.0, 1j]) @ np.random.default_rng(5).standard_normal((2, 64))
+    order = FracOrder(s)
+    ys = np.geomspace(1e-3, 1.5, 9)
+    output_sets = [suite_outputs(monkeypatch, gen, s, u),
+                   [extension._weighted_parts(order, m, "operator") for m in range(order.n + 1)]]
+    real = extension._chain_products
+    for outputs in output_sets:
+        rows = explicit_rows(gen, u, outputs, ys)
+        checked = []
+
+        def spy(coef, factors, sums):
+            got = real(coef, factors, sums)
+            if len(sums) == ys.size:  # every y open: the rows line up with the sums
+                ref = np.einsum("yoam,yam->yom", rows, sums)
+                scale = np.einsum("yoam,yam->yom", np.abs(rows), np.abs(sums))
+                assert np.all(np.abs(got - ref) <= 1e-14 * scale)
+                checked.append(len(sums))
+            return got
+
+        monkeypatch.setattr(extension, "_chain_products", spy)
+        extension._eval_chains(gen, order, u, outputs, ys, QuadratureSpec())
+        monkeypatch.undo()
+        assert checked

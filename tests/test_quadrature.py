@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -8,8 +9,10 @@ from fracext.cli import builtin_matrix
 from fracext.quadrature import (
     ConvergenceError,
     QuadratureSpec,
+    _norm,
     extrapolation_spread,
     integrate_unit,
+    refine,
     richardson_table,
     trapezoid_refine,
 )
@@ -277,3 +280,114 @@ def test_extrapolation_spread():
     table = [[np.array([1.0]), np.array([1.5]), np.array([1.75])], [np.array([2.0]), np.array([2.0])]]
     assert extrapolation_spread(table) == 0.0
     assert np.isinf(extrapolation_spread([[np.array([1.0])]]))
+
+
+def norm_of_one_row(value):
+    """The per-row 2-norm, scaled by the largest magnitude, one row at a time."""
+    size = np.abs(value).ravel()
+    peak = size.max()
+    if not 0.0 < peak < np.inf:
+        return float(peak)
+    size = size / peak
+    return float(peak * np.sqrt(size @ size))
+
+
+def test_stacked_norm_matches_row_by_row():
+    """Rows holding 0, inf, nan and 1e200 keep the overflow guard, and nothing warns."""
+    rng = np.random.default_rng(3)
+    rows = rng.standard_normal((9, 2, 5)) + 1j * rng.standard_normal((9, 2, 5))
+    rows[1] = 0.0
+    rows[2, 0, 3] = np.inf
+    rows[3] *= 1e200
+    rows[4, 1, 1] = np.nan
+    rows[5] *= 1e-200
+    rows[6, :, :] = 1e200
+    rows[6, 0, 0] = np.inf
+    rows[7] = 5e-324
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norms = _norm(rows)
+        reals = _norm(rows.real)
+    for got, row in zip(norms, rows):
+        ref = norm_of_one_row(row)
+        assert got == pytest.approx(ref, rel=1e-15) or (np.isnan(got) and np.isnan(ref))
+    for got, row in zip(reals, rows.real):
+        ref = norm_of_one_row(row)
+        assert got == pytest.approx(ref, rel=1e-15) or (np.isnan(got) and np.isnan(ref))
+    assert norms[3] == pytest.approx(1e200 * np.linalg.norm(rows[3] / 1e200), rel=1e-15)
+
+
+def close_levels(blocks, tol):
+    """For each block (a list of ``(value, mass)`` levels), the level the stopping rule closes it at."""
+    out = []
+    for levels in blocks:
+        for i in range(1, len(levels)):
+            value, mass = levels[i]
+            change = norm_of_one_row(value - levels[i - 1][0])
+            target = max(tol * max(1.0, norm_of_one_row(value)), 32.0 * np.finfo(float).eps * mass)
+            if change <= target:
+                out.append(i)
+                break
+        else:
+            out.append(None)
+    return out
+
+
+def test_refine_closes_each_block_where_a_per_block_loop_does():
+    """Geometric changes at different rates and scales; one block is stopped by its roundoff floor."""
+    rng = np.random.default_rng(11)
+    depth, tol = 10, 1e-10
+    scales = np.array([1.0, 1e-3, 1e5, 1.0, 1e150, 0.0, 1.0])
+    rates = 10.0 ** np.array([-2.3, -3.3, -1.7, -0.7, -3.3, -2.6, -4.3])
+    masses = np.array([1.0, 1.0, 1.0, 1e10, 1e150, 1.0, 1.0])
+    limits = scales[:, None] * (rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3)))
+    steps = np.maximum(scales, 1.0)[:, None] * rng.standard_normal((7, 3))
+    blocks = [[(limits[b] + rates[b] ** i * steps[b], masses[b]) for i in range(depth)]
+              for b in range(len(scales))]
+    expected = close_levels(blocks, tol)
+    assert None not in expected and len(set(expected)) >= 4
+    sent = []
+
+    def levels():
+        for i in range(depth):
+            open_ = yield np.array([b[i][0] for b in blocks]), np.array([b[i][1] for b in blocks])
+            sent.append(open_)
+
+    result = refine(levels(), tol, "probe")
+    # after level i refine sends the blocks still open; the last level's closures end the call
+    closed_at = [next((i for i, mask in enumerate(sent) if not mask[b]), len(sent))
+                 for b in range(len(scales))]
+    assert closed_at == expected
+    for b, level in enumerate(expected):
+        assert np.array_equal(result[b], blocks[b][level][0])
+
+
+def richardson_by_entry(values, exponents, ratio=2.0):
+    """The table built one entry at a time."""
+    levels = [[np.asarray(v) for v in values]]
+    for p in exponents:
+        prev = levels[-1]
+        if len(prev) < 2:
+            break
+        factor = ratio ** (-p)
+        levels.append([(prev[i + 1] - factor * prev[i]) / (1.0 - factor)
+                       for i in range(len(prev) - 1)])
+    return levels
+
+
+@pytest.mark.parametrize("kind", ["scalars", "list", "array"])
+def test_stacked_richardson_matches_the_entry_recursion(kind):
+    rng = np.random.default_rng(5)
+    ys = 0.4 * 0.5 ** np.arange(9)
+    base = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    rows = base + np.outer(ys**0.6, rng.standard_normal(4)) + np.outer(ys**2, base)
+    values = {"scalars": list(rows[:, 0].real), "list": list(rows), "array": rows}[kind]
+    exponents = [0.6, 2.0, 2.6, 4.0]
+    table = richardson_table(values, exponents, ratio=2.0)
+    reference = richardson_by_entry(values, exponents, ratio=2.0)
+    assert len(table) == len(reference)
+    for level, ref in zip(table, reference):
+        assert len(level) == len(ref)
+        for got, want in zip(level, ref):
+            assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want) + 1e-300)
+    assert extrapolation_spread(table) == extrapolation_spread(reference)
