@@ -545,6 +545,7 @@ def test_one_y_first_step_is_that_of_its_own_window(monkeypatch, s, y):
     seen = first_levels(monkeypatch)
     extend_subordination(gen, s, u, y)
     radial_power(gen, s, u, 1, y)
+    assert len(seen) == 2
     for (h0, _), alpha in zip(seen, (s, s - 1.0)):
         lo, hi = _log_window(alpha, -1, _kernel_depth(gen, np.array([y]))[0])
         assert h0 == pytest.approx(min(0.5, max(hi - lo, 1.0) / 128), rel=1e-14)
