@@ -234,10 +234,10 @@ def _check_tail_reach(k, hi, steps, nodes, sigma):
 
     A Taylor-tail window ends at ``hi = _KERNEL_DECAY / sigma``
     (:func:`_log_window`), so it grows without bound as ``sigma = s - [s]``
-    nears 0.  Beyond ``k hi = log(float max)`` the weight is ``inf``; and a
-    first level of more ``steps`` than ``nodes * 2^(_TRAPEZOID_LEVELS - 1)``,
-    the finest level a call may reach, would lay gigabytes of nodes (at
-    ``k = 0`` the weight never overflows).
+    nears 0.  Beyond ``k hi = log(float max)`` the weight is ``inf``; and more
+    ``steps`` of the narrowest window's first step across the lattice than
+    ``nodes * 2^(_TRAPEZOID_LEVELS - 1)`` would lay gigabytes of nodes on the
+    finest level a call may reach (at ``k = 0`` the weight never overflows).
     """
     if k * hi > _LOG_FLOAT_MAX or steps > nodes * 2 ** (_TRAPEZOID_LEVELS - 1):
         raise ValueError(
@@ -260,16 +260,18 @@ def _subordinate(gen, lam, coef, kpows, base, alphas, ys, quad, name, k=-1, offs
     that union on its first level, and each ``y`` weights only the nodes
     inside its own window.  The trapezoid rate depends on the integrand's
     strip of analyticity, not on the window's length, so a ``y`` with a
-    narrow window needs no finer step than the union's.  Per level one matrix
-    product reduces the weights of every open ``(y, alpha)`` against the
-    table's new nodes, one more their L1 mass, and one batched product of
-    ``coef`` with the sums times ``lam^kpows[i] base[a]`` gives every output;
-    each ``y`` passes the stopping rule of :func:`refine` on its own
-    ``(outputs, dim)`` block.  From the third level on the table holds only
-    the modes that have not settled (:func:`_settled`): the few slowly
-    converging modes of a non-normal complex spectrum no longer pull every
-    mode through the finest levels, so one level more or less costs a few
-    columns instead of doubling the call.  Scales ``e^{offsets[y, a]}``
+    narrow window needs no finer first step than the union's; the lattice
+    gets one more level per halving from that step to the narrowest window's
+    own, so its finest level is as fine as that window alone would reach.
+    Per level one matrix product reduces the weights of every open ``(y,
+    alpha)`` against the table's new nodes, one more their L1 mass, and one
+    batched product of ``coef`` with the sums times ``lam^kpows[i] base[a]``
+    gives every output; each ``y`` passes the stopping rule of :func:`refine`
+    on its own ``(outputs, dim)`` block.  From the third level on the table
+    holds only the modes that have not settled (:func:`_settled`): the few
+    slowly converging modes of a non-normal complex spectrum no longer pull
+    every mode through the finest levels, so one level more or less costs a
+    few columns instead of doubling the call.  Scales ``e^{offsets[y, a]}``
     enter the exponent of the weight: at tiny ``y`` the left window edge sits
     at ``r ~ y^2``, where ``r^alpha`` alone overflows for ``alpha < 0``
     although its product with the scale is moderate.
@@ -281,13 +283,17 @@ def _subordinate(gen, lam, coef, kpows, base, alphas, ys, quad, name, k=-1, offs
     t_lo, t_hi = log_c - hi, log_c - lo
     start, stop = t_lo.min(), t_hi.max()
     step = min(0.5, max(stop - start, 1.0) / max(quad.nodes, 16))
+    # one level more per halving from the union's first step to the narrowest window's own
+    # (-1e-9: for one y the two steps agree only to rounding)
+    fine = min(0.5, max((hi - lo).min(), 1.0) / max(quad.nodes, 16))
+    budget = _TRAPEZOID_LEVELS + max(0, int(np.ceil(np.log2(step / fine) - 1e-9)))
     if k >= 0:
-        _check_tail_reach(k, hi, (stop - start) / step, quad.nodes, -(alphas.max() + k))
+        _check_tail_reach(k, hi, (stop - start) / fine, quad.nodes, -(alphas.max() + k))
     powers = lam ** np.asarray(kpows)[:, None]
     factors = powers[:, None, :] * base  # lam^kpows[i] base[a], shape (len(kpows), len(alphas), dim)
-    # L1 size of the terms the outputs of each y sum, per integral and mode: every output's
-    # mass counts towards its block
-    sizes = np.swapaxes(np.abs(coef).sum(axis=1), 1, 2) @ np.abs(powers) * np.abs(base)
+    # L1 size of each y's output rows, per integral and mode: every output's mass counts
+    # towards its block
+    sizes = np.abs(np.swapaxes(coef, 2, 3) @ powers).sum(axis=1) * np.abs(base)
     coef = coef.reshape(ys.size, coef.shape[1], -1)
 
     def levels():
@@ -295,8 +301,8 @@ def _subordinate(gen, lam, coef, kpows, base, alphas, ys, quad, name, k=-1, offs
         raw_mass = np.zeros(raw.shape)
         open_ = np.ones(ys.size, dtype=bool)
         live = np.ones(lam.size, dtype=bool)  # the modes still in the table
-        values = last = None  # no mode can settle on the first level: there is no change yet
-        for taus, weights in trapezoid_lattice(start, stop, step, name):
+        last = None  # no mode can settle on the first level: there is no change yet
+        for taus, weights in trapezoid_lattice(start, stop, step, name, budget):
             every, full = open_.all(), live.all()
             keep = (taus >= t_lo[open_].min()) & (taus <= t_hi[open_].max())
             taus, weights = taus[keep], weights[keep]
@@ -320,12 +326,7 @@ def _subordinate(gen, lam, coef, kpows, base, alphas, ys, quad, name, k=-1, offs
                 at = np.ix_(np.repeat(open_, alphas.size), live)
                 raw[at] = 0.5 * raw[at] + new
                 raw_mass[at] = 0.5 * raw_mass[at] + new_mass
-            sums = raw.reshape(ys.size, alphas.size, lam.size)
-            if every:
-                values = _chain_products(coef, factors, sums)
-            else:  # a closed y keeps its last values
-                values = values.copy()
-                values[open_] = _chain_products(coef[open_], factors, sums[open_])
+            values = _chain_products(coef, factors, raw.reshape(ys.size, alphas.size, lam.size))
             mode_masses = np.einsum("yam,yam->ym", sizes, raw_mass.reshape(sizes.shape))
             open_ = yield values, mode_masses.sum(axis=1)
             if last is not None:

@@ -183,14 +183,14 @@ _TAIL_TERMS = 26  # where r <= 1 the first omitted tail term is below 1/27! of t
 _KERNEL_DECAY = 55.0  # windows end where weight or semigroup factor is below e^-55 ~ 1e-24
 
 
-def trapezoid_lattice(lo, hi, h0, name="integral"):
+def trapezoid_lattice(lo, hi, h0, name="integral", levels=_TRAPEZOID_LEVELS):
     """Nested composite-trapezoid levels on ``[lo, hi]``: the nodes and weights each level adds.
 
     The first level spans ``count`` steps of ``h0`` from ``lo``, ending within
     ``h0/2`` of ``hi``, with half weights at both ends; the step then halves
-    over at most ``_TRAPEZOID_LEVELS`` levels, each yielding only the
-    midpoints of the previous level's intervals.  A level's rule value is its
-    weighted sum plus half the previous level's value (see :func:`_nested`).
+    over at most ``levels`` levels, each yielding only the midpoints of the
+    previous level's intervals.  A level's rule value is its weighted sum
+    plus half the previous level's value (see :func:`_nested`).
     """
     if not (np.isfinite(lo) and np.isfinite(hi) and np.isfinite(h0) and h0 > 0.0):
         raise ValueError(f"{name}: trapezoid window [{lo}, {hi}] with step {h0} "
@@ -202,7 +202,7 @@ def trapezoid_lattice(lo, hi, h0, name="integral"):
     weights[0] *= 0.5
     weights[-1] *= 0.5
     yield lo + h * np.arange(n + 1), weights
-    for _ in range(_TRAPEZOID_LEVELS - 1):
+    for _ in range(levels - 1):
         h *= 0.5
         yield lo + h * (2 * np.arange(n) + 1), np.full(n, h)
         n *= 2
