@@ -25,7 +25,6 @@ from .extension import (
 )
 from .fracpow import (
     FracOrder,
-    balakrishnan,
     balakrishnan_general,
     balakrishnan_second_kind,
     bbw_frac_power,
@@ -61,7 +60,6 @@ __all__ = [
     "ICReport",
     "QuadratureSpec",
     "TraceEstimate",
-    "balakrishnan",
     "balakrishnan_general",
     "balakrishnan_second_kind",
     "bbw_estimate",

@@ -10,7 +10,7 @@ per term).
 """
 
 from dataclasses import dataclass
-from math import isfinite
+from math import inf, isfinite, log
 
 import numpy as np
 
@@ -50,8 +50,10 @@ class BesselParams:
             raise ValueError("series budget must allow at least 4 terms")
 
 
-def _series_start(kind, a):
+def _series_start(kind, a, deriv):
     """Leading power and coefficient, and the shift in the term ratio."""
+    if deriv not in (0, 1, 2):
+        raise ValueError(f"derivative order must be 0, 1 or 2, got {deriv}")
     nu = (1.0 - a) / 2.0
     if kind == 1:
         return 0.0, 1.0, -nu
@@ -60,16 +62,11 @@ def _series_start(kind, a):
     raise ValueError(f"solution kind must be 1 or 2, got {kind!r}")
 
 
-def _deriv_factor(power, y, deriv):
+def _deriv_weight(power, y, deriv):
+    """``(d/dy)^deriv y^power`` divided by ``y^power``; needs ``y > 0`` unless ``deriv = 0``."""
     if deriv == 0:
-        return y**power
-    if deriv == 1:
-        return 0.0 * y if power == 0.0 else power * y ** (power - 1.0)
-    if deriv == 2:
-        if power in (0.0, 1.0):
-            return 0.0 * y
-        return power * (power - 1.0) * y ** (power - 2.0)
-    raise ValueError(f"derivative order must be 0, 1 or 2, got {deriv}")
+        return 1.0
+    return power / y if deriv == 1 else power * (power - 1.0) / y / y
 
 
 def phi(kind, y, p: BesselParams, deriv=0):
@@ -77,80 +74,35 @@ def phi(kind, y, p: BesselParams, deriv=0):
 
     ``kind=1`` is the solution with ``phi(0) = 1``; ``kind=2`` behaves like
     ``y^{1-a}/(1-a)`` at the origin.  Derivatives are exact term-by-term
-    differentiations of the series.  Raises :class:`ConvergenceError` once a
-    term overflows, as the operator series does.
+    differentiations of the series.  Each term is the previous one times
+    ``lam y^2 / (4 (k+1) (k+1+shift))``, so a term leaves the float range
+    only where the series itself does; raises :class:`ConvergenceError` once
+    a term overflows, as the operator series does.
     """
-    p0, c0, shift = _series_start(kind, p.a)
+    p0, c0, shift = _series_start(kind, p.a, deriv)
     if y == 0.0:
         if deriv != 0:
             raise ValueError("series derivatives need y > 0")
         return c0 if kind == 1 else 0.0
     if y < 0.0:
         raise ValueError(f"series argument must be nonnegative, got {y}")
-    coeff = c0
+    ratio = p.lam * y * y / 4.0
+    # a Python float power raises where a product turns inf: past e^709 the first term is inf
+    term = c0 * y**p0 if p0 * log(y) < 709.0 else inf
     total = 0.0
     scale = 0.0
     for k in range(p.max_terms):
-        power = p0 + 2.0 * k
-        try:
-            contrib = coeff * _deriv_factor(power, y, deriv)
-            size = abs(coeff) * y**power
-        except OverflowError:  # a Python float power raises where a product turns inf
-            contrib = size = np.inf
-        total += contrib
+        total += term * _deriv_weight(p0 + 2.0 * k, y, deriv)
         if not isfinite(total):
             raise ConvergenceError(
                 f"phi_{kind} series: term {k} overflows at y={y}, lam={p.lam}"
             )
         scale = max(scale, abs(total), 1e-300)
-        if k >= 4 and size <= p.trunc_tol * scale:
+        if k >= 4 and abs(term) <= p.trunc_tol * scale:
             return total
-        coeff = coeff * p.lam / (4.0 * (k + 1.0) * (k + 1.0 + shift))
+        term = term * ratio / ((k + 1.0) * (k + 1.0 + shift))
     raise ConvergenceError(
         f"phi_{kind} series: {p.max_terms}-term budget exhausted at y={y}, lam={p.lam}"
-    )
-
-
-def _phi_series_rows(kind, ys, mat, a, rows, p: BesselParams, deriv=0):
-    """Operator series applied to stacked rows, with per-row arguments.
-
-    ``rows`` has shape ``(m, dim)`` and ``ys`` length ``m``; row ``j``
-    receives the series at ``ys[j]``.  Shared powers ``T^k`` are built once
-    per term, through :func:`_apply`, so a real ``T`` runs in real arithmetic.
-    """
-    p0, c0, shift = _series_start(kind, a)
-    ys = np.asarray(ys, dtype=float)
-    if deriv not in (0, 1, 2):
-        raise ValueError(f"derivative order must be 0, 1 or 2, got {deriv}")
-    if not (np.all(ys >= 0.0) and np.all(np.isfinite(ys))):
-        raise ValueError(f"series arguments must be nonnegative and finite, got {ys}")
-    if deriv > 0 and np.any(ys <= 0.0):
-        raise ValueError("series derivatives need y > 0")
-    work = np.array(rows, dtype=complex)
-    total = np.zeros_like(work)
-    coeff = c0
-    row_scale = np.zeros(work.shape[0])
-    # T^k u grows like ||T||^k while coeff shrinks.  Once T^k u or y^power overflows,
-    # the partial sums turn inf or nan and so do their norms: the series stops there
-    # instead of warning its way through the budget
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(p.max_terms):
-            power = p0 + 2.0 * k
-            total = total + coeff * _deriv_factor(power, ys, deriv)[:, None] * work
-            sizes = abs(coeff) * ys**power * np.linalg.norm(work, axis=1)
-            row_scale = np.maximum(row_scale, np.linalg.norm(total, axis=1))
-            if not isfinite(row_scale.sum()):
-                raise ConvergenceError(
-                    f"phi_{kind} operator series: term {k} overflows "
-                    f"(||T|| y^2 too large for the series)"
-                )
-            if k >= 4 and np.all(sizes <= p.trunc_tol * np.maximum(row_scale, 1e-300)):
-                return total
-            work = _apply(mat, work)
-            coeff = coeff / (4.0 * (k + 1.0) * (k + 1.0 + shift))
-    raise ConvergenceError(
-        f"phi_{kind} operator series: {p.max_terms}-term budget exhausted "
-        f"(||T|| y^2 too large for the requested tolerance)"
     )
 
 
@@ -158,15 +110,46 @@ def phi_op(kind, y, mat, a, u, p: BesselParams, deriv=0):
     """Operator-valued Frobenius solution applied to a vector.
 
     ``mat`` is the bounded map substituted for the spectral parameter (pass
-    ``-L`` to solve the extension equation); a real ``mat`` stays real.
-    Boundary data: ``phi_1(y, T) u -> u`` and ``y^a d/dy phi_2(y, T) v -> v``
-    as ``y -> 0``.
+    ``-L`` to solve the extension equation); a real ``mat`` stays real, as
+    each product with it runs through :func:`_apply`.  Boundary data:
+    ``phi_1(y, T) u -> u`` and ``y^a d/dy phi_2(y, T) v -> v`` as
+    ``y -> 0``.  The carried vector is the whole term ``c_k y^{2k+p0} T^k u``,
+    each the previous one's ``T``-image times ``y^2 / (4 (k+1) (k+1+shift))``:
+    ``T^k u`` alone can underflow or overflow where the term does not.
     """
     mat = np.asarray(mat, dtype=complex if np.iscomplexobj(mat) else float)
     u = np.asarray(u, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] != u.shape[0]:
         raise ValueError(f"operator/vector shape mismatch: {mat.shape} vs {u.shape}")
-    return _phi_series_rows(kind, np.array([y], dtype=float), mat, a, u[None, :], p, deriv)[0]
+    p0, c0, shift = _series_start(kind, a, deriv)
+    y = float(y)
+    if not 0.0 <= y < np.inf:
+        raise ValueError(f"series argument must be nonnegative and finite, got {y}")
+    if deriv > 0 and y == 0.0:
+        raise ValueError("series derivatives need y > 0")
+    ratio = y * y / 4.0
+    total = np.zeros_like(u)
+    scale = 0.0
+    # Once a term overflows, the partial sum turns inf or nan and so does its norm:
+    # the series stops there instead of warning its way through the budget
+    with np.errstate(over="ignore", invalid="ignore"):
+        work = c0 * np.float64(y) ** p0 * u
+        for k in range(p.max_terms):
+            total = total + _deriv_weight(p0 + 2.0 * k, y, deriv) * work
+            scale = max(scale, np.linalg.norm(total))
+            if not isfinite(scale):
+                raise ConvergenceError(
+                    f"phi_{kind} operator series: term {k} overflows "
+                    f"(||T|| y^2 too large for the series)"
+                )
+            if k >= 4 and np.linalg.norm(work) <= p.trunc_tol * max(scale, 1e-300):
+                return total
+            work = _apply(mat, work)
+            work *= ratio / ((k + 1.0) * (k + 1.0 + shift))
+    raise ConvergenceError(
+        f"phi_{kind} operator series: {p.max_terms}-term budget exhausted "
+        f"(||T|| y^2 too large for the requested tolerance)"
+    )
 
 
 def ivp_classify(a, b):

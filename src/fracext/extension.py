@@ -166,21 +166,25 @@ def explicit_poly_part(gen: Generator, s, u, start, stop, r):
     """Polynomial part of the radial derivatives of the explicit representation.
 
     ``sum_{k=start}^{stop} ((-1)^{k-start} / (k-start)!) r^{k-start}
-    (Gamma(s-k)/Gamma(s)) (-L)^k u`` for scalar ``r >= 0``.
+    (Gamma(s-k)/Gamma(s)) (-L)^k u`` for ``r >= 0``; an array ``r`` gives
+    one row per entry, and each power ``(-L)^k u`` is formed once for all of
+    them.
     """
     order = as_order(s)
     if start < 0:
         raise ValueError(f"start index must be nonnegative, got {start}")
     u = gen._check_vector(u)
+    r = np.asarray(r, dtype=float)
+    total = np.zeros(r.shape + (gen.dim,), dtype=complex)
     if start > stop:
-        return np.zeros(gen.dim, dtype=complex)
+        return total
     power = gen.apply_minus_power(start, u)
-    total = np.zeros(gen.dim, dtype=complex)
-    coeff = 1.0
+    coeff = np.ones(r.shape)
     for k in range(start, stop + 1):
-        total = total + coeff * _gamma_ratio(order.s, k) * power
-        power = -gen.apply(power)
-        coeff = coeff * (-r) / (k - start + 1)
+        if k > start:
+            power = -gen.apply(power)
+            coeff = coeff * (-r) / (k - start)
+        total = total + (coeff * _gamma_ratio(order.s, k))[..., None] * power
     return total
 
 
@@ -282,10 +286,10 @@ def _subordinate(gen, lam, coef, kpows, base, alphas, ys, quad, name, k=-1, offs
     lo, hi = _log_window(alphas, k, _kernel_depth(gen, ys))
     t_lo, t_hi = log_c - hi, log_c - lo
     start, stop = t_lo.min(), t_hi.max()
-    step = min(0.5, max(stop - start, 1.0) / max(quad.nodes, 16))
+    step = min(0.5, max(stop - start, 1.0) / quad.nodes)
     # one level more per halving from the union's first step to the narrowest window's own
     # (-1e-9: for one y the two steps agree only to rounding)
-    fine = min(0.5, max((hi - lo).min(), 1.0) / max(quad.nodes, 16))
+    fine = min(0.5, max((hi - lo).min(), 1.0) / quad.nodes)
     budget = _TRAPEZOID_LEVELS + max(0, int(np.ceil(np.log2(step / fine) - 1e-9)))
     if k >= 0:
         _check_tail_reach(k, hi, (stop - start) / fine, quad.nodes, -(alphas.max() + k))
@@ -540,7 +544,7 @@ def _explicit_radial(gen, order, u, m, ys, quad):
     s = order.s
     lam, coords = gen._modes(u)
     f_coords = np.exp(s * np.log(-lam)) * coords  # f = (-L)^s u, as in Generator.frac_power
-    poly = np.array([explicit_poly_part(gen, order, u, m, order.n, y * y / 4.0) for y in ys])
+    poly = explicit_poly_part(gen, order, u, m, order.n, ys * ys / 4.0)
     coef = np.ones((ys.size, 1, 1, 1))
     tail = _subordinate(gen, lam, coef, [0], f_coords[None], m - s, ys, quad,
                         "explicit radial tail", k=order.n - m)
@@ -662,7 +666,7 @@ def normalization_check(s, y, quad=None):
 
     r_lo, r_hi = _log_window(s_val, -1)
     lo, hi = np.log(c) - r_hi, np.log(c) - r_lo
-    h0 = min(0.25, max(hi - lo, 1.0) / max(quad.nodes, 16))
+    h0 = min(0.25, max(hi - lo, 1.0) / quad.nodes)
     integral = trapezoid_refine(g, lo, hi, quad.tol, h0=h0, name="normalization")
     return float(y ** (2.0 * s_val) / (4.0**s_val * gamma(s_val)) * integral)
 

@@ -3,14 +3,15 @@
 Three independent routes to the same operator, reconciled against the exact
 spectral evaluation in tests:
 
-* the Balakrishnan integral over the resolvent, split at ``mu = 1`` with
-  exact power substitutions on both halves; ``L`` is reduced once to its
-  complex Schur form, so each quadrature node costs one ``O(d^2)``
-  triangular solve and the route stays independent of the eigensystem.  The
-  two halves are blocks of one :func:`~fracext.quadrature.integrate_unit`
-  call, so each level solves the nodes of both in one back-substitution
-  sweep; on the diagonal Schur factor of a Hermitian ``L`` a node costs one
-  division per mode;
+* the Balakrishnan integral over the resolvent, one route for every
+  noninteger ``s``: the order ``s - [s]`` integral applied to ``(-L)^[s] u``,
+  split at ``mu = 1`` with exact power substitutions on both halves; ``L`` is
+  reduced once to its complex Schur form, so each quadrature node costs one
+  ``O(d^2)`` triangular solve and the route stays independent of the
+  eigensystem.  The two halves are blocks of one
+  :func:`~fracext.quadrature.integrate_unit` call, so each level solves the
+  nodes of both in one back-substitution sweep; on the diagonal Schur factor
+  of a Hermitian ``L`` a node costs one division per mode;
 * inverse fractional powers ``(eps I - L)^{-alpha}``: ``[alpha]`` LAPACK
   triangular solves with ``eps I - T`` and, for the fractional part, the
   same resolvent integral with its resolvent shifted by ``eps``;
@@ -44,7 +45,6 @@ from .quadrature import (
 __all__ = [
     "FracOrder",
     "resolvent_frac_power",
-    "balakrishnan",
     "balakrishnan_general",
     "balakrishnan_second_kind",
     "c_constant",
@@ -175,7 +175,7 @@ def resolvent_frac_power(gen: Generator, eps, alpha, u, quad=None):
         ``(eps I - L)^{-sigma} w = (sin(pi sigma)/pi)
         int_0^inf mu^{-sigma} ((mu + eps) I - L)^{-1} w dmu``,
 
-    evaluated by the same split tanh-sinh rule as :func:`balakrishnan`.
+    evaluated by the same split tanh-sinh rule as :func:`balakrishnan_general`.
     ``Z`` is applied once to the result; the cached eigensystem is not used.
     """
     quad = quad or QuadratureSpec()
@@ -199,31 +199,25 @@ def resolvent_frac_power(gen: Generator, eps, alpha, u, quad=None):
 # -- Balakrishnan integrals ------------------------------------------------------
 
 
-def balakrishnan(gen: Generator, s, u, quad=None):
-    """Balakrishnan integral for ``(-L)^s u`` with ``0 < s < 1``.
+def balakrishnan_general(gen: Generator, s, u, quad=None):
+    """Balakrishnan integral for ``(-L)^s u`` with any noninteger ``s > 0``.
 
-    ``(sin(s pi)/pi) int_0^inf mu^{s-1} (mu I + A)^{-1} A u dmu`` with
-    ``A = -L``: the resolvent integral of :func:`_resolvent_integral` at
-    ``sig = 1 - s`` and no shift.  Everything runs in the cached complex
-    Schur basis ``L = Z T Z^H``, independent of the cached eigensystem:
-    ``A u`` is formed there as ``-T Z^H u``, each node costs one triangular
-    back substitution, and ``Z`` is applied once to the sum.  For normal
-    ``L`` (diagonal ``T``) forming ``A u`` per Schur mode keeps the roundoff
+    With ``A = -L``, ``n = [s]`` and ``sigma = s - n``:
+    ``(sin(sigma pi)/pi) int_0^inf mu^{sigma-1} (mu I + A)^{-1} A^{n+1} u dmu``,
+    the resolvent integral of :func:`_resolvent_integral` at ``sig = 1 - sigma``
+    and no shift.  ``A^n u`` comes from :meth:`Generator.apply_minus_power`;
+    the last power and everything after it run in the cached complex Schur
+    basis ``L = Z T Z^H``, independent of the cached eigensystem: that power is
+    formed there as ``-T Z^H A^n u``, each node costs one triangular back
+    substitution, and ``Z`` is applied once to the sum.  For normal ``L``
+    (diagonal ``T``) forming the last power per Schur mode keeps the roundoff
     of stiff modes out of the soft ones.
     """
     order = as_order(s)
-    if order.n != 0:
-        raise ValueError(f"plain Balakrishnan integral needs 0 < s < 1, got s={order.s}")
     quad = quad or QuadratureSpec()
     tri, unitary = gen.schur
-    au = -(tri @ (unitary.conj().T @ gen._check_vector(u)))
-    return unitary @ _resolvent_integral(tri, au, 1.0 - order.s, 0.0, quad, "balakrishnan")
-
-
-def balakrishnan_general(gen: Generator, s, u, quad=None):
-    """``(-L)^s u`` for any noninteger ``s > 0`` as the order ``s - [s]`` integral of ``A^[s] u``."""
-    order = as_order(s)
-    return balakrishnan(gen, FracOrder(order.sigma), gen.apply_minus_power(order.n, u), quad)
+    au = -(tri @ (unitary.conj().T @ gen.apply_minus_power(order.n, u)))
+    return unitary @ _resolvent_integral(tri, au, 1.0 - order.sigma, 0.0, quad, "balakrishnan")
 
 
 def balakrishnan_second_kind(gen: Generator, s, u, quad=None):
@@ -233,7 +227,7 @@ def balakrishnan_second_kind(gen: Generator, s, u, quad=None):
     + sin(s pi / 2) A u``.  The outer half is rewritten as
     ``v^{1-s} (I + vA)^{-1} (v A u - A^2 u) / (1 + v^2)`` (exact algebra, no
     cancellation at ``v = 0``).  Everything, the ``sin(s pi / 2) A u`` term
-    included, runs in the Schur basis as in :func:`balakrishnan`; on stiff
+    included, runs in the Schur basis as in :func:`balakrishnan_general`; on stiff
     normal ``L`` a dense ``A^2 u`` would put the roundoff of the stiff modes
     into the soft ones.
     """

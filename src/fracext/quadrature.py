@@ -52,7 +52,7 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """First-level node budget and refinement tolerance of the adaptive rules.
+    """First-level node budget (at least 16) and refinement tolerance of the adaptive rules.
 
     A subordination call on several ``y`` shares one lattice across the union
     of their windows, and ``nodes`` counts the first-level steps across that
@@ -63,8 +63,8 @@ class QuadratureSpec:
     tol: float = 1e-12
 
     def __post_init__(self):
-        if self.nodes < 8:
-            raise ValueError(f"need at least 8 nodes, got {self.nodes}")
+        if self.nodes < 16:
+            raise ValueError(f"need at least 16 nodes, got {self.nodes}")
         if not 0.0 < self.tol < np.inf:
             raise ValueError(f"tolerance must be positive and finite, got {self.tol}")
 
@@ -272,7 +272,7 @@ def integrate_unit(f, tol, singular_power=0.0, nodes0=64, name="integral"):
     def levels():
         values, masses = [0.0] * len(powers), np.zeros(len(powers))
         open_ = np.ones(len(powers), dtype=bool)
-        h = min(0.5, 8.0 / max(nodes0, 16))
+        h = min(0.5, 8.0 / nodes0)
         for t, weights in trapezoid_lattice(-4.0, 4.0, h, name):
             z = 0.5 * np.pi * np.sinh(t)
             w = 1.0 / (1.0 + np.exp(-2.0 * z))

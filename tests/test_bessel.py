@@ -67,6 +67,12 @@ class TestScalarSeries:
             rhs = gamma(1.0 - nu) * (np.sqrt(lam) * y / 2.0) ** nu * iv(-nu, np.sqrt(lam) * y)
             assert abs(lhs - rhs) <= 1e-9 * abs(rhs)
 
+    def test_tiny_lam_huge_y_matches_bessel_i(self):
+        """``lam y^2 = 1`` with ``y^2`` past the float range: each term is the previous one's ratio."""
+        nu = 0.3
+        rhs = gamma(1.0 - nu) * 0.5**nu * iv(-nu, 1.0)
+        assert abs(phi(1, 1e150, BesselParams(a=0.4, lam=1e-300)) - rhs) <= 1e-13 * rhs
+
     def test_entire_series_budget(self):
         # doubling the budget changes converged values by less than trunc_tol
         for lam in (1.0, 25.0, 100.0):
@@ -129,6 +135,14 @@ class TestOperatorSeries:
         for kind in (1, 2):
             for y in (0.3, 1.0, 2.0):
                 assert relerr(phi_op(kind, y, mat, a, one, p), phi(kind, y, p) * one) <= 1e-12
+
+    def test_tiny_operator_huge_y_matches_bessel_i(self):
+        """``T = [[1e-300]]``, ``y = 1e150``: ``T^k u`` underflows, the whole terms do not."""
+        nu = 0.3
+        rhs = gamma(1.0 - nu) * 0.5**nu * iv(-nu, 1.0)
+        one = np.ones(1, dtype=complex)
+        got = phi_op(1, 1e150, np.array([[1e-300]]), 0.4, one, BesselParams(a=0.4))
+        assert abs(got[0] - rhs) <= 1e-13 * rhs
 
     def test_weighted_derivative_boundary_data(self):
         a = 0.5

@@ -125,6 +125,15 @@ class TestPolyPart:
                 target = -explicit_poly_part(diag_gen, order, u, start + 1, order.n, r)
                 assert np.linalg.norm(diff - target) <= 1e-8
 
+    def test_array_r_matches_scalar_calls_bitwise(self, rand8, rand8_u):
+        order = FracOrder(2.7)
+        r = np.array([0.0, 1e-6, 0.2, 1.0, 3.0])
+        for start in (0, 1, 2, 3):
+            rows = explicit_poly_part(rand8, order, rand8_u, start, order.n, r)
+            assert rows.shape == (r.size, rand8.dim)
+            single = [explicit_poly_part(rand8, order, rand8_u, start, order.n, x) for x in r]
+            assert np.array_equal(rows, np.array(single))
+
 
 class TestSubordination:
     def test_zero_input(self, diag_gen):
@@ -449,10 +458,10 @@ def test_first_power_integration_by_parts_identity(diag_gen):
 
 
 def test_quadrature_results_bitwise_deterministic(rand8, rand8_u):
-    from fracext import balakrishnan, trace_neumann
+    from fracext import balakrishnan_general, trace_neumann
 
-    first = balakrishnan(rand8, 0.3, rand8_u)
-    second = balakrishnan(rand8, 0.3, rand8_u)
+    first = balakrishnan_general(rand8, 0.3, rand8_u)
+    second = balakrishnan_general(rand8, 0.3, rand8_u)
     assert np.array_equal(first, second)
     a = extend_subordination(rand8, 1.5, rand8_u, 0.7)
     b = extend_subordination(rand8, 1.5, rand8_u, 0.7)

@@ -14,7 +14,6 @@ from fracext import (
     ConvergenceError,
     FracOrder,
     Generator,
-    balakrishnan,
     balakrishnan_general,
     balakrishnan_second_kind,
     bbw_estimate,
@@ -101,23 +100,21 @@ class TestResolventFracPower:
 
 
 class TestBalakrishnan:
+    """``balakrishnan_general`` at ``0 < s < 1``, where no integer power of ``A`` precedes the integral."""
+
     def test_scalar_sqrt2(self):
         gen = Generator(np.diag([-2.0]))
-        got = balakrishnan(gen, 0.5, np.ones(1, dtype=complex))
+        got = balakrishnan_general(gen, 0.5, np.ones(1, dtype=complex))
         assert abs(got[0] - np.sqrt(2.0)) <= 1e-8
 
     def test_unit_eigenvalue_fixed_point(self):
         gen = Generator(np.diag([-1.0]))
         for s in (0.1, 0.5, 0.9):
-            assert abs(balakrishnan(gen, s, np.ones(1, dtype=complex))[0] - 1.0) < 1e-10
+            assert abs(balakrishnan_general(gen, s, np.ones(1, dtype=complex))[0] - 1.0) < 1e-10
 
     def test_matches_oracle(self, rand8, rand8_u):
-        got = balakrishnan(rand8, 0.3, rand8_u)
+        got = balakrishnan_general(rand8, 0.3, rand8_u)
         assert relerr(got, rand8.frac_power(0.3, rand8_u)) <= 1e-7
-
-    def test_rejects_large_order(self, diag_gen):
-        with pytest.raises(ValueError, match="0 < s < 1"):
-            balakrishnan(diag_gen, 1.5, np.ones(2, dtype=complex))
 
 
 class TestBalakrishnanGeneral:
@@ -263,7 +260,7 @@ class TestBalakrishnanStiffAndIndependent:
         u = np.random.default_rng(24).standard_normal(16) + 0j
         oracles = {s: gen.frac_power(s, u) for s in (0.3, 1.5)}
         gen.eigvecs = gen.eigvecs_inv = gen._v = gen._vinv = None
-        assert relerr(balakrishnan(gen, 0.3, u), oracles[0.3]) <= 1e-7
+        assert relerr(balakrishnan_general(gen, 0.3, u), oracles[0.3]) <= 1e-7
         assert relerr(balakrishnan_general(gen, 1.5, u), oracles[1.5]) <= 1e-7
         assert relerr(balakrishnan_second_kind(gen, 1.5, u), oracles[1.5]) <= 1e-7
 

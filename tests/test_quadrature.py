@@ -22,8 +22,10 @@ def test_spec_validation():
     assert [f.name for f in fields(QuadratureSpec)] == ["nodes", "tol"]
     assert QuadratureSpec() == QuadratureSpec(128, 1e-12)
     QuadratureSpec(32, 1e-10)
-    with pytest.raises(ValueError, match="nodes"):
-        QuadratureSpec(4, 1e-10)
+    QuadratureSpec(16, 1e-10)
+    for nodes in (4, 15):
+        with pytest.raises(ValueError, match="at least 16 nodes"):
+            QuadratureSpec(nodes, 1e-10)
     with pytest.raises(ValueError, match="tolerance"):
         QuadratureSpec(32, -1.0)
 
@@ -151,7 +153,7 @@ def test_resolvent_and_bbw_level_sizes(monkeypatch, matrix, outer_sizes):
     monkeypatch.setattr(fracext.fracpow, "_shifted_triangular_solve", counted)
     gen = builtin_matrix(matrix)
     u = np.random.default_rng(1).standard_normal(gen.dim) + 0j
-    fracext.fracpow.balakrishnan(gen, 0.3, u)
+    fracext.fracpow.balakrishnan_general(gen, 0.3, u)
     fracext.fracpow.bbw_frac_power(gen, 0.3, 1, u)
     assert sweeps == {"random:128:7": [228, 226], "laplacian1d:128": [228, 226, 226]}[matrix]
     inner, outer = ([len(x[b]) for x in sizes["balakrishnan"] if x[b] is not None] for b in (0, 1))
