@@ -37,21 +37,34 @@ off the weight's envelope (``r^{alpha+k+1}`` at ``0``, ``r^alpha e^-r`` or
 ``r^{alpha+k}`` at infinity) and the semigroup's decay, with the single
 constant ``_KERNEL_DECAY``.
 
-The semigroup factor depends on ``r`` and ``y`` only through
-``tau = log(y^2/(4r))``, the log of the semigroup time.  So one table
-``exp(e^tau lam)`` on a ``tau``-lattice serves every ``y`` of a call; the rule
-for each ``y`` is the trapezoid rule on that lattice shifted by
-``log(y^2/4)``, which keeps its geometric convergence (Trefethen & Weideman,
-"The exponentially convergent trapezoidal rule", SIAM Rev. 56, 2014).  That
-rate depends on the integrand's strip of analyticity, not on the window's
-length, so the lattice's first step lays ``QuadratureSpec.nodes`` steps
-across the union of the windows.  Each refinement level reduces the weights
-of every ``y`` and ``alpha`` against the table in one matrix product, and
-the outputs are batched products of their scalar chain coefficients with
-those sums; each ``y`` stops refining on its own, and each mode leaves the
-table once its changes can no longer matter.
-Every public derivative function accepts a scalar ``y`` or a 1-d array of
-them, so a schedule or a profile grid is one call on one table.
+On the real ``r``-axis a complex mode's factor ``e^{t lam}`` turns ``|Im lam
+/ Re lam|`` times per decay length, which the rule would have to resolve.
+The ``e^-r`` integrand is analytic in ``r`` off the negative axis, so on a
+complex spectrum each mode integrates on the ray ``r = rho e^{i theta}``
+instead, ``theta = -pi/4`` (``pi/4`` where ``Im lam < 0``): there both
+``e^-r`` and the semigroup factor decay at rates that do not depend on
+``|Im/Re|``, and the windows read those rates.  A real spectrum stays on the
+real axis, and so do the Taylor tails of the explicit representation
+(:func:`extend_explicit` and ``radial_power(mode='from_f')``), which
+:func:`exp_tail` evaluates for real ``r`` only: on a strongly oscillatory
+spectrum those routes may still stall.
+
+The semigroup factor depends on ``rho`` and ``y`` only through ``tau =
+log(y^2/(4 rho))``, the log of the semigroup time.  So one table ``exp(e^tau
+lam e^{-i theta})`` on a real ``tau``-lattice serves every ``y`` of a call,
+and both rays: the columns of the modes with ``Im lam < 0`` are stored
+conjugated, which mirrors their ray onto the other one.  The rule for each
+``y`` is the trapezoid rule on that lattice shifted by ``log(y^2/4)``, which
+keeps its geometric convergence (Trefethen & Weideman, "The exponentially
+convergent trapezoidal rule", SIAM Rev. 56, 2014).  That rate depends on the
+integrand's strip of analyticity, not on the window's length, so the
+lattice's first step lays ``QuadratureSpec.nodes`` steps across the union of
+the windows.  Each refinement level reduces the weights of every ``y`` and
+``alpha`` against the table in one matrix product, and the outputs are
+batched products of their scalar chain coefficients with those sums; each
+``y`` stops refining on its own.  Every public derivative function accepts
+a scalar ``y`` or a 1-d array of them, so a schedule or a profile grid is
+one call on one table.
 
 Every integrand is linear in ``u`` and ``L = V diag(lam) V^{-1}`` is factored
 once, so the integrals run per mode: on the eigencoordinates ``c = V^{-1} u``
@@ -75,9 +88,6 @@ from .quadrature import (
     _TAIL_TERMS,
     _TRAPEZOID_LEVELS,
     QuadratureSpec,
-    _norm,
-    _refine_targets,
-    _roundoff_floor,
     refine,
     trapezoid_lattice,
     trapezoid_refine,
@@ -105,7 +115,9 @@ __all__ = [
 # the subnormal range, where the arithmetic is several times slower.
 _FACTOR_FLOOR = -600.0
 _LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))  # ~709.78
-_MODE_SETTLED = 1e-3  # a mode stops refining once its changes are below this share of the target
+# The ray r = rho e^{i theta}, theta = -pi/4, on which the table holds every mode of a complex
+# spectrum (those with Im lam < 0 conjugated, see _subordinate).
+_THETA = -0.25 * np.pi
 
 
 # -- scalar helpers --------------------------------------------------------------
@@ -191,45 +203,64 @@ def explicit_poly_part(gen: Generator, s, u, start, stop, r):
 # -- the subordination rule --------------------------------------------------------
 
 
-def _upper_cutoff(power):
-    """``r`` beyond which ``r^power e^-r`` is below ``e^-_KERNEL_DECAY``."""
-    r_hi = _KERNEL_DECAY
+def _upper_cutoff(power, rate=1.0):
+    """``r`` beyond which ``r^power e^{-rate r}`` is below ``e^-_KERNEL_DECAY``.
+
+    ``rate = cos theta`` gives the envelope ``|r^power e^-r|`` on the ray
+    ``r = rho e^{i theta}`` (see :func:`_subordinate`).
+    """
+    r_hi = _KERNEL_DECAY / rate
     if power > 0:
         for _ in range(4):
-            r_hi = _KERNEL_DECAY + power * np.log(r_hi)
+            r_hi = (_KERNEL_DECAY + power * np.log(r_hi)) / rate
     return float(r_hi)
 
 
-def _kernel_depth(gen, ys):
-    """Depths ``d >= 1`` with ``e^{-c_min/r} <= e^-_KERNEL_DECAY`` for every ``r <= e^-d``, per ``y``.
+def _ray_rates(lam):
+    """``lam e^{-i theta}`` on each mode's rotated ray, as the table holds it.
 
-    ``c_min = y^2 min Re(-lam) / 4`` bounds the semigroup's decay rate at
-    ``t = y^2/(4r)``; when it is zero (``y^2`` underflows) nothing cuts the
-    window and the depth is infinite.
+    The modes with ``Im lam < 0`` come conjugated: their ray ``theta = pi/4``
+    mirrors onto ``theta = -pi/4``, the ray of the others.
     """
-    c_min = ys * ys * float((-gen.eigenvalues).real.min()) / 4.0
+    return np.where(lam.imag < 0, lam.conj(), lam) * np.exp(-1j * _THETA)
+
+
+def _kernel_depth(gen, ys, rotated=False):
+    """Per ``y``, the depth ``d >= 1`` beyond which the semigroup factor has decayed.
+
+    That is, ``|e^{(y^2/(4r)) lam}| <= e^-_KERNEL_DECAY`` for ``|r| <= e^-d``.
+    ``c_min = y^2 min Re(-lam e^{-i theta}) / 4`` bounds the decay rate of
+    the semigroup factor ``e^{(y^2/(4r)) lam}`` at ``r = rho e^{i theta}``:
+    ``theta = 0`` on the real axis, and ``theta = -pi/4`` (``pi/4`` where
+    ``Im lam < 0``) on the rotated rays, where the rate is ``(Re(-lam) +
+    |Im lam|)/sqrt(2)``.  When ``c_min`` is zero (``y^2`` underflows)
+    nothing cuts the window and the depth is infinite.
+    """
+    lam = _ray_rates(gen.eigenvalues) if rotated else gen.eigenvalues
+    c_min = ys * ys * float((-lam).real.min()) / 4.0
     depth = np.full(c_min.shape, np.inf)
     cut = c_min > 0
     depth[cut] = np.maximum(np.log(_KERNEL_DECAY / c_min[cut]), 1.0)
     return depth
 
 
-def _log_window(alphas, k, depth=np.inf):
-    """Window ``[lo, hi]`` in ``x = log r`` for the weights ``F_k(r) r^alpha``.
+def _log_window(alphas, k, depth=np.inf, rate=1.0):
+    """Window ``[lo, hi]`` in ``x = log |r|`` for the weights ``F_k(r) r^alpha``.
 
     Near ``r = 0`` the weight behaves like ``r^{alpha+k+1}``: the left edge
     sits where the smallest such power has fallen to ``e^-_KERNEL_DECAY``, or
     at ``-depth`` (where the semigroup factor has, see :func:`_kernel_depth`)
     when that is nearer or the power is not positive.  On the right
-    ``r^alpha e^-r`` (``k = -1``) ends at :func:`_upper_cutoff`, and the Taylor
-    tail ``F_k(r) ~ r^k`` (``k >= 0``, needing ``alpha + k < 0``) where
-    ``r^{alpha+k}`` has decayed.  An array of depths gives one ``lo`` per
-    depth; ``hi`` does not depend on the depth.
+    ``r^alpha e^-r`` (``k = -1``) ends at :func:`_upper_cutoff` (with
+    ``rate = cos theta`` on a rotated ray), and the Taylor tail ``F_k(r) ~
+    r^k`` (``k >= 0``, needing ``alpha + k < 0``) where ``r^{alpha+k}`` has
+    decayed.  An array of depths gives one ``lo`` per depth; ``hi`` does not
+    depend on the depth.
     """
     left = np.min(alphas) + k + 1
     lo = np.minimum(depth, _KERNEL_DECAY / left) if left > 0 else np.asarray(depth, dtype=float)
     top = np.max(alphas)
-    hi = np.log(_upper_cutoff(top)) if k < 0 else _KERNEL_DECAY / -(top + k)
+    hi = np.log(_upper_cutoff(top, rate)) if k < 0 else _KERNEL_DECAY / -(top + k)
     return -lo, float(hi)
 
 
@@ -257,33 +288,41 @@ def _subordinate(gen, lam, coef, kpows, base, alphas, ys, quad, name, k=-1, offs
     len(alphas))``) weights each power ``lam^kpows[i]`` of the eigencoordinate
     row ``base[a]`` (shape ``(len(alphas), dim)``) that integral ``a`` carries.
     The result, shape ``(len(ys), outputs, dim)``, stays in eigencoordinates
-    for the caller to map back with ``V`` once.  The semigroup table
-    ``exp(e^tau lam)`` on the lattice ``tau = log(y^2/(4r))`` serves every
-    ``y``: the lattice covers the union of the windows :func:`_log_window`
-    gives each ``y`` (mapped to ``tau``), with ``quad.nodes`` steps across
-    that union on its first level, and each ``y`` weights only the nodes
-    inside its own window.  The trapezoid rate depends on the integrand's
-    strip of analyticity, not on the window's length, so a ``y`` with a
-    narrow window needs no finer first step than the union's; the lattice
-    gets one more level per halving from that step to the narrowest window's
-    own, so its finest level is as fine as that window alone would reach.
-    Per level one matrix product reduces the weights of every open ``(y,
-    alpha)`` against the table's new nodes, one more their L1 mass, and one
-    batched product of ``coef`` with the sums times ``lam^kpows[i] base[a]``
-    gives every output; each ``y`` passes the stopping rule of :func:`refine`
-    on its own ``(outputs, dim)`` block.  From the third level on the table
-    holds only the modes that have not settled (:func:`_settled`): the few
-    slowly converging modes of a non-normal complex spectrum no longer pull
-    every mode through the finest levels, so one level more or less costs a
-    few columns instead of doubling the call.  Scales ``e^{offsets[y, a]}``
-    enter the exponent of the weight: at tiny ``y`` the left window edge sits
-    at ``r ~ y^2``, where ``r^alpha`` alone overflows for ``alpha < 0``
-    although its product with the scale is moderate.
+    for the caller to map back with ``V`` once.
+
+    Each mode integrates on the ray ``r = rho e^{i theta}`` (see the module
+    docstring): ``theta = -pi/4`` (``pi/4`` where ``Im lam < 0``) on a
+    complex spectrum with the weight ``e^-r`` (``k < 0``), and ``theta = 0``
+    on a real spectrum and for the Taylor tails (``k >= 0``).  The semigroup
+    table ``exp(e^tau lam e^{-i theta})`` on the real lattice ``tau =
+    log(y^2/(4 rho))`` serves every ``y``.  It stores the ``Im lam < 0`` columns conjugated, so one
+    weight array ``rho^alpha e^{i theta alpha} e^{-rho e^{i theta}}`` at
+    ``theta = -pi/4`` serves both rays, and the sums of those columns are
+    conjugated back after each product.
+
+    The lattice covers the union of the windows :func:`_log_window` gives
+    each ``y`` (mapped to ``tau``), with ``quad.nodes`` steps across that
+    union on its first level, and each ``y`` weights only the nodes inside
+    its own window.  The trapezoid rate depends on the integrand's strip of
+    analyticity, not on the window's length, so a ``y`` with a narrow window
+    needs no finer first step than the union's; the lattice gets one more
+    level per halving from that step to the narrowest window's own, so its
+    finest level is as fine as that window alone would reach.  Per level one
+    matrix product reduces the weights of every open ``(y, alpha)`` against
+    the table's new nodes, one more their L1 mass, and one batched product of
+    ``coef`` with the sums times ``lam^kpows[i] base[a]`` gives every output;
+    each ``y`` passes the stopping rule of :func:`refine` on its own
+    ``(outputs, dim)`` block.  Scales ``e^{offsets[y, a]}`` enter the
+    exponent of the weight: at tiny ``y`` the left window edge sits at ``r ~
+    y^2``, where ``r^alpha`` alone overflows for ``alpha < 0`` although its
+    product with the scale is moderate.
     """
     alphas = np.array(alphas, dtype=float, ndmin=1)
     offsets = np.broadcast_to(offsets, (ys.size, alphas.size))
+    rotated = k < 0 and np.iscomplexobj(lam)
     log_c = 2.0 * np.log(ys) - np.log(4.0)  # log(y^2/4), finite where y^2 underflows
-    lo, hi = _log_window(alphas, k, _kernel_depth(gen, ys))
+    rate = np.cos(_THETA) if rotated else 1.0  # the decay rate of |e^-r| in |r|
+    lo, hi = _log_window(alphas, k, _kernel_depth(gen, ys, rotated), rate)
     t_lo, t_hi = log_c - hi, log_c - lo
     start, stop = t_lo.min(), t_hi.max()
     step = min(0.5, max(stop - start, 1.0) / quad.nodes)
@@ -295,49 +334,72 @@ def _subordinate(gen, lam, coef, kpows, base, alphas, ys, quad, name, k=-1, offs
         _check_tail_reach(k, hi, (stop - start) / fine, quad.nodes, -(alphas.max() + k))
     powers = lam ** np.asarray(kpows)[:, None]
     factors = powers[:, None, :] * base  # lam^kpows[i] base[a], shape (len(kpows), len(alphas), dim)
-    # L1 size of each y's output rows, per integral and mode: every output's mass counts
-    # towards its block
-    sizes = np.abs(np.swapaxes(coef, 2, 3) @ powers).sum(axis=1) * np.abs(base)
+    sizes = _mode_sizes(coef, powers, base)
     coef = coef.reshape(ys.size, coef.shape[1], -1)
+    rates = lam
+    if rotated:
+        rates = _ray_rates(lam)
+        spin = np.exp(1j * _THETA * alphas)[:, None]  # e^{i theta alpha}, the phase of r^alpha
+        flip = np.where(lam.imag < 0, -1.0, 1.0)  # conjugates the stored columns' sums back
 
     def levels():
         raw = np.zeros((ys.size * alphas.size, lam.size), dtype=lam.dtype)  # one row per (y, alpha)
         raw_mass = np.zeros(raw.shape)
         open_ = np.ones(ys.size, dtype=bool)
-        live = np.ones(lam.size, dtype=bool)  # the modes still in the table
-        last = None  # no mode can settle on the first level: there is no change yet
         for taus, weights in trapezoid_lattice(start, stop, step, name, budget):
-            every, full = open_.all(), live.all()
             keep = (taus >= t_lo[open_].min()) & (taus <= t_hi[open_].max())
             taus, weights = taus[keep], weights[keep]
             inside = (taus >= t_lo[open_, None]) & (taus <= t_hi[open_, None])
             x = np.clip(log_c[open_, None] - taus, lo[open_, None], hi)[:, None, :]
             expo = alphas[:, None] * x + offsets[open_, :, None]
-            weight = np.exp(expo - np.exp(x)) if k < 0 else _exp_tail_log(k, x) * np.exp(expo)
-            weight = np.where(inside[:, None, :], weight * weights, 0.0).reshape(-1, taus.size)
-            arg = np.multiply.outer(np.exp(taus), lam if full else lam[live])
+            arg = np.multiply.outer(np.exp(taus), rates)
             table = np.exp(arg, out=np.zeros_like(arg), where=arg.real > _FACTOR_FLOOR)
-            if np.iscomplexobj(table):  # two real products instead of one complex one
-                new = (weight @ table.view(float)).view(table.dtype)
-                new_mass = np.abs(weight) @ np.abs(table)
+            if rotated:
+                # r^alpha e^-r at r = rho e^{i theta}: its size, and its phase
+                # e^{i (theta alpha - rho sin theta)}
+                rho = np.exp(x)
+                size = np.exp(expo - rate * rho)
+                size = np.where(inside[:, None, :], size * weights, 0.0)
+                phase = spin * np.exp(-1j * np.sin(_THETA) * rho)
+                new = (size * phase).reshape(-1, taus.size) @ table
+                new.imag *= flip
+                new_mass = size.reshape(-1, taus.size) @ np.abs(table)
             else:
-                new = weight @ table
-                new_mass = new if k < 0 else np.abs(weight) @ table  # e^-r weights are positive
-            if every and full:
+                weight = np.exp(expo - np.exp(x)) if k < 0 else _exp_tail_log(k, x) * np.exp(expo)
+                weight = np.where(inside[:, None, :], weight * weights, 0.0).reshape(-1, taus.size)
+                if np.iscomplexobj(table):  # two real products instead of one complex one
+                    new = (weight @ table.view(float)).view(table.dtype)
+                    new_mass = np.abs(weight) @ np.abs(table)
+                else:
+                    new = weight @ table
+                    new_mass = new if k < 0 else np.abs(weight) @ table  # e^-r weights are positive
+            if open_.all():
                 raw = 0.5 * raw + new
                 raw_mass = 0.5 * raw_mass + new_mass
             else:
-                at = np.ix_(np.repeat(open_, alphas.size), live)
-                raw[at] = 0.5 * raw[at] + new
-                raw_mass[at] = 0.5 * raw_mass[at] + new_mass
+                rows = np.repeat(open_, alphas.size)
+                raw[rows] = 0.5 * raw[rows] + new
+                raw_mass[rows] = 0.5 * raw_mass[rows] + new_mass
             values = _chain_products(coef, factors, raw.reshape(ys.size, alphas.size, lam.size))
-            mode_masses = np.einsum("yam,yam->ym", sizes, raw_mass.reshape(sizes.shape))
-            open_ = yield values, mode_masses.sum(axis=1)
-            if last is not None:
-                live &= ~_settled((values - last)[open_], values[open_], mode_masses[open_], quad.tol)
-            last = values
+            masses = np.einsum("yam,yam->ym", sizes, raw_mass.reshape(sizes.shape)).sum(axis=1)
+            open_ = yield values, masses
 
     return refine(levels(), quad.tol, f"{name}: trapezoid")
+
+
+def _mode_sizes(coef, powers, base):
+    """L1 size of each ``y``'s output rows, per integral and mode.
+
+    That is ``sum_o |sum_i coef[y, o, i, a] powers[i]| |base[a]|``: every
+    output's mass counts towards its ``y``'s block.  With one power of
+    ``L`` (every :func:`build_profile`, :func:`y_derivatives_upto` and
+    :func:`extend_subordination` call) that is ``sum_o |coef[y, o, 0, a]|``
+    times ``|lam^k| |base[a]|``, without the ``(y, outputs, integrals, dim)``
+    product.
+    """
+    if len(powers) == 1:
+        return np.abs(coef[:, :, 0]).sum(axis=1)[..., None] * (np.abs(powers[0]) * np.abs(base))
+    return np.abs(np.swapaxes(coef, 2, 3) @ powers).sum(axis=1) * np.abs(base)
 
 
 def _chain_products(coef, factors, sums):
@@ -350,25 +412,6 @@ def _chain_products(coef, factors, sums):
     if np.iscomplexobj(stacked):
         return (coef @ stacked.view(float)).view(stacked.dtype)
     return coef @ stacked
-
-
-def _settled(change, values, mode_masses, tol):
-    """Modes whose last change no further level can matter for, in every block.
-
-    ``change`` and ``values`` have shape ``(blocks, outputs, dim)`` and
-    ``mode_masses`` ``(blocks, dim)``.  A mode is settled in a block when its
-    change is within its own roundoff floor, or below ``_MODE_SETTLED /
-    sqrt(dim)`` of the block's :func:`refine` target: a mode's change shrinks
-    at least geometrically from level to level, so the changes settled modes
-    would still make add up to less than ``_MODE_SETTLED`` of the target, or
-    are rounding noise the target already allows for.  Leaving them at their
-    current values moves no stopping decision.
-    """
-    targets = _refine_targets(tol, _norm(values), mode_masses.sum(axis=1))
-    bound = np.maximum(_MODE_SETTLED / np.sqrt(change.shape[-1]) * targets[:, None],
-                       _roundoff_floor(mode_masses))
-    # 2-norm over the outputs, through hypot: squares of values near 1e200 overflow
-    return (np.hypot.reduce(np.abs(change), axis=1) <= bound).all(axis=0)
 
 
 def _y_grid(y, message, allow_zero=False):

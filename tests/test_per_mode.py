@@ -387,40 +387,6 @@ def test_initial_condition_suite_raises_no_runtime_warning():
     assert report.lines
 
 
-def test_settled_modes_leave_values_unchanged(monkeypatch):
-    """Modes that leave the table change no value beyond the refinement target.
-
-    The spectrum is a lattice with ``|arg(-lam)|`` up to 88 degrees, whose
-    slow modes need the finest levels; the reference keeps every mode in
-    the table, and both sides must agree within the default ``tol = 1e-12``.
-    Settling every mode after two levels (``_MODE_SETTLED = 1e4``) misses
-    that by 5e-12.
-    """
-    rng = np.random.default_rng(7)
-    m = 32
-    cells = (np.arange(m) + 0.5) / m
-    lam = (-10.0 + 9.5 * cells) + 1j * (-20.0 + 40.0 * cells)[(5 * np.arange(m)) % m]
-    vecs = np.eye(m) + 0.25 * (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
-    gen = Generator((vecs * lam) @ np.linalg.inv(vecs))
-    u = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    ygrid = np.geomspace(0.05, 2.0, 6)
-    settled = []
-    keep_rule = extension._settled
-
-    def recording(*args):
-        out = keep_rule(*args)
-        settled.append(int(out.sum()))
-        return out
-
-    monkeypatch.setattr(extension, "_settled", recording)
-    got = y_derivatives_upto(gen, 1.5, u, 4, ygrid)
-    assert max(settled) > 0
-    monkeypatch.setattr(extension, "_settled", lambda change, *_: np.zeros(m, dtype=bool))
-    full = y_derivatives_upto(gen, 1.5, u, 4, ygrid)
-    for row, ref in zip(got.reshape(-1, m), full.reshape(-1, m)):
-        assert relerr(row, ref) <= 1e-12
-
-
 def test_extension_never_applies_dense_semigroup(lap256, monkeypatch):
     """Every integrand works on eigencoordinates; none calls ``semigroup_batch``."""
     gen, _, _, u = lap256
@@ -577,6 +543,64 @@ def test_wide_y_span_reaches_each_windows_own_finest_step():
         alone = y_derivatives_upto(gen, 2.7, u, len(derivs) - 1, y)
         for m in range(len(derivs)):
             assert relerr(derivs[m], alone[m]) <= 1e-9, (y, m)
+
+
+def test_complex_profile_converges_on_few_lattice_nodes(monkeypatch):
+    """A profile on the complex fixture lays at most 513 nodes in all.
+
+    On the rotated rays its modes decay at rates that do not depend on
+    ``|Im lam / Re lam|``; on the real ``r``-axis the same call needs 4097.
+    """
+    gen, u = complex64()
+    counts = []
+    real = extension.trapezoid_lattice
+
+    def spy(*args):
+        for nodes, weights in real(*args):
+            counts.append(nodes.size)
+            yield nodes, weights
+
+    monkeypatch.setattr(extension, "trapezoid_lattice", spy)
+    build_profile(gen, 2.7, u, np.geomspace(0.05, 2.0, 12))
+    assert 0 < sum(counts) <= 513, counts
+
+
+@pytest.mark.parametrize("case", ("laplacian1d:64", "nonnormal32"))
+def test_one_power_mode_sizes_match_the_full_form(monkeypatch, nonnormal32, case):
+    """With one power of ``L`` the per-mode sizes skip the ``(y, o, a, m)`` product.
+
+    They equal ``sum_o |coef @ lam^k| |base|`` bitwise for ``k = 0`` (every
+    call here) and to rounding for the powers ``k = 1, 3``.
+    """
+    if case == "nonnormal32":
+        gen, _, _, u = nonnormal32
+    else:
+        gen = builtin_matrix(case)
+        u = np.random.default_rng(5).standard_normal(64) + 0j
+    ys = np.geomspace(1e-3, 1.5, 9)
+    captured = []
+    real = extension._mode_sizes
+
+    def spy(coef, powers, base):
+        captured.append((coef, powers, base))
+        return real(coef, powers, base)
+
+    monkeypatch.setattr(extension, "_mode_sizes", spy)
+    build_profile(gen, 2.7, u, ys)
+    extend_subordination(gen, 1.5, u, ys)
+    radial_power(gen, 2.7, u, 2, ys)
+    assert len(captured) == 3
+    lam = gen._modes(u)[0]
+    for coef, powers, base in captured:
+        assert len(powers) == 1
+        for k in (0, 1, 3):
+            powers = lam ** np.array([[k]])
+            full = np.abs(np.swapaxes(coef, 2, 3) @ powers).sum(axis=1) * np.abs(base)
+            got = real(coef, powers, base)
+            if k == 0:
+                assert np.array_equal(got, full)
+            else:
+                assert np.all(np.abs(got - full) <= 1e-15 * full)
 
 
 def explicit_rows(gen, u, outputs, ys):
