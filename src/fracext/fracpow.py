@@ -4,14 +4,15 @@ Three independent routes to the same operator, reconciled against the exact
 spectral evaluation in tests:
 
 * the Balakrishnan integral over the resolvent, one route for every
-  noninteger ``s``: the order ``s - [s]`` integral applied to ``(-L)^[s] u``,
-  split at ``mu = 1`` with exact power substitutions on both halves; ``L`` is
-  reduced once to its complex Schur form, so each quadrature node costs one
-  ``O(d^2)`` triangular solve and the route stays independent of the
-  eigensystem.  The two halves are blocks of one
-  :func:`~fracext.quadrature.integrate_unit` call, so each level solves the
-  nodes of both in one back-substitution sweep; on the diagonal Schur factor
-  of a Hermitian ``L`` a node costs one division per mode;
+  noninteger ``s``: the order ``s - [s]`` integral applied to ``(-L)^[s] u``.
+  ``L`` is reduced once to its complex Schur form, so each quadrature node
+  costs one ``O(d^2)`` triangular solve and the route stays independent of
+  the eigensystem; each level solves all its nodes in one back-substitution
+  sweep, and on the diagonal Schur factor of a Hermitian ``L`` a node costs
+  one division per mode.  A real spectrum takes the Cauchy integral on Hale,
+  Higham & Trefethen's contour around it (129 solves at a spectral ratio of
+  20); a complex one the resolvent integral split at ``mu = 1``, with exact
+  power substitutions on both halves under tanh-sinh;
 * inverse fractional powers ``(eps I - L)^{-alpha}``: ``[alpha]`` LAPACK
   triangular solves with ``eps I - T`` and, for the fractional part, the
   same resolvent integral with its resolvent shifted by ``eps``;
@@ -37,6 +38,7 @@ from .quadrature import (
     QuadratureSpec,
     extrapolation_spread,
     gauss_legendre_rule,
+    hht_contour,
     integrate_unit,
     richardson_table,
     trapezoid_refine,
@@ -135,21 +137,50 @@ def _joint_solve(tri, systems):
     return [None if system is None else next(parts) for system in systems]
 
 
+_CONTOUR_STEP = 1.0 / 16.0  # 64 first-level steps over the contour's period [-1, 3]
+
+
 def _resolvent_integral(tri, w, sig, shift, quad, name):
-    """``(sin(pi sig)/pi) int_0^inf mu^{-sig} ((mu + shift) I - T)^{-1} w dmu``, ``0 < sig < 1``.
+    """``B^{-sig} w`` with ``B = shift I - T`` and ``0 < sig < 1``.
 
     ``T`` is the triangular Schur factor of ``L`` and ``w`` a vector in its
-    basis.  The integral is split at ``mu = 1``; ``mu = 1/v`` maps the outer
-    half onto ``v^{sig-1} ((1 + shift v) I - v T)^{-1} w`` on ``(0, 1)``.
-    Both halves carry a pure power endpoint singularity that the unit-interval
-    driver removes exactly; they are its two blocks, so each level solves the
-    nodes of both in one triangular sweep.  ``sig`` is first rounded so that
-    both endpoint powers ``-sig`` and ``sig - 1`` are exact, and the
-    prefactor is formed from the smaller of ``sig`` and ``1 - sig``: then the
-    ``1/sig`` or ``1/(1-sig)`` the driver integrates and the prefactor cancel
-    to full relative accuracy even for ``sig`` within ``1e-9`` of ``0`` or
-    ``1``.
+    basis; every quadrature level solves all its nodes in one triangular
+    sweep.  The rule depends on the spectrum ``eig = shift - diag(T)`` of ``B``.
+
+    A real spectrum (every Hermitian ``L``, and any ``L`` with real
+    eigenvalues) takes the Cauchy integral
+    ``-(1/(2 pi i)) int z^{-sig} (dz/dtau) ((z - shift) I + T)^{-1} w dtau``
+    over one period of :func:`~fracext.quadrature.hht_contour` around
+    ``[lo, hi] = [min eig, max eig]``, ``hi`` widened to at least ``4 lo`` so
+    that a scalar or equal spectrum still has a contour.  The trapezoid rule
+    in ``tau`` converges geometrically from a fixed first level of 64 steps,
+    whatever ``quad.nodes``: a ratio ``hi/lo`` of 20 takes 129 solves, and
+    ``1e16`` 513.  No ``1/sig`` or ``1/(1 - sig)`` appears, so ``sig`` near
+    ``0`` or ``1`` needs no care.
+
+    A complex spectrum is not enclosed by that contour and takes
+    ``(sin(pi sig)/pi) int_0^inf mu^{-sig} ((mu + shift) I - T)^{-1} w dmu``,
+    split at ``mu = 1``; ``mu = 1/v`` maps the outer half onto
+    ``v^{sig-1} ((1 + shift v) I - v T)^{-1} w`` on ``(0, 1)``.  Both halves
+    carry a pure power endpoint singularity that the tanh-sinh driver removes
+    exactly; they are its two blocks, so each level solves the nodes of both
+    in one sweep.  ``sig`` is first rounded so that both endpoint powers
+    ``-sig`` and ``sig - 1`` are exact, and the prefactor is formed from the
+    smaller of ``sig`` and ``1 - sig``: then the ``1/sig`` or ``1/(1-sig)``
+    the driver integrates and the prefactor cancel to full relative accuracy
+    even for ``sig`` within ``1e-9`` of ``0`` or ``1``.
     """
+    eig = shift - tri.diagonal()
+    if not eig.imag.any() and eig.real.min() > 0.0:
+        lo, hi = eig.real.min(), eig.real.max()
+        hi = max(hi, 4.0 * lo)
+
+        def cauchy(tau):
+            z, dz = hht_contour(lo, hi, tau)
+            weights = z ** -sig * dz / (-2j * np.pi)
+            return weights[:, None] * _shifted_triangular_solve(z - shift, 1.0, tri, w)
+
+        return trapezoid_refine(cauchy, -1.0, 3.0, quad.tol, h0=_CONTOUR_STEP, name=name)
     sig = 1.0 + (sig - 1.0)
 
     def halves(nodes):
@@ -175,8 +206,10 @@ def resolvent_frac_power(gen: Generator, eps, alpha, u, quad=None):
         ``(eps I - L)^{-sigma} w = (sin(pi sigma)/pi)
         int_0^inf mu^{-sigma} ((mu + eps) I - L)^{-1} w dmu``,
 
-    evaluated by the same split tanh-sinh rule as :func:`balakrishnan_general`.
-    ``Z`` is applied once to the result; the cached eigensystem is not used.
+    evaluated by :func:`_resolvent_integral` as in :func:`balakrishnan_general`:
+    on a contour around a real spectrum, by split tanh-sinh on a complex one.
+    ``Z^H`` is applied as ``(u^H Z)^H``, without a copy of ``Z``, and ``Z``
+    once to the result; the cached eigensystem is not used.
     """
     quad = quad or QuadratureSpec()
     if not 0 <= eps < np.inf:
@@ -186,7 +219,7 @@ def resolvent_frac_power(gen: Generator, eps, alpha, u, quad=None):
     from scipy.linalg import solve_triangular  # deferred: importing scipy.linalg is slow
 
     tri, unitary = gen.schur
-    w = unitary.conj().T @ gen._check_vector(u)
+    w = (gen._check_vector(u).conj() @ unitary).conj()
     whole = int(np.floor(alpha))
     for _ in range(whole):
         w = solve_triangular(eps * np.eye(gen.dim) - tri, w, check_finite=False)
@@ -205,10 +238,13 @@ def balakrishnan_general(gen: Generator, s, u, quad=None):
     With ``A = -L``, ``n = [s]`` and ``sigma = s - n``:
     ``(sin(sigma pi)/pi) int_0^inf mu^{sigma-1} (mu I + A)^{-1} A^{n+1} u dmu``,
     the resolvent integral of :func:`_resolvent_integral` at ``sig = 1 - sigma``
-    and no shift.  ``A^n u`` comes from :meth:`Generator.apply_minus_power`;
+    and no shift: a Cauchy integral on Hale, Higham & Trefethen's contour for
+    a real spectrum (129 solves on ``random:128``), split tanh-sinh for a
+    complex one.  ``A^n u`` comes from :meth:`Generator.apply_minus_power`;
     the last power and everything after it run in the cached complex Schur
     basis ``L = Z T Z^H``, independent of the cached eigensystem: that power is
-    formed there as ``-T Z^H A^n u``, each node costs one triangular back
+    formed there as ``-T Z^H A^n u`` (``Z^H`` applied as ``(v^H Z)^H``,
+    without a copy of ``Z``), each node costs one triangular back
     substitution, and ``Z`` is applied once to the sum.  For normal ``L``
     (diagonal ``T``) forming the last power per Schur mode keeps the roundoff
     of stiff modes out of the soft ones.
@@ -216,7 +252,7 @@ def balakrishnan_general(gen: Generator, s, u, quad=None):
     order = as_order(s)
     quad = quad or QuadratureSpec()
     tri, unitary = gen.schur
-    au = -(tri @ (unitary.conj().T @ gen.apply_minus_power(order.n, u)))
+    au = -(tri @ (gen.apply_minus_power(order.n, u).conj() @ unitary).conj())
     return unitary @ _resolvent_integral(tri, au, 1.0 - order.sigma, 0.0, quad, "balakrishnan")
 
 
@@ -229,7 +265,9 @@ def balakrishnan_second_kind(gen: Generator, s, u, quad=None):
     cancellation at ``v = 0``).  Everything, the ``sin(s pi / 2) A u`` term
     included, runs in the Schur basis as in :func:`balakrishnan_general`; on stiff
     normal ``L`` a dense ``A^2 u`` would put the roundoff of the stiff modes
-    into the soft ones.
+    into the soft ones.  It runs split tanh-sinh on every spectrum, real ones
+    too, so that it stays a formula and a rule of its own against
+    :func:`balakrishnan_general`'s contour.
     """
     order = as_order(s)
     if not 0.0 < order.s < 2.0:
@@ -237,7 +275,7 @@ def balakrishnan_second_kind(gen: Generator, s, u, quad=None):
     quad = quad or QuadratureSpec()
     s_val = order.s
     tri, unitary = gen.schur
-    au = -(tri @ (unitary.conj().T @ gen._check_vector(u)))
+    au = -(tri @ (gen._check_vector(u).conj() @ unitary).conj())
     a2u = -(tri @ au)
 
     def halves(nodes):

@@ -1,7 +1,7 @@
 """Quadrature engines and extrapolation utilities.
 
 Every adaptive integral in the package runs on one nested lattice, the
-composite trapezoid levels of :func:`trapezoid_lattice`, under one of two
+composite trapezoid levels of :func:`trapezoid_lattice`, under one of three
 maps:
 
 * the log axis (or a double-exponential ray), on which the subordination
@@ -10,7 +10,12 @@ maps:
 * the tanh-sinh map ``x = 1/(1 + e^{-pi sinh t})`` onto ``(0, 1)`` (Takahasi
   & Mori, Publ. RIMS 9, 1974) after an exact power substitution, for the
   algebraic endpoint singularities ``x^p * smooth`` of the resolvent
-  integrals (:func:`integrate_unit`).
+  integrals on complex spectra (:func:`integrate_unit`);
+* Hale, Higham & Trefethen's conformal contour around a real interval
+  ``[lo, hi]`` (:func:`hht_contour`), for Cauchy integrals of functions
+  analytic off ``(-inf, 0]``: their integrand is periodic on the contour's
+  parameter, where the trapezoid rule of :func:`trapezoid_refine` over one
+  period converges geometrically.
 
 Halving the step keeps every node of the previous level, so each level
 evaluates the integrand only at the new nodes, once each, and adds their
@@ -31,6 +36,7 @@ __all__ = [
     "QuadratureSpec",
     "ConvergenceError",
     "gauss_legendre_rule",
+    "hht_contour",
     "integrate_unit",
     "refine",
     "trapezoid_lattice",
@@ -56,7 +62,9 @@ class QuadratureSpec:
 
     A subordination call on several ``y`` shares one lattice across the union
     of their windows, and ``nodes`` counts the first-level steps across that
-    union (each ``y``'s own window holds a share of them).
+    union (each ``y``'s own window holds a share of them).  The contour of
+    the resolvent integrals on a real spectrum starts from a fixed 64 steps
+    over its period and reads only ``tol``.
     """
 
     nodes: int = 128
@@ -293,6 +301,90 @@ def integrate_unit(f, tol, singular_power=0.0, nodes0=64, name="integral"):
 
     result = refine(levels(), tol, f"{name}: tanh-sinh")
     return result[0] if scalar else result
+
+
+# -- the Hale-Higham-Trefethen contour ---------------------------------------------
+
+
+def _agm_ladder(k, kc):
+    """The ``a_n`` and ``c_n`` of the AGM of ``1`` and ``kc = sqrt(1 - k^2)`` (A&S 17.6), ``c_0 = k``.
+
+    ``c_{n+1} = c_n^2/(4 a_{n+1})`` instead of ``(a_n - b_n)/2``, which
+    cancels; the ladder stops once ``c_N <= eps a_N``.
+    """
+    a, b, c = [1.0], kc, [k]
+    while c[-1] > _EPS * a[-1]:
+        a.append(0.5 * (a[-1] + b))
+        b = np.sqrt(a[-2] * b)
+        c.append(0.25 * c[-1] ** 2 / a[-1])
+    return a, c
+
+
+def _jacobi_sn_cn_dn(x, a, c):
+    """``sn``, ``cn`` and ``dn`` of real ``x`` from an :func:`_agm_ladder` (A&S 16.4.3)."""
+    phi = 2.0 ** (len(a) - 1) * a[-1] * x
+    for a_n, c_n in zip(a[:0:-1], c[:0:-1]):
+        phi, previous = 0.5 * (phi + np.arcsin(c_n / a_n * np.sin(phi))), phi
+    cn = np.cos(phi)
+    return np.sin(phi), cn, cn / np.cos(previous - phi)
+
+
+def hht_contour(lo, hi, tau):
+    """Nodes ``z`` and ``dz/dtau`` on Hale, Higham & Trefethen's contour around ``[lo, hi]``.
+
+    Method 1 of Hale, Higham & Trefethen (SIAM J. Numer. Anal. 46, 2008)
+    for ``0 < lo < hi``: with ``r = sqrt(hi/lo)``, ``k = (r - 1)/(r + 1)``
+    and ``K`` the quarter period of modulus ``k``,
+    ``z = sqrt(lo hi) (1/k + sn(t))/(1/k - sn(t))`` on the line
+    ``t = K tau + iK'/2``.  One period ``tau in [-1, 3]`` runs clockwise once
+    around ``[lo, hi]`` and never meets ``(-inf, 0]``; the integrand of a
+    Cauchy integral of a function analytic off ``(-inf, 0]`` is periodic and
+    analytic in a strip about the line, so the trapezoid rule in ``tau``
+    converges geometrically, at a rate set by ``log(hi/lo)``.
+
+    On that line ``sn(t) = e^{i theta}/sqrt(k)`` lies on a circle (A&S 16.21
+    with ``sn(K'/2 | 1 - k^2) = (1 + k)^{-1/2}``), so
+    ``z = sqrt(lo hi) (1 + zeta)/(1 - zeta)``, ``zeta = sqrt(k) e^{i theta}``,
+    is a circle too, traversed at the rate
+    ``dtheta/dx = -p (dn^2 + k^2 sn^2 cn^2)/(cn^2 dn^2 + p^2 sn^2)``.  On the
+    quarter ``x = K tau``, ``tau in [0, 1]``, ``cot theta = p sn/(cn dn)``
+    with ``p = 1 + k`` at ``x`` for ``tau <= 1/2``, and
+    ``tan theta = p sn/(cn dn)`` with ``p = 1 - k`` at ``K - x`` past it, so
+    every real Jacobi function is taken on ``[0, K/2]``, where ``cn`` and
+    ``dn`` are at least about ``sqrt(kc)``.  The other three quarters follow
+    from ``theta(-x) = pi - theta(x)`` and ``theta(2K - x) = -theta(x)``.
+    ``1 -+ zeta`` are formed as ``(1 - sqrt k) + 2 sqrt(k) sin^2`` or
+    ``cos^2`` of ``theta/2`` ``-+ i sqrt(k) sin theta``, sums of terms of one
+    sign, and ``1 - k``, ``1 + k`` and ``kc = sqrt(1 - k^2)`` come from ``r``
+    directly: the map keeps full relative accuracy where ``1/k - sn`` is
+    about ``1/r`` and would cancel.  ``K`` is ``pi/(2 AGM(1, kc))``, and the
+    Jacobi functions come from the same AGM, started at ``kc`` itself: SciPy's
+    ``ellipj`` takes ``m = k^2``, in which ``1 - m = kc^2`` keeps only about
+    ``eps/kc^2`` relative accuracy when ``k`` is near 1.
+    """
+    r = np.sqrt(hi / lo)
+    k, kc = (r - 1.0) / (r + 1.0), 2.0 * np.sqrt(r) / (r + 1.0)
+    a, c = _agm_ladder(k, kc)
+    quarter = 0.5 * np.pi / a[-1]
+    lower = tau > 1.0  # theta(2 - tau) = -theta(tau)
+    u = np.where(lower, 2.0 - tau, tau)
+    behind = u < 0.0  # theta(-tau) = pi - theta(tau)
+    u = np.abs(u)
+    far = u > 0.5
+    sn, cn, dn = _jacobi_sn_cn_dn(quarter * np.where(far, 1.0 - u, u), a, c)
+    p = np.where(far, 2.0 / (r + 1.0), 2.0 * r / (r + 1.0))  # 1 - k or 1 + k
+    ps, cd = p * sn, cn * dn
+    theta = np.where(far, np.arctan2(ps, cd), np.arctan2(cd, ps))  # on [0, pi/2]
+    rate = p * (dn**2 + (k * sn * cn) ** 2) / (cd**2 + ps**2)
+    root = np.sqrt(k)
+    gap = 2.0 / ((r + 1.0) * (1.0 + root))  # 1 - sqrt(k)
+    half = np.sin(0.5 * theta) ** 2
+    near, opposite = gap + 2.0 * root * half, gap + 2.0 * root * (1.0 - half)
+    rise = np.where(lower, -root, root) * np.sin(theta)  # Im zeta
+    minus = np.where(behind, opposite, near) - 1j * rise  # 1 - zeta
+    plus = np.where(behind, near, opposite) + 1j * rise  # 1 + zeta
+    scale = np.sqrt(lo * hi)
+    return scale * plus / minus, (-1j * scale * quarter) * rate * (plus - minus) / minus**2
 
 
 # -- Richardson extrapolation ----------------------------------------------------

@@ -28,7 +28,7 @@ from fracext.fracpow import _bbw_ray_integral, _shifted_triangular_solve
 from fracext.quadrature import QuadratureSpec
 from fracext.verify import _sine_modes, dirichlet_sine_power
 
-from conftest import relerr
+from conftest import nonnormal_factors, relerr
 
 
 def bbw_constant_closed_form(s, k):
@@ -208,16 +208,6 @@ class TestDiagonalTriangularSolve:
         assert np.array_equal(got[0], rhs)
 
 
-def nonnormal_factors():
-    """``V`` and ``lam`` of the 48 x 48 non-normal complex generator ``V diag(lam) V^{-1}``."""
-    rng = np.random.default_rng(12)
-    dim = 48
-    lam = -np.linspace(0.5, 10.0, dim) + 1j * rng.permutation(np.linspace(-10.0, 10.0, dim))
-    noise = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    vecs = np.eye(dim) + 0.25 * noise / np.sqrt(2.0)
-    return vecs, lam
-
-
 class TestBalakrishnanStiffAndIndependent:
     """Balakrishnan routes on a stiff Laplacian, a non-normal complex matrix,
     and a generator whose eigensystem has been removed."""
@@ -303,6 +293,106 @@ class TestResolventFracPowerStiffAndIndependent:
         u = np.random.default_rng(26).standard_normal(48) + 1j
         expected = vecs @ ((eps - lam) ** -alpha * np.linalg.solve(vecs, u))
         assert relerr(resolvent_frac_power(gen, eps, alpha, u), expected) <= 1e-10
+
+
+def convection_diffusion(n, pe):
+    """``L = D2 - pe D1`` on ``n`` interior points of ``(0, 1)``: central differences, Dirichlet.
+
+    A non-normal contraction semigroup with a real spectrum (Trefethen & Embree,
+    *Spectra and Pseudospectra*, ch. 12); ``cond(V)`` is 1.8e4 at ``n = 64, pe = 20``.
+    """
+    h = 1.0 / (n + 1)
+    off = np.ones(n - 1)
+    second = (np.diag(-2.0 * np.ones(n)) + np.diag(off, 1) + np.diag(off, -1)) / h**2
+    first = (np.diag(off, 1) - np.diag(off, -1)) / (2.0 * h)
+    return second - pe * first
+
+
+class TestContour:
+    """Real spectra run the resolvent integral on Hale, Higham & Trefethen's contour."""
+
+    @staticmethod
+    def refuse_tanh_sinh(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a real spectrum ran tanh-sinh")
+
+        monkeypatch.setattr(fracext.fracpow, "integrate_unit", refuse)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.5])
+    @pytest.mark.parametrize("s", [0.3, 2.7])
+    @pytest.mark.parametrize("ratio", [1e6, 1e10, 1e12, 1e14, 1e16])
+    def test_wide_diagonal_spectra(self, monkeypatch, ratio, s, eps):
+        # each mode's closed form; near z ~ hi the map would cancel to 1/sqrt(ratio) if formed
+        # as 1/k - sn, and so raise or lose digits past ratio ~ 1e12
+        self.refuse_tanh_sinh(monkeypatch)
+        lam = -np.geomspace(1.0, ratio, 40)
+        gen = Generator(np.diag(lam))
+        u = np.random.default_rng(26).standard_normal(40) + 1j
+        got = resolvent_frac_power(gen, eps, s, u)
+        assert relerr(got, (eps - lam) ** -s * u) <= 1e-12
+        if eps == 0.0:
+            assert relerr(balakrishnan_general(gen, s, u), (-lam) ** s * u) <= 1e-12
+
+    @pytest.mark.parametrize("s", [0.3, 1.5, 2.7])
+    def test_convection_diffusion_against_schur_pade(self, monkeypatch, s):
+        self.refuse_tanh_sinh(monkeypatch)
+        mat = convection_diffusion(64, 20.0)
+        gen = Generator(mat)
+        u = np.random.default_rng(27).standard_normal(64) + 0j
+        assert relerr(balakrishnan_general(gen, s, u), fractional_matrix_power(-mat, s) @ u) <= 1e-12
+        got = resolvent_frac_power(gen, 0.0, s, u)
+        assert relerr(got, fractional_matrix_power(-mat, -s) @ u) <= 1e-12
+
+    @pytest.mark.parametrize("ratio", [4.0, 6.7e3, 1e16])
+    def test_no_node_on_the_branch_cut(self, monkeypatch, ratio):
+        # z^-sig is cut along (-inf, 0]: every node laid stays in the open right half-plane
+        nodes = []
+
+        def recorded(lo, hi, tau):
+            z, dz = contour(lo, hi, tau)
+            nodes.append(z)
+            return z, dz
+
+        contour = fracext.fracpow.hht_contour
+        monkeypatch.setattr(fracext.fracpow, "hht_contour", recorded)
+        gen = Generator(np.diag(-np.geomspace(0.5, 0.5 * ratio, 12)))
+        u = np.random.default_rng(30).standard_normal(12) + 0j
+        resolvent_frac_power(gen, 0.0, 0.3, u, QuadratureSpec(tol=1e-14))
+        z = np.concatenate(nodes)
+        assert len(nodes) >= 2 and z.real.min() > 0.0
+        assert z.real.min() < 0.5 < 0.5 * ratio < z.real.max()  # and it encloses the spectrum
+
+    def test_complex_spectrum_keeps_tanh_sinh(self, monkeypatch):
+        calls = []
+
+        def recorded(f, *args, name, **kwargs):
+            calls.append(name)
+            return integrate(f, *args, name=name, **kwargs)
+
+        integrate = fracext.fracpow.integrate_unit
+        monkeypatch.setattr(fracext.fracpow, "integrate_unit", recorded)
+        vecs, lam = nonnormal_factors()
+        gen = Generator((vecs * lam) @ np.linalg.inv(vecs))
+        u = np.random.default_rng(28).standard_normal(48) + 0j
+        assert relerr(balakrishnan_general(gen, 0.3, u), gen.frac_power(0.3, u)) <= 1e-12
+        assert relerr(resolvent_frac_power(gen, 0.0, 0.3, u), gen.frac_power(-0.3, u)) <= 1e-12
+        assert calls == ["balakrishnan", "inverse fractional power"]
+
+    @pytest.mark.parametrize("s", [0.3, 1.5, 2.7])
+    def test_random_128_takes_two_levels(self, monkeypatch, s):
+        sweeps = []
+
+        def counted(alpha, beta, tri, rhs):
+            x = solve(alpha, beta, tri, rhs)
+            sweeps.append(len(x))
+            return x
+
+        solve = fracext.fracpow._shifted_triangular_solve
+        monkeypatch.setattr(fracext.fracpow, "_shifted_triangular_solve", counted)
+        gen = builtin_matrix("random:128:3")
+        u = np.random.default_rng(29).standard_normal(128) + 0j
+        assert relerr(balakrishnan_general(gen, s, u), gen.frac_power(s, u)) <= 1e-12
+        assert sum(sweeps) <= 129
 
 
 class TestCConstant:

@@ -3,19 +3,24 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from scipy.special import ellipj, ellipk
 
 import fracext.fracpow
+from fracext import Generator
 from fracext.cli import builtin_matrix
 from fracext.quadrature import (
     ConvergenceError,
     QuadratureSpec,
     _norm,
     extrapolation_spread,
+    hht_contour,
     integrate_unit,
     refine,
     richardson_table,
     trapezoid_refine,
 )
+
+from conftest import nonnormal_factors
 
 
 def test_spec_validation():
@@ -57,6 +62,47 @@ def test_integrate_unit_vector_valued():
 def test_trapezoid_refine_gaussian():
     val = trapezoid_refine(lambda x: np.exp(-x * x), -8.0, 8.0, 1e-13)
     assert abs(val - np.sqrt(np.pi)) < 1e-12
+
+
+def hht_contour_reference(lo, hi, tau):
+    """The contour formed as published: SciPy's real ``ellipj`` through A&S 16.21, and ``1/k - sn``."""
+    r = np.sqrt(hi / lo)
+    k = (r - 1.0) / (r + 1.0)
+    m = k * k
+    quarter, complementary = ellipk(m), ellipk(1.0 - m)
+    s, c, d, _ = ellipj(quarter * tau, m)
+    s1, c1, d1, _ = ellipj(0.5 * complementary, 1.0 - m)
+    den = c1**2 + m * s**2 * s1**2
+    sn = (s * d1 + 1j * c * d * s1 * c1) / den
+    cn = (c * c1 - 1j * s * d * s1 * d1) / den
+    dn = (d * c1 * d1 - 1j * m * s * c * s1) / den
+    scale = np.sqrt(lo * hi)
+    z = scale * (1.0 / k + sn) / (1.0 / k - sn)
+    return z, quarter * (2.0 / k) * scale * cn * dn / (1.0 / k - sn) ** 2
+
+
+@pytest.mark.parametrize("lo, hi", [(1.0, 4.0), (0.5, 10.0), (2.0, 6.7e3), (1e-3, 1.0)])
+def test_hht_contour_matches_the_published_map(lo, hi):
+    tau = np.linspace(-1.0, 3.0, 129)
+    z, dz = hht_contour(lo, hi, tau)
+    z_ref, dz_ref = hht_contour_reference(lo, hi, tau)
+    assert np.max(np.abs(z - z_ref) / np.abs(z_ref)) <= 1e-13
+    assert np.max(np.abs(dz - dz_ref) / np.abs(dz_ref)) <= 1e-13
+    assert np.isclose(z[0], z[-1], rtol=1e-15) and abs(z[0].imag) <= 1e-15 * z[0].real
+
+
+@pytest.mark.parametrize("ratio", [1e2, 1e8, 1e16])
+def test_hht_contour_cauchy_integral_at_both_ends(ratio):
+    # -1/(2 pi i) int z^-0.3 / (z - x) dz = x^-0.3 for x anywhere in [lo, hi], the ends included,
+    # where the published form of the map cancels once the ratio is large
+    x = np.array([1.0, 1.0 + 1e-9, np.sqrt(ratio), ratio * (1.0 - 1e-9), ratio])
+
+    def cauchy(tau):
+        z, dz = hht_contour(1.0, ratio, tau)
+        return (z**-0.3 * dz / (-2j * np.pi))[:, None] / (z[:, None] - x)
+
+    got = trapezoid_refine(cauchy, -1.0, 3.0, 1e-15, h0=1.0 / 16.0)
+    assert np.max(np.abs(got - x**-0.3) / x**-0.3) <= 1e-13
 
 
 def test_refinement_failure_raises():
@@ -131,34 +177,49 @@ def test_integrate_unit_level_sizes(f, p):
     assert [len(x) for x in calls] == [15, 14, 28, 57]
 
 
-@pytest.mark.parametrize("matrix, outer_sizes", [("random:128:7", [114, 113]),
-                                                 ("laplacian1d:128", [114, 113, 226])])
-def test_resolvent_and_bbw_level_sizes(monkeypatch, matrix, outer_sizes):
-    # both halves of the resolvent integral are blocks of one call, solved in one sweep per level
-    sizes, sweeps = {}, []
+@pytest.mark.parametrize("matrix", ["random:128:7", "laplacian1d:128", "nonnormal"])
+def test_resolvent_and_bbw_level_sizes(monkeypatch, matrix):
+    # a real spectrum: one sweep per level of the contour's trapezoid rule; a complex one keeps
+    # tanh-sinh, whose two halves are blocks of one call, solved in one sweep per level
+    unit_sizes, trapezoids, sweeps = {}, [], []
 
     def sized(f, *args, name, **kwargs):
         g, calls = recording_blocks(f)
         value = integrate_unit(g, *args, name=name, **kwargs)
-        sizes[name] = calls
+        unit_sizes[name] = calls
         return value
+
+    def named(f, *args, name, **kwargs):
+        trapezoids.append(name)
+        return trapezoid(f, *args, name=name, **kwargs)
 
     def counted(alpha, beta, tri, rhs):
         x = solve(alpha, beta, tri, rhs)
         sweeps.append(len(x))
         return x
 
-    solve = fracext.fracpow._shifted_triangular_solve
+    solve, trapezoid = fracext.fracpow._shifted_triangular_solve, fracext.fracpow.trapezoid_refine
     monkeypatch.setattr(fracext.fracpow, "integrate_unit", sized)
+    monkeypatch.setattr(fracext.fracpow, "trapezoid_refine", named)
     monkeypatch.setattr(fracext.fracpow, "_shifted_triangular_solve", counted)
-    gen = builtin_matrix(matrix)
+    if matrix == "nonnormal":
+        vecs, lam = nonnormal_factors()
+        gen = Generator((vecs * lam) @ np.linalg.inv(vecs))
+    else:
+        gen = builtin_matrix(matrix)
     u = np.random.default_rng(1).standard_normal(gen.dim) + 0j
     fracext.fracpow.balakrishnan_general(gen, 0.3, u)
     fracext.fracpow.bbw_frac_power(gen, 0.3, 1, u)
-    assert sweeps == {"random:128:7": [228, 226], "laplacian1d:128": [228, 226, 226]}[matrix]
-    inner, outer = ([len(x[b]) for x in sizes["balakrishnan"] if x[b] is not None] for b in (0, 1))
-    assert inner == [114, 113] and outer == outer_sizes
-    assert list(sizes) == ["balakrishnan"]  # BBW runs on its rays, not on integrate_unit
+    # laplacian1d:128's first contour level (64 steps over the period) is off by 2e-12 here
+    assert sweeps == {"random:128:7": [65, 64], "laplacian1d:128": [65, 64, 128],
+                      "nonnormal": [228, 226]}[matrix]
+    if matrix == "nonnormal":
+        inner, outer = ([len(x[b]) for x in unit_sizes["balakrishnan"] if x[b] is not None]
+                        for b in (0, 1))
+        assert inner == [114, 113] and outer == [114, 113]
+        assert trapezoids == ["bbw rays"]  # BBW runs on its rays, not on integrate_unit
+    else:
+        assert trapezoids == ["balakrishnan", "bbw rays"] and not unit_sizes
 
 
 def test_integrate_unit_blocks_match_single_calls():
