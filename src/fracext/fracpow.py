@@ -7,15 +7,17 @@ spectral evaluation in tests:
   noninteger ``s``: the order ``s - [s]`` integral applied to ``(-L)^[s] u``.
   ``L`` is reduced once to its complex Schur form, so each quadrature node
   costs one ``O(d^2)`` triangular solve and the route stays independent of
-  the eigensystem; each level solves all its nodes in one back-substitution
-  sweep, and on the diagonal Schur factor of a Hermitian ``L`` a node costs
+  the eigensystem; each integrand call solves all its nodes in one
+  back-substitution sweep, the first call serving the first two refinement
+  levels, and on the diagonal Schur factor of a Hermitian ``L`` a node costs
   one division per mode.  A real spectrum takes the Cauchy integral on Hale,
-  Higham & Trefethen's contour around it (129 solves at a spectral ratio of
-  20); a complex one the resolvent integral split at ``mu = 1``, with exact
-  power substitutions on both halves under tanh-sinh;
+  Higham & Trefethen's contour around it (129 solves in one sweep at a
+  spectral ratio of 20); a complex one the resolvent integral split at
+  ``mu = 1``, with exact power substitutions on both halves under tanh-sinh;
 * inverse fractional powers ``(eps I - L)^{-alpha}``: ``[alpha]`` LAPACK
-  triangular solves with ``eps I - T`` and, for the fractional part, the
-  same resolvent integral with its resolvent shifted by ``eps``;
+  triangular solves with ``eps I - T`` (divisions by ``eps - diag(T)`` on a
+  diagonal ``T``) and, for the fractional part, the same resolvent integral
+  with its resolvent shifted by ``eps``;
 * the Berens-Butzer-Westphal limit of ``(e^{tL} - I)^k`` integrals with a
   Richardson-extrapolated truncation parameter, normalized by the closed
   form of ``c(s, k)``, which runs no quadrature.  It runs per mode on the
@@ -83,38 +85,53 @@ def as_order(s):
 # -- the shifted resolvent integral -------------------------------------------------
 
 
-def _shifted_triangular_solve(alpha, beta, tri, rhs):
-    """Solve ``(alpha_j I + beta_j T) x_j = rhs_j`` for every node ``j``; shape ``(m, d)``.
+def _sweep_factor(tri):
+    """``T`` as :func:`_shifted_triangular_solve` takes it: its diagonal alone when ``T`` is diagonal.
 
-    ``T`` is upper triangular.  ``alpha`` and ``beta`` are scalars or arrays of
-    shape ``(m,)``, at least one of them an array; ``rhs`` is ``(d,)`` (shared
-    by every node) or ``(m, d)``.  One back-substitution sweep over the ``d``
-    rows solves all ``m`` systems at once, at ``O(m d)`` per row.  A diagonal
-    ``T`` (the Schur factor of a Hermitian ``L``) needs no sweep: one division
-    per node and mode, in real arithmetic when ``T``, ``alpha`` and ``beta``
-    are real.
+    ``T`` is the upper triangular Schur factor; it is diagonal for every
+    Hermitian ``L``, and then its diagonal is returned real when every
+    imaginary part vanishes.  A route decides this once per call and passes
+    the result to every sweep, instead of each sweep scanning the ``d^2 - d``
+    entries off the diagonal.
     """
     dim = tri.shape[0]
     # the d^2 - 1 entries after T[0, 0]: d - 1 rows of d off the diagonal and one on it
-    if not tri.ravel()[1:].reshape(dim - 1, dim + 1)[:, :dim].any():
-        eig = tri.diagonal()
-        eig = eig if eig.imag.any() else eig.real
-        den = np.reshape(alpha, (-1, 1)) + np.reshape(beta, (-1, 1)) * eig
+    if tri.ravel()[1:].reshape(dim - 1, dim + 1)[:, :dim].any():
+        return tri
+    eig = tri.diagonal()
+    return eig if eig.imag.any() else eig.real
+
+
+def _shifted_triangular_solve(alpha, beta, factor, rhs):
+    """Solve ``(alpha_j I + beta_j T) x_j = rhs_j`` for every node ``j``; shape ``(m, d)``.
+
+    ``factor`` is ``T`` as :func:`_sweep_factor` gives it: the upper
+    triangular ``T``, or the diagonal of a diagonal ``T``.  ``alpha`` and
+    ``beta`` are scalars or arrays of shape ``(m,)``, at least one of them an
+    array; ``rhs`` is ``(d,)`` (shared by every node) or ``(m, d)``.  One
+    back-substitution sweep over the ``d`` rows solves all ``m`` systems at
+    once, at ``O(m d)`` per row.  A diagonal needs no sweep: one division
+    per node and mode, in real arithmetic when the diagonal, ``alpha`` and
+    ``beta`` are real.
+    """
+    if factor.ndim == 1:
+        den = np.reshape(alpha, (-1, 1)) + np.reshape(beta, (-1, 1)) * factor
         x = np.empty(den.shape, dtype=complex)
         if np.iscomplexobj(den):
             return np.divide(rhs, den, out=x)
         x.real, x.imag = np.real(rhs) / den, np.imag(rhs) / den
         return x
-    diag = alpha + beta * tri.diagonal()[:, None]
+    dim = factor.shape[0]
+    diag = alpha + beta * factor.diagonal()[:, None]
     m = diag.shape[1]
     b = np.broadcast_to(rhs, (m, dim)).T
     x = np.empty((dim, m), dtype=complex)
     for i in range(dim - 1, -1, -1):
-        x[i] = (b[i] - beta * (tri[i, i + 1:] @ x[i + 1:])) / diag[i]
+        x[i] = (b[i] - beta * (factor[i, i + 1:] @ x[i + 1:])) / diag[i]
     return x.T
 
 
-def _joint_solve(tri, systems):
+def _joint_solve(factor, systems):
     """Solve the systems of every open block in one :func:`_shifted_triangular_solve` sweep.
 
     ``systems`` holds one ``(alpha, beta, rhs)`` per block, or ``None`` for a
@@ -131,8 +148,8 @@ def _joint_solve(tri, systems):
     if all(r is rhs[0] and np.ndim(r) == 1 for r in rhs):
         rhs = rhs[0]
     else:
-        rhs = np.concatenate([np.broadcast_to(r, (m, tri.shape[0])) for r, m in zip(rhs, sizes)])
-    x = _shifted_triangular_solve(np.concatenate(alphas), np.concatenate(betas), tri, rhs)
+        rhs = np.concatenate([np.broadcast_to(r, (m, factor.shape[0])) for r, m in zip(rhs, sizes)])
+    x = _shifted_triangular_solve(np.concatenate(alphas), np.concatenate(betas), factor, rhs)
     parts = iter(np.split(x, np.cumsum(sizes)[:-1]))
     return [None if system is None else next(parts) for system in systems]
 
@@ -140,12 +157,15 @@ def _joint_solve(tri, systems):
 _CONTOUR_STEP = 1.0 / 16.0  # 64 first-level steps over the contour's period [-1, 3]
 
 
-def _resolvent_integral(tri, w, sig, shift, quad, name):
+def _resolvent_integral(factor, w, sig, shift, quad, name):
     """``B^{-sig} w`` with ``B = shift I - T`` and ``0 < sig < 1``.
 
-    ``T`` is the triangular Schur factor of ``L`` and ``w`` a vector in its
-    basis; every quadrature level solves all its nodes in one triangular
-    sweep.  The rule depends on the spectrum ``eig = shift - diag(T)`` of ``B``.
+    ``T`` is the triangular Schur factor of ``L``, passed as
+    :func:`_sweep_factor` gives it, and ``w`` a vector in its basis.  Every
+    integrand call of the quadrature solves all its nodes in one triangular
+    sweep, and the first call serves the rule's first two levels, so an
+    integral that closes on its second level runs one sweep.  The rule
+    depends on the spectrum ``eig = shift - diag(T)`` of ``B``.
 
     A real spectrum (every Hermitian ``L``, and any ``L`` with real
     eigenvalues) takes the Cauchy integral
@@ -154,23 +174,23 @@ def _resolvent_integral(tri, w, sig, shift, quad, name):
     ``[lo, hi] = [min eig, max eig]``, ``hi`` widened to at least ``4 lo`` so
     that a scalar or equal spectrum still has a contour.  The trapezoid rule
     in ``tau`` converges geometrically from a fixed first level of 64 steps,
-    whatever ``quad.nodes``: a ratio ``hi/lo`` of 20 takes 129 solves, and
-    ``1e16`` 513.  No ``1/sig`` or ``1/(1 - sig)`` appears, so ``sig`` near
-    ``0`` or ``1`` needs no care.
+    whatever ``quad.nodes``: a ratio ``hi/lo`` of 20 takes 129 solves in
+    one sweep, and ``1e16`` 513 in three.  No ``1/sig`` or ``1/(1 - sig)``
+    appears, so ``sig`` near ``0`` or ``1`` needs no care.
 
     A complex spectrum is not enclosed by that contour and takes
     ``(sin(pi sig)/pi) int_0^inf mu^{-sig} ((mu + shift) I - T)^{-1} w dmu``,
     split at ``mu = 1``; ``mu = 1/v`` maps the outer half onto
     ``v^{sig-1} ((1 + shift v) I - v T)^{-1} w`` on ``(0, 1)``.  Both halves
     carry a pure power endpoint singularity that the tanh-sinh driver removes
-    exactly; they are its two blocks, so each level solves the nodes of both
+    exactly; they are its two blocks, so each call solves the nodes of both
     in one sweep.  ``sig`` is first rounded so that both endpoint powers
     ``-sig`` and ``sig - 1`` are exact, and the prefactor is formed from the
     smaller of ``sig`` and ``1 - sig``: then the ``1/sig`` or ``1/(1-sig)``
     the driver integrates and the prefactor cancel to full relative accuracy
     even for ``sig`` within ``1e-9`` of ``0`` or ``1``.
     """
-    eig = shift - tri.diagonal()
+    eig = shift - (factor if factor.ndim == 1 else factor.diagonal())
     if not eig.imag.any() and eig.real.min() > 0.0:
         lo, hi = eig.real.min(), eig.real.max()
         hi = max(hi, 4.0 * lo)
@@ -178,14 +198,14 @@ def _resolvent_integral(tri, w, sig, shift, quad, name):
         def cauchy(tau):
             z, dz = hht_contour(lo, hi, tau)
             weights = z ** -sig * dz / (-2j * np.pi)
-            return weights[:, None] * _shifted_triangular_solve(z - shift, 1.0, tri, w)
+            return weights[:, None] * _shifted_triangular_solve(z - shift, 1.0, factor, w)
 
         return trapezoid_refine(cauchy, -1.0, 3.0, quad.tol, h0=_CONTOUR_STEP, name=name)
     sig = 1.0 + (sig - 1.0)
 
     def halves(nodes):
         mu, v = nodes
-        return _joint_solve(tri, [None if mu is None else (mu + shift, -1.0, w),
+        return _joint_solve(factor, [None if mu is None else (mu + shift, -1.0, w),
                                   None if v is None else (1.0 + shift * v, -v, w)])
 
     inner, outer = integrate_unit(halves, quad.tol, singular_power=[-sig, sig - 1.0],
@@ -200,7 +220,8 @@ def resolvent_frac_power(gen: Generator, eps, alpha, u, quad=None):
     """Apply ``(eps I - L)^{-alpha}`` in the cached Schur basis ``L = Z T Z^H``.
 
     The integer part ``[alpha]`` is that many LAPACK triangular solves with
-    ``eps I - T``; the fractional part ``sigma = alpha - [alpha]``, when
+    ``eps I - T``, formed once, or on a diagonal ``T`` that many divisions by
+    ``eps - diag(T)``; the fractional part ``sigma = alpha - [alpha]``, when
     nonzero, is the Balakrishnan-type resolvent integral
 
         ``(eps I - L)^{-sigma} w = (sin(pi sigma)/pi)
@@ -219,13 +240,20 @@ def resolvent_frac_power(gen: Generator, eps, alpha, u, quad=None):
     from scipy.linalg import solve_triangular  # deferred: importing scipy.linalg is slow
 
     tri, unitary = gen.schur
+    factor = _sweep_factor(tri)
     w = (gen._check_vector(u).conj() @ unitary).conj()
     whole = int(np.floor(alpha))
-    for _ in range(whole):
-        w = solve_triangular(eps * np.eye(gen.dim) - tri, w, check_finite=False)
+    if whole and factor.ndim == 1:
+        shifted = eps - factor
+        for _ in range(whole):
+            w = w / shifted
+    elif whole:
+        shifted = eps * np.eye(gen.dim) - tri
+        for _ in range(whole):
+            w = solve_triangular(shifted, w, check_finite=False)
     sig = alpha - whole
     if sig > 0.0:
-        w = _resolvent_integral(tri, w, sig, eps, quad, "inverse fractional power")
+        w = _resolvent_integral(factor, w, sig, eps, quad, "inverse fractional power")
     return unitary @ w
 
 
@@ -253,7 +281,8 @@ def balakrishnan_general(gen: Generator, s, u, quad=None):
     quad = quad or QuadratureSpec()
     tri, unitary = gen.schur
     au = -(tri @ (gen.apply_minus_power(order.n, u).conj() @ unitary).conj())
-    return unitary @ _resolvent_integral(tri, au, 1.0 - order.sigma, 0.0, quad, "balakrishnan")
+    return unitary @ _resolvent_integral(_sweep_factor(tri), au, 1.0 - order.sigma, 0.0, quad,
+                                         "balakrishnan")
 
 
 def balakrishnan_second_kind(gen: Generator, s, u, quad=None):
@@ -277,10 +306,11 @@ def balakrishnan_second_kind(gen: Generator, s, u, quad=None):
     tri, unitary = gen.schur
     au = -(tri @ (gen._check_vector(u).conj() @ unitary).conj())
     a2u = -(tri @ au)
+    factor = _sweep_factor(tri)
 
     def halves(nodes):
         mu, v = nodes
-        inner, outer = _joint_solve(tri, [None if mu is None else (mu, -1.0, au),
+        inner, outer = _joint_solve(factor, [None if mu is None else (mu, -1.0, au),
                                           None if v is None else (1.0, -v, v[:, None] * au - a2u)])
         return [None if mu is None else inner - (mu / (1.0 + mu**2))[:, None] * au,
                 None if v is None else outer / (1.0 + v**2)[:, None]]

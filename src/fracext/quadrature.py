@@ -19,11 +19,14 @@ maps:
 
 Halving the step keeps every node of the previous level, so each level
 evaluates the integrand only at the new nodes, once each, and adds their
-weighted sum to half the previous value.  Every adaptive rule feeds one
-driver, :func:`refine`, which compares successive levels and stops at the
-requested tolerance or at the roundoff floor set by the integrand's L1
-mass.  Summation order over nodes is fixed, so results are deterministic for
-a fixed :class:`QuadratureSpec`.  Failure to meet the tolerance within the
+weighted sum to half the previous value.  No rule can stop on its first
+level, so the first two levels share one integrand call, on their joint
+grid in increasing order, and every later level is a call of its own
+(:func:`_lattice_calls`).  Every adaptive rule feeds one driver,
+:func:`refine`, which compares successive levels and stops at the requested
+tolerance or at the roundoff floor set by the integrand's L1 mass.
+Summation order over each level's nodes is fixed, so results are
+deterministic for a fixed :class:`QuadratureSpec`.  Failure to meet the tolerance within the
 level budget raises :class:`ConvergenceError` carrying the achieved residual.
 """
 
@@ -174,6 +177,22 @@ def _weighted_sum(weights, vals):
     return value[()], float(np.sum(weights @ np.abs(flat)))  # [()]: 0-d -> scalar
 
 
+def _rows(vals, index):
+    """``vals[index]`` for an increasing ``index`` of the leading (node) axis.
+
+    One level's share of a call that may serve two.  An index that takes
+    every row is the identity; any other gathers a contiguous array whose
+    node axis is the fastest one when it is so in ``vals`` (a sweep stores
+    its solutions so), so that the level's weighted sum takes the same BLAS
+    path, and sums in the same order, as on values from a call of its own.
+    """
+    if len(index) == len(vals):
+        return vals
+    if vals.ndim > 1 and abs(vals.strides[0]) < abs(vals.strides[-1]):
+        return np.take(vals.T, index, axis=-1).T
+    return np.take(vals, index, axis=0)
+
+
 def _nested(sums):
     """Levels of a nested rule for :func:`refine`, from the weighted sums each level adds.
 
@@ -216,17 +235,42 @@ def trapezoid_lattice(lo, hi, h0, name="integral", levels=_TRAPEZOID_LEVELS):
         n *= 2
 
 
+def _lattice_calls(lattice):
+    """The integrand calls over a nested lattice: ``(nodes, weights, levels)`` per call.
+
+    :func:`refine` never closes a block on its first level, so the first two
+    levels are laid as one call on the step-``h/2`` grid, in increasing
+    order: level 1 at the even positions, level 2 at the odd ones.  Every
+    later level is a call of its own.  ``levels`` holds, for each level the
+    call serves in order, the (increasing) index of its nodes and weights.
+    """
+    (first, first_weights), (second, second_weights) = next(lattice), next(lattice)
+    size = len(first) + len(second)
+    nodes, weights = np.empty(size), np.empty(size)
+    nodes[0::2], nodes[1::2] = first, second
+    weights[0::2], weights[1::2] = first_weights, second_weights
+    yield nodes, weights, (np.arange(0, size, 2), np.arange(1, size, 2))
+    for nodes, weights in lattice:
+        yield nodes, weights, (np.arange(len(nodes)),)
+
+
 def trapezoid_refine(g, lo, hi, tol, h0=0.25, name="integral"):
     """Adaptive composite trapezoid of a vectorized ``g`` on ``[lo, hi]``.
 
     Intended for integrands that decay (near) to zero at both window edges,
     where the trapezoid rule on an exponentially decaying smooth function
     converges geometrically in ``1/h``.  The levels are those of
-    :func:`trapezoid_lattice`, so each evaluates ``g`` only at new nodes.
+    :func:`trapezoid_lattice`, so each evaluates ``g`` only at new nodes; the
+    first two share one call of ``g`` (see :func:`_lattice_calls`).
     """
-    lattice = trapezoid_lattice(lo, hi, h0, name)
-    sums = (_weighted_sum(weights, np.asarray(g(nodes))) for nodes, weights in lattice)
-    return refine(_nested(sums), tol, f"{name}: trapezoid")[0]
+
+    def sums():
+        for nodes, weights, levels in _lattice_calls(trapezoid_lattice(lo, hi, h0, name)):
+            vals = np.asarray(g(nodes))
+            for level in levels:
+                yield _weighted_sum(_rows(weights, level), _rows(vals, level))
+
+    return refine(_nested(sums()), tol, f"{name}: trapezoid")[0]
 
 
 # Nodes closer to 1 than this are dropped: nearer 1 the floats are too coarse
@@ -235,12 +279,19 @@ def trapezoid_refine(g, lo, hi, tol, h0=0.25, name="integral"):
 _NEAR_ONE = 2.0**-49
 
 
-def _merge_zeros(x, weights):
-    """Nodes that underflowed to ``x = 0`` as one node carrying their summed weight."""
-    zeros = np.count_nonzero(x == 0.0)  # a prefix: x rises with t
-    if zeros < 2:
-        return x, weights
-    return x[zeros - 1:], np.concatenate(([weights[:zeros].sum()], weights[zeros:]))
+def _merge_zeros(index, weights, zeros):
+    """One level's rule on a call whose first ``zeros`` nodes, all ``x = 0``, are laid as one.
+
+    ``index`` (increasing) picks the level's nodes before the merge.  Returns
+    their index into the merged call and their weights: the level's own
+    nodes at ``x = 0`` become one node carrying their summed weight.
+    """
+    shift = max(zeros - 1, 0)
+    lead = np.count_nonzero(index < zeros)  # a prefix: index rises
+    if not lead:
+        return index - shift, weights[index]
+    return (np.concatenate(([0], index[lead:] - shift)),
+            np.concatenate(([weights[index[:lead]].sum()], weights[index[lead:]])))
 
 
 def integrate_unit(f, tol, singular_power=0.0, nodes0=64, name="integral"):
@@ -258,16 +309,18 @@ def integrate_unit(f, tol, singular_power=0.0, nodes0=64, name="integral"):
     return arrays of shape ``(len(x), ...)``; the node axis is reduced.
 
     A sequence of powers integrates one block per power against one
-    integrand, so that work shared between blocks runs once per level.  All
+    integrand, so that work shared between blocks runs once per call.  All
     blocks share the ``t``-lattice and the drop rule, and :func:`refine`
-    closes each on its own.  ``f`` is then called once per level with a list
-    of one node array per block, ``None`` for a closed block, and returns a
-    list of one value array per block (anything for a closed one); the
-    result stacks the blocks on a leading axis.  In this form the nodes
-    where ``x = w^{1/(1+p)}`` underflows to 0, about half of them for ``p``
-    near -1, are evaluated once per block and level with their summed
-    weight.  A scalar power keeps the plain form: ``f`` takes and returns
-    one array and sees every node.
+    closes each on its own.  ``f`` is then called with a list of one node
+    array per block, ``None`` for a closed block, and returns a list of one
+    value array per block (anything for a closed one); the result stacks the
+    blocks on a leading axis.  The first call serves the first two levels
+    at once, on their joint increasing grid (see :func:`_lattice_calls`),
+    and every later call one level.  In this form the nodes where
+    ``x = w^{1/(1+p)}`` underflows to 0, about half of them for ``p`` near
+    -1, are evaluated once per block and call, and each level sums its own
+    share of their weight.  A scalar power keeps the plain form: ``f`` takes
+    and returns one array and sees every node.
     """
     scalar = np.ndim(singular_power) == 0
     if scalar:
@@ -281,23 +334,29 @@ def integrate_unit(f, tol, singular_power=0.0, nodes0=64, name="integral"):
         values, masses = [0.0] * len(powers), np.zeros(len(powers))
         open_ = np.ones(len(powers), dtype=bool)
         h = min(0.5, 8.0 / nodes0)
-        for t, weights in trapezoid_lattice(-4.0, 4.0, h, name):
+        for t, weights, parts in _lattice_calls(trapezoid_lattice(-4.0, 4.0, h, name)):
             z = 0.5 * np.pi * np.sinh(t)
             w = 1.0 / (1.0 + np.exp(-2.0 * z))
             jacobian = (0.25 * np.pi) * np.cosh(t) / np.cosh(z) ** 2
             keep = (w > 0.0) & (w < 1.0 - _NEAR_ONE) & (jacobian > 1e-300)
+            kept = np.cumsum(keep) - 1  # each node's place among the kept ones
+            parts = [kept[part][keep[part]] for part in parts]
             w, jacobian, weights = w[keep], jacobian[keep], weights[keep]
-            rules = [None] * len(powers)
+            nodes, rules = [None] * len(powers), [None] * len(powers)
             for b in np.flatnonzero(open_):
                 q = exponents[b]
-                rules[b] = (w**q, q * jacobian * weights)
-                if not scalar:
-                    rules[b] = _merge_zeros(*rules[b])
-            blocks = f([None if rule is None else rule[0] for rule in rules])
-            for b in np.flatnonzero(open_):
-                value, mass = _weighted_sum(rules[b][1], np.asarray(blocks[b]))
-                values[b], masses[b] = 0.5 * values[b] + value, 0.5 * masses[b] + mass
-            open_ = yield np.array(values), masses
+                x, rule = w**q, q * jacobian * weights
+                zeros = 0 if scalar else np.count_nonzero(x == 0.0)  # a prefix: x rises with t
+                nodes[b] = x[max(zeros - 1, 0):]
+                rules[b] = [_merge_zeros(part, rule, zeros) for part in parts]
+            blocks = f(nodes)
+            blocks = [None if rule is None else np.asarray(vals) for rule, vals in zip(rules, blocks)]
+            for level in range(len(parts)):
+                for b in np.flatnonzero(open_):
+                    index, rule = rules[b][level]
+                    value, mass = _weighted_sum(rule, _rows(blocks[b], index))
+                    values[b], masses[b] = 0.5 * values[b] + value, 0.5 * masses[b] + mass
+                open_ = yield np.array(values), masses
 
     result = refine(levels(), tol, f"{name}: tanh-sinh")
     return result[0] if scalar else result

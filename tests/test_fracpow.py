@@ -24,7 +24,7 @@ from fracext import (
 )
 
 from fracext.cli import builtin_matrix
-from fracext.fracpow import _bbw_ray_integral, _shifted_triangular_solve
+from fracext.fracpow import _bbw_ray_integral, _shifted_triangular_solve, _sweep_factor
 from fracext.quadrature import QuadratureSpec
 from fracext.verify import _sine_modes, dirichlet_sine_power
 
@@ -161,6 +161,7 @@ class TestShiftedTriangularSolve:
     def test_resolvent_form_per_node_rhs(self, tri):
         mu = np.geomspace(1e-6, 1e12, 19)
         rhs = np.random.default_rng(8).standard_normal((mu.size, tri.shape[0])) + 0.5j
+        assert _sweep_factor(tri) is tri
         got = _shifted_triangular_solve(mu, -1.0, tri, rhs)
         expected = self.dense(mu, -np.ones_like(mu), tri, rhs)
         for row, ref in zip(got, expected):
@@ -178,7 +179,15 @@ class TestShiftedTriangularSolve:
 
 
 class TestDiagonalTriangularSolve:
-    """A diagonal ``T`` (the Schur factor of a Hermitian ``L``) is solved without a sweep."""
+    """A diagonal ``T`` (the Schur factor of a Hermitian ``L``) is passed as its diagonal and
+    solved without a sweep."""
+
+    @staticmethod
+    def factor(tri):
+        factor = _sweep_factor(tri)
+        assert factor.shape == tri.shape[:1]
+        assert np.iscomplexobj(factor) == bool(tri.diagonal().imag.any())
+        return factor
 
     @pytest.fixture(params=["real", "complex"])
     def tri(self, request):
@@ -191,7 +200,7 @@ class TestDiagonalTriangularSolve:
     def test_resolvent_form_per_node_rhs(self, tri):
         mu = np.geomspace(1e-6, 1e12, 19)
         rhs = np.random.default_rng(8).standard_normal((mu.size, tri.shape[0])) + 0.5j
-        got = _shifted_triangular_solve(mu, -1.0, tri, rhs)
+        got = _shifted_triangular_solve(mu, -1.0, self.factor(tri), rhs)
         expected = TestShiftedTriangularSolve.dense(mu, -np.ones_like(mu), tri, rhs)
         for row, ref in zip(got, expected):
             assert relerr(row, ref) <= 1e-15
@@ -199,7 +208,7 @@ class TestDiagonalTriangularSolve:
     def test_reciprocal_form_shared_rhs(self, tri):
         v = np.geomspace(1e-300, 1.0, 23)
         rhs = np.random.default_rng(9).standard_normal(tri.shape[0]) - 2.0j
-        got = _shifted_triangular_solve(1.0, -v, tri, rhs)
+        got = _shifted_triangular_solve(1.0, -v, self.factor(tri), rhs)
         expected = TestShiftedTriangularSolve.dense(np.ones_like(v), -v, tri,
                                                     np.broadcast_to(rhs, got.shape))
         assert got.shape == (v.size, tri.shape[0]) and got.dtype == complex
@@ -294,6 +303,21 @@ class TestResolventFracPowerStiffAndIndependent:
         expected = vecs @ ((eps - lam) ** -alpha * np.linalg.solve(vecs, u))
         assert relerr(resolvent_frac_power(gen, eps, alpha, u), expected) <= 1e-10
 
+    @pytest.mark.parametrize("eps", [0.0, 0.5])
+    def test_integer_powers_divide_on_a_diagonal_factor(self, monkeypatch, lap128, eps):
+        # the Schur factor of a Hermitian L is diagonal: [alpha] divisions per mode, no solve
+        def refuse(*args, **kwargs):
+            raise AssertionError("a diagonal Schur factor ran a triangular solve")
+
+        import scipy.linalg
+
+        monkeypatch.setattr(scipy.linalg, "solve_triangular", refuse)
+        u = np.random.default_rng(25).standard_normal(128) + 0j
+        basis, mu = _sine_modes(128)
+        for alpha in (1.0, 2.0, 1.5, 2.7, 5.5):
+            expected = basis @ ((eps + mu) ** -alpha * (basis @ u))
+            assert relerr(resolvent_frac_power(lap128, eps, alpha, u), expected) <= 1e-10, alpha
+
 
 def convection_diffusion(n, pe):
     """``L = D2 - pe D1`` on ``n`` interior points of ``(0, 1)``: central differences, Dirichlet.
@@ -359,7 +383,7 @@ class TestContour:
         u = np.random.default_rng(30).standard_normal(12) + 0j
         resolvent_frac_power(gen, 0.0, 0.3, u, QuadratureSpec(tol=1e-14))
         z = np.concatenate(nodes)
-        assert len(nodes) >= 2 and z.real.min() > 0.0
+        assert len(z) >= 129 and z.real.min() > 0.0  # at least two levels of 64 steps
         assert z.real.min() < 0.5 < 0.5 * ratio < z.real.max()  # and it encloses the spectrum
 
     def test_complex_spectrum_keeps_tanh_sinh(self, monkeypatch):

@@ -11,12 +11,15 @@ from fracext.cli import builtin_matrix
 from fracext.quadrature import (
     ConvergenceError,
     QuadratureSpec,
+    _nested,
     _norm,
+    _weighted_sum,
     extrapolation_spread,
     hht_contour,
     integrate_unit,
     refine,
     richardson_table,
+    trapezoid_lattice,
     trapezoid_refine,
 )
 
@@ -172,15 +175,42 @@ def test_tanh_sinh_nodes_strictly_increase():
 
 @pytest.mark.parametrize("f, p", [(np.cos, 0.0), (np.ones_like, -0.999), (np.sin, 0.7)])
 def test_integrate_unit_level_sizes(f, p):
+    # levels of 15, 14, 28 and 57 nodes: the first call serves the first two
     g, calls = recording(f)
     integrate_unit(g, 1e-14, singular_power=p, nodes0=16)
-    assert [len(x) for x in calls] == [15, 14, 28, 57]
+    assert [len(x) for x in calls] == [29, 28, 57]
+
+
+def test_two_level_integrals_call_the_integrand_once():
+    # an integral that closes on its second level evaluates both levels in one call, on the
+    # step-h/2 grid in increasing order
+    g, calls = recording(lambda x: np.exp(-x * x))
+    assert abs(trapezoid_refine(g, -8.0, 8.0, 1e-13) - np.sqrt(np.pi)) <= 1e-15
+    assert len(calls) == 1 and np.array_equal(calls[0], -8.0 + 0.125 * np.arange(129))
+    g, calls = recording(np.ones_like)
+    assert abs(integrate_unit(g, 1e-13, nodes0=64) - 1.0) <= 1e-14
+    assert len(calls) == 1 and np.array_equal(calls[0], tanh_sinh_reference(0.0625)[0])
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_first_call_sums_each_level_as_a_call_of_its_own(order):
+    # the joint first call changes no sum: each level's is bitwise the one a call of its own gives,
+    # also for values stored node-fastest, as the triangular sweep stores its solutions
+    freqs = np.random.default_rng(4).uniform(0.5, 2.0, 48) + 0.5j
+
+    def g(x):
+        return np.asarray(np.exp(-np.multiply.outer(x * x, freqs)), order=order)
+
+    sums = (_weighted_sum(w, g(x)) for x, w in trapezoid_lattice(-6.0, 6.0, 0.5))
+    expected = refine(_nested(sums), 1e-13, "per level")[0]
+    assert np.array_equal(trapezoid_refine(g, -6.0, 6.0, 1e-13, h0=0.5), expected)
 
 
 @pytest.mark.parametrize("matrix", ["random:128:7", "laplacian1d:128", "nonnormal"])
 def test_resolvent_and_bbw_level_sizes(monkeypatch, matrix):
-    # a real spectrum: one sweep per level of the contour's trapezoid rule; a complex one keeps
-    # tanh-sinh, whose two halves are blocks of one call, solved in one sweep per level
+    # a real spectrum: one sweep per integrand call of the contour's trapezoid rule, the first
+    # serving its first two levels; a complex one keeps tanh-sinh, whose two halves are blocks of
+    # one call, solved in one sweep per call
     unit_sizes, trapezoids, sweeps = {}, [], []
 
     def sized(f, *args, name, **kwargs):
@@ -210,20 +240,21 @@ def test_resolvent_and_bbw_level_sizes(monkeypatch, matrix):
     u = np.random.default_rng(1).standard_normal(gen.dim) + 0j
     fracext.fracpow.balakrishnan_general(gen, 0.3, u)
     fracext.fracpow.bbw_frac_power(gen, 0.3, 1, u)
-    # laplacian1d:128's first contour level (64 steps over the period) is off by 2e-12 here
-    assert sweeps == {"random:128:7": [65, 64], "laplacian1d:128": [65, 64, 128],
-                      "nonnormal": [228, 226]}[matrix]
+    # laplacian1d:128's first contour level (64 steps over the period) is off by 2e-12 here, so
+    # a third level runs; every other integral closes on its second level, in one sweep
+    assert sweeps == {"random:128:7": [129], "laplacian1d:128": [129, 128],
+                      "nonnormal": [454]}[matrix]
     if matrix == "nonnormal":
         inner, outer = ([len(x[b]) for x in unit_sizes["balakrishnan"] if x[b] is not None]
                         for b in (0, 1))
-        assert inner == [114, 113] and outer == [114, 113]
+        assert inner == [227] and outer == [227]  # levels of 114 and 113 nodes each
         assert trapezoids == ["bbw rays"]  # BBW runs on its rays, not on integrate_unit
     else:
         assert trapezoids == ["balakrishnan", "bbw rays"] and not unit_sizes
 
 
 def test_integrate_unit_blocks_match_single_calls():
-    # one f call per level for both blocks; a closed block is passed None from then on
+    # one f call for both blocks; a closed block is passed None from then on
     funcs = [np.cos, lambda x: np.exp(-40.0 * x)]
     powers = [0.0, -0.5]
     g, calls = recording_blocks(lambda xs: [None if x is None else f(x) for f, x in zip(funcs, xs)])
@@ -241,7 +272,7 @@ def test_integrate_unit_blocks_match_single_calls():
 
 
 def test_integrate_unit_blocks_merge_zero_nodes():
-    # near p = -1 about half the nodes underflow to x = 0: each level evaluates it once per block
+    # near p = -1 about half the nodes underflow to x = 0: each call evaluates it once per block
     def f(x):
         return np.stack([np.cos(x), 1.0 + x], axis=1)
 
@@ -257,17 +288,20 @@ def test_integrate_unit_blocks_merge_zero_nodes():
         assert len(merged) == len(single_calls)
         for x, y in zip(merged, single_calls):
             assert np.count_nonzero(y == 0.0) > 1 and np.array_equal(x[1:], y[y > 0.0])
-    assert [[len(x) for x in xs] for xs in calls] == [[51, 76], [51, 76]]  # of [114, 113] nodes
+    # both levels, of 114 and 113 nodes, in one call: 51 + 51 - 1 and 76 + 76 - 1 once merged
+    assert [[len(x) for x in xs] for xs in calls] == [[101, 151]]
+    assert all(np.all(np.diff(x) > 0.0) for xs in calls for x in xs)
 
 
 def test_trapezoid_levels_evaluate_each_node_once():
     lo, hi, h0 = -40.0, 40.3, 1.0
     g, calls = recording(lambda x: 1.0 / np.cosh(x))
     val = trapezoid_refine(g, lo, hi, 1e-13, h0=h0)
-    assert len(calls) >= 3
+    assert len(calls) >= 2 and all(np.all(np.diff(x) > 0.0) for x in calls)
+    levels = len(calls) + 1  # the first call serves the first two
     nodes = np.concatenate(calls)
-    count = int(np.ceil((hi - lo) / h0 - 0.5)) * 2 ** (len(calls) - 1)
-    h = h0 / 2 ** (len(calls) - 1)
+    count = int(np.ceil((hi - lo) / h0 - 0.5)) * 2 ** (levels - 1)
+    h = h0 / 2 ** (levels - 1)
     finest = lo + h * np.arange(count + 1)
     assert len(nodes) == len(finest) == len(np.unique(nodes))
     assert np.array_equal(np.sort(nodes), finest)
@@ -280,9 +314,9 @@ def test_trapezoid_levels_evaluate_each_node_once():
 def test_integrate_unit_levels_evaluate_each_node_once():
     g, calls = recording(np.cos)
     val = integrate_unit(g, 1e-14, nodes0=16)
-    assert len(calls) >= 3
+    assert len(calls) >= 2 and all(np.all(np.diff(x) > 0.0) for x in calls)
     nodes = np.concatenate(calls)
-    finest_x, finest_w = tanh_sinh_reference(0.5 / 2 ** (len(calls) - 1))
+    finest_x, finest_w = tanh_sinh_reference(0.5 / 2 ** len(calls))  # len(calls) + 1 levels
     assert len(nodes) == len(finest_x)
     assert np.array_equal(np.sort(nodes), finest_x)
     reference = np.sum(finest_w * np.cos(finest_x))
@@ -295,8 +329,8 @@ def test_nested_vector_values_match_the_direct_sum():
 
     g, calls = recording(f)
     val = trapezoid_refine(g, -7.0, 7.0, 1e-13, h0=1.0)
-    assert len(calls) >= 3
-    h = 1.0 / 2 ** (len(calls) - 1)
+    assert len(calls) >= 2
+    h = 1.0 / 2 ** len(calls)  # the first call serves the first two levels
     finest = -7.0 + h * np.arange(round(14.0 / h) + 1)
     weights = np.full(len(finest), h)
     weights[[0, -1]] *= 0.5
@@ -306,8 +340,8 @@ def test_nested_vector_values_match_the_direct_sum():
 
     g, calls = recording(lambda x: f(x).reshape(-1, 3, 1))
     val = integrate_unit(g, 1e-13, singular_power=-0.5, nodes0=16)
-    assert len(calls) >= 3
-    w_nodes, weights = tanh_sinh_reference(0.5 / 2 ** (len(calls) - 1))
+    assert len(calls) >= 2
+    w_nodes, weights = tanh_sinh_reference(0.5 / 2 ** len(calls))
     reference = 2.0 * (weights @ f(w_nodes**2))
     assert val.shape == (3, 1)
     assert np.linalg.norm(val[:, 0] - reference) <= 1e-15 * np.linalg.norm(reference)
