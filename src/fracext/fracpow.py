@@ -8,10 +8,10 @@ spectral evaluation in tests:
   ``L`` is reduced once to its complex Schur form, so each quadrature node
   costs one ``O(d^2)`` triangular solve and the route stays independent of
   the eigensystem; each integrand call solves all its nodes in one
-  back-substitution sweep, the first call serving the first two refinement
+  back-substitution sweep, the first call serving the first three refinement
   levels, and on the diagonal Schur factor of a Hermitian ``L`` a node costs
   one division per mode.  A real spectrum takes the Cauchy integral on Hale,
-  Higham & Trefethen's contour around it (129 solves in one sweep at a
+  Higham & Trefethen's contour around it (65 solves in one sweep at a
   spectral ratio of 20); a complex one the resolvent integral split at
   ``mu = 1``, with exact power substitutions on both halves under tanh-sinh;
 * inverse fractional powers ``(eps I - L)^{-alpha}``: ``[alpha]`` LAPACK
@@ -27,7 +27,7 @@ spectral evaluation in tests:
 """
 
 from dataclasses import dataclass, field
-from math import comb, expm1, factorial, fsum, log
+from math import ceil, comb, expm1, factorial, fsum, log, log2, pi
 
 import numpy as np
 from scipy.special import gamma
@@ -154,7 +154,21 @@ def _joint_solve(factor, systems):
     return [None if system is None else next(parts) for system in systems]
 
 
-_CONTOUR_STEP = 1.0 / 16.0  # 64 first-level steps over the contour's period [-1, 3]
+def _contour_steps(lo, hi, tol):
+    """Steps of the first integrand call over the contour's period: a power of two, at least 16.
+
+    The trapezoid rule on :func:`~fracext.quadrature.hht_contour` errs by
+    about ``exp(-pi^2 steps / (2 (log(hi/lo) + 3)))``: 3.7e-12 at 32 steps
+    for ``hi/lo = 20`` (2e-12 measured) and 2.5e-12 at 64 steps for
+    ``hi/lo = 6.7e3`` (2.0e-12 measured).  The first call's finest level
+    (see :func:`~fracext.quadrature.trapezoid_refine`) takes enough steps to
+    meet ``tol`` at that rate, so the change from the level before it, at
+    half the steps, shows the rate the geometric tail of
+    :func:`~fracext.quadrature.refine` certifies.  The floor of 16 keeps four
+    steps on the coarsest level when ``tol`` is loose.
+    """
+    need = 2.0 * (log(hi / lo) + 3.0) * log(1.0 / tol) / pi**2
+    return 2 ** max(4, ceil(log2(max(need, 1.0))))
 
 
 def _resolvent_integral(factor, w, sig, shift, quad, name):
@@ -163,9 +177,9 @@ def _resolvent_integral(factor, w, sig, shift, quad, name):
     ``T`` is the triangular Schur factor of ``L``, passed as
     :func:`_sweep_factor` gives it, and ``w`` a vector in its basis.  Every
     integrand call of the quadrature solves all its nodes in one triangular
-    sweep, and the first call serves the rule's first two levels, so an
-    integral that closes on its second level runs one sweep.  The rule
-    depends on the spectrum ``eig = shift - diag(T)`` of ``B``.
+    sweep, and the first call serves the rule's first three levels, so an
+    integral whose third level certifies its geometric tail runs one sweep.
+    The rule depends on the spectrum ``eig = shift - diag(T)`` of ``B``.
 
     A real spectrum (every Hermitian ``L``, and any ``L`` with real
     eigenvalues) takes the Cauchy integral
@@ -173,10 +187,11 @@ def _resolvent_integral(factor, w, sig, shift, quad, name):
     over one period of :func:`~fracext.quadrature.hht_contour` around
     ``[lo, hi] = [min eig, max eig]``, ``hi`` widened to at least ``4 lo`` so
     that a scalar or equal spectrum still has a contour.  The trapezoid rule
-    in ``tau`` converges geometrically from a fixed first level of 64 steps,
-    whatever ``quad.nodes``: a ratio ``hi/lo`` of 20 takes 129 solves in
-    one sweep, and ``1e16`` 513 in three.  No ``1/sig`` or ``1/(1 - sig)``
-    appears, so ``sig`` near ``0`` or ``1`` needs no care.
+    in ``tau`` converges geometrically, and its first call takes the steps
+    :func:`_contour_steps` predicts for ``quad.tol``, whatever ``quad.nodes``:
+    at the default ``tol`` a ratio ``hi/lo`` of 20 takes 65 solves in one
+    sweep, ``6.7e3`` 129, and ``1e16`` 513 in two.  No ``1/sig`` or
+    ``1/(1 - sig)`` appears, so ``sig`` near ``0`` or ``1`` needs no care.
 
     A complex spectrum is not enclosed by that contour and takes
     ``(sin(pi sig)/pi) int_0^inf mu^{-sig} ((mu + shift) I - T)^{-1} w dmu``,
@@ -200,7 +215,8 @@ def _resolvent_integral(factor, w, sig, shift, quad, name):
             weights = z ** -sig * dz / (-2j * np.pi)
             return weights[:, None] * _shifted_triangular_solve(z - shift, 1.0, factor, w)
 
-        return trapezoid_refine(cauchy, -1.0, 3.0, quad.tol, h0=_CONTOUR_STEP, name=name)
+        h0 = 4.0 / _contour_steps(lo, hi, quad.tol)
+        return trapezoid_refine(cauchy, -1.0, 3.0, quad.tol, h0=h0, name=name)
     sig = 1.0 + (sig - 1.0)
 
     def halves(nodes):
@@ -267,7 +283,7 @@ def balakrishnan_general(gen: Generator, s, u, quad=None):
     ``(sin(sigma pi)/pi) int_0^inf mu^{sigma-1} (mu I + A)^{-1} A^{n+1} u dmu``,
     the resolvent integral of :func:`_resolvent_integral` at ``sig = 1 - sigma``
     and no shift: a Cauchy integral on Hale, Higham & Trefethen's contour for
-    a real spectrum (129 solves on ``random:128``), split tanh-sinh for a
+    a real spectrum (65 solves on ``random:128``), split tanh-sinh for a
     complex one.  ``A^n u`` comes from :meth:`Generator.apply_minus_power`;
     the last power and everything after it run in the cached complex Schur
     basis ``L = Z T Z^H``, independent of the cached eigensystem: that power is
@@ -296,7 +312,12 @@ def balakrishnan_second_kind(gen: Generator, s, u, quad=None):
     normal ``L`` a dense ``A^2 u`` would put the roundoff of the stiff modes
     into the soft ones.  It runs split tanh-sinh on every spectrum, real ones
     too, so that it stays a formula and a rule of its own against
-    :func:`balakrishnan_general`'s contour.
+    :func:`balakrishnan_general`'s contour.  Its halves and the
+    ``sin(s pi / 2) A u`` term are of the size of ``A u`` and cancel to
+    ``A^s u``, by a factor of up to ``1e7`` on stiff spectra, so the
+    quadrature runs at ``quad.tol`` times a lower bound of ``|A^s u|/|A u|``:
+    ``(|A u|/|A^2 u|)^(1-s)`` for ``s < 1`` and ``(|A u|/|u|)^(s-1)`` for
+    ``s > 1``, by log-convexity of ``t -> |A^t u|`` (a bound for normal ``L``).
     """
     order = as_order(s)
     if not 0.0 < order.s < 2.0:
@@ -304,9 +325,13 @@ def balakrishnan_second_kind(gen: Generator, s, u, quad=None):
     quad = quad or QuadratureSpec()
     s_val = order.s
     tri, unitary = gen.schur
-    au = -(tri @ (gen._check_vector(u).conj() @ unitary).conj())
+    u = gen._check_vector(u)
+    au = -(tri @ (u.conj() @ unitary).conj())
     a2u = -(tri @ au)
     factor = _sweep_factor(tri)
+    size = np.linalg.norm(au)
+    other = np.linalg.norm(a2u if s_val < 1.0 else u)
+    tol = quad.tol * (min(1.0, (size / other) ** abs(1.0 - s_val)) if size > 0.0 else 1.0)
 
     def halves(nodes):
         mu, v = nodes
@@ -315,7 +340,7 @@ def balakrishnan_second_kind(gen: Generator, s, u, quad=None):
         return [None if mu is None else inner - (mu / (1.0 + mu**2))[:, None] * au,
                 None if v is None else outer / (1.0 + v**2)[:, None]]
 
-    inner, outer = integrate_unit(halves, quad.tol, singular_power=[s_val - 1.0, 1.0 - s_val],
+    inner, outer = integrate_unit(halves, tol, singular_power=[s_val - 1.0, 1.0 - s_val],
                                   nodes0=quad.nodes, name="balakrishnan-II")
     return unitary @ (np.sin(s_val * np.pi) / np.pi * (inner + outer)
                       + np.sin(s_val * np.pi / 2.0) * au)
@@ -402,7 +427,10 @@ def _bbw_ray_integral(lam, s, k, quad):
         return du[:, None] * (powers * scale).sum(axis=1)
 
     reach = log(_KERNEL_DECAY)
-    tail = (-1.0) ** k / s + trapezoid_refine(ray, -reach, reach, quad.tol, name="bbw rays")
+    # a first call of 65 nodes: per node the integrand is so cheap that a second call would
+    # cost more than the 32 nodes a coarser first call saves
+    rays = trapezoid_refine(ray, -reach, reach, quad.tol, h0=0.125, name="bbw rays")
+    tail = (-1.0) ** k / s + rays
     small = rho < 1.0
     if small.any():
         n = np.arange(k, k + _TAIL_TERMS)

@@ -19,19 +19,23 @@ maps:
 
 Halving the step keeps every node of the previous level, so each level
 evaluates the integrand only at the new nodes, once each, and adds their
-weighted sum to half the previous value.  No rule can stop on its first
-level, so the first two levels share one integrand call, on their joint
-grid in increasing order, and every later level is a call of its own
-(:func:`_lattice_calls`).  Every adaptive rule feeds one driver,
-:func:`refine`, which compares successive levels and stops at the requested
-tolerance or at the roundoff floor set by the integrand's L1 mass.
-Summation order over each level's nodes is fixed, so results are
-deterministic for a fixed :class:`QuadratureSpec`.  Failure to meet the tolerance within the
-level budget raises :class:`ConvergenceError` carrying the achieved residual.
+weighted sum to half the previous value.  Every adaptive rule feeds one
+driver, :func:`refine`, which compares successive levels and stops at the
+requested tolerance or at the roundoff floor set by the integrand's L1
+mass: where two levels agree, or, since every rule here converges
+exponentially in ``1/h`` (Trefethen & Weideman, SIAM Review 56, 2014), where
+the geometric tail of the changes certifies the level it has.  That takes
+three levels at the least, so the first three share one integrand call, on
+their joint grid in increasing order, and every later level is a call of
+its own (:func:`_lattice_calls`).  Summation order over each level's nodes
+is fixed, so results are deterministic for a fixed :class:`QuadratureSpec`.
+Failure to meet the tolerance within the level budget raises
+:class:`ConvergenceError` carrying the achieved residual.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import ceil, isfinite
 
 import numpy as np
 
@@ -61,13 +65,15 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """First-level node budget (at least 16) and refinement tolerance of the adaptive rules.
+    """First-call node budget (at least 16) and refinement tolerance of the adaptive rules.
 
-    A subordination call on several ``y`` shares one lattice across the union
-    of their windows, and ``nodes`` counts the first-level steps across that
-    union (each ``y``'s own window holds a share of them).  The contour of
-    the resolvent integrals on a real spectrum starts from a fixed 64 steps
-    over its period and reads only ``tol``.
+    ``nodes`` sets the grid of the first integrand call, which serves the
+    first three refinement levels: ``8/nodes`` is its step in tanh-sinh's
+    ``t``.  A subordination call, which lays one level per call, counts its
+    first-level steps across the union of the windows of its ``y`` (each
+    ``y``'s own window holds a share of them).  The contour of the resolvent
+    integrals on a real spectrum reads only ``tol``: its first call takes
+    as many steps over the period as ``tol`` and the spectral ratio need.
     """
 
     nodes: int = 128
@@ -105,8 +111,10 @@ def _norm(rows):
     size = np.abs(rows).reshape(len(rows), -1)
     peak = size.max(axis=1)
     scaled = (0.0 < peak) & (peak < np.inf)
-    if not scaled.all():
-        size[~scaled] = 0.0
+    if scaled.all():
+        size /= peak[:, None]
+        return peak * np.sqrt((size[:, None, :] @ size[:, :, None]).ravel())
+    size[~scaled] = 0.0
     scale = np.where(scaled, peak, 1.0)
     size /= scale[:, None]
     return np.where(scaled, scale * np.sqrt((size[:, None, :] @ size[:, :, None]).ravel()), peak)
@@ -132,22 +140,30 @@ def _refine_targets(tol, sizes, masses):
 
 
 def refine(levels, tol, name):
-    """Consume successive ``(values, masses)`` estimates until every block has two that agree.
+    """Consume successive ``(values, masses)`` estimates until every block's error is certified.
 
     ``levels`` is a generator that yields, one refinement level at a time and
     coarsest first, fresh arrays of the values of every block stacked on a
-    leading axis together with one L1 mass per block.  A block is done at the
-    first level whose change from its predecessor meets
-    :func:`_refine_targets`, and keeps that level's value.  After each level
-    the generator is sent the mask of the blocks still open, so it may skip
-    the done ones (what it yields for them is ignored).  Running out of
-    levels raises :class:`ConvergenceError` with the largest last change of an
-    open block (``inf`` when fewer than two levels were produced).
+    leading axis together with one L1 mass per block.  A block is done, and
+    keeps that level's value, at the first level whose change from its
+    predecessor meets :func:`_refine_targets` (two levels agree), or whose
+    change fell below half the previous one, ``rho = change_k/change_{k-1} <
+    1/2``, and bounds the geometric tail ``change_k rho/(1 - rho)`` by the
+    same target.  The rules it drives converge exponentially in ``1/h``, so
+    once a rule resolves its integrand the changes fall faster than
+    geometrically and the bound is conservative; on an ``O(h^2)`` sequence
+    (``rho = 1/4``) it is Richardson's ``change/3``.  A block closes at level
+    2 at the earliest, and on its tail at level 3.  After each level the
+    generator is sent the mask of the blocks still open, so it may skip the
+    done ones (what it yields for them is ignored).  Running out of levels
+    raises :class:`ConvergenceError` with the largest last change of an open
+    block (``inf`` when fewer than two levels were produced).
     """
     values, masses = next(levels)
     result = np.array(values)
     open_ = np.ones(len(result), dtype=bool)
-    achieved = np.full(len(result), np.inf)
+    blocks = np.arange(len(result))
+    achieved = np.full(len(result), np.inf)  # each open block's last change
     while True:
         previous = values
         try:
@@ -155,42 +171,60 @@ def refine(levels, tol, name):
         except StopIteration:
             raise ConvergenceError(f"{name} refinement stalled",
                                    achieved=float(achieved[open_].max()), required=tol) from None
-        blocks = np.flatnonzero(open_)
         open_blocks = slice(None) if blocks.size == open_.size else blocks  # views while all are open
         current = values[open_blocks]
         change, sizes = _norm(np.concatenate((current - previous[open_blocks], current))).reshape(2, -1)
-        achieved[blocks] = change
-        done = blocks[change <= _refine_targets(tol, sizes, np.asarray(masses)[open_blocks])]
-        result[done] = values[done]
-        open_[done] = False
-        if not open_.any():
-            return result
+        targets = _refine_targets(tol, sizes, np.asarray(masses)[open_blocks])
+        done = []
+        lasts = achieved[open_blocks].tolist()  # inf before the second level
+        for b, last, c, target in zip(blocks.tolist(), lasts, change.tolist(), targets.tolist()):
+            # two levels agree, or a change below half the last one bounds the geometric tail
+            # c rho/(1 - rho) = c^2/(last - c)
+            if c <= target or (2.0 * c < last < np.inf and c * (c / (last - c)) <= target):
+                done.append(b)
+        achieved[open_blocks] = change
+        if done:
+            result[done] = values[done]
+            open_[done] = False
+            blocks = np.flatnonzero(open_)
+            if not blocks.size:
+                return result
 
 
-def _weighted_sum(weights, vals):
+def _sizes(vals):
+    """L1 size of each node's value (the entry on the leading axis), formed once per call."""
+    return np.abs(vals).reshape(len(vals), -1).sum(axis=1)
+
+
+def _weighted_sum(weights, vals, sizes):
     """Rule value and L1 mass of ``vals``, reducing the leading (node) axis.
 
-    One matrix-vector product for the value and one ``abs`` pass for the mass.
+    ``sizes`` holds each node's L1 size (:func:`_sizes`).  One matrix-vector
+    product for the value and one dot product for the mass.
     """
     flat = vals.reshape(len(weights), -1)
     value = (weights @ flat).reshape(vals.shape[1:])
-    return value[()], float(np.sum(weights @ np.abs(flat)))  # [()]: 0-d -> scalar
+    return value[()], float(weights @ sizes)  # [()]: 0-d -> scalar
 
 
-def _rows(vals, index):
-    """``vals[index]`` for an increasing ``index`` of the leading (node) axis.
+def _rows(vals, level):
+    """``vals[level]`` for a slice or an increasing index ``level`` of the leading (node) axis.
 
-    One level's share of a call that may serve two.  An index that takes
-    every row is the identity; any other gathers a contiguous array whose
-    node axis is the fastest one when it is so in ``vals`` (a sweep stores
-    its solutions so), so that the level's weighted sum takes the same BLAS
-    path, and sums in the same order, as on values from a call of its own.
+    One level's share of a call that may serve three.  Where the node axis
+    is not the fastest one (mode-fastest values, as the diagonal path stores
+    them), a slice is a strided view, and its weighted sum takes the same
+    BLAS path, and sums in the same order, as on values from a call of its
+    own.  Where it is the fastest one (a triangular sweep stores its
+    solutions so), a view would take another path, so the share is gathered
+    into an array whose node axis is again the fastest one.  A level that
+    takes every row is the identity.
     """
-    if len(index) == len(vals):
-        return vals
+    rows = vals[level]
+    if len(rows) == len(vals):
+        return rows
     if vals.ndim > 1 and abs(vals.strides[0]) < abs(vals.strides[-1]):
-        return np.take(vals.T, index, axis=-1).T
-    return np.take(vals, index, axis=0)
+        return np.ascontiguousarray(vals.T[..., level]).T
+    return rows
 
 
 def _nested(sums):
@@ -219,12 +253,12 @@ def trapezoid_lattice(lo, hi, h0, name="integral", levels=_TRAPEZOID_LEVELS):
     previous level's intervals.  A level's rule value is its weighted sum
     plus half the previous level's value (see :func:`_nested`).
     """
-    if not (np.isfinite(lo) and np.isfinite(hi) and np.isfinite(h0) and h0 > 0.0):
+    if not (isfinite(lo) and isfinite(hi) and isfinite(h0) and h0 > 0.0):
         raise ValueError(f"{name}: trapezoid window [{lo}, {hi}] with step {h0} "
                          "needs finite edges and a positive finite step")
     if hi <= lo:
         raise ValueError(f"empty integration window [{lo}, {hi}]")
-    n, h = max(int(np.ceil((hi - lo) / h0 - 0.5)), 1), h0
+    n, h = max(ceil((hi - lo) / h0 - 0.5), 1), h0
     weights = np.full(n + 1, h)
     weights[0] *= 0.5
     weights[-1] *= 0.5
@@ -235,23 +269,31 @@ def trapezoid_lattice(lo, hi, h0, name="integral", levels=_TRAPEZOID_LEVELS):
         n *= 2
 
 
-def _lattice_calls(lattice):
-    """The integrand calls over a nested lattice: ``(nodes, weights, levels)`` per call.
+def _lattice_calls(lo, hi, h, name):
+    """Integrand calls ``(nodes, weights, levels)`` over the lattice whose first call has step ``h``.
 
-    :func:`refine` never closes a block on its first level, so the first two
-    levels are laid as one call on the step-``h/2`` grid, in increasing
-    order: level 1 at the even positions, level 2 at the odd ones.  Every
-    later level is a call of its own.  ``levels`` holds, for each level the
-    call serves in order, the (increasing) index of its nodes and weights.
+    :func:`refine` closes a block at its second level at the earliest, and
+    certifies a geometric tail at its third, so the first three levels of
+    :func:`trapezoid_lattice` from step ``4h`` are laid as one call on the
+    step-``h`` grid, in increasing order: level 1 at positions ``0::4``,
+    level 2 at ``2::4`` and level 3 at ``1::2``.  Every later level is a call
+    of its own; the budget has two levels more than the lattice's default, so
+    the finest step is ``h/64``, as when the first level had step ``h``.
+    ``levels`` holds, for each level the call serves in order, the slice of
+    its nodes and weights.
     """
-    (first, first_weights), (second, second_weights) = next(lattice), next(lattice)
-    size = len(first) + len(second)
-    nodes, weights = np.empty(size), np.empty(size)
-    nodes[0::2], nodes[1::2] = first, second
-    weights[0::2], weights[1::2] = first_weights, second_weights
-    yield nodes, weights, (np.arange(0, size, 2), np.arange(1, size, 2))
+    lattice = trapezoid_lattice(lo, hi, 4.0 * h, name, _TRAPEZOID_LEVELS + 2)
+    _, first_weights = next(lattice)  # validates the window
+    size = 4 * len(first_weights) - 3
+    parts = (slice(0, None, 4), slice(2, None, 4), slice(1, None, 2))
+    weights = np.full(size, h)  # level 3
+    weights[parts[1]] = 2.0 * h
+    weights[parts[0]] = first_weights
+    # lo + h k is the node lo + (4h) (k/4) or lo + (2h) (k/2) of a coarser level, bit for bit
+    yield lo + h * np.arange(size), weights, parts
+    next(lattice), next(lattice)  # levels 2 and 3, laid above
     for nodes, weights in lattice:
-        yield nodes, weights, (np.arange(len(nodes)),)
+        yield nodes, weights, (slice(None),)
 
 
 def trapezoid_refine(g, lo, hi, tol, h0=0.25, name="integral"):
@@ -260,15 +302,18 @@ def trapezoid_refine(g, lo, hi, tol, h0=0.25, name="integral"):
     Intended for integrands that decay (near) to zero at both window edges,
     where the trapezoid rule on an exponentially decaying smooth function
     converges geometrically in ``1/h``.  The levels are those of
-    :func:`trapezoid_lattice`, so each evaluates ``g`` only at new nodes; the
-    first two share one call of ``g`` (see :func:`_lattice_calls`).
+    :func:`trapezoid_lattice`, so each evaluates ``g`` only at new nodes.
+    ``h0`` is the step of the first call of ``g``, which serves the first
+    three levels, of steps ``4 h0``, ``2 h0`` and ``h0`` (see
+    :func:`_lattice_calls`); ``|g|`` is formed once per call.
     """
 
     def sums():
-        for nodes, weights, levels in _lattice_calls(trapezoid_lattice(lo, hi, h0, name)):
+        for nodes, weights, levels in _lattice_calls(lo, hi, h0, name):
             vals = np.asarray(g(nodes))
+            sizes = _sizes(vals)
             for level in levels:
-                yield _weighted_sum(_rows(weights, level), _rows(vals, level))
+                yield _weighted_sum(weights[level], _rows(vals, level), sizes[level])
 
     return refine(_nested(sums()), tol, f"{name}: trapezoid")[0]
 
@@ -279,14 +324,24 @@ def trapezoid_refine(g, lo, hi, tol, h0=0.25, name="integral"):
 _NEAR_ONE = 2.0**-49
 
 
-def _merge_zeros(index, weights, zeros):
+def _within(part, first, stop):
+    """The slice ``part`` of a call's nodes, as a slice of its kept run ``first:stop``."""
+    start, step = part.start or 0, part.step or 1
+    return slice((start - first) % step, stop - first, step)
+
+
+def _merge_zeros(part, weights, zeros):
     """One level's rule on a call whose first ``zeros`` nodes, all ``x = 0``, are laid as one.
 
-    ``index`` (increasing) picks the level's nodes before the merge.  Returns
+    ``part`` (a slice) picks the level's nodes before the merge.  Returns
     their index into the merged call and their weights: the level's own
     nodes at ``x = 0`` become one node carrying their summed weight.
+    Without such nodes the slice is returned as it is.
     """
-    shift = max(zeros - 1, 0)
+    if not zeros:
+        return part, weights[part]
+    index = np.arange(len(weights))[part]
+    shift = zeros - 1
     lead = np.count_nonzero(index < zeros)  # a prefix: index rises
     if not lead:
         return index - shift, weights[index]
@@ -300,13 +355,15 @@ def integrate_unit(f, tol, singular_power=0.0, nodes0=64, name="integral"):
     The power substitution ``x = w^{1/(1+p)}`` removes the endpoint
     singularity exactly, and the tanh-sinh map ``w = 1/(1 + e^{-pi sinh t})``
     of ``t in [-4, 4]`` handles the remaining (derivative-level) endpoint
-    behavior.  The levels are those of :func:`trapezoid_lattice` in ``t``
-    from step ``8/nodes0`` (at most ``1/2``), with both Jacobians in the
-    weights.  Which nodes are dropped depends on ``t`` alone: those where
-    ``w`` underflows to 0 or lies within ``2^-49`` of 1, where neighbours
-    would round onto each other.  ``f`` must be vectorized and bounded on
-    ``[0, 1]`` (for ``p`` near -1 nodes underflow to ``x = 0``), and may
-    return arrays of shape ``(len(x), ...)``; the node axis is reduced.
+    behavior.  The levels are those of :func:`trapezoid_lattice` in ``t``,
+    with both Jacobians in the weights; the first call, on the grid of step
+    ``h = 8/nodes0`` (at most ``1/2``), serves the first three, of steps
+    ``4h``, ``2h`` and ``h`` (see :func:`_lattice_calls`).  Which nodes are
+    dropped depends on ``t`` alone: those where ``w`` underflows to 0 or lies
+    within ``2^-49`` of 1, where neighbours would round onto each other.
+    ``f`` must be vectorized and bounded on ``[0, 1]`` (for ``p`` near -1
+    nodes underflow to ``x = 0``), and may return arrays of shape
+    ``(len(x), ...)``; the node axis is reduced.
 
     A sequence of powers integrates one block per power against one
     integrand, so that work shared between blocks runs once per call.  All
@@ -314,9 +371,9 @@ def integrate_unit(f, tol, singular_power=0.0, nodes0=64, name="integral"):
     closes each on its own.  ``f`` is then called with a list of one node
     array per block, ``None`` for a closed block, and returns a list of one
     value array per block (anything for a closed one); the result stacks the
-    blocks on a leading axis.  The first call serves the first two levels
-    at once, on their joint increasing grid (see :func:`_lattice_calls`),
-    and every later call one level.  In this form the nodes where
+    blocks on a leading axis.  The first call serves the first three levels
+    at once, on their joint increasing grid, and every later call one level;
+    ``|f|`` is formed once per block and call.  In this form the nodes where
     ``x = w^{1/(1+p)}`` underflows to 0, about half of them for ``p`` near
     -1, are evaluated once per block and call, and each level sums its own
     share of their weight.  A scalar power keeps the plain form: ``f`` takes
@@ -334,14 +391,15 @@ def integrate_unit(f, tol, singular_power=0.0, nodes0=64, name="integral"):
         values, masses = [0.0] * len(powers), np.zeros(len(powers))
         open_ = np.ones(len(powers), dtype=bool)
         h = min(0.5, 8.0 / nodes0)
-        for t, weights, parts in _lattice_calls(trapezoid_lattice(-4.0, 4.0, h, name)):
+        for t, weights, parts in _lattice_calls(-4.0, 4.0, h, name):
             z = 0.5 * np.pi * np.sinh(t)
             w = 1.0 / (1.0 + np.exp(-2.0 * z))
             jacobian = (0.25 * np.pi) * np.cosh(t) / np.cosh(z) ** 2
-            keep = (w > 0.0) & (w < 1.0 - _NEAR_ONE) & (jacobian > 1e-300)
-            kept = np.cumsum(keep) - 1  # each node's place among the kept ones
-            parts = [kept[part][keep[part]] for part in parts]
-            w, jacobian, weights = w[keep], jacobian[keep], weights[keep]
+            # the kept nodes are one run: w rises with t, and the Jacobian falls with |t|
+            inside = np.flatnonzero((w > 0.0) & (w < 1.0 - _NEAR_ONE) & (jacobian > 1e-300))
+            first, stop = inside[0], inside[-1] + 1
+            parts = [_within(part, first, stop) for part in parts]
+            w, jacobian, weights = w[first:stop], jacobian[first:stop], weights[first:stop]
             nodes, rules = [None] * len(powers), [None] * len(powers)
             for b in np.flatnonzero(open_):
                 q = exponents[b]
@@ -351,10 +409,11 @@ def integrate_unit(f, tol, singular_power=0.0, nodes0=64, name="integral"):
                 rules[b] = [_merge_zeros(part, rule, zeros) for part in parts]
             blocks = f(nodes)
             blocks = [None if rule is None else np.asarray(vals) for rule, vals in zip(rules, blocks)]
+            sizes = [None if vals is None else _sizes(vals) for vals in blocks]
             for level in range(len(parts)):
                 for b in np.flatnonzero(open_):
                     index, rule = rules[b][level]
-                    value, mass = _weighted_sum(rule, _rows(blocks[b], index))
+                    value, mass = _weighted_sum(rule, _rows(blocks[b], index), sizes[b][index])
                     values[b], masses[b] = 0.5 * values[b] + value, 0.5 * masses[b] + mass
                 open_ = yield np.array(values), masses
 

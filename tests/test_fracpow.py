@@ -383,7 +383,7 @@ class TestContour:
         u = np.random.default_rng(30).standard_normal(12) + 0j
         resolvent_frac_power(gen, 0.0, 0.3, u, QuadratureSpec(tol=1e-14))
         z = np.concatenate(nodes)
-        assert len(z) >= 129 and z.real.min() > 0.0  # at least two levels of 64 steps
+        assert len(z) >= 65 and z.real.min() > 0.0  # at least four levels, up to 64 steps
         assert z.real.min() < 0.5 < 0.5 * ratio < z.real.max()  # and it encloses the spectrum
 
     def test_complex_spectrum_keeps_tanh_sinh(self, monkeypatch):
@@ -417,6 +417,52 @@ class TestContour:
         u = np.random.default_rng(29).standard_normal(128) + 0j
         assert relerr(balakrishnan_general(gen, s, u), gen.frac_power(s, u)) <= 1e-12
         assert sum(sweeps) <= 129
+
+
+def self_consistency_generators(rng, each=10):
+    """Real non-normal, complex non-normal and stiff diagonal generators, ``each`` of every kind.
+
+    Non-normal ones are ``V diag(lam) V^{-1}`` with ``-lam`` log-uniform in ``[1e-2, 1e3]``
+    (rotated off the real axis by a log-uniform ``|Im/Re|`` in ``[0.1, 30]`` for the complex
+    kind) and ``V = I + c N/||N||_2``, ``c`` log-uniform in ``[1e-2, 1]``; stiff ones span
+    ``-1`` to ``-10^{4..10}``.
+    """
+    gens = []
+    for kind in ("real", "complex", "stiff"):
+        for _ in range(each):
+            dim = int(rng.integers(6, 17))
+            if kind == "stiff":
+                gens.append(Generator(np.diag(-np.geomspace(1.0, 10.0 ** rng.uniform(4, 10), dim))))
+                continue
+            lam = -(10.0 ** rng.uniform(-2, 3, dim))
+            if kind == "complex":
+                lam = lam + 1j * lam * 10.0 ** rng.uniform(-1, 1.5, dim) * rng.choice([-1, 1], dim)
+            noise = rng.standard_normal((dim, dim))
+            vecs = np.eye(dim) + 10.0 ** rng.uniform(-2, 0) * noise / np.linalg.norm(noise, 2)
+            gens.append(Generator((vecs * lam) @ np.linalg.inv(vecs)))
+    return gens
+
+
+def test_routes_agree_with_themselves_at_a_tighter_tolerance():
+    """Each resolvent route at the default spec agrees with itself at ``tol = 1e-15``.
+
+    A route stops where the geometric tail of its changes meets its target, so its result
+    keeps the accuracy the target promises, relative to the result.  ``balakrishnan_second_kind``
+    integrates terms of the size of ``A u`` that cancel to ``A^s u``, by up to ``2e7`` on the
+    stiff kind here (1e-8 relative error with its target relative to ``|A u|``), and narrows its
+    tolerance by that ratio.
+    """
+    rng = np.random.default_rng(29)
+    fine = QuadratureSpec(tol=1e-15)
+    for case, gen in enumerate(self_consistency_generators(rng)):
+        u = rng.standard_normal(gen.dim) + 1j * rng.standard_normal(gen.dim)
+        s, alpha = rng.uniform(0.05, 2.95, 2)
+        s_second = rng.uniform(0.05, 1.95)
+        for name, call in (("general", lambda q: balakrishnan_general(gen, s, u, q)),
+                           ("second kind", lambda q: balakrishnan_second_kind(gen, s_second, u, q)),
+                           ("inverse", lambda q: resolvent_frac_power(gen, 0.0, alpha, u, q))):
+            got, tight = call(None), call(fine)
+            assert np.linalg.norm(got - tight) <= 1e-12 * np.linalg.norm(got), (case, name)
 
 
 class TestCConstant:

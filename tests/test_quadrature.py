@@ -13,6 +13,8 @@ from fracext.quadrature import (
     QuadratureSpec,
     _nested,
     _norm,
+    _roundoff_floor,
+    _sizes,
     _weighted_sum,
     extrapolation_spread,
     hht_contour,
@@ -45,10 +47,13 @@ def test_spec_rejects_non_finite_tolerance(tol):
 
 
 def test_integrate_unit_power_singularities():
-    # int_0^1 x^p dx = 1/(1+p), handled exactly by the power substitution
+    # int_0^1 x^p dx = 1/(1+p), handled exactly by the power substitution; at p = -0.999 the value
+    # 1000 is known only to the roundoff floor refine stops at (7.1e-12), the size of the
+    # 2^-49 * 1000 = 1.8e-12 of weight that integrate_unit drops next to 1
     for p in (-0.5, -0.9, -0.999, 0.7):
         val = integrate_unit(lambda x: np.ones_like(x), 1e-13, singular_power=p)
-        assert abs(val - 1.0 / (1.0 + p)) < 1e-12
+        exact = 1.0 / (1.0 + p)
+        assert abs(val - exact) < (_roundoff_floor(exact) if p == -0.999 else 1e-12), p
 
 
 def test_integrate_unit_log_endpoint():
@@ -175,21 +180,22 @@ def test_tanh_sinh_nodes_strictly_increase():
 
 @pytest.mark.parametrize("f, p", [(np.cos, 0.0), (np.ones_like, -0.999), (np.sin, 0.7)])
 def test_integrate_unit_level_sizes(f, p):
-    # levels of 15, 14, 28 and 57 nodes: the first call serves the first two
+    # the first call serves the levels of steps 2, 1 and 1/2 (15 nodes once the ends are dropped),
+    # then one call per level; the level of step 1/8 certifies its geometric tail
     g, calls = recording(f)
     integrate_unit(g, 1e-14, singular_power=p, nodes0=16)
-    assert [len(x) for x in calls] == [29, 28, 57]
+    assert [len(x) for x in calls] == [15, 14, 28]
 
 
 def test_two_level_integrals_call_the_integrand_once():
-    # an integral that closes on its second level evaluates both levels in one call, on the
-    # step-h/2 grid in increasing order
+    # an integral that closes on its second or third level evaluates all three in one call, on
+    # the grid of the first call's step in increasing order
     g, calls = recording(lambda x: np.exp(-x * x))
     assert abs(trapezoid_refine(g, -8.0, 8.0, 1e-13) - np.sqrt(np.pi)) <= 1e-15
-    assert len(calls) == 1 and np.array_equal(calls[0], -8.0 + 0.125 * np.arange(129))
+    assert len(calls) == 1 and np.array_equal(calls[0], -8.0 + 0.25 * np.arange(65))
     g, calls = recording(np.ones_like)
     assert abs(integrate_unit(g, 1e-13, nodes0=64) - 1.0) <= 1e-14
-    assert len(calls) == 1 and np.array_equal(calls[0], tanh_sinh_reference(0.0625)[0])
+    assert len(calls) == 1 and np.array_equal(calls[0], tanh_sinh_reference(0.125)[0])
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
@@ -201,16 +207,20 @@ def test_first_call_sums_each_level_as_a_call_of_its_own(order):
     def g(x):
         return np.asarray(np.exp(-np.multiply.outer(x * x, freqs)), order=order)
 
-    sums = (_weighted_sum(w, g(x)) for x, w in trapezoid_lattice(-6.0, 6.0, 0.5))
-    expected = refine(_nested(sums), 1e-13, "per level")[0]
+    def sums():
+        for x, w in trapezoid_lattice(-6.0, 6.0, 2.0, levels=9):  # the first call's step is 0.5
+            vals = g(x)
+            yield _weighted_sum(w, vals, _sizes(vals))
+
+    expected = refine(_nested(sums()), 1e-13, "per level")[0]
     assert np.array_equal(trapezoid_refine(g, -6.0, 6.0, 1e-13, h0=0.5), expected)
 
 
 @pytest.mark.parametrize("matrix", ["random:128:7", "laplacian1d:128", "nonnormal"])
 def test_resolvent_and_bbw_level_sizes(monkeypatch, matrix):
     # a real spectrum: one sweep per integrand call of the contour's trapezoid rule, the first
-    # serving its first two levels; a complex one keeps tanh-sinh, whose two halves are blocks of
-    # one call, solved in one sweep per call
+    # serving its first three levels; a complex one keeps tanh-sinh, whose two halves are blocks
+    # of one call, solved in one sweep per call
     unit_sizes, trapezoids, sweeps = {}, [], []
 
     def sized(f, *args, name, **kwargs):
@@ -240,17 +250,44 @@ def test_resolvent_and_bbw_level_sizes(monkeypatch, matrix):
     u = np.random.default_rng(1).standard_normal(gen.dim) + 0j
     fracext.fracpow.balakrishnan_general(gen, 0.3, u)
     fracext.fracpow.bbw_frac_power(gen, 0.3, 1, u)
-    # laplacian1d:128's first contour level (64 steps over the period) is off by 2e-12 here, so
-    # a third level runs; every other integral closes on its second level, in one sweep
-    assert sweeps == {"random:128:7": [129], "laplacian1d:128": [129, 128],
-                      "nonnormal": [454]}[matrix]
+    # the contour's first call takes 64 steps over the period at hi/lo = 20 (random:128:7) and
+    # 128 at 6.7e3 (laplacian1d:128); every integral certifies its tail on its third level, in
+    # one sweep
+    assert sweeps == {"random:128:7": [65], "laplacian1d:128": [129],
+                      "nonnormal": [228]}[matrix]
     if matrix == "nonnormal":
         inner, outer = ([len(x[b]) for x in unit_sizes["balakrishnan"] if x[b] is not None]
                         for b in (0, 1))
-        assert inner == [227] and outer == [227]  # levels of 114 and 113 nodes each
+        assert inner == [114] and outer == [114]  # levels of 29, 28 and 57 nodes each
         assert trapezoids == ["bbw rays"]  # BBW runs on its rays, not on integrate_unit
     else:
         assert trapezoids == ["balakrishnan", "bbw rays"] and not unit_sizes
+
+
+@pytest.mark.parametrize("matrix, sizes", [("random:128:7", [228]), ("laplacian1d:128", [228, 113]),
+                                           ("nonnormal", [228])])
+def test_second_kind_level_sizes(monkeypatch, matrix, sizes):
+    # split tanh-sinh on every spectrum: the first call lays the first three levels of both halves
+    # (114 nodes each) in one sweep; on laplacian1d:128 one half needs one level more
+    sweeps = []
+
+    def counted(alpha, beta, tri, rhs):
+        x = solve(alpha, beta, tri, rhs)
+        sweeps.append(len(x))
+        return x
+
+    solve = fracext.fracpow._shifted_triangular_solve
+    monkeypatch.setattr(fracext.fracpow, "_shifted_triangular_solve", counted)
+    if matrix == "nonnormal":
+        vecs, lam = nonnormal_factors()
+        gen = Generator((vecs * lam) @ np.linalg.inv(vecs))
+    else:
+        gen = builtin_matrix(matrix)
+    u = np.random.default_rng(1).standard_normal(gen.dim) + 0j
+    for s in (0.3, 1.5):
+        sweeps.clear()
+        fracext.fracpow.balakrishnan_second_kind(gen, s, u)
+        assert sweeps == sizes, s
 
 
 def test_integrate_unit_blocks_match_single_calls():
@@ -279,7 +316,7 @@ def test_integrate_unit_blocks_merge_zero_nodes():
     powers = [-0.999, -0.99]
     g, calls = recording_blocks(lambda xs: [None if x is None else f(x) for x in xs])
     both = integrate_unit(g, 1e-12, singular_power=powers, nodes0=128)
-    assert all(np.count_nonzero(x == 0.0) <= 1 for xs in calls for x in xs if x is not None)
+    assert all(np.count_nonzero(x == 0.0) == 1 for xs in calls for x in xs if x is not None)
     for b, p in enumerate(powers):
         single, single_calls = recording(f)
         value = integrate_unit(single, 1e-12, singular_power=p, nodes0=128)
@@ -288,9 +325,10 @@ def test_integrate_unit_blocks_merge_zero_nodes():
         assert len(merged) == len(single_calls)
         for x, y in zip(merged, single_calls):
             assert np.count_nonzero(y == 0.0) > 1 and np.array_equal(x[1:], y[y > 0.0])
-    # both levels, of 114 and 113 nodes, in one call: 51 + 51 - 1 and 76 + 76 - 1 once merged
-    assert [[len(x) for x in xs] for xs in calls] == [[101, 151]]
-    assert all(np.all(np.diff(x) > 0.0) for xs in calls for x in xs)
+    # the first three levels, of 114 nodes (64 of them at x = 0 for p = -0.999, 39 for -0.99), in
+    # one call: 51 and 76 once merged; p = -0.999 needs one level more, of 113 nodes (63 at 0)
+    assert [[None if x is None else len(x) for x in xs] for xs in calls] == [[51, 76], [51, None]]
+    assert all(np.all(np.diff(x) > 0.0) for xs in calls for x in xs if x is not None)
 
 
 def test_trapezoid_levels_evaluate_each_node_once():
@@ -298,10 +336,10 @@ def test_trapezoid_levels_evaluate_each_node_once():
     g, calls = recording(lambda x: 1.0 / np.cosh(x))
     val = trapezoid_refine(g, lo, hi, 1e-13, h0=h0)
     assert len(calls) >= 2 and all(np.all(np.diff(x) > 0.0) for x in calls)
-    levels = len(calls) + 1  # the first call serves the first two
+    levels = len(calls) + 2  # the first call serves the first three, from step 4 h0
     nodes = np.concatenate(calls)
-    count = int(np.ceil((hi - lo) / h0 - 0.5)) * 2 ** (levels - 1)
-    h = h0 / 2 ** (levels - 1)
+    count = int(np.ceil((hi - lo) / (4.0 * h0) - 0.5)) * 2 ** (levels - 1)
+    h = 4.0 * h0 / 2 ** (levels - 1)
     finest = lo + h * np.arange(count + 1)
     assert len(nodes) == len(finest) == len(np.unique(nodes))
     assert np.array_equal(np.sort(nodes), finest)
@@ -316,7 +354,7 @@ def test_integrate_unit_levels_evaluate_each_node_once():
     val = integrate_unit(g, 1e-14, nodes0=16)
     assert len(calls) >= 2 and all(np.all(np.diff(x) > 0.0) for x in calls)
     nodes = np.concatenate(calls)
-    finest_x, finest_w = tanh_sinh_reference(0.5 / 2 ** len(calls))  # len(calls) + 1 levels
+    finest_x, finest_w = tanh_sinh_reference(0.5 / 2 ** (len(calls) - 1))  # first call's step 1/2
     assert len(nodes) == len(finest_x)
     assert np.array_equal(np.sort(nodes), finest_x)
     reference = np.sum(finest_w * np.cos(finest_x))
@@ -328,9 +366,9 @@ def test_nested_vector_values_match_the_direct_sum():
         return np.stack([np.exp(-x * x), 1j * x * np.exp(-x * x), np.exp(-x * x + 0.5j * x)], axis=1)
 
     g, calls = recording(f)
-    val = trapezoid_refine(g, -7.0, 7.0, 1e-13, h0=1.0)
+    val = trapezoid_refine(g, -7.0, 7.0, 1e-13, h0=0.5)  # first level of step 2
     assert len(calls) >= 2
-    h = 1.0 / 2 ** len(calls)  # the first call serves the first two levels
+    h = 0.5 / 2 ** (len(calls) - 1)  # the first call has step h0, each later one halves it
     finest = -7.0 + h * np.arange(round(14.0 / h) + 1)
     weights = np.full(len(finest), h)
     weights[[0, -1]] *= 0.5
@@ -341,7 +379,7 @@ def test_nested_vector_values_match_the_direct_sum():
     g, calls = recording(lambda x: f(x).reshape(-1, 3, 1))
     val = integrate_unit(g, 1e-13, singular_power=-0.5, nodes0=16)
     assert len(calls) >= 2
-    w_nodes, weights = tanh_sinh_reference(0.5 / 2 ** len(calls))
+    w_nodes, weights = tanh_sinh_reference(0.5 / 2 ** (len(calls) - 1))
     reference = 2.0 * (weights @ f(w_nodes**2))
     assert val.shape == (3, 1)
     assert np.linalg.norm(val[:, 0] - reference) <= 1e-15 * np.linalg.norm(reference)
@@ -415,16 +453,23 @@ def test_stacked_norm_matches_row_by_row():
 
 
 def close_levels(blocks, tol):
-    """For each block (a list of ``(value, mass)`` levels), the level the stopping rule closes it at."""
+    """For each block (a list of ``(value, mass)`` levels), the level the stopping rule closes it at.
+
+    A block closes where its change meets the target, or where the change fell below half the
+    previous one and the geometric tail ``change rho/(1 - rho)`` meets it.
+    """
     out = []
     for levels in blocks:
+        last = None
         for i in range(1, len(levels)):
             value, mass = levels[i]
             change = norm_of_one_row(value - levels[i - 1][0])
             target = max(tol * max(1.0, norm_of_one_row(value)), 32.0 * np.finfo(float).eps * mass)
-            if change <= target:
+            rho = 1.0 if last is None else change / last
+            if change <= target or (rho < 0.5 and change * rho / (1.0 - rho) <= target):
                 out.append(i)
                 break
+            last = change
         else:
             out.append(None)
     return out
@@ -457,6 +502,57 @@ def test_refine_closes_each_block_where_a_per_block_loop_does():
     assert closed_at == expected
     for b, level in enumerate(expected):
         assert np.array_equal(result[b], blocks[b][level][0])
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.75, 1.0, 2.0])
+def test_refine_never_closes_early_where_the_change_did_not_halve(rho):
+    """Changes falling by ``rho >= 1/2`` close a block only where two levels agree.
+
+    Where they stall (``rho = 1``) or grow, ``change rho/(1 - rho)`` is no bound at all, and
+    the levels run out instead.
+    """
+    tol, depth = 1e-10, 20
+    changes = 1e-8 * rho ** np.arange(depth - 1)
+    values = np.concatenate(([1.0], 1.0 + np.cumsum(changes)))
+    agree = [i + 1 for i, c in enumerate(changes) if c <= tol * values[i + 1]]
+    sent = []
+
+    def levels():
+        for v in values:
+            sent.append((yield np.array([[v]]), (v,)))
+
+    if not agree:
+        with pytest.raises(ConvergenceError, match="stalled"):
+            refine(levels(), tol, "probe")
+        assert len(sent) == depth
+        return
+    result = refine(levels(), tol, "probe")
+    assert len(sent) == agree[0] and result[0, 0] == values[agree[0]]
+
+
+def test_h2_sequence_closes_where_its_richardson_tail_meets_the_target():
+    """The trapezoid rule on ``e^x`` over ``[0, 1]``, which does not decay: ``O(h^2)`` changes.
+
+    Its level of step ``h`` is ``(e - 1) (h/2) coth(h/2)``, so each change is about a quarter of
+    the previous one (``rho = 1/4``) and the geometric tail ``change rho/(1 - rho)`` is
+    Richardson's ``change/3``.  The rule closes the first level whose ``change/3`` meets the
+    target, one level before two levels agree, and that level is within the target of the
+    exact value.
+    """
+    exact = np.expm1(1.0)
+    tol, h0 = 1e-5, 1.0 / 32.0
+    steps = 4.0 * h0 / 2.0 ** np.arange(9)  # the lattice's levels, from step 4 h0
+    values = exact * (0.5 * steps) / np.tanh(0.5 * steps)
+    changes = values[:-1] - values[1:]  # changes[i] at level i + 2
+    target = tol * values
+    tail = [i + 2 for i, c in enumerate(changes) if c / 3.0 <= target[i + 1]][0]
+    agree = [i + 2 for i, c in enumerate(changes) if c <= target[i + 1]][0]
+    assert (tail, agree) == (5, 6)
+    g, calls = recording(np.exp)
+    val = trapezoid_refine(g, 0.0, 1.0, tol, h0=h0)
+    assert [len(x) for x in calls] == [33, 32, 64]  # levels 1 to 3 in one call, then 4 and 5
+    assert abs(val - values[tail - 1]) <= 1e-14 * exact
+    assert tol * exact / 2.0 < val - exact <= tol * exact
 
 
 def richardson_by_entry(values, exponents, ratio=2.0):
