@@ -158,16 +158,17 @@ def _contour_steps(lo, hi, tol):
     """Steps of the first integrand call over the contour's period: a power of two, at least 16.
 
     The trapezoid rule on :func:`~fracext.quadrature.hht_contour` errs by
-    about ``exp(-pi^2 steps / (2 (log(hi/lo) + 3)))``: 3.7e-12 at 32 steps
-    for ``hi/lo = 20`` (2e-12 measured) and 2.5e-12 at 64 steps for
-    ``hi/lo = 6.7e3`` (2.0e-12 measured).  The first call's finest level
-    (see :func:`~fracext.quadrature.trapezoid_refine`) takes enough steps to
-    meet ``tol`` at that rate, so the change from the level before it, at
-    half the steps, shows the rate the geometric tail of
-    :func:`~fracext.quadrature.refine` certifies.  The floor of 16 keeps four
-    steps on the coarsest level when ``tol`` is loose.
+    about ``e(N) = exp(-a N)`` at ``N`` steps, ``a = pi^2 / (2 (log(hi/lo) + 3))``:
+    3.7e-12 at 32 steps for ``hi/lo = 20`` (2e-12 measured) and 2.5e-12 at
+    64 steps for ``hi/lo = 6.7e3`` (2.0e-12 measured).  The first call
+    serves three levels, of ``N/4``, ``N/2`` and ``N`` steps (see
+    :func:`~fracext.quadrature.trapezoid_refine`), and the geometric tail of
+    :func:`~fracext.quadrature.refine` certifies the third where
+    ``e(N/2)^2 / e(N/4) = exp(-3 a N/4)`` meets ``tol``, so ``N`` is the
+    least power of two with ``3 a N/4 >= log(1/tol)``.  The floor of 16
+    keeps four steps on the coarsest level when ``tol`` is loose.
     """
-    need = 2.0 * (log(hi / lo) + 3.0) * log(1.0 / tol) / pi**2
+    need = 8.0 / 3.0 * (log(hi / lo) + 3.0) * log(1.0 / tol) / pi**2
     return 2 ** max(4, ceil(log2(max(need, 1.0))))
 
 
@@ -190,7 +191,7 @@ def _resolvent_integral(factor, w, sig, shift, quad, name):
     in ``tau`` converges geometrically, and its first call takes the steps
     :func:`_contour_steps` predicts for ``quad.tol``, whatever ``quad.nodes``:
     at the default ``tol`` a ratio ``hi/lo`` of 20 takes 65 solves in one
-    sweep, ``6.7e3`` 129, and ``1e16`` 513 in two.  No ``1/sig`` or
+    sweep, ``6.7e3`` 129, and ``1e16`` 513.  No ``1/sig`` or
     ``1/(1 - sig)`` appears, so ``sig`` near ``0`` or ``1`` needs no care.
 
     A complex spectrum is not enclosed by that contour and takes

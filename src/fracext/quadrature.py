@@ -35,7 +35,6 @@ Failure to meet the tolerance within the level budget raises
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import ceil, isfinite
 
 import numpy as np
 
@@ -111,10 +110,8 @@ def _norm(rows):
     size = np.abs(rows).reshape(len(rows), -1)
     peak = size.max(axis=1)
     scaled = (0.0 < peak) & (peak < np.inf)
-    if scaled.all():
-        size /= peak[:, None]
-        return peak * np.sqrt((size[:, None, :] @ size[:, :, None]).ravel())
-    size[~scaled] = 0.0
+    if not scaled.all():
+        size[~scaled] = 0.0
     scale = np.where(scaled, peak, 1.0)
     size /= scale[:, None]
     return np.where(scaled, scale * np.sqrt((size[:, None, :] @ size[:, :, None]).ravel()), peak)
@@ -253,12 +250,12 @@ def trapezoid_lattice(lo, hi, h0, name="integral", levels=_TRAPEZOID_LEVELS):
     previous level's intervals.  A level's rule value is its weighted sum
     plus half the previous level's value (see :func:`_nested`).
     """
-    if not (isfinite(lo) and isfinite(hi) and isfinite(h0) and h0 > 0.0):
+    if not (np.isfinite(lo) and np.isfinite(hi) and np.isfinite(h0) and h0 > 0.0):
         raise ValueError(f"{name}: trapezoid window [{lo}, {hi}] with step {h0} "
                          "needs finite edges and a positive finite step")
     if hi <= lo:
         raise ValueError(f"empty integration window [{lo}, {hi}]")
-    n, h = max(ceil((hi - lo) / h0 - 0.5), 1), h0
+    n, h = max(int(np.ceil((hi - lo) / h0 - 0.5)), 1), h0
     weights = np.full(n + 1, h)
     weights[0] *= 0.5
     weights[-1] *= 0.5
@@ -305,7 +302,9 @@ def trapezoid_refine(g, lo, hi, tol, h0=0.25, name="integral"):
     :func:`trapezoid_lattice`, so each evaluates ``g`` only at new nodes.
     ``h0`` is the step of the first call of ``g``, which serves the first
     three levels, of steps ``4 h0``, ``2 h0`` and ``h0`` (see
-    :func:`_lattice_calls`); ``|g|`` is formed once per call.
+    :func:`_lattice_calls`); ``|g|`` is formed once per call.  The lattice
+    starts from step ``4 h0``, so its nodes end within ``2 h0`` of ``hi``
+    (at ``lo + 4 h0`` on a window shorter than ``2 h0``).
     """
 
     def sums():

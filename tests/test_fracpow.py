@@ -382,8 +382,11 @@ class TestContour:
         gen = Generator(np.diag(-np.geomspace(0.5, 0.5 * ratio, 12)))
         u = np.random.default_rng(30).standard_normal(12) + 0j
         resolvent_frac_power(gen, 0.0, 0.3, u, QuadratureSpec(tol=1e-14))
+        # one call carries the first three levels and certifies the third: 64 steps at
+        # hi/lo = 4, 128 at 6.7e3 and 512 at 1e16
+        assert [len(z) for z in nodes] == [{4.0: 65, 6.7e3: 129, 1e16: 513}[ratio]]
         z = np.concatenate(nodes)
-        assert len(z) >= 65 and z.real.min() > 0.0  # at least four levels, up to 64 steps
+        assert z.real.min() > 0.0
         assert z.real.min() < 0.5 < 0.5 * ratio < z.real.max()  # and it encloses the spectrum
 
     def test_complex_spectrum_keeps_tanh_sinh(self, monkeypatch):
@@ -416,7 +419,7 @@ class TestContour:
         gen = builtin_matrix("random:128:3")
         u = np.random.default_rng(29).standard_normal(128) + 0j
         assert relerr(balakrishnan_general(gen, s, u), gen.frac_power(s, u)) <= 1e-12
-        assert sum(sweeps) <= 129
+        assert sweeps == [65]  # hi/lo = 13.3: 64 steps, whose third level certifies the tail
 
 
 def self_consistency_generators(rng, each=10):
@@ -463,6 +466,30 @@ def test_routes_agree_with_themselves_at_a_tighter_tolerance():
                            ("inverse", lambda q: resolvent_frac_power(gen, 0.0, alpha, u, q))):
             got, tight = call(None), call(fine)
             assert np.linalg.norm(got - tight) <= 1e-12 * np.linalg.norm(got), (case, name)
+
+
+def test_second_kind_agrees_with_itself_on_stiff_nonnormal_generators():
+    """``balakrishnan_second_kind`` at the default spec agrees with itself at ``tol = 1e-15``.
+
+    Its tolerance is narrowed by a lower bound of ``|A^s u|/|A u|`` that log-convexity of
+    ``t -> |A^t u|`` proves for normal ``L`` only.  Here ``L`` is ``convection_diffusion(64, 20)``
+    (eigenvector condition 1.8e4) or ``V diag(-geomspace(1, top)) V^{-1}`` with
+    ``V = I + c N/||N||_2``; without the narrowing eight of these cases miss, by up to 4e-7 at
+    ``top = 1e10`` and ``s = 0.1``.
+    """
+    rng = np.random.default_rng(31)
+    gens = [Generator(convection_diffusion(64, 20.0))]
+    for top in (1e6, 1e8, 1e10):
+        for c in (0.1, 3.0):
+            noise = rng.standard_normal((16, 16))
+            vecs = np.eye(16) + c * noise / np.linalg.norm(noise, 2)
+            gens.append(Generator((vecs * -np.geomspace(1.0, top, 16)) @ np.linalg.inv(vecs)))
+    fine = QuadratureSpec(tol=1e-15)
+    for case, gen in enumerate(gens):
+        u = rng.standard_normal(gen.dim) + 1j * rng.standard_normal(gen.dim)
+        for s in (0.1, 0.3, 0.5, 1.1, 1.9):
+            got, tight = balakrishnan_second_kind(gen, s, u), balakrishnan_second_kind(gen, s, u, fine)
+            assert np.linalg.norm(got - tight) <= 1e-12 * np.linalg.norm(got), (case, s)
 
 
 class TestCConstant:

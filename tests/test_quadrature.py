@@ -385,6 +385,22 @@ def test_nested_vector_values_match_the_direct_sum():
     assert np.linalg.norm(val[:, 0] - reference) <= 1e-15 * np.linalg.norm(reference)
 
 
+@pytest.mark.parametrize("steps", [0.3, 1.9, 2.1, 5.9, 6.1, 10.0, 13.7])
+def test_trapezoid_refine_covers_its_window_to_within_two_steps(steps):
+    # the lattice starts from step 4 h0, so windows that are not a multiple of 4 h0 are
+    # covered to within 2 h0 of hi, or to lo + 4 h0 when they are shorter than 2 h0
+    lo, h0 = -1.0, 0.25
+    hi = lo + steps * h0
+    g, calls = recording(np.ones_like)
+    trapezoid_refine(g, lo, hi, 1e-12, h0=h0)
+    first = calls[0]
+    assert first[0] == lo and np.allclose(np.diff(first), h0)
+    if steps < 2.0:
+        assert first[-1] == lo + 4.0 * h0
+    else:
+        assert abs(first[-1] - hi) <= 2.0 * h0 and (first[-1] - lo) % (4.0 * h0) == 0.0
+
+
 @pytest.mark.parametrize(
     "lo, hi, h0",
     [(0.0, 1.0, 0.0), (0.0, 1.0, -0.1), (-np.inf, 1.0, 0.25), (0.0, np.inf, 0.25),
