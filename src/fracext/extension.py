@@ -59,12 +59,15 @@ keeps its geometric convergence (Trefethen & Weideman, "The exponentially
 convergent trapezoidal rule", SIAM Rev. 56, 2014).  That rate depends on the
 integrand's strip of analyticity, not on the window's length, so the
 lattice's first step lays ``QuadratureSpec.nodes`` steps across the union of
-the windows.  Each refinement level reduces the weights of every ``y`` and
-``alpha`` against the table in one matrix product, and the outputs are
-batched products of their scalar chain coefficients with those sums; each
-``y`` stops refining on its own.  Every public derivative function accepts
-a scalar ``y`` or a 1-d array of them, so a schedule or a profile grid is
-one call on one table.
+the windows.  Each refinement level is one call of the lattice loop every
+adaptive rule shares (:func:`fracext.quadrature._lattice_refine`): it
+reduces the weights of every open ``y`` and ``alpha`` against the table's
+new nodes in one matrix product, and the outputs it adds are batched
+products of their scalar chain coefficients with those new sums; the chain
+is linear, so the loop's "new sum plus half the previous level" applies to
+the outputs themselves.  Each ``y`` stops refining on its own.  Every
+public derivative function accepts a scalar ``y`` or a 1-d array of them,
+so a schedule or a profile grid is one call on one table.
 
 Every integrand is linear in ``u`` and ``L = V diag(lam) V^{-1}`` is factored
 once, so the integrals run per mode: on the eigencoordinates ``c = V^{-1} u``
@@ -84,11 +87,13 @@ from scipy.special import gamma
 from .fracpow import FracOrder, as_order
 from .operators import Generator
 from .quadrature import (
+    _EPS,
     _KERNEL_DECAY,
     _TAIL_TERMS,
     _TRAPEZOID_LEVELS,
+    ConvergenceError,
     QuadratureSpec,
-    refine,
+    _lattice_refine,
     trapezoid_lattice,
     trapezoid_refine,
 )
@@ -115,6 +120,9 @@ __all__ = [
 # the subnormal range, where the arithmetic is several times slower.
 _FACTOR_FLOOR = -600.0
 _LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))  # ~709.78
+# The explicit representation refuses to return a result whose estimated relative loss to
+# cancellation, 16 eps ||poly|| / ||result||, exceeds this (see _explicit_radial).
+_EXPLICIT_LOSS = 1e-9
 # The ray r = rho e^{i theta}, theta = -pi/4, on which the table holds every mode of a complex
 # spectrum (those with Im lam < 0 conjugated, see _subordinate).
 _THETA = -0.25 * np.pi
@@ -307,12 +315,15 @@ def _subordinate(gen, lam, coef, kpows, base, alphas, ys, quad, name, k=-1, offs
     analyticity, not on the window's length, so a ``y`` with a narrow window
     needs no finer first step than the union's; the lattice gets one more
     level per halving from that step to the narrowest window's own, so its
-    finest level is as fine as that window alone would reach.  Per level one
-    matrix product reduces the weights of every open ``(y, alpha)`` against
-    the table's new nodes, one more their L1 mass, and one batched product of
-    ``coef`` with the sums times ``lam^kpows[i] base[a]`` gives every output;
-    each ``y`` passes the stopping rule of :func:`refine` on its own
-    ``(outputs, dim)`` block.  Scales ``e^{offsets[y, a]}`` enter the
+    finest level is as fine as that window alone would reach.  Each level is
+    one call of :func:`~fracext.quadrature._lattice_refine`, with one block
+    per ``y``: one matrix product reduces the weights of every open ``(y,
+    alpha)`` against the table's new nodes, one more their L1 mass (none for
+    the positive ``e^-r`` weights on a real spectrum, whose sums are their
+    mass), and one batched product of ``coef`` with the new sums times
+    ``lam^kpows[i] base[a]`` gives what the level adds to every output; each
+    ``y`` passes the stopping rule of :func:`~fracext.quadrature.refine` on
+    its own ``(outputs, dim)`` block.  Scales ``e^{offsets[y, a]}`` enter the
     exponent of the weight: at tiny ``y`` the left window edge sits at ``r ~
     y^2``, where ``r^alpha`` alone overflows for ``alpha < 0`` although its
     product with the scale is moderate.
@@ -342,49 +353,37 @@ def _subordinate(gen, lam, coef, kpows, base, alphas, ys, quad, name, k=-1, offs
         spin = np.exp(1j * _THETA * alphas)[:, None]  # e^{i theta alpha}, the phase of r^alpha
         flip = np.where(lam.imag < 0, -1.0, 1.0)  # conjugates the stored columns' sums back
 
-    def levels():
-        raw = np.zeros((ys.size * alphas.size, lam.size), dtype=lam.dtype)  # one row per (y, alpha)
-        raw_mass = np.zeros(raw.shape)
-        open_ = np.ones(ys.size, dtype=bool)
-        for taus, weights in trapezoid_lattice(start, stop, step, name, budget):
-            keep = (taus >= t_lo[open_].min()) & (taus <= t_hi[open_].max())
-            taus, weights = taus[keep], weights[keep]
-            inside = (taus >= t_lo[open_, None]) & (taus <= t_hi[open_, None])
-            x = np.clip(log_c[open_, None] - taus, lo[open_, None], hi)[:, None, :]
-            expo = alphas[:, None] * x + offsets[open_, :, None]
-            arg = np.multiply.outer(np.exp(taus), rates)
-            table = np.exp(arg, out=np.zeros_like(arg), where=arg.real > _FACTOR_FLOOR)
-            if rotated:
-                # r^alpha e^-r at r = rho e^{i theta}: its size, and its phase
-                # e^{i (theta alpha - rho sin theta)}
-                rho = np.exp(x)
-                size = np.exp(expo - rate * rho)
-                size = np.where(inside[:, None, :], size * weights, 0.0)
-                phase = spin * np.exp(-1j * np.sin(_THETA) * rho)
-                new = (size * phase).reshape(-1, taus.size) @ table
-                new.imag *= flip
-                new_mass = size.reshape(-1, taus.size) @ np.abs(table)
-            else:
-                weight = np.exp(expo - np.exp(x)) if k < 0 else _exp_tail_log(k, x) * np.exp(expo)
-                weight = np.where(inside[:, None, :], weight * weights, 0.0).reshape(-1, taus.size)
-                if np.iscomplexobj(table):  # two real products instead of one complex one
-                    new = (weight @ table.view(float)).view(table.dtype)
-                    new_mass = np.abs(weight) @ np.abs(table)
-                else:
-                    new = weight @ table
-                    new_mass = new if k < 0 else np.abs(weight) @ table  # e^-r weights are positive
-            if open_.all():
-                raw = 0.5 * raw + new
-                raw_mass = 0.5 * raw_mass + new_mass
-            else:
-                rows = np.repeat(open_, alphas.size)
-                raw[rows] = 0.5 * raw[rows] + new
-                raw_mass[rows] = 0.5 * raw_mass[rows] + new_mass
-            values = _chain_products(coef, factors, raw.reshape(ys.size, alphas.size, lam.size))
-            masses = np.einsum("yam,yam->ym", sizes, raw_mass.reshape(sizes.shape)).sum(axis=1)
-            open_ = yield values, masses
+    def sums(taus, weights, parts, open_):
+        keep = (taus >= t_lo[open_].min()) & (taus <= t_hi[open_].max())
+        taus, weights = taus[keep], weights[keep]
+        inside = (taus >= t_lo[open_, None]) & (taus <= t_hi[open_, None])
+        x = np.clip(log_c[open_, None] - taus, lo[open_, None], hi)[:, None, :]
+        expo = alphas[:, None] * x + offsets[open_, :, None]
+        arg = np.multiply.outer(np.exp(taus), rates)
+        table = np.exp(arg, out=np.zeros_like(arg), where=arg.real > _FACTOR_FLOOR)
+        if rotated:
+            # r^alpha e^-r at r = rho e^{i theta}: its size, and its phase
+            # e^{i (theta alpha - rho sin theta)}
+            rho = np.exp(x)
+            size = np.exp(expo - rate * rho)
+            size = np.where(inside[:, None, :], size * weights, 0.0)
+            phase = spin * np.exp(-1j * np.sin(_THETA) * rho)
+            new = (size * phase).reshape(-1, taus.size) @ table
+            new.imag *= flip
+            new_mass = size.reshape(-1, taus.size) @ np.abs(table)
+        else:
+            weight = np.exp(expo - np.exp(x)) if k < 0 else _exp_tail_log(k, x) * np.exp(expo)
+            weight = np.where(inside[:, None, :], weight * weights, 0.0).reshape(-1, taus.size)
+            new = weight @ table
+            # e^-r weights are positive, and so is the table of a real spectrum
+            new_mass = new if k < 0 else np.abs(weight) @ np.abs(table)
+        shape = (-1, alphas.size, lam.size)
+        yield (_chain_products(coef[open_], factors, new.reshape(shape)),
+               np.einsum("yam,yam->y", sizes[open_], new_mass.reshape(shape)))
 
-    return refine(levels(), quad.tol, f"{name}: trapezoid")
+    lattice = ((taus, weights, (slice(None),))
+               for taus, weights in trapezoid_lattice(start, stop, step, name, budget))
+    return _lattice_refine(lattice, sums, ys.size, quad.tol, f"{name}: trapezoid")
 
 
 def _mode_sizes(coef, powers, base):
@@ -582,7 +581,11 @@ def _explicit_radial(gen, order, u, m, ys, quad):
     """``(2/y d/dy)^m U`` through the representation driven by ``f = (-L)^s u``.
 
     The polynomial part :func:`explicit_poly_part` plus the Taylor-tail
-    integral ``int F_{[s]-m}(r) r^{m-s} e^{(y^2/(4r))L} f dr/r``.
+    integral ``int F_{[s]-m}(r) r^{m-s} e^{(y^2/(4r))L} f dr/r``.  The two
+    cancel once ``y^2 ||L||`` is large, losing about ``16 eps ||poly|| /
+    ||result||`` of relative accuracy; where that estimate exceeds
+    ``_EXPLICIT_LOSS`` (1e-9) at some ``y``, :class:`ConvergenceError` is
+    raised with the largest estimate as its achieved residual.
     """
     s = order.s
     lam, coords = gen._modes(u)
@@ -592,7 +595,15 @@ def _explicit_radial(gen, order, u, m, ys, quad):
     tail = _subordinate(gen, lam, coef, [0], f_coords[None], m - s, ys, quad,
                         "explicit radial tail", k=order.n - m)
     scale = ys ** (2.0 * (s - m)) / (4.0 ** (s - m) * gamma(s))
-    return (-1.0) ** m * (poly + scale[:, None] * gen._from_modes(tail[:, 0]))
+    result = poly + scale[:, None] * gen._from_modes(tail[:, 0])
+    estimate, size = 16.0 * _EPS * np.linalg.norm(poly, axis=1), np.linalg.norm(result, axis=1)
+    lost = estimate > _EXPLICIT_LOSS * size
+    if lost.any():
+        with np.errstate(divide="ignore"):  # a vanishing result has lost everything
+            achieved = float(np.max(estimate[lost] / size[lost]))
+        raise ConvergenceError("explicit representation: the polynomial part cancels against "
+                               "the tail integral", achieved=achieved, required=_EXPLICIT_LOSS)
+    return (-1.0) ** m * result
 
 
 def radial_power(gen: Generator, s, u, m, y, quad=None, mode="from_u"):
@@ -604,10 +615,11 @@ def radial_power(gen: Generator, s, u, m, y, quad=None, mode="from_u"):
     closed-form representation through ``f = (-L)^s u`` (polynomial part plus
     a Taylor-tail-weighted semigroup integral) and is a small-``y``
     cross-check only: the polynomial part cancels against the integral once
-    ``y^2 ||L||`` is large, and about ``10-20 eps ||poly|| / ||result||`` of
-    relative accuracy is lost, silently (on a 256-point Laplacian at
-    ``s = 2.7``: ~5e-10 at ``y = 0.05``, ~1e-5 at ``y = 0.5``).  The two
-    must agree where ``from_f`` is accurate.
+    ``y^2 ||L||`` is large, and about ``16 eps ||poly|| / ||result||`` of
+    relative accuracy is lost (on a 256-point Laplacian at ``s = 2.7``:
+    ~5e-10 at ``y = 0.05``, ~1e-5 at ``y = 0.5``).  Where that estimate
+    exceeds 1e-9 at some ``y``, ``from_f`` raises :class:`ConvergenceError`
+    instead of returning.  The two must agree where ``from_f`` is accurate.
     """
     order = as_order(s)
     quad = quad or QuadratureSpec()
@@ -674,9 +686,10 @@ def extend_explicit(gen: Generator, s, u, y, quad=None):
     original ``t``-line is the same integrand mirrored, ``log t = log(y^2/4) -
     log r``, so it is not evaluated separately.  A small-``y`` cross-check of
     :func:`extend_subordination`: the polynomial part cancels against the
-    integral as ``y^2 ||L||`` grows, and about ``10-20 eps`` times its size
-    relative to ``U`` is lost, silently.  ``y = 0`` returns ``u``: every
-    other term carries a positive power of ``y``.
+    integral as ``y^2 ||L||`` grows, and about ``16 eps`` times its size
+    relative to ``U`` is lost; where that estimate exceeds 1e-9 this raises
+    :class:`ConvergenceError`.  ``y = 0`` returns ``u``: every other term
+    carries a positive power of ``y``.
     """
     order = as_order(s)
     quad = quad or QuadratureSpec()

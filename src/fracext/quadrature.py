@@ -19,18 +19,22 @@ maps:
 
 Halving the step keeps every node of the previous level, so each level
 evaluates the integrand only at the new nodes, once each, and adds their
-weighted sum to half the previous value.  Every adaptive rule feeds one
-driver, :func:`refine`, which compares successive levels and stops at the
-requested tolerance or at the roundoff floor set by the integrand's L1
-mass: where two levels agree, or, since every rule here converges
-exponentially in ``1/h`` (Trefethen & Weideman, SIAM Review 56, 2014), where
-the geometric tail of the changes certifies the level it has.  That takes
-three levels at the least, so the first three share one integrand call, on
-their joint grid in increasing order, and every later level is a call of
-its own (:func:`_lattice_calls`).  Summation order over each level's nodes
-is fixed, so results are deterministic for a fixed :class:`QuadratureSpec`.
-Failure to meet the tolerance within the level budget raises
-:class:`ConvergenceError` carrying the achieved residual.
+weighted sum to half the previous value.  Every adaptive rule hands its
+integrand calls to one loop, :func:`_lattice_refine`: the rule evaluates a
+call and yields the sums each of its levels adds, and the loop applies
+that recurrence and feeds :func:`refine`, which compares successive levels
+and stops at the requested tolerance or at the roundoff floor set by the
+integrand's L1 mass: where two levels agree, or, since every rule here
+converges exponentially in ``1/h`` (Trefethen & Weideman, SIAM Review 56,
+2014), where the geometric tail of the changes certifies the level it has.
+That takes three levels at the least, so the first three share one
+integrand call, on their joint grid in increasing order, and every later
+level is a call of its own (:func:`_lattice_calls`); the subordination
+integrals of :mod:`fracext.extension` lay one level per call.  Summation
+order over each level's nodes is fixed, so results are deterministic for a
+fixed :class:`QuadratureSpec`.  Failure to meet the tolerance within the
+level budget raises :class:`ConvergenceError` carrying the achieved
+residual.
 """
 
 from dataclasses import dataclass
@@ -152,7 +156,9 @@ def refine(levels, tol, name):
     (``rho = 1/4``) it is Richardson's ``change/3``.  A block closes at level
     2 at the earliest, and on its tail at level 3.  After each level the
     generator is sent the mask of the blocks still open, so it may skip the
-    done ones (what it yields for them is ignored).  Running out of levels
+    done ones (what it yields for them is ignored).  Its one caller is
+    :func:`_lattice_refine`, which forms the levels of every adaptive rule
+    from their integrand calls.  Running out of levels
     raises :class:`ConvergenceError` with the largest last change of an open
     block (``inf`` when fewer than two levels were produced).
     """
@@ -204,36 +210,33 @@ def _weighted_sum(weights, vals, sizes):
     return value[()], float(weights @ sizes)  # [()]: 0-d -> scalar
 
 
-def _rows(vals, level):
-    """``vals[level]`` for a slice or an increasing index ``level`` of the leading (node) axis.
+def _lattice_refine(calls, sums, blocks, tol, name):
+    """Refine ``blocks`` integrals over the integrand calls of one nested lattice.
 
-    One level's share of a call that may serve three.  Where the node axis
-    is not the fastest one (mode-fastest values, as the diagonal path stores
-    them), a slice is a strided view, and its weighted sum takes the same
-    BLAS path, and sums in the same order, as on values from a call of its
-    own.  Where it is the fastest one (a triangular sweep stores its
-    solutions so), a view would take another path, so the share is gathered
-    into an array whose node axis is again the fastest one.  A level that
-    takes every row is the identity.
+    ``calls`` yields ``(nodes, weights, parts)``, one integrand call each,
+    ``parts`` holding the index of the nodes and weights of every level the
+    call serves, in order (:func:`_lattice_calls`).  ``sums(nodes, weights,
+    parts, open_)`` makes the call for the blocks open at it (the mask
+    ``open_``) and yields, per level, the weighted sums the level adds and
+    their L1 masses, one entry per open block.  A level's value is its sum
+    plus half the previous level's value, the mass likewise; a closed block
+    adds nothing, and :func:`refine`, which this feeds, no longer reads it.
     """
-    rows = vals[level]
-    if len(rows) == len(vals):
-        return rows
-    if vals.ndim > 1 and abs(vals.strides[0]) < abs(vals.strides[-1]):
-        return np.ascontiguousarray(vals.T[..., level]).T
-    return rows
 
+    def levels():
+        value = mass = 0.0
+        open_ = np.ones(blocks, dtype=bool)
+        for nodes, weights, parts in calls:
+            live = open_  # every level of the call adds to the blocks open at it
+            for new_value, new_mass in sums(nodes, weights, parts, live):
+                new_value = np.asarray(new_value)  # promotes a list of real and complex blocks
+                added = np.zeros((blocks,) + new_value.shape[1:], new_value.dtype)
+                added_mass = np.zeros(blocks)
+                added[live], added_mass[live] = new_value, new_mass
+                value, mass = 0.5 * value + added, 0.5 * mass + added_mass
+                open_ = yield value, mass
 
-def _nested(sums):
-    """Levels of a nested rule for :func:`refine`, from the weighted sums each level adds.
-
-    A level's value is its sum plus half the previous level's value; the L1
-    mass likewise.
-    """
-    value = mass = 0.0
-    for new_value, new_mass in sums:
-        value, mass = 0.5 * value + new_value, 0.5 * mass + new_mass
-        yield np.asarray(value)[None], (mass,)
+    return refine(levels(), tol, name)
 
 
 _TRAPEZOID_LEVELS = 7
@@ -248,7 +251,7 @@ def trapezoid_lattice(lo, hi, h0, name="integral", levels=_TRAPEZOID_LEVELS):
     ``h0/2`` of ``hi``, with half weights at both ends; the step then halves
     over at most ``levels`` levels, each yielding only the midpoints of the
     previous level's intervals.  A level's rule value is its weighted sum
-    plus half the previous level's value (see :func:`_nested`).
+    plus half the previous level's value (see :func:`_lattice_refine`).
     """
     if not (np.isfinite(lo) and np.isfinite(hi) and np.isfinite(h0) and h0 > 0.0):
         raise ValueError(f"{name}: trapezoid window [{lo}, {hi}] with step {h0} "
@@ -267,7 +270,7 @@ def trapezoid_lattice(lo, hi, h0, name="integral", levels=_TRAPEZOID_LEVELS):
 
 
 def _lattice_calls(lo, hi, h, name):
-    """Integrand calls ``(nodes, weights, levels)`` over the lattice whose first call has step ``h``.
+    """Integrand calls ``(nodes, weights, parts)`` over the lattice whose first call has step ``h``.
 
     :func:`refine` closes a block at its second level at the earliest, and
     certifies a geometric tail at its third, so the first three levels of
@@ -276,7 +279,7 @@ def _lattice_calls(lo, hi, h, name):
     level 2 at ``2::4`` and level 3 at ``1::2``.  Every later level is a call
     of its own; the budget has two levels more than the lattice's default, so
     the finest step is ``h/64``, as when the first level had step ``h``.
-    ``levels`` holds, for each level the call serves in order, the slice of
+    ``parts`` holds, for each level the call serves in order, the slice of
     its nodes and weights.
     """
     lattice = trapezoid_lattice(lo, hi, 4.0 * h, name, _TRAPEZOID_LEVELS + 2)
@@ -302,19 +305,21 @@ def trapezoid_refine(g, lo, hi, tol, h0=0.25, name="integral"):
     :func:`trapezoid_lattice`, so each evaluates ``g`` only at new nodes.
     ``h0`` is the step of the first call of ``g``, which serves the first
     three levels, of steps ``4 h0``, ``2 h0`` and ``h0`` (see
-    :func:`_lattice_calls`); ``|g|`` is formed once per call.  The lattice
-    starts from step ``4 h0``, so its nodes end within ``2 h0`` of ``hi``
-    (at ``lo + 4 h0`` on a window shorter than ``2 h0``).
+    :func:`_lattice_calls`); ``|g|`` is formed once per call, and each
+    level sums its share of the call as a view.  The lattice starts from
+    step ``4 h0``, so its nodes end within ``2 h0`` of ``hi`` (at ``lo + 4
+    h0`` on a window shorter than ``2 h0``).  The integral is one block of
+    :func:`_lattice_refine`.
     """
 
-    def sums():
-        for nodes, weights, levels in _lattice_calls(lo, hi, h0, name):
-            vals = np.asarray(g(nodes))
-            sizes = _sizes(vals)
-            for level in levels:
-                yield _weighted_sum(weights[level], _rows(vals, level), sizes[level])
+    def sums(nodes, weights, parts, open_):
+        vals = np.asarray(g(nodes))
+        sizes = _sizes(vals)
+        for part in parts:
+            value, mass = _weighted_sum(weights[part], vals[part], sizes[part])
+            yield [value], [mass]
 
-    return refine(_nested(sums()), tol, f"{name}: trapezoid")[0]
+    return _lattice_refine(_lattice_calls(lo, hi, h0, name), sums, 1, tol, f"{name}: trapezoid")[0]
 
 
 # Nodes closer to 1 than this are dropped: nearer 1 the floats are too coarse
@@ -366,17 +371,18 @@ def integrate_unit(f, tol, singular_power=0.0, nodes0=64, name="integral"):
 
     A sequence of powers integrates one block per power against one
     integrand, so that work shared between blocks runs once per call.  All
-    blocks share the ``t``-lattice and the drop rule, and :func:`refine`
-    closes each on its own.  ``f`` is then called with a list of one node
-    array per block, ``None`` for a closed block, and returns a list of one
-    value array per block (anything for a closed one); the result stacks the
-    blocks on a leading axis.  The first call serves the first three levels
-    at once, on their joint increasing grid, and every later call one level;
-    ``|f|`` is formed once per block and call.  In this form the nodes where
-    ``x = w^{1/(1+p)}`` underflows to 0, about half of them for ``p`` near
-    -1, are evaluated once per block and call, and each level sums its own
-    share of their weight.  A scalar power keeps the plain form: ``f`` takes
-    and returns one array and sees every node.
+    blocks share the ``t``-lattice and the drop rule, and
+    :func:`_lattice_refine` closes each on its own.  ``f`` is then called
+    with a list of one node array per block, ``None`` for a closed block, and
+    returns a list of one value array per block (anything for a closed one);
+    the result stacks the blocks on a leading axis, in the promoted dtype of
+    their values.  The first call serves the first three levels at once, on
+    their joint increasing grid, and every later call one level; ``|f|`` is
+    formed once per block and call.  The nodes where ``x = w^{1/(1+p)}``
+    underflows to 0, about half of them for ``p`` near -1, are evaluated once
+    per block and call, and each level sums its own share of their weight.
+    A scalar power is one such block, in the plain form: ``f`` takes and
+    returns one array.
     """
     scalar = np.ndim(singular_power) == 0
     if scalar:
@@ -386,37 +392,35 @@ def integrate_unit(f, tol, singular_power=0.0, nodes0=64, name="integral"):
         raise ValueError(f"endpoint power must exceed -1, got {powers.min()}")
     exponents = 1.0 / (1.0 + powers)
 
-    def levels():
-        values, masses = [0.0] * len(powers), np.zeros(len(powers))
-        open_ = np.ones(len(powers), dtype=bool)
-        h = min(0.5, 8.0 / nodes0)
-        for t, weights, parts in _lattice_calls(-4.0, 4.0, h, name):
-            z = 0.5 * np.pi * np.sinh(t)
-            w = 1.0 / (1.0 + np.exp(-2.0 * z))
-            jacobian = (0.25 * np.pi) * np.cosh(t) / np.cosh(z) ** 2
-            # the kept nodes are one run: w rises with t, and the Jacobian falls with |t|
-            inside = np.flatnonzero((w > 0.0) & (w < 1.0 - _NEAR_ONE) & (jacobian > 1e-300))
-            first, stop = inside[0], inside[-1] + 1
-            parts = [_within(part, first, stop) for part in parts]
-            w, jacobian, weights = w[first:stop], jacobian[first:stop], weights[first:stop]
-            nodes, rules = [None] * len(powers), [None] * len(powers)
-            for b in np.flatnonzero(open_):
-                q = exponents[b]
-                x, rule = w**q, q * jacobian * weights
-                zeros = 0 if scalar else np.count_nonzero(x == 0.0)  # a prefix: x rises with t
-                nodes[b] = x[max(zeros - 1, 0):]
-                rules[b] = [_merge_zeros(part, rule, zeros) for part in parts]
-            blocks = f(nodes)
-            blocks = [None if rule is None else np.asarray(vals) for rule, vals in zip(rules, blocks)]
-            sizes = [None if vals is None else _sizes(vals) for vals in blocks]
-            for level in range(len(parts)):
-                for b in np.flatnonzero(open_):
-                    index, rule = rules[b][level]
-                    value, mass = _weighted_sum(rule, _rows(blocks[b], index), sizes[b][index])
-                    values[b], masses[b] = 0.5 * values[b] + value, 0.5 * masses[b] + mass
-                open_ = yield np.array(values), masses
+    def sums(t, weights, parts, open_):
+        z = 0.5 * np.pi * np.sinh(t)
+        w = 1.0 / (1.0 + np.exp(-2.0 * z))
+        jacobian = (0.25 * np.pi) * np.cosh(t) / np.cosh(z) ** 2
+        # the kept nodes are one run: w rises with t, and the Jacobian falls with |t|
+        inside = np.flatnonzero((w > 0.0) & (w < 1.0 - _NEAR_ONE) & (jacobian > 1e-300))
+        first, stop = inside[0], inside[-1] + 1
+        parts = [_within(part, first, stop) for part in parts]
+        w, jacobian, weights = w[first:stop], jacobian[first:stop], weights[first:stop]
+        blocks = np.flatnonzero(open_)
+        nodes, rules = [None] * len(powers), []
+        for b in blocks:
+            q = exponents[b]
+            x, rule = w**q, q * jacobian * weights
+            zeros = np.count_nonzero(x == 0.0)  # a prefix: x rises with t
+            nodes[b] = x[max(zeros - 1, 0):]
+            rules.append([_merge_zeros(part, rule, zeros) for part in parts])
+        results = f(nodes)
+        vals = [np.asarray(results[b]) for b in blocks]
+        sizes = [_sizes(v) for v in vals]
+        for level in zip(*rules):  # the (index, weights) of one level in every open block
+            shares = [_weighted_sum(rule, v[index], size[index])
+                      for (index, rule), v, size in zip(level, vals, sizes)]
+            values, masses = zip(*shares)
+            yield values, masses
 
-    result = refine(levels(), tol, f"{name}: tanh-sinh")
+    h = min(0.5, 8.0 / nodes0)
+    result = _lattice_refine(_lattice_calls(-4.0, 4.0, h, name), sums, len(powers), tol,
+                             f"{name}: tanh-sinh")
     return result[0] if scalar else result
 
 

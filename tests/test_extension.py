@@ -195,6 +195,30 @@ class TestExplicit:
             ref = extend_subordination(gen, 2.5, u, y)
             assert relerr(got, ref) <= 1e-8
 
+    def test_reports_its_cancellation(self):
+        # on a stiff Laplacian the polynomial part cancels against the tail integral: at y = 1
+        # about 8e-4 of U is lost, and both explicit routes refuse to return it
+        gen = builtin_matrix("laplacian1d:256")
+        u = np.random.default_rng(0).standard_normal(gen.dim) + 0j
+        for call in (lambda y: extend_explicit(gen, 2.7, u, y),
+                     lambda y: radial_power(gen, 2.7, u, 0, y, mode="from_f")):
+            with pytest.raises(fracext.ConvergenceError, match="cancels") as info:
+                call(1.0)
+            assert info.value.required == 1e-9 and 1e-4 < info.value.achieved < 1e-2
+
+    def test_cancellation_check_changes_no_bits(self, monkeypatch):
+        # where the estimated loss is below 1e-9 the check passes the result through untouched
+        gen = builtin_matrix("laplacian1d:256")
+        u = np.random.default_rng(0).standard_normal(gen.dim) + 0j
+        ys = (0.001, 0.01)
+        checked = [extend_explicit(gen, 2.7, u, y) for y in ys]
+        grid = radial_power(gen, 2.7, u, 0, np.array(ys), mode="from_f")
+        monkeypatch.setattr(fracext.extension, "_EXPLICIT_LOSS", np.inf)
+        for y, got in zip(ys, checked):
+            assert np.array_equal(got, extend_explicit(gen, 2.7, u, y))
+            assert relerr(got, extend_subordination(gen, 2.7, u, y)) <= 1e-13
+        assert np.array_equal(grid, radial_power(gen, 2.7, u, 0, np.array(ys), mode="from_f"))
+
 
 class TestYDerivative:
     def test_order_zero_is_value(self, diag_gen):
