@@ -12,8 +12,9 @@ spectral evaluation in tests:
   levels, and on the diagonal Schur factor of a Hermitian ``L`` a node costs
   one division per mode.  A real spectrum takes the Cauchy integral on Hale,
   Higham & Trefethen's contour around it (65 solves in one sweep at a
-  spectral ratio of 20); a complex one the resolvent integral split at
-  ``mu = 1``, with exact power substitutions on both halves under tanh-sinh;
+  spectral ratio of 20); a complex one the resolvent integral over
+  ``mu in (0, inf)`` on the exp-sinh map of ``x = log mu`` (129 solves in one
+  sweep at the default spec);
 * inverse fractional powers ``(eps I - L)^{-alpha}``: ``[alpha]`` LAPACK
   triangular solves with ``eps I - T`` (divisions by ``eps - diag(T)`` on a
   diagonal ``T``) and, for the fractional part, the same resolvent integral
@@ -38,10 +39,11 @@ from .quadrature import (
     _TAIL_TERMS,
     ConvergenceError,
     QuadratureSpec,
+    exp_sinh,
+    exp_sinh_window,
     extrapolation_spread,
     gauss_legendre_rule,
     hht_contour,
-    integrate_unit,
     richardson_table,
     trapezoid_refine,
 )
@@ -131,29 +133,6 @@ def _shifted_triangular_solve(alpha, beta, factor, rhs):
     return x.T
 
 
-def _joint_solve(factor, systems):
-    """Solve the systems of every open block in one :func:`_shifted_triangular_solve` sweep.
-
-    ``systems`` holds one ``(alpha, beta, rhs)`` per block, or ``None`` for a
-    block that :func:`~fracext.quadrature.integrate_unit` has closed:
-    ``alpha`` and ``beta`` broadcast to the block's ``(m,)`` nodes and
-    ``rhs`` to ``(m, d)``; a ``(d,)`` vector that every block shares stays
-    one vector, not a copy per node.  Returns one ``(m, d)`` solution per block, and ``None`` for a
-    closed one.
-    """
-    live = [system for system in systems if system is not None]
-    alphas, betas = zip(*(np.broadcast_arrays(alpha, beta) for alpha, beta, _ in live))
-    sizes = [len(alpha) for alpha in alphas]
-    rhs = [system[2] for system in live]
-    if all(r is rhs[0] and np.ndim(r) == 1 for r in rhs):
-        rhs = rhs[0]
-    else:
-        rhs = np.concatenate([np.broadcast_to(r, (m, factor.shape[0])) for r, m in zip(rhs, sizes)])
-    x = _shifted_triangular_solve(np.concatenate(alphas), np.concatenate(betas), factor, rhs)
-    parts = iter(np.split(x, np.cumsum(sizes)[:-1]))
-    return [None if system is None else next(parts) for system in systems]
-
-
 def _contour_steps(lo, hi, tol):
     """Steps of the first integrand call over the contour's period: a power of two, at least 16.
 
@@ -170,6 +149,33 @@ def _contour_steps(lo, hi, tol):
     """
     need = 8.0 / 3.0 * (log(hi / lo) + 3.0) * log(1.0 / tol) / pi**2
     return 2 ** max(4, ceil(log2(max(need, 1.0))))
+
+
+def _scaled_pair(x):
+    """``(a, b) = (1/max(1, mu), min(mu, 1))`` at ``mu = e^x``: ``a (mu I + B) = b I + a B``.
+
+    Scaled so, the systems of a resolvent integral over ``mu in (0, inf)``
+    keep bounded entries at both ends, where ``mu`` underflows or overflows.
+    """
+    return np.exp(-np.maximum(x, 0.0)), np.exp(np.minimum(x, 0.0))
+
+
+def _exp_sinh_integral(f, lo, hi, rise, fall, tol, nodes, name):
+    """``int f(x) dx`` over the real line (``x = log mu``) as one exp-sinh trapezoid call.
+
+    ``f`` takes an array of ``x`` and returns one row per node; its tails are
+    bounded as :func:`~fracext.quadrature.exp_sinh_window` states for
+    ``lo``, ``hi``, ``rise`` and ``fall``.  The first integrand call lays
+    ``nodes`` steps across the window in ``t`` and serves the first three
+    refinement levels.
+    """
+    t_lo, t_hi = exp_sinh_window(lo, hi, rise, fall)
+
+    def integrand(t):
+        x, dx = exp_sinh(t)
+        return dx[:, None] * f(x)
+
+    return trapezoid_refine(integrand, t_lo, t_hi, tol, h0=(t_hi - t_lo) / nodes, name=name)
 
 
 def _resolvent_integral(factor, w, sig, shift, quad, name):
@@ -195,16 +201,26 @@ def _resolvent_integral(factor, w, sig, shift, quad, name):
     ``1/(1 - sig)`` appears, so ``sig`` near ``0`` or ``1`` needs no care.
 
     A complex spectrum is not enclosed by that contour and takes
-    ``(sin(pi sig)/pi) int_0^inf mu^{-sig} ((mu + shift) I - T)^{-1} w dmu``,
-    split at ``mu = 1``; ``mu = 1/v`` maps the outer half onto
-    ``v^{sig-1} ((1 + shift v) I - v T)^{-1} w`` on ``(0, 1)``.  Both halves
-    carry a pure power endpoint singularity that the tanh-sinh driver removes
-    exactly; they are its two blocks, so each call solves the nodes of both
-    in one sweep.  ``sig`` is first rounded so that both endpoint powers
-    ``-sig`` and ``sig - 1`` are exact, and the prefactor is formed from the
-    smaller of ``sig`` and ``1 - sig``: then the ``1/sig`` or ``1/(1-sig)``
-    the driver integrates and the prefactor cancel to full relative accuracy
-    even for ``sig`` within ``1e-9`` of ``0`` or ``1``.
+    ``(sin(pi sig)/pi) int_0^inf mu^{-sig} ((mu + shift) I - T)^{-1} w dmu``
+    in ``x = log mu`` as one exp-sinh trapezoid call
+    (:func:`_exp_sinh_integral`): at the default spec 129 solves in one
+    sweep on the non-normal complex spectra tried.  A mode ``lam`` of
+    ``eig`` puts the integrand's poles at
+    ``x = log|lam| +- i (pi - |arg lam|)``, so in the right half-plane the
+    strip of analyticity is at least ``|Im x| < pi/2`` whatever ``|Im/Re|``.
+    Each node solves ``(b + shift a) I - a T`` with ``(a, b)`` of
+    :func:`_scaled_pair` and weighs the solution by ``e^{(1 - sig) x}`` at
+    ``x <= 0`` and ``e^{-sig x}`` above, one ``exp`` of a nonpositive
+    exponent.  As ``|mu + lam| >= |lam|`` and ``>= mu``, the mode's
+    integrand is at most ``|lam|^-sig e^{(1 - sig)(x - log|lam|)}`` and
+    ``|lam|^-sig e^{-sig (x - log|lam|)}``, so the window of
+    :func:`~fracext.quadrature.exp_sinh_window` from ``min |eig|`` and
+    ``max |eig|`` with ``rise = 1 - sig`` and ``fall = sig`` cuts each
+    mode's tails below ``eps/e`` times ``|lam^-sig|``.  The prefactor is
+    formed from the smaller of ``sig`` and ``1 - sig``, exact for
+    ``sig >= 1/2``: then the ``1/sig`` or ``1/(1 - sig)`` the integral grows
+    by and the prefactor cancel to full relative accuracy even for ``sig``
+    within ``1e-9`` of ``0`` or ``1``.
     """
     eig = shift - (factor if factor.ndim == 1 else factor.diagonal())
     if not eig.imag.any() and eig.real.min() > 0.0:
@@ -218,16 +234,16 @@ def _resolvent_integral(factor, w, sig, shift, quad, name):
 
         h0 = 4.0 / _contour_steps(lo, hi, quad.tol)
         return trapezoid_refine(cauchy, -1.0, 3.0, quad.tol, h0=h0, name=name)
-    sig = 1.0 + (sig - 1.0)
+    moduli = np.abs(eig)
 
-    def halves(nodes):
-        mu, v = nodes
-        return _joint_solve(factor, [None if mu is None else (mu + shift, -1.0, w),
-                                  None if v is None else (1.0 + shift * v, -v, w)])
+    def resolvent(x):
+        a, b = _scaled_pair(x)
+        weights = np.exp(np.where(x <= 0.0, (1.0 - sig) * x, -sig * x))
+        return weights[:, None] * _shifted_triangular_solve(b + shift * a, -a, factor, w)
 
-    inner, outer = integrate_unit(halves, quad.tol, singular_power=[-sig, sig - 1.0],
-                                  nodes0=quad.nodes, name=name)
-    return np.sin(np.pi * min(sig, 1.0 - sig)) / np.pi * (inner + outer)
+    integral = _exp_sinh_integral(resolvent, moduli.min(), moduli.max(), 1.0 - sig, sig, quad.tol,
+                                  quad.nodes, name)
+    return np.sin(np.pi * min(sig, 1.0 - sig)) / np.pi * integral
 
 
 # -- inverse fractional powers ---------------------------------------------------
@@ -245,7 +261,7 @@ def resolvent_frac_power(gen: Generator, eps, alpha, u, quad=None):
         int_0^inf mu^{-sigma} ((mu + eps) I - L)^{-1} w dmu``,
 
     evaluated by :func:`_resolvent_integral` as in :func:`balakrishnan_general`:
-    on a contour around a real spectrum, by split tanh-sinh on a complex one.
+    on a contour around a real spectrum, on the exp-sinh map on a complex one.
     ``Z^H`` is applied as ``(u^H Z)^H``, without a copy of ``Z``, and ``Z``
     once to the result; the cached eigensystem is not used.
     """
@@ -284,8 +300,9 @@ def balakrishnan_general(gen: Generator, s, u, quad=None):
     ``(sin(sigma pi)/pi) int_0^inf mu^{sigma-1} (mu I + A)^{-1} A^{n+1} u dmu``,
     the resolvent integral of :func:`_resolvent_integral` at ``sig = 1 - sigma``
     and no shift: a Cauchy integral on Hale, Higham & Trefethen's contour for
-    a real spectrum (65 solves on ``random:128``), split tanh-sinh for a
-    complex one.  ``A^n u`` comes from :meth:`Generator.apply_minus_power`;
+    a real spectrum (65 solves on ``random:128``), the exp-sinh map for a
+    complex one (129 at the default spec on the non-normal complex spectra
+    tried).  ``A^n u`` comes from :meth:`Generator.apply_minus_power`;
     the last power and everything after it run in the cached complex Schur
     basis ``L = Z T Z^H``, independent of the cached eigensystem: that power is
     formed there as ``-T Z^H A^n u`` (``Z^H`` applied as ``(v^H Z)^H``,
@@ -306,19 +323,31 @@ def balakrishnan_second_kind(gen: Generator, s, u, quad=None):
     """Alternative Balakrishnan formula on ``0 < s < 2`` used as a cross-check.
 
     ``(sin(s pi)/pi) int_0^inf mu^{s-1} [(mu I + A)^{-1} - mu/(1+mu^2)] A u dmu
-    + sin(s pi / 2) A u``.  The outer half is rewritten as
-    ``v^{1-s} (I + vA)^{-1} (v A u - A^2 u) / (1 + v^2)`` (exact algebra, no
-    cancellation at ``v = 0``).  Everything, the ``sin(s pi / 2) A u`` term
-    included, runs in the Schur basis as in :func:`balakrishnan_general`; on stiff
-    normal ``L`` a dense ``A^2 u`` would put the roundoff of the stiff modes
-    into the soft ones.  It runs split tanh-sinh on every spectrum, real ones
-    too, so that it stays a formula and a rule of its own against
-    :func:`balakrishnan_general`'s contour.  Its halves and the
-    ``sin(s pi / 2) A u`` term are of the size of ``A u`` and cancel to
-    ``A^s u``, by a factor of up to ``1e7`` on stiff spectra, so the
-    quadrature runs at ``quad.tol`` times a lower bound of ``|A^s u|/|A u|``:
-    ``(|A u|/|A^2 u|)^(1-s)`` for ``s < 1`` and ``(|A u|/|u|)^(s-1)`` for
-    ``s > 1``, by log-convexity of ``t -> |A^t u|`` (a bound for normal ``L``).
+    + sin(s pi / 2) A u``.  In ``x = log mu`` the integrand is
+    ``mu^s (mu I + A)^{-1} (A u - mu A^2 u) / (1 + mu^2)`` at ``x <= 0`` and,
+    with ``v = e^{-x}``, ``v^{2-s} (I + vA)^{-1} (v A u - A^2 u) / (1 + v^2)``
+    above (exact algebra, no cancellation at either end): each node solves
+    ``b I + a A`` with ``(a, b)`` of :func:`_scaled_pair` and the right side
+    ``a A u - b A^2 u``.  Per mode ``lam`` of ``A`` it falls like ``mu^s``
+    where ``mu`` is below ``|lam|`` and 1 (its ``mu^{s+1} lam`` part faster
+    still), and like ``lam^2 mu^{s-2}`` above both, against the mode's
+    ``|lam|^s``; so one exp-sinh trapezoid call
+    (:func:`_exp_sinh_integral`) on the window of
+    :func:`~fracext.quadrature.exp_sinh_window` from ``min(min |eig|, 1)``
+    and ``max(max |eig|, 1)``, with ``rise = s`` and ``fall = 2 - s``, takes
+    the integral: at the default spec 129 solves in one sweep on the
+    non-normal complex spectra tried, 257 in two on ``laplacian1d:128``.
+    Everything, the ``sin(s pi / 2) A u`` term included, runs in the Schur
+    basis as in :func:`balakrishnan_general`; on stiff normal ``L`` a dense
+    ``A^2 u`` would put the roundoff of the stiff modes into the soft ones.  It runs
+    the exp-sinh map on every spectrum, real ones too, so that it stays a
+    formula and a rule of its own against :func:`balakrishnan_general`'s
+    contour.  Its integral and the ``sin(s pi / 2) A u`` term are of the
+    size of ``A u`` and cancel to ``A^s u``, by a factor of up to ``1e7`` on
+    stiff spectra, so the quadrature runs at ``quad.tol`` times a lower
+    bound of ``|A^s u|/|A u|``: ``(|A u|/|A^2 u|)^(1-s)`` for ``s < 1`` and
+    ``(|A u|/|u|)^(s-1)`` for ``s > 1``, by log-convexity of
+    ``t -> |A^t u|`` (a bound for normal ``L``).
     """
     order = as_order(s)
     if not 0.0 < order.s < 2.0:
@@ -333,18 +362,17 @@ def balakrishnan_second_kind(gen: Generator, s, u, quad=None):
     size = np.linalg.norm(au)
     other = np.linalg.norm(a2u if s_val < 1.0 else u)
     tol = quad.tol * (min(1.0, (size / other) ** abs(1.0 - s_val)) if size > 0.0 else 1.0)
+    moduli = np.abs(factor if factor.ndim == 1 else factor.diagonal())
 
-    def halves(nodes):
-        mu, v = nodes
-        inner, outer = _joint_solve(factor, [None if mu is None else (mu, -1.0, au),
-                                          None if v is None else (1.0, -v, v[:, None] * au - a2u)])
-        return [None if mu is None else inner - (mu / (1.0 + mu**2))[:, None] * au,
-                None if v is None else outer / (1.0 + v**2)[:, None]]
+    def second_kind(x):
+        a, b = _scaled_pair(x)
+        weights = np.exp(np.where(x <= 0.0, s_val * x, (s_val - 2.0) * x)) / (1.0 + (a * b) ** 2)
+        rhs = a[:, None] * au - b[:, None] * a2u
+        return weights[:, None] * _shifted_triangular_solve(b, -a, factor, rhs)
 
-    inner, outer = integrate_unit(halves, tol, singular_power=[s_val - 1.0, 1.0 - s_val],
-                                  nodes0=quad.nodes, name="balakrishnan-II")
-    return unitary @ (np.sin(s_val * np.pi) / np.pi * (inner + outer)
-                      + np.sin(s_val * np.pi / 2.0) * au)
+    integral = _exp_sinh_integral(second_kind, min(moduli.min(), 1.0), max(moduli.max(), 1.0),
+                                  s_val, 2.0 - s_val, tol, quad.nodes, "balakrishnan-II")
+    return unitary @ (np.sin(s_val * np.pi) / np.pi * integral + np.sin(s_val * np.pi / 2.0) * au)
 
 
 # -- the Berens-Butzer-Westphal normalization constant ----------------------------

@@ -7,10 +7,11 @@ maps:
 * the log axis (or a double-exponential ray), on which the subordination
   integrals and the BBW ray integrals decay exponentially or faster at both
   ends (:func:`trapezoid_refine`);
-* the tanh-sinh map ``x = 1/(1 + e^{-pi sinh t})`` onto ``(0, 1)`` (Takahasi
-  & Mori, Publ. RIMS 9, 1974) after an exact power substitution, for the
-  algebraic endpoint singularities ``x^p * smooth`` of the resolvent
-  integrals on complex spectra (:func:`integrate_unit`);
+* the exp-sinh map ``x = (pi/2) sinh t`` of the log axis ``x = log mu``
+  (Takahasi & Mori, Publ. RIMS 9, 1974; :func:`exp_sinh`), for the
+  resolvent integrals over ``mu in (0, inf)`` on complex spectra and the
+  second-kind Balakrishnan integral, whose algebraic decay at both ends is
+  exponential in ``x``;
 * Hale, Higham & Trefethen's conformal contour around a real interval
   ``[lo, hi]`` (:func:`hht_contour`), for Cauchy integrals of functions
   analytic off ``(-inf, 0]``: their integrand is periodic on the contour's
@@ -45,9 +46,10 @@ import numpy as np
 __all__ = [
     "QuadratureSpec",
     "ConvergenceError",
+    "exp_sinh",
+    "exp_sinh_window",
     "gauss_legendre_rule",
     "hht_contour",
-    "integrate_unit",
     "refine",
     "trapezoid_lattice",
     "trapezoid_refine",
@@ -70,9 +72,10 @@ class ConvergenceError(RuntimeError):
 class QuadratureSpec:
     """First-call node budget (at least 16) and refinement tolerance of the adaptive rules.
 
-    ``nodes`` sets the grid of the first integrand call, which serves the
-    first three refinement levels: ``8/nodes`` is its step in tanh-sinh's
-    ``t``.  A subordination call, which lays one level per call, counts its
+    ``nodes`` is the number of steps the first integrand call lays across
+    its rule's window: on the exp-sinh map that call, which serves the first
+    three refinement levels, has ``nodes + 1`` nodes (``nodes`` a multiple
+    of 4).  A subordination call, which lays one level per call, counts its
     first-level steps across the union of the windows of its ``y`` (each
     ``y``'s own window holds a share of them).  The contour of the resolvent
     integrals on a real spectrum reads only ``tol``: its first call takes
@@ -229,7 +232,7 @@ def _lattice_refine(calls, sums, blocks, tol, name):
         for nodes, weights, parts in calls:
             live = open_  # every level of the call adds to the blocks open at it
             for new_value, new_mass in sums(nodes, weights, parts, live):
-                new_value = np.asarray(new_value)  # promotes a list of real and complex blocks
+                new_value = np.asarray(new_value)
                 added = np.zeros((blocks,) + new_value.shape[1:], new_value.dtype)
                 added_mass = np.zeros(blocks)
                 added[live], added_mass[live] = new_value, new_mass
@@ -322,108 +325,6 @@ def trapezoid_refine(g, lo, hi, tol, h0=0.25, name="integral"):
     return _lattice_refine(_lattice_calls(lo, hi, h0, name), sums, 1, tol, f"{name}: trapezoid")[0]
 
 
-# Nodes closer to 1 than this are dropped: nearer 1 the floats are too coarse
-# to keep neighbouring nodes apart at steps down to h = 1/256.  The dropped
-# weights sum to about this value.
-_NEAR_ONE = 2.0**-49
-
-
-def _within(part, first, stop):
-    """The slice ``part`` of a call's nodes, as a slice of its kept run ``first:stop``."""
-    start, step = part.start or 0, part.step or 1
-    return slice((start - first) % step, stop - first, step)
-
-
-def _merge_zeros(part, weights, zeros):
-    """One level's rule on a call whose first ``zeros`` nodes, all ``x = 0``, are laid as one.
-
-    ``part`` (a slice) picks the level's nodes before the merge.  Returns
-    their index into the merged call and their weights: the level's own
-    nodes at ``x = 0`` become one node carrying their summed weight.
-    Without such nodes the slice is returned as it is.
-    """
-    if not zeros:
-        return part, weights[part]
-    index = np.arange(len(weights))[part]
-    shift = zeros - 1
-    lead = np.count_nonzero(index < zeros)  # a prefix: index rises
-    if not lead:
-        return index - shift, weights[index]
-    return (np.concatenate(([0], index[lead:] - shift)),
-            np.concatenate(([weights[index[:lead]].sum()], weights[index[lead:]])))
-
-
-def integrate_unit(f, tol, singular_power=0.0, nodes0=64, name="integral"):
-    """Adaptive ``int_0^1 x^p f(x) dx`` with ``p = singular_power > -1``.
-
-    The power substitution ``x = w^{1/(1+p)}`` removes the endpoint
-    singularity exactly, and the tanh-sinh map ``w = 1/(1 + e^{-pi sinh t})``
-    of ``t in [-4, 4]`` handles the remaining (derivative-level) endpoint
-    behavior.  The levels are those of :func:`trapezoid_lattice` in ``t``,
-    with both Jacobians in the weights; the first call, on the grid of step
-    ``h = 8/nodes0`` (at most ``1/2``), serves the first three, of steps
-    ``4h``, ``2h`` and ``h`` (see :func:`_lattice_calls`).  Which nodes are
-    dropped depends on ``t`` alone: those where ``w`` underflows to 0 or lies
-    within ``2^-49`` of 1, where neighbours would round onto each other.
-    ``f`` must be vectorized and bounded on ``[0, 1]`` (for ``p`` near -1
-    nodes underflow to ``x = 0``), and may return arrays of shape
-    ``(len(x), ...)``; the node axis is reduced.
-
-    A sequence of powers integrates one block per power against one
-    integrand, so that work shared between blocks runs once per call.  All
-    blocks share the ``t``-lattice and the drop rule, and
-    :func:`_lattice_refine` closes each on its own.  ``f`` is then called
-    with a list of one node array per block, ``None`` for a closed block, and
-    returns a list of one value array per block (anything for a closed one);
-    the result stacks the blocks on a leading axis, in the promoted dtype of
-    their values.  The first call serves the first three levels at once, on
-    their joint increasing grid, and every later call one level; ``|f|`` is
-    formed once per block and call.  The nodes where ``x = w^{1/(1+p)}``
-    underflows to 0, about half of them for ``p`` near -1, are evaluated once
-    per block and call, and each level sums its own share of their weight.
-    A scalar power is one such block, in the plain form: ``f`` takes and
-    returns one array.
-    """
-    scalar = np.ndim(singular_power) == 0
-    if scalar:
-        f, singular_power = (lambda x, g=f: [g(x[0])]), [singular_power]
-    powers = np.asarray(singular_power, dtype=float)
-    if np.any(powers <= -1.0):
-        raise ValueError(f"endpoint power must exceed -1, got {powers.min()}")
-    exponents = 1.0 / (1.0 + powers)
-
-    def sums(t, weights, parts, open_):
-        z = 0.5 * np.pi * np.sinh(t)
-        w = 1.0 / (1.0 + np.exp(-2.0 * z))
-        jacobian = (0.25 * np.pi) * np.cosh(t) / np.cosh(z) ** 2
-        # the kept nodes are one run: w rises with t, and the Jacobian falls with |t|
-        inside = np.flatnonzero((w > 0.0) & (w < 1.0 - _NEAR_ONE) & (jacobian > 1e-300))
-        first, stop = inside[0], inside[-1] + 1
-        parts = [_within(part, first, stop) for part in parts]
-        w, jacobian, weights = w[first:stop], jacobian[first:stop], weights[first:stop]
-        blocks = np.flatnonzero(open_)
-        nodes, rules = [None] * len(powers), []
-        for b in blocks:
-            q = exponents[b]
-            x, rule = w**q, q * jacobian * weights
-            zeros = np.count_nonzero(x == 0.0)  # a prefix: x rises with t
-            nodes[b] = x[max(zeros - 1, 0):]
-            rules.append([_merge_zeros(part, rule, zeros) for part in parts])
-        results = f(nodes)
-        vals = [np.asarray(results[b]) for b in blocks]
-        sizes = [_sizes(v) for v in vals]
-        for level in zip(*rules):  # the (index, weights) of one level in every open block
-            shares = [_weighted_sum(rule, v[index], size[index])
-                      for (index, rule), v, size in zip(level, vals, sizes)]
-            values, masses = zip(*shares)
-            yield values, masses
-
-    h = min(0.5, 8.0 / nodes0)
-    result = _lattice_refine(_lattice_calls(-4.0, 4.0, h, name), sums, len(powers), tol,
-                             f"{name}: tanh-sinh")
-    return result[0] if scalar else result
-
-
 # -- the Hale-Higham-Trefethen contour ---------------------------------------------
 
 
@@ -506,6 +407,40 @@ def hht_contour(lo, hi, tau):
     plus = np.where(behind, near, opposite) + 1j * rise  # 1 + zeta
     scale = np.sqrt(lo * hi)
     return scale * plus / minus, (-1j * scale * quarter) * rate * (plus - minus) / minus**2
+
+
+# -- the exp-sinh map ----------------------------------------------------------------
+
+
+def exp_sinh(t):
+    """Nodes ``x = (pi/2) sinh t`` and ``dx/dt`` of the exp-sinh map onto the real line.
+
+    Takahasi & Mori's double-exponential map (Publ. RIMS 9, 1974), for
+    integrals over ``mu in (0, inf)`` taken in ``x = log mu``: an integrand
+    analytic in a strip about the ``x``-axis that decays like ``e^{-c |x|}``
+    at both ends decays double-exponentially in ``t``, and the trapezoid rule
+    of :func:`trapezoid_refine` in ``t`` converges geometrically in ``1/h``.
+    """
+    return 0.5 * np.pi * np.sinh(t), 0.5 * np.pi * np.cosh(t)
+
+
+def exp_sinh_window(lo, hi, rise, fall):
+    """The window ``[t_lo, t_hi]`` of :func:`exp_sinh` past which an integrand's tails are roundoff.
+
+    The integrand, in ``x = log mu``, is bounded by ``C e^{rise (x - log lo)}``
+    below ``log lo`` and by ``C e^{-fall (x - log hi)}`` above ``log hi``
+    (``rise``, ``fall > 0``).  The tail below ``x_lo`` is then at most
+    ``C e^{rise (x_lo - log lo)} / rise``, which is ``C eps / e`` at
+    ``x_lo = log lo - (log(1/eps) + 1 - log rise) / rise``; likewise above
+    ``x_hi = log hi + (log(1/eps) + 1 - log fall) / fall``.  The window is
+    ``t = asinh(2 x / pi)`` at both.  Cut at the roundoff level, it does not
+    depend on the tolerance, so a tighter one refines the same nodes; in
+    ``t`` it is 2-6% wider than a cut at ``tol = 1e-12``.
+    """
+    depth = np.log(1.0 / _EPS) + 1.0
+    x_lo = np.log(lo) - (depth - np.log(rise)) / rise
+    x_hi = np.log(hi) + (depth - np.log(fall)) / fall
+    return np.arcsinh(2.0 / np.pi * x_lo), np.arcsinh(2.0 / np.pi * x_hi)
 
 
 # -- Richardson extrapolation ----------------------------------------------------

@@ -336,11 +336,11 @@ class TestContour:
     """Real spectra run the resolvent integral on Hale, Higham & Trefethen's contour."""
 
     @staticmethod
-    def refuse_tanh_sinh(monkeypatch):
+    def refuse_exp_sinh(monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("a real spectrum ran tanh-sinh")
+            raise AssertionError("a real spectrum ran the exp-sinh map")
 
-        monkeypatch.setattr(fracext.fracpow, "integrate_unit", refuse)
+        monkeypatch.setattr(fracext.fracpow, "exp_sinh", refuse)
 
     @pytest.mark.parametrize("eps", [0.0, 0.5])
     @pytest.mark.parametrize("s", [0.3, 2.7])
@@ -348,7 +348,7 @@ class TestContour:
     def test_wide_diagonal_spectra(self, monkeypatch, ratio, s, eps):
         # each mode's closed form; near z ~ hi the map would cancel to 1/sqrt(ratio) if formed
         # as 1/k - sn, and so raise or lose digits past ratio ~ 1e12
-        self.refuse_tanh_sinh(monkeypatch)
+        self.refuse_exp_sinh(monkeypatch)
         lam = -np.geomspace(1.0, ratio, 40)
         gen = Generator(np.diag(lam))
         u = np.random.default_rng(26).standard_normal(40) + 1j
@@ -359,7 +359,7 @@ class TestContour:
 
     @pytest.mark.parametrize("s", [0.3, 1.5, 2.7])
     def test_convection_diffusion_against_schur_pade(self, monkeypatch, s):
-        self.refuse_tanh_sinh(monkeypatch)
+        self.refuse_exp_sinh(monkeypatch)
         mat = convection_diffusion(64, 20.0)
         gen = Generator(mat)
         u = np.random.default_rng(27).standard_normal(64) + 0j
@@ -389,15 +389,19 @@ class TestContour:
         assert z.real.min() > 0.0
         assert z.real.min() < 0.5 < 0.5 * ratio < z.real.max()  # and it encloses the spectrum
 
-    def test_complex_spectrum_keeps_tanh_sinh(self, monkeypatch):
+    def test_complex_spectrum_runs_exp_sinh(self, monkeypatch):
         calls = []
 
         def recorded(f, *args, name, **kwargs):
             calls.append(name)
-            return integrate(f, *args, name=name, **kwargs)
+            return trapezoid(f, *args, name=name, **kwargs)
 
-        integrate = fracext.fracpow.integrate_unit
-        monkeypatch.setattr(fracext.fracpow, "integrate_unit", recorded)
+        def refuse(*args, **kwargs):
+            raise AssertionError("a complex spectrum ran the contour")
+
+        trapezoid = fracext.fracpow.trapezoid_refine
+        monkeypatch.setattr(fracext.fracpow, "trapezoid_refine", recorded)
+        monkeypatch.setattr(fracext.fracpow, "hht_contour", refuse)
         vecs, lam = nonnormal_factors()
         gen = Generator((vecs * lam) @ np.linalg.inv(vecs))
         u = np.random.default_rng(28).standard_normal(48) + 0j
@@ -420,6 +424,60 @@ class TestContour:
         u = np.random.default_rng(29).standard_normal(128) + 0j
         assert relerr(balakrishnan_general(gen, s, u), gen.frac_power(s, u)) <= 1e-12
         assert sweeps == [65]  # hi/lo = 13.3: 64 steps, whose third level certifies the tail
+
+
+@pytest.mark.parametrize("s", [1e-6, 0.01, 0.99, 1.001, 1.0 + 1e-8, 1.999, 2.999999])
+def test_near_integer_orders(s):
+    """Every resolvent route at orders within ``1e-6`` to ``1e-2`` of an integer.
+
+    On the non-normal complex generator (the exp-sinh map, against Schur-Padé) and on
+    ``laplacian1d:128`` (the contour, except the second kind; against the sine basis).  The
+    inverse powers of the Laplacian, of size ``1e-2`` to ``1``, meet ``1e-11``: the stopping
+    target ``tol max(1, |value|)`` is absolute below a value of 1.
+    """
+    vecs, lam = nonnormal_factors()
+    mat = (vecs * lam) @ np.linalg.inv(vecs)
+    lap = builtin_matrix("laplacian1d:128")
+    rng = np.random.default_rng(41)
+    u = rng.standard_normal(48) + 1j * rng.standard_normal(48)
+    v = np.random.default_rng(43).standard_normal(128) + 0j
+    cases = [(Generator(mat), u, fractional_matrix_power(-mat, s) @ u,
+              fractional_matrix_power(-mat, -s) @ u, 1e-12),
+             (lap, v, dirichlet_sine_power(128, s, v), dirichlet_sine_power(128, -s, v), 1e-11)]
+    for gen, w, power, inverse, inverse_tol in cases:
+        assert relerr(balakrishnan_general(gen, s, w), power) <= 1e-12, gen.dim
+        assert relerr(resolvent_frac_power(gen, 0.0, s, w), inverse) <= inverse_tol, gen.dim
+        if s < 2.0:
+            assert relerr(balakrishnan_second_kind(gen, s, w), power) <= 1e-12, gen.dim
+
+
+@pytest.mark.parametrize("lam", [[-1e-6 + 1e3j, -1e-6 - 1e3j, -1e-2],
+                                 [-0.1 + 1e6j, -0.1 - 1e6j, -1e4]])
+def test_nearly_imaginary_spectra(monkeypatch, lam):
+    """Spectra with ``|Im/Re|`` up to ``1e9``: the exp-sinh map's strip does not depend on it.
+
+    ``balakrishnan_general`` meets ``1e-12`` in at most 513 solves; the second kind, whose
+    terms cancel, meets ``1e-11``.  The suite turns a ``RuntimeWarning`` into an error.
+    """
+    solves = []
+
+    def counted(alpha, beta, tri, rhs):
+        x = solve(alpha, beta, tri, rhs)
+        solves.append(len(x))
+        return x
+
+    solve = fracext.fracpow._shifted_triangular_solve
+    monkeypatch.setattr(fracext.fracpow, "_shifted_triangular_solve", counted)
+    lam = np.array(lam)
+    gen = Generator(np.diag(lam))
+    rng = np.random.default_rng(44)
+    u = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    for s in (0.3, 1.5, 2.7):
+        solves.clear()
+        assert relerr(balakrishnan_general(gen, s, u), (-lam) ** s * u) <= 1e-12, s
+        assert sum(solves) <= 513, s
+    for s in (0.3, 1.5):
+        assert relerr(balakrishnan_second_kind(gen, s, u), (-lam) ** s * u) <= 1e-11, s
 
 
 def self_consistency_generators(rng, each=10):
@@ -521,13 +579,13 @@ class TestCConstant:
         """Near integers too, where the plain sum cancels against the pole of ``Gamma(-s)``.
 
         The constant runs no quadrature: a quadrature window for ``c(1 + 1e-6, 2)``
-        would need about 2e8 nodes, so the drivers are made to refuse first.
+        would need about 2e8 nodes, so the trapezoid driver, which every adaptive rule runs on,
+        is made to refuse first.
         """
 
         def refuse(*args, **kwargs):
             raise AssertionError("c_constant ran a quadrature")
 
-        monkeypatch.setattr(fracext.fracpow, "integrate_unit", refuse)
         monkeypatch.setattr(fracext.fracpow, "trapezoid_refine", refuse)
         with mpmath.workdps(60):
             s_mp = mpmath.mpf(s)

@@ -11,13 +11,15 @@ from fracext.cli import builtin_matrix
 from fracext.quadrature import (
     ConvergenceError,
     QuadratureSpec,
+    _lattice_calls,
+    _lattice_refine,
     _norm,
-    _roundoff_floor,
     _sizes,
     _weighted_sum,
+    exp_sinh,
+    exp_sinh_window,
     extrapolation_spread,
     hht_contour,
-    integrate_unit,
     refine,
     richardson_table,
     trapezoid_lattice,
@@ -43,27 +45,6 @@ def test_spec_validation():
 def test_spec_rejects_non_finite_tolerance(tol):
     with pytest.raises(ValueError, match="finite"):
         QuadratureSpec(32, tol)
-
-
-def test_integrate_unit_power_singularities():
-    # int_0^1 x^p dx = 1/(1+p), handled exactly by the power substitution; at p = -0.999 the value
-    # 1000 is known only to the roundoff floor refine stops at (7.1e-12), the size of the
-    # 2^-49 * 1000 = 1.8e-12 of weight that integrate_unit drops next to 1
-    for p in (-0.5, -0.9, -0.999, 0.7):
-        val = integrate_unit(lambda x: np.ones_like(x), 1e-13, singular_power=p)
-        exact = 1.0 / (1.0 + p)
-        assert abs(val - exact) < (_roundoff_floor(exact) if p == -0.999 else 1e-12), p
-
-
-def test_integrate_unit_log_endpoint():
-    # int_0^1 x^{-1/2} log(1/x)-free smooth part: use sin for a generic check
-    val = integrate_unit(np.sin, 1e-13)
-    assert abs(val - (1.0 - np.cos(1.0))) < 1e-12
-
-
-def test_integrate_unit_vector_valued():
-    val = integrate_unit(lambda x: np.stack([x, x**2], axis=1), 1e-13)
-    assert np.allclose(val, [0.5, 1.0 / 3.0], atol=1e-12)
 
 
 def test_trapezoid_refine_gaussian():
@@ -113,15 +94,12 @@ def test_hht_contour_cauchy_integral_at_both_ends(ratio):
 
 
 def test_refinement_failure_raises():
-    # a jump defeats both rules: neither converges within its level budget
+    # a jump defeats the trapezoid rule: it does not converge within its level budget
     def jump(x):
         return (x > 1.0 / 3.0).astype(float)
 
     with pytest.raises(ConvergenceError, match="trapezoid") as err:
         trapezoid_refine(jump, 0.0, 1.0, 1e-13)
-    assert 1e-4 < err.value.achieved < 1e-1
-    with pytest.raises(ConvergenceError, match="tanh-sinh") as err:
-        integrate_unit(jump, 1e-13)
     assert 1e-4 < err.value.achieved < 1e-1
 
 
@@ -136,66 +114,12 @@ def recording(f):
     return g, calls
 
 
-def recording_blocks(f):
-    """Block-form ``f`` wrapped to keep a copy of every list of node arrays it is called on."""
-    calls = []
-
-    def g(xs):
-        calls.append([None if x is None else np.array(x) for x in xs])
-        return f(xs)
-
-    return g, calls
-
-
-def tanh_sinh_reference(h):
-    """The step-``h`` tanh-sinh rule on ``(0, 1)``, laid at once: nodes and weights."""
-    t = h * np.arange(-round(4.0 / h), round(4.0 / h) + 1)
-    z = 0.5 * np.pi * np.sinh(t)
-    x = 1.0 / (1.0 + np.exp(-2.0 * z))
-    w = h * (0.25 * np.pi) * np.cosh(t) / np.cosh(z) ** 2
-    w[[0, -1]] *= 0.5
-    keep = (x > 0.0) & (x < 1.0 - 2.0**-49)
-    return x[keep], w[keep]
-
-
-def test_tanh_sinh_nodes_inside_interval():
-    for p in (0.0, -0.5, 0.7):
-        g, calls = recording(np.cos)
-        integrate_unit(g, 1e-14, singular_power=p)
-        x = np.concatenate(calls)
-        assert np.all(x > 0.0) and np.all(x < 1.0), p
-
-
-def test_tanh_sinh_nodes_strictly_increase():
-    # nodes next to 1 that would round onto a neighbour are dropped, each evaluated once
-    for j in range(3, 9):
-        h = 2.0**-j
-        g, calls = recording(np.ones_like)
-        total = integrate_unit(g, 1e-14, nodes0=2 ** (j + 2))  # first step 2h
-        assert all(np.all(np.diff(x) > 0.0) for x in calls), h
-        assert np.all(np.diff(np.sort(np.concatenate(calls))) > 0.0), h
-        assert abs(total - 1.0) <= 1e-14, h  # the finest weights sum to 1
-
-
-@pytest.mark.parametrize("f, p", [(np.cos, 0.0), (np.ones_like, -0.999), (np.sin, 0.7)])
-def test_integrate_unit_level_sizes(f, p):
-    # the first call serves the levels of steps 2, 1 and 1/2 (15 nodes once the ends are dropped),
-    # then one call per level; the level of step 1/8 certifies its geometric tail.  At p = -0.999
-    # the 8, 8 and 16 nodes of those calls where x underflows to 0 are laid as one
-    g, calls = recording(f)
-    integrate_unit(g, 1e-14, singular_power=p, nodes0=16)
-    assert [len(x) for x in calls] == ([8, 7, 13] if p == -0.999 else [15, 14, 28])
-
-
 def test_two_level_integrals_call_the_integrand_once():
     # an integral that closes on its second or third level evaluates all three in one call, on
     # the grid of the first call's step in increasing order
     g, calls = recording(lambda x: np.exp(-x * x))
     assert abs(trapezoid_refine(g, -8.0, 8.0, 1e-13) - np.sqrt(np.pi)) <= 1e-15
     assert len(calls) == 1 and np.array_equal(calls[0], -8.0 + 0.25 * np.arange(65))
-    g, calls = recording(np.ones_like)
-    assert abs(integrate_unit(g, 1e-13, nodes0=64) - 1.0) <= 1e-14
-    assert len(calls) == 1 and np.array_equal(calls[0], tanh_sinh_reference(0.125)[0])
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
@@ -226,16 +150,9 @@ def test_first_call_sums_each_level_as_a_call_of_its_own(order):
 
 @pytest.mark.parametrize("matrix", ["random:128:7", "laplacian1d:128", "nonnormal"])
 def test_resolvent_and_bbw_level_sizes(monkeypatch, matrix):
-    # a real spectrum: one sweep per integrand call of the contour's trapezoid rule, the first
-    # serving its first three levels; a complex one keeps tanh-sinh, whose two halves are blocks
-    # of one call, solved in one sweep per call
-    unit_sizes, trapezoids, sweeps = {}, [], []
-
-    def sized(f, *args, name, **kwargs):
-        g, calls = recording_blocks(f)
-        value = integrate_unit(g, *args, name=name, **kwargs)
-        unit_sizes[name] = calls
-        return value
+    # one trapezoid call per integral and one sweep per integrand call, the first serving its
+    # first three levels: a real spectrum on the contour, a complex one on the exp-sinh map
+    trapezoids, sweeps, mapped = [], [], []
 
     def named(f, *args, name, **kwargs):
         trapezoids.append(name)
@@ -246,10 +163,14 @@ def test_resolvent_and_bbw_level_sizes(monkeypatch, matrix):
         sweeps.append(len(x))
         return x
 
+    def recorded(t):
+        mapped.append(len(t))
+        return exp_sinh(t)
+
     solve, trapezoid = fracext.fracpow._shifted_triangular_solve, fracext.fracpow.trapezoid_refine
-    monkeypatch.setattr(fracext.fracpow, "integrate_unit", sized)
     monkeypatch.setattr(fracext.fracpow, "trapezoid_refine", named)
     monkeypatch.setattr(fracext.fracpow, "_shifted_triangular_solve", counted)
+    monkeypatch.setattr(fracext.fracpow, "exp_sinh", recorded)
     if matrix == "nonnormal":
         vecs, lam = nonnormal_factors()
         gen = Generator((vecs * lam) @ np.linalg.inv(vecs))
@@ -259,24 +180,18 @@ def test_resolvent_and_bbw_level_sizes(monkeypatch, matrix):
     fracext.fracpow.balakrishnan_general(gen, 0.3, u)
     fracext.fracpow.bbw_frac_power(gen, 0.3, 1, u)
     # the contour's first call takes 64 steps over the period at hi/lo = 20 (random:128:7) and
-    # 128 at 6.7e3 (laplacian1d:128); every integral certifies its tail on its third level, in
-    # one sweep
-    assert sweeps == {"random:128:7": [65], "laplacian1d:128": [129],
-                      "nonnormal": [228]}[matrix]
-    if matrix == "nonnormal":
-        inner, outer = ([len(x[b]) for x in unit_sizes["balakrishnan"] if x[b] is not None]
-                        for b in (0, 1))
-        assert inner == [114] and outer == [114]  # levels of 29, 28 and 57 nodes each
-        assert trapezoids == ["bbw rays"]  # BBW runs on its rays, not on integrate_unit
-    else:
-        assert trapezoids == ["balakrishnan", "bbw rays"] and not unit_sizes
+    # 128 at 6.7e3 (laplacian1d:128), the exp-sinh map's QuadratureSpec.nodes = 128 across its
+    # window; every integral certifies its tail on its third level, in one sweep
+    assert sweeps == {"random:128:7": [65], "laplacian1d:128": [129], "nonnormal": [129]}[matrix]
+    assert mapped == ([129] if matrix == "nonnormal" else [])
+    assert trapezoids == ["balakrishnan", "bbw rays"]
 
 
-@pytest.mark.parametrize("matrix, sizes", [("random:128:7", [228]), ("laplacian1d:128", [228, 113]),
-                                           ("nonnormal", [228])])
+@pytest.mark.parametrize("matrix, sizes", [("random:128:7", [129]), ("laplacian1d:128", [129, 128]),
+                                           ("nonnormal", [129])])
 def test_second_kind_level_sizes(monkeypatch, matrix, sizes):
-    # split tanh-sinh on every spectrum: the first call lays the first three levels of both halves
-    # (114 nodes each) in one sweep; on laplacian1d:128 one half needs one level more
+    # the exp-sinh map on every spectrum: the first call lays the first three levels in one
+    # sweep; on laplacian1d:128 the integral needs one level more
     sweeps = []
 
     def counted(alpha, beta, tri, rhs):
@@ -298,61 +213,53 @@ def test_second_kind_level_sizes(monkeypatch, matrix, sizes):
         assert sweeps == sizes, s
 
 
-def test_integrate_unit_blocks_match_single_calls():
-    # one f call for both blocks; a closed block is passed None from then on
-    funcs = [np.cos, lambda x: np.exp(-40.0 * x)]
-    powers = [0.0, -0.5]
-    g, calls = recording_blocks(lambda xs: [None if x is None else f(x) for f, x in zip(funcs, xs)])
-    both = integrate_unit(g, 1e-14, singular_power=powers, nodes0=16)
-    assert both.shape == (2,)
-    for b, (f, p) in enumerate(zip(funcs, powers)):
-        single, single_calls = recording(f)
-        value = integrate_unit(single, 1e-14, singular_power=p, nodes0=16)
-        assert abs(both[b] - value) <= 1e-15 * abs(value)
-        nodes = [x[b] for x in calls]
-        assert all(x is None for x in nodes[len(single_calls):])
-        assert all(np.array_equal(x, y) for x, y in zip(nodes, single_calls))
-    closed = [len([x for x in nodes if x is not None]) for nodes in zip(*calls)]
-    assert len(calls) == max(closed) and min(closed) < len(calls)
+def block_sums(funcs, masks):
+    """``_lattice_refine`` sums of one block per function; ``masks`` keeps each call's open mask."""
+
+    def sums(nodes, weights, parts, open_):
+        masks.append(open_.copy())
+        vals = [f(nodes) for f, live in zip(funcs, open_) if live]
+        for part in parts:
+            shares = [_weighted_sum(weights[part], v[part], _sizes(v[part])) for v in vals]
+            values, masses = zip(*shares)
+            yield np.array(values), np.array(masses)
+
+    return sums
 
 
-@pytest.mark.parametrize("complex_block", [0, 1])
-def test_integrate_unit_blocks_of_mixed_dtypes(complex_block):
-    # a real and a complex block stack in the promoted dtype, whichever of them closes first
-    blocks = [(np.cos, 0.0), (lambda x: np.exp((-40.0 + 3.0j) * x), -0.5)]
-    funcs, powers = zip(*(blocks if complex_block == 1 else blocks[::-1]))
-    g, calls = recording_blocks(lambda xs: [None if x is None else f(x) for f, x in zip(funcs, xs)])
-    both = integrate_unit(g, 1e-14, singular_power=powers, nodes0=16)
-    assert both.dtype == complex
-    for b, (f, p) in enumerate(zip(funcs, powers)):
-        value = integrate_unit(f, 1e-14, singular_power=p, nodes0=16)
-        assert np.isrealobj(value) == (b != complex_block)
-        assert abs(both[b] - value) <= 1e-15 * abs(value)
-    closed = [len([x for x in nodes if x is not None]) for nodes in zip(*calls)]
-    assert min(closed) < max(closed) == len(calls)
+def test_lattice_refine_blocks_match_single_block_runs():
+    # blocks close on their own: each stacked value is bitwise the one a run of that block alone
+    # gives, and a call evaluates only the blocks open at it
+    funcs = [lambda x: np.exp(-x * x), lambda x: 1.0 / np.cosh(x)]  # sech needs one level more
+    masks = []
+    both = _lattice_refine(_lattice_calls(-40.0, 40.0, 0.5, "probe"), block_sums(funcs, masks), 2,
+                           1e-13, "probe")
+    for b, f in enumerate(funcs):
+        single = _lattice_refine(_lattice_calls(-40.0, 40.0, 0.5, "probe"), block_sums([f], []), 1,
+                                 1e-13, "probe")
+        assert both[b] == single[0]
+    assert [mask.tolist() for mask in masks] == [[True, True], [True, True], [False, True]]
 
 
-def test_integrate_unit_blocks_merge_zero_nodes():
-    # near p = -1 about half the nodes underflow to x = 0: each call evaluates it once per block,
-    # and once in the scalar form too
-    def f(x):
-        return np.stack([np.cos(x), 1.0 + x], axis=1)
+@pytest.mark.parametrize("sig", [1e-6, 0.3, 1.0 - 1e-6])
+def test_exp_sinh_resolvent_integral(sig):
+    # int_0^inf mu^-sig / (mu + lam) dmu = pi lam^-sig / sin(pi sig) in x = log mu, for lam in the
+    # right half-plane, nearly imaginary ones too: the window's tails and the map's trapezoid rule
+    # at the first call's 128 steps across it meet the target at sig near 0 and 1 alike
+    lam = np.array([1e-3, 1.0, 1e4, 1e-6 + 1e3j, 1.0 - 30j])
+    size = np.abs(lam)
+    t_lo, t_hi = exp_sinh_window(size.min(), size.max(), 1.0 - sig, sig)
 
-    powers = [-0.999, -0.99]
-    g, calls = recording_blocks(lambda xs: [None if x is None else f(x) for x in xs])
-    both = integrate_unit(g, 1e-12, singular_power=powers, nodes0=128)
-    assert all(np.count_nonzero(x == 0.0) == 1 for xs in calls for x in xs if x is not None)
-    for b, p in enumerate(powers):
-        single, single_calls = recording(f)
-        value = integrate_unit(single, 1e-12, singular_power=p, nodes0=128)
-        assert np.linalg.norm(both[b] - value) <= 1e-15 * np.linalg.norm(value)
-        merged = [x[b] for x in calls if x[b] is not None]
-        assert len(merged) == len(single_calls)
-        assert all(np.array_equal(x, y) for x, y in zip(merged, single_calls))
-    # the first three levels, of 114 nodes (64 of them at x = 0 for p = -0.999, 39 for -0.99), in
-    # one call: 51 and 76 once merged; p = -0.999 needs one level more, of 113 nodes (63 at 0)
-    assert [[None if x is None else len(x) for x in xs] for xs in calls] == [[51, 76], [51, None]]
-    assert all(np.all(np.diff(x) > 0.0) for xs in calls for x in xs if x is not None)
+    def g(t):
+        x, dx = exp_sinh(t)
+        inner = (x <= 0.0)[:, None]
+        c = np.exp(-np.abs(x))[:, None]  # mu below 1, 1/mu above: no overflow at either end
+        weight = np.exp(np.where(inner[:, 0], (1.0 - sig) * x, -sig * x))
+        return (dx * weight)[:, None] / np.where(inner, c + lam, 1.0 + c * lam)
+
+    got = trapezoid_refine(g, t_lo, t_hi, 1e-13, h0=(t_hi - t_lo) / 128.0)
+    exact = np.pi * lam**-sig / np.sin(np.pi * min(sig, 1.0 - sig))
+    assert np.linalg.norm(got - exact) <= 1e-14 * np.linalg.norm(exact)
 
 
 def test_trapezoid_levels_evaluate_each_node_once():
@@ -373,18 +280,6 @@ def test_trapezoid_levels_evaluate_each_node_once():
     assert abs(val - reference) <= 1e-15 * abs(reference)
 
 
-def test_integrate_unit_levels_evaluate_each_node_once():
-    g, calls = recording(np.cos)
-    val = integrate_unit(g, 1e-14, nodes0=16)
-    assert len(calls) >= 2 and all(np.all(np.diff(x) > 0.0) for x in calls)
-    nodes = np.concatenate(calls)
-    finest_x, finest_w = tanh_sinh_reference(0.5 / 2 ** (len(calls) - 1))  # first call's step 1/2
-    assert len(nodes) == len(finest_x)
-    assert np.array_equal(np.sort(nodes), finest_x)
-    reference = np.sum(finest_w * np.cos(finest_x))
-    assert abs(val - reference) <= 1e-15 * abs(reference)
-
-
 def test_nested_vector_values_match_the_direct_sum():
     def f(x):
         return np.stack([np.exp(-x * x), 1j * x * np.exp(-x * x), np.exp(-x * x + 0.5j * x)], axis=1)
@@ -400,11 +295,8 @@ def test_nested_vector_values_match_the_direct_sum():
     assert val.shape == (3,)
     assert np.linalg.norm(val - reference) <= 1e-15 * np.linalg.norm(reference)
 
-    g, calls = recording(lambda x: f(x).reshape(-1, 3, 1))
-    val = integrate_unit(g, 1e-13, singular_power=-0.5, nodes0=16)
-    assert len(calls) >= 2
-    w_nodes, weights = tanh_sinh_reference(0.5 / 2 ** (len(calls) - 1))
-    reference = 2.0 * (weights @ f(w_nodes**2))
+    # values with more than one axis after the node axis keep their shape
+    val = trapezoid_refine(lambda x: f(x).reshape(-1, 3, 1), -7.0, 7.0, 1e-13, h0=0.5)
     assert val.shape == (3, 1)
     assert np.linalg.norm(val[:, 0] - reference) <= 1e-15 * np.linalg.norm(reference)
 
