@@ -22,12 +22,16 @@ spectral evaluation in tests:
 * the Berens-Butzer-Westphal limit of ``(e^{tL} - I)^k`` integrals with a
   Richardson-extrapolated truncation parameter, normalized by the closed
   form of ``c(s, k)``, which runs no quadrature.  It runs per mode on the
-  eigencoordinates; its integral over ``[eps0, inf)`` puts each exponential
-  of the binomial expansion on its steepest-descent ray, where it no longer
-  oscillates, and integrates there with a double-exponential trapezoid rule.
+  eigencoordinates; its integral over ``[eps0, inf)`` puts every
+  exponential of the binomial expansion on the mode's one steepest-descent
+  ray, where none oscillates, and integrates there with a
+  double-exponential trapezoid rule, one power per node and mode whatever
+  ``k``; below ``eps0`` one evaluation of the integrand serves the
+  Gauss-Legendre panels of every cut-off.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import ceil, comb, expm1, factorial, fsum, log, log2, pi
 
 import numpy as np
@@ -347,7 +351,10 @@ def balakrishnan_second_kind(gen: Generator, s, u, quad=None):
     stiff spectra, so the quadrature runs at ``quad.tol`` times a lower
     bound of ``|A^s u|/|A u|``: ``(|A u|/|A^2 u|)^(1-s)`` for ``s < 1`` and
     ``(|A u|/|u|)^(s-1)`` for ``s > 1``, by log-convexity of
-    ``t -> |A^t u|`` (a bound for normal ``L``).
+    ``t -> |A^t u|`` (a bound for normal ``L``).  As ``s -> 2`` the integral
+    grows like ``1/(2 - s)`` against ``sin(s pi)``, so the prefactors are
+    formed from ``2 - s`` (and ``sigma``, ``1 - sigma``), exact there,
+    instead of the rounded ``s pi``, which would cost ``eps/(2 - s)``.
     """
     order = as_order(s)
     if not 0.0 < order.s < 2.0:
@@ -372,7 +379,10 @@ def balakrishnan_second_kind(gen: Generator, s, u, quad=None):
 
     integral = _exp_sinh_integral(second_kind, min(moduli.min(), 1.0), max(moduli.max(), 1.0),
                                   s_val, 2.0 - s_val, tol, quad.nodes, "balakrishnan-II")
-    return unitary @ (np.sin(s_val * np.pi) / np.pi * integral + np.sin(s_val * np.pi / 2.0) * au)
+    # sin(s pi) = (-1)^n sin(pi min(sigma, 1 - sigma)) and sin(s pi/2) = sin((pi/2) min(s, 2 - s)):
+    # sigma, 1 - sigma (for sigma >= 1/2) and 2 - s (for s >= 1) are exact, where s pi is rounded
+    first = (-1.0) ** order.n * np.sin(np.pi * min(order.sigma, 1.0 - order.sigma)) / np.pi
+    return unitary @ (first * integral + np.sin(np.pi / 2.0 * min(s_val, 2.0 - s_val)) * au)
 
 
 # -- the Berens-Butzer-Westphal normalization constant ----------------------------
@@ -415,6 +425,19 @@ _BBW_LEVELS = 13  # cut-offs eps_j = eps0 2^-j, j < 13
 _BBW_CONV_TOL = 1e-5  # relative spread of the extrapolants that counts as converged
 
 
+@lru_cache(maxsize=None)
+def _bbw_series_coefficients(k):
+    """``D_n / n!`` for ``n = k .. k + _TAIL_TERMS - 1``, ``D_n = sum_{j=1..k} C(k,j) (-1)^{k-j} j^n``.
+
+    Exact in integers and then rounded once; read-only, as every call at
+    this ``k`` shares it.
+    """
+    coeffs = np.array([sum(comb(k, j) * (-1) ** (k - j) * j**n for j in range(1, k + 1)) / factorial(n)
+                       for n in range(k, k + _TAIL_TERMS)])
+    coeffs.setflags(write=False)
+    return coeffs
+
+
 def _bbw_ray_integral(lam, s, k, quad):
     """``T(lam) = int_1^inf t^{-1-s} (e^{t lam} - 1)^k dt`` per mode (``Re lam < 0``).
 
@@ -425,35 +448,48 @@ def _bbw_ray_integral(lam, s, k, quad):
     Binomially ``T = (-1)^k / s + sum_{j=1..k} C(k,j) (-1)^{k-j} I(j lam)``
     with ``I(z) = int_1^inf t^{-1-s} e^{zt} dt``.  On the steepest-descent ray
     ``t = 1 - u/z``, ``u >= 0``, the exponential no longer oscillates:
-    ``I(z) = (e^z / -z) int_0^inf (1 - u/z)^{-1-s} e^-u du``, and
-    ``Re(1 - u/z) >= 1`` keeps the power bounded (real for real ``lam``).
-    Takahasi and Mori's double-exponential map ``u = exp(x - e^-x)`` makes
+    ``I(z) = (e^z / -z) int_0^inf (1 - u/z)^{-1-s} e^-u du``.  In the ``j``-th
+    term ``z = j lam``, and ``u = j v`` puts every term on the one ray
+    ``t = 1 - v/lam``, where ``e^{j lam t} = e^{j (lam - v)}`` decays for each
+    ``j``:
+    ``sum_j C(k,j) (-1)^{k-j} I(j lam) = (1/-lam) int_0^inf (1 - v/lam)^{-1-s} P(e^{lam - v}) dv``
+    with ``P(a) = sum_{j=1..k} C(k,j) (-1)^{k-j} a^j``.  So a node costs one
+    power per mode, not ``k``, ``e^lam`` is formed once per mode and
+    ``e^-v`` once per node; ``Re(1 - v/lam) >= 1`` keeps the power bounded
+    (real for real ``lam``).  ``P`` is evaluated by Horner's rule in ``a``:
+    the closed form ``(a - 1)^k - (-1)^k`` cancels as ``a -> 0``, at large
+    ``v`` and on stiff modes, where ``P(a)`` is about ``(-1)^{k-1} k a``.
+    Takahasi and Mori's double-exponential map ``v = exp(x - e^-x)`` makes
     the integrand decay double-exponentially at both ends of the ``x``-axis,
     so one trapezoid lattice on ``[-log D, log D]`` (``D = _KERNEL_DECAY``)
-    serves every mode and every ``j``.
+    serves every mode.
 
     Where ``rho = k |lam| < 1`` the binomial terms cancel.  There ``t = r/rho``
     gives ``T(lam) = rho^s [T(mu) + int_rho^1 r^{-1-s} (e^{r mu} - 1)^k dr]``
     with ``mu = lam/rho`` on the circle ``k |mu| = 1``, where the ray rule is
     accurate, and the inner integral is the series
     ``sum_{n>=k} D_n mu^n (1 - rho^{n-s}) / (n! (n - s))``,
-    ``D_n = sum_j C(k,j) (-1)^{k-j} j^n``, whose terms shrink like ``1/n!``.
-    ``expm1`` forms ``1 - rho^{n-s}``, so the ``n = k`` term keeps its digits
-    even for ``s`` just below ``k``.
+    ``D_n = sum_j C(k,j) (-1)^{k-j} j^n``, whose terms shrink like ``1/n!``
+    (:func:`_bbw_series_coefficients`).  The powers ``mu^n`` are running
+    products, as ``pow`` of a negative real base is slow; ``expm1`` forms
+    ``1 - rho^{n-s}``, so the ``n = k`` term keeps its digits even for ``s``
+    just below ``k``.
     """
     lam = np.asarray(lam)
     rho = np.minimum(k * np.abs(lam), 1.0)
     mu = lam / rho
-    z = np.multiply.outer(np.arange(1.0, k + 1.0), mu)
-    weights = np.array([comb(k, j) * (-1.0) ** (k - j) for j in range(1, k + 1)])
-    scale = weights[:, None] * np.exp(z) / -z
+    weights = [comb(k, j) * (-1.0) ** (k - j) for j in range(1, k + 1)]
+    growth, scale = np.exp(mu), -1.0 / mu
 
     def ray(x):
         shrink = np.exp(-x)
-        u = np.exp(x - shrink)
-        du = u * (1.0 + shrink) * np.exp(-u)
-        powers = (1.0 - np.multiply.outer(u, 1.0 / z)) ** (-1.0 - s)
-        return du[:, None] * (powers * scale).sum(axis=1)
+        v = np.exp(x - shrink)
+        powers = (1.0 + np.multiply.outer(v, scale)) ** (-1.0 - s)
+        a = np.multiply.outer(np.exp(-v), growth)
+        poly = weights[-1] * a
+        for c in weights[-2::-1]:
+            poly = (poly + c) * a
+        return (v * (1.0 + shrink))[:, None] * powers * (poly * scale)
 
     reach = log(_KERNEL_DECAY)
     # a first call of 65 nodes: per node the integrand is so cheap that a second call would
@@ -463,13 +499,14 @@ def _bbw_ray_integral(lam, s, k, quad):
     small = rho < 1.0
     if small.any():
         n = np.arange(k, k + _TAIL_TERMS)
-        # D_n / n!, exact in integers and then rounded once
-        coeffs = [sum(comb(k, j) * (-1) ** (k - j) * j**m for j in range(1, k + 1)) / factorial(m)
-                  for m in n.tolist()]
         rs, ms = rho[small], mu[small]
-        terms = -np.expm1(np.multiply.outer(n - s, np.log(rs))) * ms ** n[:, None]
-        tail[small] = rs**s * (tail[small] + (np.array(coeffs) / (n - s)) @ terms)
+        powers = np.cumprod(np.broadcast_to(ms, (k + _TAIL_TERMS - 1, ms.size)), axis=0)[k - 1:]
+        terms = -np.expm1(np.multiply.outer(n - s, np.log(rs))) * powers
+        tail[small] = rs**s * (tail[small] + (_bbw_series_coefficients(k) / (n - s)) @ terms)
     return tail
+
+
+_BBW_PANEL_NODES = 16  # Gauss-Legendre nodes on each [eps/2, eps]: error near (3 + sqrt 8)^-32
 
 
 def _bbw_ladder(gen: Generator, s, k, u, quad=None):
@@ -481,9 +518,14 @@ def _bbw_ladder(gen: Generator, s, k, u, quad=None):
     ``k - s`` and ``k - s + 1``.  Everything runs per mode on the
     eigencoordinates, and one ``V`` product maps every ladder entry back.
     The integrals are assembled once: ``[eps0, inf)`` by
-    :func:`_bbw_ray_integral` on each mode's steepest-descent rays, and
+    :func:`_bbw_ray_integral` on each mode's steepest-descent ray, and
     Gauss-Legendre panels over each ``[eps_{j+1}, eps_j]``, where
-    ``|t lam| <= 1`` leaves nothing to oscillate.
+    ``|t lam| <= 1`` leaves nothing to oscillate, all panels in one
+    evaluation of the integrand and the ladder one running sum.  The
+    integrand is ``t^{k-1-s}`` times a function analytic near the panel; the
+    branch point ``t = 0`` lies one panel width below ``[eps/2, eps]``, so
+    the rule's Bernstein ellipse has ``rho = 3 + sqrt 8`` and 16 nodes err by
+    about ``rho^-32``, ``4e-25``, relative.
 
     ``eps0 = min(0.1, 1/||L||_2)`` puts the first cut-off at the decay time
     ``1/||L||_2`` of the stiffest mode instead of far past it, so the
@@ -499,28 +541,23 @@ def _bbw_ladder(gen: Generator, s, k, u, quad=None):
     eps0 = min(0.1, 1.0 / gen.norm2)
     s_val = order.s
     lam, coords = gen._modes(u)  # on a real spectrum a real expm1 is several times cheaper
-
-    def integrand(ts):
-        # (e^{tL} - I)^k u in eigencoordinates, times t^{-1-s}; products, as pow()
-        # of a negative real base is slow
-        base = np.expm1(np.multiply.outer(ts, lam))
-        factors = base
-        for _ in range(k - 1):
-            factors = factors * base
-        return factors * coords * (ts ** (-1.0 - s_val))[:, None]
-
-    base = eps0**-s_val * _bbw_ray_integral(eps0 * lam, s_val, k, quad) * coords
-
     eps_seq = [eps0 * 2.0 ** (-j) for j in range(_BBW_LEVELS)]
-    glx, glw = gauss_legendre_rule(32)
-    tails = [base]
-    for j in range(_BBW_LEVELS - 1):
-        lo, hi = eps_seq[j + 1], eps_seq[j]
-        t = 0.5 * (hi - lo) * glx + 0.5 * (hi + lo)
-        seg = (0.5 * (hi - lo)) * (glw[:, None] * integrand(t)).sum(axis=0)
-        tails.append(tails[-1] + seg)
 
-    estimates = gen._from_modes(np.array(tails) / c_constant(order, k))
+    # the panels [eps_j/2, eps_j], j < _BBW_LEVELS - 1, of half-width eps_j/4 about 3 eps_j/4
+    glx, glw = gauss_legendre_rule(_BBW_PANEL_NODES)
+    half = 0.25 * np.array(eps_seq[:-1])[:, None]
+    t = half * (glx + 3.0)
+    weights = half * glw * t ** (-1.0 - s_val)
+    # (e^{tL} - I)^k in eigencoordinates by products, as pow() of a negative real base is slow
+    base = np.expm1(np.multiply.outer(t, lam))
+    factors = base
+    for _ in range(k - 1):
+        factors = factors * base
+    panels = (weights[:, None, :] @ factors)[:, 0] * coords
+
+    head = eps0**-s_val * _bbw_ray_integral(eps0 * lam, s_val, k, quad) * coords
+    tails = np.cumsum(np.concatenate((head[None], panels)), axis=0)
+    estimates = gen._from_modes(tails / c_constant(order, k))
     return eps_seq, list(estimates), [k - s_val, k - s_val + 1.0]
 
 

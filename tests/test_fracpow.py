@@ -24,7 +24,12 @@ from fracext import (
 )
 
 from fracext.cli import builtin_matrix
-from fracext.fracpow import _bbw_ray_integral, _shifted_triangular_solve, _sweep_factor
+from fracext.fracpow import (
+    _bbw_ladder,
+    _bbw_ray_integral,
+    _shifted_triangular_solve,
+    _sweep_factor,
+)
 from fracext.quadrature import QuadratureSpec
 from fracext.verify import _sine_modes, dirichlet_sine_power
 
@@ -451,6 +456,22 @@ def test_near_integer_orders(s):
             assert relerr(balakrishnan_second_kind(gen, s, w), power) <= 1e-12, gen.dim
 
 
+@pytest.mark.parametrize("s", [1.999, 1.9999])
+def test_second_kind_next_to_two(s):
+    """The second kind's prefactors take ``2 - s``, exact here, instead of the rounded ``s pi``.
+
+    Its integral grows like ``1/(2 - s)`` against ``sin(s pi)``, so a prefactor formed from
+    ``s pi`` erred by ``eps/(2 - s)`` relative: 1.2e-13 to 3.0e-13 on these inputs.
+    """
+    gen = builtin_matrix("random:64:1")
+    u = np.random.default_rng(0).standard_normal(64) + 0j
+    oracle = fractional_matrix_power(-gen.matrix, s) @ u
+    assert relerr(balakrishnan_second_kind(gen, s, u), oracle) <= 5e-14
+    v = np.random.default_rng(0).standard_normal(128) + 0j
+    got = balakrishnan_second_kind(builtin_matrix("laplacian1d:128"), s, v)
+    assert relerr(got, dirichlet_sine_power(128, s, v)) <= 5e-14
+
+
 @pytest.mark.parametrize("lam", [[-1e-6 + 1e3j, -1e-6 - 1e3j, -1e-2],
                                  [-0.1 + 1e6j, -0.1 - 1e6j, -1e4]])
 def test_nearly_imaginary_spectra(monkeypatch, lam):
@@ -641,6 +662,15 @@ class TestBBW:
             got = bbw_frac_power(diag_gen, s, int(s) + 1, u)
         assert relerr(got, diag_gen.frac_power(s, u)) <= 1e-4
 
+    @pytest.mark.parametrize("s", [3.5, 4.5, 5.5, 7.3])
+    def test_high_orders(self, s):
+        """Orders above 3, where up to eight binomial terms share each mode's ray."""
+        bound = 1e-9 if s > 7 else 1e-10
+        gen = builtin_matrix("random:64:1")
+        u = np.random.default_rng(0).standard_normal(64) + 0j
+        got = bbw_frac_power(gen, s, int(s) + 1, u)
+        assert relerr(got, fractional_matrix_power(-gen.matrix, s) @ u) <= bound
+
     @pytest.mark.parametrize("s", [0.3, 1.5, 2.7])
     def test_stiff_laplacian(self, s):
         lap = builtin_matrix("laplacian1d:128")
@@ -667,13 +697,19 @@ def bbw_tail_oracle(lam, s, k):
 class TestBBWTail:
     LAMS = [-9.96 + 9.8j, -0.5 + 9.9j, -5.0 - 3.0j, -0.54, -4e6, -1e-3, -1e-3 + 1e-2j]
 
-    @pytest.mark.parametrize("s", [0.05, 0.3, 1.5, 2.7, 3.999])
+    @pytest.mark.parametrize("s", [0.05, 0.3, 1.5, 2.7, 3.999, 4.5, 5.5, 7.3])
     def test_matches_incomplete_gamma(self, s):
+        """Also on the circle ``k |lam| = 1``, where the binomial terms cancel most on the ray.
+
+        The cancellation grows with ``k``, hence the looser bounds at ``s > 4``.
+        """
         k = int(s) + 1
-        got = _bbw_ray_integral(np.array(self.LAMS), s, k, QuadratureSpec())
-        for lam, value in zip(self.LAMS, got):
+        bound = {4.5: 1e-12, 5.5: 1e-11, 7.3: 1e-8}.get(s, 1e-13)
+        lams = self.LAMS + [np.exp(1j * a) / k for a in (np.pi, 0.75 * np.pi, 0.55 * np.pi)]
+        got = _bbw_ray_integral(np.array(lams), s, k, QuadratureSpec())
+        for lam, value in zip(lams, got):
             ref = bbw_tail_oracle(lam, s, k)
-            assert abs(value - ref) <= 1e-13 * abs(ref), (lam, value, ref)
+            assert abs(value - ref) <= bound * abs(ref), (lam, value, ref)
 
     def test_real_spectrum_stays_real(self):
         got = _bbw_ray_integral(np.array([-0.54, -1e-3, -4e6]), 1.5, 2, QuadratureSpec())
@@ -697,6 +733,26 @@ class TestBBWTail:
         u = np.random.default_rng(7).standard_normal(32) + 0j
         got = bbw_frac_power(gen, 2.7, 3, u)
         assert relerr(got, gen.frac_power(2.7, u)) <= max(10.0 * previous, 1e-12)
+
+
+@pytest.mark.parametrize("s", [0.3, 2.7])
+def test_ladder_matches_mpmath(s):
+    """Every rung of the ``eps``-ladder against 30-digit quadrature below ``eps0`` and the
+    incomplete-gamma oracle above it: 16 Gauss-Legendre nodes per panel ``[eps/2, eps]``."""
+    gen = Generator(OSCILLATORY)
+    k = int(s) + 1
+    eps_seq, estimates, _ = _bbw_ladder(gen, s, k, np.ones(4))
+    scale = c_constant(s, k)
+    for i, lam in enumerate(np.diag(OSCILLATORY)):
+        with mpmath.workdps(30):
+            lam_mp = mpmath.mpc(lam)
+            total = eps_seq[0] ** -s * mpmath.mpc(bbw_tail_oracle(eps_seq[0] * lam, s, k))
+            for j, eps in enumerate(eps_seq):
+                if j:
+                    total += mpmath.quad(lambda t: (mpmath.exp(t * lam_mp) - 1) ** k * t ** (-1 - s),
+                                         [eps, eps_seq[j - 1]])
+                ref = complex(total) / scale
+                assert abs(estimates[j][i] - ref) <= 1e-14 * abs(ref), (lam, j)
 
 
 def oscillatory_family(seed, d):
